@@ -10,11 +10,10 @@
 //!   algorithm ("the probability of uploading to another user is
 //!   proportional to the total number of pieces uploaded by that user").
 
-use std::collections::HashMap;
-
 use rand::Rng;
 use rand::RngCore;
 
+use crate::hash::IdMap;
 use crate::PeerId;
 
 /// Per-neighbor contribution accounting for one peer.
@@ -36,10 +35,10 @@ use crate::PeerId;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ContributionLedger {
-    sent: HashMap<PeerId, u64>,
-    received: HashMap<PeerId, u64>,
-    received_this_round: HashMap<PeerId, u64>,
-    received_last_round: HashMap<PeerId, u64>,
+    sent: IdMap<PeerId, u64>,
+    received: IdMap<PeerId, u64>,
+    received_this_round: IdMap<PeerId, u64>,
+    received_last_round: IdMap<PeerId, u64>,
     total_sent: u64,
     total_received: u64,
 }
@@ -152,7 +151,7 @@ impl ContributionLedger {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DeficitLedger {
-    deficits: HashMap<PeerId, i64>,
+    deficits: IdMap<PeerId, i64>,
 }
 
 impl DeficitLedger {
@@ -217,7 +216,7 @@ impl DeficitLedger {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ReputationTable {
-    uploaded: HashMap<PeerId, u64>,
+    uploaded: IdMap<PeerId, u64>,
     total: u64,
 }
 
@@ -318,9 +317,9 @@ impl ReputationTable {
 #[derive(Clone, Debug, Default)]
 pub struct ReportedReputation {
     /// subject → (reporter → claim with decay bookkeeping).
-    reports: HashMap<PeerId, HashMap<PeerId, Claim>>,
+    reports: IdMap<PeerId, IdMap<PeerId, Claim>>,
     /// subject → total claimed bytes (the basic reputation, undecayed).
-    basic: HashMap<PeerId, u64>,
+    basic: IdMap<PeerId, u64>,
     /// Current round, advanced by the caller; claim ages are measured
     /// against it. Stays 0 (no decay) unless [`Self::advance_to`] is used.
     round: u64,
@@ -402,7 +401,7 @@ impl ReportedReputation {
     /// reporter's trust share shifts toward whoever it vouched for
     /// recently and a long-idle subject's stale claims fade instead of
     /// being re-inflated to a full row share.
-    pub fn trusted_scores(&self, pretrusted: &[PeerId]) -> HashMap<PeerId, f64> {
+    pub fn trusted_scores(&self, pretrusted: &[PeerId]) -> IdMap<PeerId, f64> {
         const DAMPING: f64 = 0.15;
         const ITERATIONS: usize = 15;
         let now = self.round;
@@ -417,10 +416,10 @@ impl ReportedReputation {
         members.sort();
         members.dedup();
         if members.is_empty() {
-            return HashMap::new();
+            return IdMap::default();
         }
         let n = members.len() as f64;
-        let pre: HashMap<PeerId, f64> = if pretrusted.is_empty() {
+        let pre: IdMap<PeerId, f64> = if pretrusted.is_empty() {
             members.iter().map(|&m| (m, 1.0 / n)).collect()
         } else {
             let share = 1.0 / pretrusted.len() as f64;
@@ -428,16 +427,16 @@ impl ReportedReputation {
         };
         let pre_of = |m: PeerId| pre.get(&m).copied().unwrap_or(0.0);
         // Row-normalized outgoing claims per reporter, decayed first.
-        let mut outgoing_total: HashMap<PeerId, f64> = HashMap::new();
+        let mut outgoing_total: IdMap<PeerId, f64> = IdMap::default();
         for reporters in self.reports.values() {
             for (&r, claim) in reporters {
                 *outgoing_total.entry(r).or_insert(0.0) += effective(claim);
             }
         }
-        let mut trust: HashMap<PeerId, f64> =
+        let mut trust: IdMap<PeerId, f64> =
             members.iter().map(|&m| (m, pre_of(m))).collect();
         for _ in 0..ITERATIONS {
-            let mut next: HashMap<PeerId, f64> = members
+            let mut next: IdMap<PeerId, f64> = members
                 .iter()
                 .map(|&m| (m, DAMPING * pre_of(m)))
                 .collect();

@@ -18,6 +18,7 @@
 //!   implementations of all six algorithms in [`mechanisms`];
 //! * [`ledger`] — the state each mechanism consults (contribution ledgers,
 //!   deficit counters, a global reputation table);
+//! * [`hash`] — the deterministic id hasher those ledgers are keyed with;
 //! * [`analysis`] — every closed form in Section IV of the paper:
 //!   equilibrium download rates (Table I), efficiency/fairness statistics
 //!   (Eqs. 2–3, Lemma 1), piece-exchange probabilities (Eqs. 4–8,
@@ -48,6 +49,7 @@
 
 pub mod analysis;
 mod class;
+pub mod hash;
 mod ids;
 pub mod ledger;
 mod mechanism;

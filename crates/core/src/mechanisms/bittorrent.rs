@@ -14,11 +14,10 @@
 //! contributor idles — which is exactly why BitTorrent bootstraps a flash
 //! crowd slowly (Table II).
 
-use std::collections::HashMap;
-
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
+use crate::hash::IdMap;
 use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams};
 use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
 use crate::view::SwarmView;
@@ -40,7 +39,7 @@ pub struct BitTorrent {
     optimistic: StickyTarget,
     /// Exponentially smoothed per-neighbor download rates (bytes/round),
     /// the quantity real tit-for-tat ranks by.
-    rates: HashMap<crate::PeerId, f64>,
+    rates: IdMap<crate::PeerId, f64>,
     /// The current unchoke set, re-evaluated every [`UNCHOKE_PERIOD`]
     /// rounds as in real clients (10-second unchoke intervals).
     unchoked: Vec<crate::PeerId>,
@@ -59,7 +58,7 @@ impl BitTorrent {
         BitTorrent {
             params,
             optimistic: StickyTarget::new(),
-            rates: HashMap::new(),
+            rates: IdMap::default(),
             unchoked: Vec::new(),
             last_eval: None,
         }

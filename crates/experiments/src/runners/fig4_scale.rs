@@ -21,6 +21,8 @@
 //! instead; see [`PerfRow::rss_delta_kb`] for its own caveat under
 //! parallel execution.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use coop_des::Duration;
 use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::MechanismKind;
@@ -208,8 +210,14 @@ impl ScalePerfReport {
 
 /// The process's peak resident set (`VmHWM`) in kB, or 0 when
 /// `/proc/self/status` is unavailable.
+///
+/// A peak never falls, but raw `VmHWM` reads can: the kernel batches
+/// RSS counters per CPU, so in a multi-threaded process a later read may
+/// come back a few hundred kB below an earlier one. The value returned is
+/// therefore the running maximum of every read in this process.
 pub(crate) fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
+    static PEAK_KB: AtomicU64 = AtomicU64::new(0);
+    let read = std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
@@ -217,7 +225,8 @@ pub(crate) fn peak_rss_kb() -> u64 {
                 .and_then(|l| l.split_whitespace().nth(1))
                 .and_then(|v| v.parse().ok())
         })
-        .unwrap_or(0)
+        .unwrap_or(0);
+    PEAK_KB.fetch_max(read, Ordering::Relaxed).max(read)
 }
 
 /// Runs the default sweep with machine-sized parallelism and no telemetry.

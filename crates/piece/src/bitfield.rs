@@ -180,6 +180,18 @@ impl Bitfield {
         }
     }
 
+    /// Clears every piece, keeping the storage representation (a dense
+    /// field keeps its word buffer for reuse).
+    pub fn clear(&mut self) {
+        match &mut self.repr {
+            Repr::Dense(words) => words.fill(0),
+            Repr::Runs { runs, ones } => {
+                runs.clear();
+                *ones = 0;
+            }
+        }
+    }
+
     /// The number of set pieces.
     pub fn count_ones(&self) -> u32 {
         match &self.repr {
@@ -262,6 +274,22 @@ impl Bitfield {
         self.word_iter()
             .zip(other.word_iter())
             .any(|(a, b)| a & b != 0)
+    }
+
+    /// Returns true if some piece is set in both bitfields and not in
+    /// `exclude` — the simulator's interest test `absent ∧ offer ∧
+    /// ¬inflight` as one fused word pass with an early exit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bitfields have different lengths.
+    pub fn intersects_except(&self, other: &Bitfield, exclude: &Bitfield) -> bool {
+        self.check_same_len(other);
+        self.check_same_len(exclude);
+        self.word_iter()
+            .zip(other.word_iter())
+            .zip(exclude.word_iter())
+            .any(|((a, b), x)| a & b & !x != 0)
     }
 
     /// Iterates over pieces set in both bitfields, skipping all-zero words.
@@ -679,6 +707,19 @@ mod tests {
         b.set(150);
         assert!(a.intersects(&b));
         assert_eq!(a.iter_common(&b).collect::<Vec<_>>(), vec![5, 150]);
+    }
+
+    #[test]
+    fn clear_empties_either_representation() {
+        let (mut dense, mut runs) = dense_and_runs(130, &[0, 1, 2, 64, 65]);
+        dense.clear();
+        runs.clear();
+        assert_eq!(dense, Bitfield::new(130));
+        assert_eq!(runs, Bitfield::new(130));
+        assert!(runs.is_compressed());
+        let mut full = Bitfield::full(70);
+        full.clear();
+        assert_eq!(full.count_ones(), 0);
     }
 
     #[test]

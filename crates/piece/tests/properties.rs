@@ -138,6 +138,42 @@ proptest! {
         );
     }
 
+    /// The fused interest pass `intersects_except(a, b, x)` is the
+    /// per-piece `∃p: a[p] ∧ b[p] ∧ ¬x[p]` for every mix of dense and
+    /// run-compressed operands (`runs` bit k compresses operand k), with
+    /// the all-ones run field standing in for any operand, and with `x`
+    /// optionally covering every common piece (the answer is then false).
+    #[test]
+    fn fused_interest_matches_per_piece_definition(
+        a in bitfield_strategy(130),
+        b in bitfield_strategy(130),
+        x in bitfield_strategy(130),
+        runs in 0u8..8,
+        full in 0u8..4,
+        cover in any::<bool>(),
+    ) {
+        let mut ops = [a, b, x];
+        if full < 3 {
+            ops[full as usize] = Bitfield::full(130);
+        }
+        if cover {
+            for p in 0..130 {
+                if ops[0].get(p) && ops[1].get(p) {
+                    ops[2].set(p);
+                }
+            }
+        }
+        for (k, op) in ops.iter_mut().enumerate() {
+            if runs >> k & 1 == 1 {
+                op.compress();
+            }
+        }
+        let [a, b, x] = &ops;
+        let want = (0..130).any(|p| a.get(p) && b.get(p) && !x.get(p));
+        prop_assert!(!(cover && want));
+        prop_assert_eq!(a.intersects_except(b, x), want);
+    }
+
     /// Piece lengths always sum to the file size.
     #[test]
     fn file_piece_lengths_sum(size in 1u64..10_000_000, piece in 1u64..100_000) {

@@ -23,6 +23,7 @@
 //! restore validates that its config and population shape match.
 
 use coop_des::EngineSnapshot;
+use coop_incentives::hash::IdMap;
 use coop_incentives::ledger::{ReportedReputation, ReputationTable};
 use coop_incentives::metrics::TimeSeries;
 use coop_incentives::{GrantReason, PeerId};
@@ -90,7 +91,7 @@ pub(crate) struct CheckpointState {
     pub(crate) expected_compliant: usize,
     pub(crate) reports: ReportedReputation,
     pub(crate) pretrusted: Vec<PeerId>,
-    pub(crate) trusted_cache: std::collections::HashMap<PeerId, f64>,
+    pub(crate) trusted_cache: IdMap<PeerId, f64>,
     pub(crate) adj: Vec<PeerId>,
     pub(crate) adj_off: Vec<u32>,
     pub(crate) adj_dirty: bool,

@@ -9,10 +9,14 @@
 //!   `absent = ¬(have ∪ locked)` kept incrementally so the simulator's
 //!   interest tests are word-level bit operations.
 //!
+//! A fourth bitfield, `inflight`, marks the pieces already being fetched,
+//! so "does this peer need anything from that one" is a single fused
+//! word pass over `absent ∧ offer ∧ ¬inflight`.
+//!
 //! All transitions go through the `acquire_usable` / `lock_piece` /
 //! `unlock_piece` / `discard_locked` methods, which maintain the caches.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use coop_des::SimTime;
 use coop_incentives::ledger::{ContributionLedger, DeficitLedger};
@@ -53,8 +57,9 @@ pub struct PeerState {
     offer: Bitfield,
     absent: Bitfield,
     /// Pieces currently being downloaded (any source), to avoid duplicate
-    /// fetches.
-    pub inflight: HashSet<u32>,
+    /// fetches. At most one transfer per piece is in flight toward a
+    /// peer, so a bit per piece suffices.
+    pub inflight: Bitfield,
     /// How many of the in-flight transfers toward this peer are
     /// conditional (will become obligations on delivery).
     pub inflight_conditional: usize,
@@ -110,7 +115,7 @@ impl PeerState {
             locked: Bitfield::new(num_pieces),
             offer: Bitfield::new(num_pieces),
             absent: Bitfield::full(num_pieces),
-            inflight: HashSet::new(),
+            inflight: Bitfield::new(num_pieces),
             inflight_conditional: 0,
             ledger: ContributionLedger::new(),
             deficits: DeficitLedger::new(),
@@ -155,14 +160,14 @@ impl PeerState {
     /// Does this peer need piece `p`? (Absent and not already being
     /// fetched.)
     pub fn needs_piece(&self, p: u32) -> bool {
-        self.absent.get(p) && !self.inflight.contains(&p)
+        self.absent.get(p) && !self.inflight.get(p)
     }
 
     /// The bitfield of pieces this peer still wants (absent minus
     /// in-flight).
     pub fn wanted(&self) -> Bitfield {
         let mut bf = self.absent.clone();
-        for &p in &self.inflight {
+        for p in self.inflight.iter_ones() {
             bf.unset(p);
         }
         bf
@@ -236,6 +241,7 @@ impl PeerState {
         self.locked.compress();
         self.offer.compress();
         self.absent.compress();
+        self.inflight.compress();
     }
 }
 
@@ -328,7 +334,7 @@ mod tests {
     #[test]
     fn inflight_pieces_not_requested_twice() {
         let mut p = peer(8);
-        p.inflight.insert(2);
+        p.inflight.set(2);
         assert!(!p.needs_piece(2));
         assert!(!p.wanted().get(2));
     }

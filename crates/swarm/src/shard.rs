@@ -17,9 +17,9 @@
 //! artifacts are byte-identical for any `--shards K` — pinned by the
 //! sharded rows of the profile/byte-identity batteries.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
+use coop_incentives::hash::IdMap;
 use coop_incentives::ledger::{ContributionLedger, DeficitLedger, ReputationTable};
 use coop_incentives::{Obligation, PeerId, SwarmView};
 use coop_piece::Bitfield;
@@ -106,12 +106,7 @@ pub(crate) fn needs_with(
     } else {
         return false;
     };
-    if !w.absent().intersects(offer) {
-        return false;
-    }
-    w.absent()
-        .iter_common(offer)
-        .any(|p| !w.inflight.contains(&p))
+    w.absent().intersects_except(offer, &w.inflight)
 }
 
 /// The plain-data slice of simulation state a shard worker needs to
@@ -127,7 +122,7 @@ pub(crate) struct ShardCtx<'a> {
     pub seeder_online: bool,
     pub round_idx: u64,
     pub trusted_reputation: bool,
-    pub trusted_cache: &'a HashMap<PeerId, f64>,
+    pub trusted_cache: &'a IdMap<PeerId, f64>,
     pub reputation: &'a ReputationTable,
     /// Consensus-reputation scores by slot when the population runs the
     /// consensus mechanism; they then override both reputation sources,

@@ -17,6 +17,7 @@ use coop_telemetry::{
     Category, Histogram, PhaseToken, ProfileReport, Profiler, Recorder, Sampling, TelemetryConfig,
     TelemetryReport, TraceEvent,
 };
+use coop_incentives::hash::IdMap;
 use coop_incentives::ledger::{ReportedReputation, ReputationTable};
 use coop_incentives::metrics::TimeSeries;
 use coop_incentives::{
@@ -97,9 +98,11 @@ pub struct Simulation {
     round_idx: u64,
     now: SimTime,
     expected_compliant: usize,
+    /// Reported receipts for the EigenTrust scores; written only when
+    /// `trusted_reputation` is set, since those scores are its only reader.
     reports: ReportedReputation,
     pretrusted: Vec<PeerId>,
-    trusted_cache: std::collections::HashMap<PeerId, f64>,
+    trusted_cache: IdMap<PeerId, f64>,
     /// Flat CSR-style active-neighbor adjacency: peer `i`'s candidate
     /// list is `adj[adj_off[i]..adj_off[i+1]]`. Rebuilt by
     /// [`Self::refresh_candidates`] only when [`Self::adj_dirty`] says a
@@ -315,7 +318,7 @@ impl Simulation {
             expected_compliant,
             reports: ReportedReputation::new(),
             pretrusted: Vec::new(),
-            trusted_cache: std::collections::HashMap::new(),
+            trusted_cache: IdMap::default(),
             adj: Vec::new(),
             adj_off: Vec::new(),
             adj_dirty: true,
@@ -1450,7 +1453,7 @@ impl Simulation {
             let Some((piece, len)) = picked else {
                 break;
             };
-            self.peers[to.index() as usize].inflight.insert(piece);
+            self.peers[to.index() as usize].inflight.set(piece);
             if condition.is_some() {
                 self.peers[to.index() as usize].inflight_conditional += 1;
             }
@@ -1510,9 +1513,7 @@ impl Simulation {
         // selections within a round allocate nothing.
         let mut held = std::mem::replace(&mut self.scratch_held, Bitfield::new(0));
         held.copy_from(self.peer(to).offer());
-        for &p in &self.peer(to).inflight {
-            held.set(p);
-        }
+        held.union_with(&self.peer(to).inflight);
         let mut ties = std::mem::take(&mut self.scratch_ties);
         let offer = if from == SEEDER_ID {
             &self.seeder_bf
@@ -1596,7 +1597,9 @@ impl Simulation {
             s.ledger.record_sent(to, bytes);
             s.deficits.on_sent(to, bytes);
             self.reputation.credit_upload(from, bytes);
-            self.reports.record(to, from, bytes);
+            if self.config.trusted_reputation {
+                self.reports.record(to, from, bytes);
+            }
             if let Some(c) = self.consensus.as_mut() {
                 c.record_transfer(from.index(), to.index(), bytes);
             }
@@ -1620,7 +1623,7 @@ impl Simulation {
         // the receiver's absent and inflight sets together, so no other
         // uploader's interest toward the receiver flips on either.
         self.mark_dirty(to);
-        self.peers[to_idx].inflight.remove(&piece);
+        self.peers[to_idx].inflight.unset(piece);
         if done.condition.is_some() {
             self.peers[to_idx].inflight_conditional =
                 self.peers[to_idx].inflight_conditional.saturating_sub(1);
@@ -1766,7 +1769,7 @@ impl Simulation {
                 continue;
             }
             if let Some(p) = self.peers.get_mut(to.index() as usize) {
-                p.inflight.remove(&fl.piece);
+                p.inflight.unset(fl.piece);
                 if fl.condition.is_some() {
                     p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
                 }
@@ -1780,12 +1783,19 @@ impl Simulation {
     fn obligations_pass(&mut self, _now: SimTime) {
         let ttl = self.config.mechanism_params.tchain_obligation_ttl;
         let round = self.round_idx;
-        let ids: Vec<u32> = self
-            .peers
-            .iter()
-            .filter(|p| p.is_active() && !p.obligations.is_empty())
-            .map(|p| p.id.index())
+        let ids: Vec<u32> = (0..self.hot.len())
+            .filter(|&i| self.hot.is_active(i) && self.hot.is_obliged(i))
+            .map(|i| i as u32)
             .collect();
+        debug_assert_eq!(
+            ids,
+            self.peers
+                .iter()
+                .filter(|p| p.is_active() && !p.obligations.is_empty())
+                .map(|p| p.id.index())
+                .collect::<Vec<u32>>(),
+            "SoA obligation scan diverged from the peer scan"
+        );
         for pid in ids {
             let id = PeerId::new(pid);
             // Collusion: a ring member's obligations whose confirmation
@@ -1884,7 +1894,7 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(id);
         for ((_, t), fl) in dropped {
             if t != id && t != SEEDER_ID {
-                self.peers[t.index() as usize].inflight.remove(&fl.piece);
+                self.peers[t.index() as usize].inflight.unset(fl.piece);
                 if fl.condition.is_some() {
                     self.peers[t.index() as usize].inflight_conditional = self.peers
                         [t.index() as usize]
@@ -2013,7 +2023,7 @@ impl Simulation {
         for ((_, t), fl) in dropped {
             if t != SEEDER_ID {
                 let p = &mut self.peers[t.index() as usize];
-                p.inflight.remove(&fl.piece);
+                p.inflight.unset(fl.piece);
                 if fl.condition.is_some() {
                     p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
                 }
@@ -2032,7 +2042,7 @@ impl Simulation {
         for ((_, t), fl) in dropped {
             if t != id && t != SEEDER_ID {
                 let p = &mut self.peers[t.index() as usize];
-                p.inflight.remove(&fl.piece);
+                p.inflight.unset(fl.piece);
                 if fl.condition.is_some() {
                     p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
                 }
@@ -2091,7 +2101,7 @@ impl Simulation {
         // interest in this receiver.
         self.mark_dirty(to);
         let r = &mut self.peers[to_idx];
-        r.inflight.remove(&done.piece);
+        r.inflight.unset(done.piece);
         if done.condition.is_some() {
             r.inflight_conditional = r.inflight_conditional.saturating_sub(1);
         }
@@ -2199,7 +2209,7 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(old);
         for ((_, t), fl) in dropped {
             if t != SEEDER_ID {
-                self.peers[t.index() as usize].inflight.remove(&fl.piece);
+                self.peers[t.index() as usize].inflight.unset(fl.piece);
                 if fl.condition.is_some() {
                     self.peers[t.index() as usize].inflight_conditional = self.peers
                         [t.index() as usize]
@@ -2325,8 +2335,10 @@ impl Simulation {
             if !praisers.is_empty() {
                 self.reputation
                     .credit_upload(id, praise * praisers.len() as u64);
-                for reporter in praisers {
-                    self.reports.record(reporter, id, praise);
+                if self.config.trusted_reputation {
+                    for reporter in praisers {
+                        self.reports.record(reporter, id, praise);
+                    }
                 }
             }
         }
@@ -2995,7 +3007,7 @@ impl Simulation {
                 );
                 let (obligations, inflight, neighbors) = (
                     p.obligations.len() as u64,
-                    p.inflight.len() as u64,
+                    u64::from(p.inflight.count_ones()),
                     p.neighbors.len() as u64,
                 );
                 // The interested-in-me census is an O(N) scan per peer —

@@ -5,8 +5,9 @@
 //! reached. One transfer is in flight per (uploader, downloader) pair at a
 //! time, mirroring a single pipelined request.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
+use coop_incentives::hash::IdMap;
 use coop_incentives::{GrantReason, PeerId, ReciprocationCondition};
 
 /// A partially transferred piece.
@@ -36,11 +37,18 @@ impl InFlight {
 
 /// All in-flight transfers, keyed by (uploader, downloader), with a
 /// per-uploader index so a peer can cheaply enumerate its outgoing
-/// partials.
+/// partials and a per-downloader index so a departure touches only the
+/// transfers involving the departing peer.
+///
+/// The per-uploader index may keep targets whose transfer
+/// [`Self::drain_stalled`] removed (a later completion or drop of the
+/// same pair clears them); [`Self::targets_of`] callers find no transfer
+/// for such a target. The per-downloader index is exact.
 #[derive(Clone, Debug, Default)]
 pub struct TransferTable {
-    inner: HashMap<(PeerId, PeerId), InFlight>,
-    by_uploader: HashMap<PeerId, std::collections::BTreeSet<PeerId>>,
+    inner: IdMap<(PeerId, PeerId), InFlight>,
+    by_uploader: IdMap<PeerId, BTreeSet<PeerId>>,
+    by_downloader: IdMap<PeerId, Vec<PeerId>>,
 }
 
 impl TransferTable {
@@ -67,6 +75,7 @@ impl TransferTable {
             "transfer already in flight from {from} to {to}"
         );
         self.by_uploader.entry(from).or_default().insert(to);
+        self.by_downloader.entry(to).or_default().push(from);
     }
 
     /// The downloaders this uploader currently has partials toward, in id
@@ -84,11 +93,24 @@ impl TransferTable {
         self.by_uploader.keys().copied()
     }
 
+    /// Removes the pair from both indexes (its transfer left `inner`).
     fn unindex(&mut self, from: PeerId, to: PeerId) {
         if let Some(set) = self.by_uploader.get_mut(&from) {
             set.remove(&to);
             if set.is_empty() {
                 self.by_uploader.remove(&from);
+            }
+        }
+        self.unindex_downloader(from, to);
+    }
+
+    fn unindex_downloader(&mut self, from: PeerId, to: PeerId) {
+        if let Some(sources) = self.by_downloader.get_mut(&to) {
+            if let Some(i) = sources.iter().position(|&f| f == from) {
+                sources.swap_remove(i);
+            }
+            if sources.is_empty() {
+                self.by_downloader.remove(&to);
             }
         }
     }
@@ -122,28 +144,47 @@ impl TransferTable {
     }
 
     /// Removes and returns every transfer whose last progress is older
-    /// than `before` (stalled requests a real client would re-issue).
+    /// than `before` (stalled requests a real client would re-issue), in
+    /// pair order. The uploader's index keeps the drained target (see the
+    /// type docs).
     pub fn drain_stalled(&mut self, before: u64) -> Vec<((PeerId, PeerId), InFlight)> {
-        let keys: Vec<(PeerId, PeerId)> = self
+        let mut keys: Vec<(PeerId, PeerId)> = self
             .inner
             .iter()
             .filter(|(_, fl)| fl.last_progress_round < before)
             .map(|(&k, _)| k)
             .collect();
+        keys.sort_unstable();
         keys.into_iter()
-            .map(|k| (k, self.inner.remove(&k).expect("key just listed")))
+            .map(|(from, to)| {
+                self.unindex_downloader(from, to);
+                let fl = self.inner.remove(&(from, to)).expect("key just listed");
+                ((from, to), fl)
+            })
             .collect()
     }
 
     /// Drops every transfer involving `peer` (departure/whitewash),
-    /// returning the dropped entries as `((from, to), transfer)` pairs.
+    /// returning the dropped entries as `((from, to), transfer)` pairs in
+    /// pair order. Only `peer`'s own index entries are visited.
     pub fn drop_peer(&mut self, peer: PeerId) -> Vec<((PeerId, PeerId), InFlight)> {
-        let keys: Vec<(PeerId, PeerId)> = self
-            .inner
-            .keys()
-            .filter(|&&(f, t)| f == peer || t == peer)
-            .copied()
+        let mut keys: Vec<(PeerId, PeerId)> = self
+            .by_uploader
+            .get(&peer)
+            .into_iter()
+            .flatten()
+            .map(|&to| (peer, to))
+            .chain(
+                self.by_downloader
+                    .get(&peer)
+                    .into_iter()
+                    .flatten()
+                    .map(|&from| (from, peer)),
+            )
+            .filter(|k| self.inner.contains_key(k))
             .collect();
+        keys.sort_unstable();
+        keys.dedup();
         keys.into_iter()
             .map(|k| {
                 self.unindex(k.0, k.1);
@@ -163,7 +204,6 @@ impl TransferTable {
     }
 
     /// Returns true when nothing is in flight.
-    #[allow(dead_code)] // API completeness alongside len(); exercised in tests
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }

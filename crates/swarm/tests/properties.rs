@@ -1,10 +1,10 @@
 //! Property-based tests for the swarm simulator: invariants that must hold
 //! for random configurations, populations and seeds.
 
-use coop_incentives::{MechanismKind, PeerId};
+use coop_incentives::{GrantReason, MechanismKind, PeerId};
 use coop_swarm::{
-    flash_crowd_with, FaultEvent, FaultKind, FaultSchedule, PeerTags, SimResult, Simulation,
-    SimulationBuilder, SwarmConfig,
+    flash_crowd_with, FaultEvent, FaultKind, FaultSchedule, InFlight, PeerTags, SimResult,
+    Simulation, SimulationBuilder, SwarmConfig, TransferTable, SEEDER_ID,
 };
 use coop_des::Duration;
 use coop_incentives::analysis::capacity::CapacityClassMix;
@@ -257,6 +257,170 @@ proptest! {
             let (pool, pool_large_view) = sim.active_pool();
             prop_assert_eq!(pool, scan, "round {}", ckpt.round());
             prop_assert_eq!(pool_large_view, large_view, "round {}", ckpt.round());
+        }
+    }
+}
+
+/// The per-piece interest definition the fused word pass must reproduce:
+/// `who` needs something from `from` when a transfer between them is
+/// already in flight, or when some piece is absent at `who`, offered by
+/// `from` and not yet in flight toward `who`. The seeder offers every
+/// piece (its field is the run-compressed `Bitfield::full`) and stays
+/// online, since these schedules never fail it.
+fn needs_per_piece(sim: &Simulation, who: PeerId, from: PeerId) -> bool {
+    if who == from || !sim.is_online(who) {
+        return false;
+    }
+    if sim.has_transfer(from, who) {
+        return true;
+    }
+    if from != SEEDER_ID && !sim.is_online(from) {
+        return false;
+    }
+    let w = sim.peer(who);
+    (0..w.absent().len()).any(|p| {
+        w.absent().get(p)
+            && !w.inflight.get(p)
+            && (from == SEEDER_ID || sim.peer(from).offer().get(p))
+    })
+}
+
+/// One `TransferTable` operation: `(op, a, b, x)` with peers drawn from a
+/// small id range so pairs collide often.
+fn transfer_op() -> impl Strategy<Value = (u8, u32, u32, u64)> {
+    (0u8..8, 0u32..6, 0u32..6, 1u64..120)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `Simulation::needs` answers with one fused pass over the words of
+    /// `absent`, `offer` and `inflight`. On mid-run checkpoints of churning,
+    /// whitewashing populations it must agree with the per-piece
+    /// definition for every ordered pair, the seeder included as a source,
+    /// whose run-compressed `Bitfield::full` field is then an operand.
+    #[test]
+    fn fused_interest_matches_per_piece_definition(
+        kind in kind_strategy(),
+        seed in 0u64..1000,
+        n in 6usize..24,
+        window_s in 1u64..30,
+        every in 2u64..9,
+        tag_bits in proptest::collection::vec(0u8..8, 24),
+        faults in proptest::collection::vec((0u8..4, 1u64..20), 24),
+    ) {
+        let build = || churning_builder(kind, seed, n, window_s, &tag_bits, &faults);
+        let (_, _, log) = build().checkpoint_every(every).build().unwrap().run_checkpointed();
+        for ckpt in log.first().into_iter().chain(log.latest()) {
+            let sim = build().build().unwrap().restore(ckpt).unwrap();
+            let ids: Vec<PeerId> = (0..sim.peer_slots() as u32).map(PeerId::new).collect();
+            for &who in &ids {
+                for &from in ids.iter().chain([&SEEDER_ID]) {
+                    prop_assert_eq!(
+                        sim.needs(who, from),
+                        needs_per_piece(&sim, who, from),
+                        "round {}: {} from {}", ckpt.round(), who, from
+                    );
+                }
+            }
+        }
+    }
+
+    /// `TransferTable` against a plain pair-list oracle under random
+    /// start / progress / drain_stalled / drop_peer sequences. Lookups and
+    /// lengths must match, `drop_peer` and `drain_stalled` must return
+    /// exactly the oracle's pairs in pair order, and `targets_of` must be
+    /// ascending and equal a model of the uploader index, which keeps a
+    /// target after `drain_stalled` until that pair completes or drops.
+    #[test]
+    fn transfer_table_matches_pair_list_oracle(
+        ops in proptest::collection::vec(transfer_op(), 1..120),
+    ) {
+        use std::collections::{BTreeMap, BTreeSet};
+        let flight = |piece: u32, round: u64| InFlight {
+            piece,
+            piece_len: 100,
+            bytes_done: 0,
+            condition: None,
+            reason: GrantReason::Altruism,
+            last_progress_round: round,
+        };
+        let mut table = TransferTable::new();
+        let mut oracle: Vec<((PeerId, PeerId), InFlight)> = Vec::new();
+        let mut index: BTreeMap<PeerId, BTreeSet<PeerId>> = BTreeMap::new();
+        let unindex = |index: &mut BTreeMap<PeerId, BTreeSet<PeerId>>, (f, t): (PeerId, PeerId)| {
+            if let Some(set) = index.get_mut(&f) {
+                set.remove(&t);
+                if set.is_empty() {
+                    index.remove(&f);
+                }
+            }
+        };
+        for (round, &(op, a, b, x)) in ops.iter().enumerate() {
+            let round = round as u64;
+            let (a, b) = (PeerId::new(a), PeerId::new(b));
+            let pos = oracle.iter().position(|(k, _)| *k == (a, b));
+            match op {
+                0..=2 if a != b && pos.is_none() => {
+                    table.start(a, b, flight(x as u32, round));
+                    oracle.push(((a, b), flight(x as u32, round)));
+                    index.entry(a).or_default().insert(b);
+                }
+                3..=4 if pos.is_some() => {
+                    let i = pos.unwrap();
+                    let bytes = x.min(oracle[i].1.remaining());
+                    let done = table.progress(a, b, bytes, round);
+                    oracle[i].1.bytes_done += bytes;
+                    oracle[i].1.last_progress_round = round;
+                    if oracle[i].1.remaining() == 0 {
+                        let (k, fl) = oracle.remove(i);
+                        prop_assert_eq!(done, Some(fl));
+                        unindex(&mut index, k);
+                    } else {
+                        prop_assert_eq!(done, None);
+                    }
+                }
+                5 => {
+                    let before = round.saturating_sub(x % 8);
+                    let mut want: Vec<_> = oracle
+                        .iter()
+                        .filter(|(_, fl)| fl.last_progress_round < before)
+                        .copied()
+                        .collect();
+                    want.sort_by_key(|(k, _)| *k);
+                    oracle.retain(|(_, fl)| fl.last_progress_round >= before);
+                    prop_assert_eq!(table.drain_stalled(before), want);
+                }
+                6..=7 => {
+                    let mut want: Vec<_> = oracle
+                        .iter()
+                        .filter(|((f, t), _)| *f == a || *t == a)
+                        .copied()
+                        .collect();
+                    want.sort_by_key(|(k, _)| *k);
+                    oracle.retain(|((f, t), _)| *f != a && *t != a);
+                    for &(k, _) in &want {
+                        unindex(&mut index, k);
+                    }
+                    prop_assert_eq!(table.drop_peer(a), want);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(table.len(), oracle.len());
+            for &((f, t), fl) in &oracle {
+                prop_assert_eq!(table.get(f, t), Some(&fl));
+            }
+            for id in 0..6 {
+                let up = PeerId::new(id);
+                let targets = table.targets_of(up);
+                prop_assert!(targets.windows(2).all(|w| w[0] < w[1]), "{:?}", targets);
+                let model: Vec<PeerId> =
+                    index.get(&up).map(|s| s.iter().copied().collect()).unwrap_or_default();
+                prop_assert_eq!(targets, model);
+            }
+            let mut uploaders: Vec<PeerId> = table.uploaders().collect();
+            uploaders.sort();
+            prop_assert_eq!(uploaders, index.keys().copied().collect::<Vec<_>>());
         }
     }
 }
