@@ -11,11 +11,12 @@
 //!   availability lookup, versus [`AvailabilityIndex::pick_rarest_into`]'s
 //!   word-masked scan over the shared counts slice. Both draw identical
 //!   picks (pinned by the swarm equivalence battery).
-//! * `sim_n5000` — a full 5000-peer swarm, naive vs indexed vs dirty-set
-//!   round loop, same seed, byte-identical results. The median ratios are
-//!   the hot-path speedups recorded in `BENCH_2026-08-07_scale.json` and
-//!   `BENCH_2026-08-09_scale.json`. A fourth `dirty_profiled` variant
-//!   runs the default loop with the phase [`Profiler`] live, so its delta
+//! * `sim_n5000` — a full 5000-peer swarm, naive oracle vs the dirty-set
+//!   round loop, same seed, byte-identical results. The median ratio is
+//!   the hot-path speedup; `BENCH_2026-08-07_scale.json` and
+//!   `BENCH_2026-08-09_scale.json` record it (the latter also measured
+//!   the since-deleted indexed full-scan loop). A third `dirty_profiled`
+//!   variant runs the default loop with the phase [`Profiler`] live, so its delta
 //!   against `dirty` is the profiler's whole-run overhead; before the
 //!   timing loop the per-phase breakdown of one profiled run is printed
 //!   to stderr (the same attribution that `BENCH_2026-08-09_profile.json`
@@ -31,7 +32,7 @@ use coop_incentives::MechanismKind;
 use coop_piece::{
     AvailabilityIndex, Bitfield, FileSpec, PiecePicker, RarestFirstPicker,
 };
-use coop_swarm::{flash_crowd_with, RoundLoop, SimResult, Simulation, SwarmConfig};
+use coop_swarm::{flash_crowd_with, SimResult, Simulation, SwarmConfig};
 use coop_telemetry::{profile::phase, ProfileReport, Profiler};
 
 const PIECES: u32 = 2048;
@@ -108,9 +109,9 @@ fn scale_config(seed: u64) -> SwarmConfig {
     c
 }
 
-fn run_scale_sim(mode: Option<RoundLoop>) -> SimResult {
-    // `None` runs the naive oracle; `Some` picks the indexed or
-    // dirty-set loop. All three produce identical results.
+fn run_scale_sim(naive: bool) -> SimResult {
+    // `naive` runs the oracle instead of the dirty-set loop; both produce
+    // identical results.
     let config = scale_config(42);
     let population = flash_crowd_with(
         &config,
@@ -120,19 +121,17 @@ fn run_scale_sim(mode: Option<RoundLoop>) -> SimResult {
         &CapacityClassMix::paper_default(),
         Duration::from_secs(10),
     );
-    let builder = Simulation::builder(config).population(population);
-    match mode {
-        None => builder.naive_hotpath(true),
-        Some(round_loop) => builder.round_loop(round_loop),
-    }
-    .build()
-    .expect("scale config validates")
-    .run()
+    Simulation::builder(config)
+        .population(population)
+        .naive_hotpath(naive)
+        .build()
+        .expect("scale config validates")
+        .run()
 }
 
 /// The default (dirty-set) scale cell with phase timers live, returning
 /// the gathered per-phase breakdown (the result bytes are identical to
-/// every [`run_scale_sim`] mode — profiling only observes).
+/// both [`run_scale_sim`] modes — profiling only observes).
 fn run_scale_sim_profiled() -> (SimResult, ProfileReport) {
     let config = scale_config(42);
     let population = flash_crowd_with(
@@ -162,7 +161,7 @@ fn print_phase_breakdown(profile: &ProfileReport) {
         .filter(|(name, _)| name.as_str() != phase::SIM_RUN)
         .collect();
     phases.sort_by_key(|p| std::cmp::Reverse(p.1.total_ns));
-    eprintln!("sim_n5000 per-phase breakdown (one indexed run):");
+    eprintln!("sim_n5000 per-phase breakdown (one dirty-set run):");
     for (name, stat) in phases {
         eprintln!(
             "  {name:<16} {:>9.3} ms  {:>5.1}%  ({} calls)",
@@ -178,13 +177,9 @@ fn bench_sim_n5000(c: &mut Criterion) {
     print_phase_breakdown(&profile);
     let mut group = c.benchmark_group("sim_n5000");
     group.sample_size(2);
-    for (label, mode) in [
-        ("naive", None),
-        ("indexed", Some(RoundLoop::Indexed)),
-        ("dirty", Some(RoundLoop::Dirty)),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &mode| {
-            b.iter(|| black_box(run_scale_sim(mode)))
+    for (label, naive) in [("naive", true), ("dirty", false)] {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &naive, |b, &naive| {
+            b.iter(|| black_box(run_scale_sim(naive)))
         });
     }
     group.bench_function("dirty_profiled", |b| {

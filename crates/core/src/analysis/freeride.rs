@@ -152,8 +152,10 @@ mod tests {
 
     #[test]
     fn epoch_settlement_susceptibility_limits() {
-        let mut p = FreeRideParams::default();
-        p.epoch_open_fraction = 0.0;
+        let mut p = FreeRideParams {
+            epoch_open_fraction: 0.0,
+            ..FreeRideParams::default()
+        };
         assert_eq!(exploitable_resources(MechanismKind::EpochSettlement, &p), 0.0);
         p.epoch_open_fraction = 1.0;
         assert_eq!(

@@ -48,15 +48,16 @@ use std::time::Duration;
 
 use coop_attacks::AttackPlan;
 use coop_faults::FaultPlan;
+use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::MechanismKind;
-use coop_swarm::SimResult;
+use coop_swarm::{flash_crowd_with, SimResult, Simulation};
 use coop_telemetry::{
-    fingerprint_debug, ProfileReport, Recorder, Stopwatch, TelemetryConfig, TelemetryReport,
+    fingerprint_debug, profile::phase, ProfileReport, Profiler, Recorder, Stopwatch,
+    TelemetryConfig, TelemetryReport,
 };
 use serde::Serialize;
 
 use crate::journal::{JobOutcome, JobRecord, JournalReplay, RunJournal};
-use crate::runners::{run_sim, run_sim_profiled};
 use crate::scenario::Workload;
 use crate::telemetry::{BatchTrace, JobTrace, TelemetryOpts};
 use crate::{OutputDir, Scale};
@@ -84,6 +85,18 @@ pub struct SimJob {
 }
 
 impl SimJob {
+    /// A compliant, fault-free run of `kind` at `scale`'s defaults.
+    pub fn new(kind: MechanismKind, scale: Scale, seed: u64) -> SimJob {
+        SimJob {
+            kind,
+            scale,
+            seed,
+            plan: None,
+            faults: None,
+            workload: None,
+        }
+    }
+
     /// Expands a run grid into jobs: for each seed (outer), all eight
     /// mechanisms in [`MechanismKind::EXTENDED`] order (inner) — the
     /// paper's six plus the epoch-settled and consensus-reputation
@@ -114,12 +127,8 @@ impl SimJob {
                 kinds.iter().map(move |&kind| (seed, kind))
             })
             .map(|(seed, kind)| SimJob {
-                kind,
-                scale,
-                seed,
                 plan: plan_for(kind),
-                faults: None,
-                workload: None,
+                ..SimJob::new(kind, scale, seed)
             })
             .collect()
     }
@@ -132,67 +141,74 @@ impl SimJob {
             .unwrap_or_else(|| self.scale.peers())
     }
 
-    /// Runs this job to completion.
+    /// Runs this job to completion. The seed controls population,
+    /// arrivals and every random draw; identical jobs give identical
+    /// results.
     pub fn run(&self) -> SimResult {
-        run_sim(
-            self.kind,
-            self.scale,
-            self.plan.as_ref(),
-            self.faults.as_ref(),
-            self.workload.as_ref(),
-            self.seed,
-        )
+        self.run_profiled(None, None, false, 1).0
     }
 
-    /// Runs this job with an enabled recorder built from `config`,
-    /// returning both the result and the gathered telemetry. The result
-    /// is identical to [`SimJob::run`] — the recorder only observes.
-    pub fn run_traced(&self, config: &TelemetryConfig) -> (SimResult, TelemetryReport) {
-        self.run_with(Some(config), None)
-    }
-
-    /// Runs this job with optional telemetry and an optional mid-run
-    /// checkpoint cadence (`--checkpoint-every`). Checkpointing is
-    /// observational state capture: the [`SimResult`] is identical for any
-    /// cadence, including none (pinned by the swarm crate's
-    /// checkpoint-equivalence battery).
-    pub fn run_with(
-        &self,
-        config: Option<&TelemetryConfig>,
-        checkpoint_every: Option<u64>,
-    ) -> (SimResult, TelemetryReport) {
-        let (result, report, _) = self.run_profiled(config, checkpoint_every, false, 1);
-        (result, report)
-    }
-
-    /// [`SimJob::run_with`] with an optionally live wall-clock profiler
-    /// (`--profile`) and an intra-sim shard count (`--shards`). Like the
-    /// recorder, both only observe the result: the [`SimResult`] is
-    /// byte-identical whether `profiled` is set or not and for any
-    /// `shards` value.
+    /// Runs this job with observation attached: an enabled recorder built
+    /// from `telemetry` (when given), a mid-run checkpoint cadence
+    /// (`--checkpoint-every`), a live wall-clock profiler when `profiled`
+    /// (`--profile`; construction is timed under [`phase::EXEC_BUILD`]),
+    /// and `shards` intra-sim worker threads (`--shards`; 1 = unsharded).
+    /// All four only observe: the [`SimResult`] is identical to
+    /// [`SimJob::run`]'s for any combination (pinned by the swarm crate's
+    /// checkpoint-equivalence battery and the byte-identity tests).
+    ///
+    /// A job without a [`Workload`] (or with `None` overrides) uses the
+    /// scale's default population and the paper's capacity mix.
     pub fn run_profiled(
         &self,
-        config: Option<&TelemetryConfig>,
+        telemetry: Option<&TelemetryConfig>,
         checkpoint_every: Option<u64>,
         profiled: bool,
         shards: usize,
     ) -> (SimResult, TelemetryReport, ProfileReport) {
-        let recorder = match config {
-            Some(config) => Recorder::enabled(config.clone()),
+        let mut profiler = if profiled {
+            Profiler::enabled()
+        } else {
+            Profiler::disabled()
+        };
+        let build_t = profiler.start();
+        let config = self.scale.config(self.seed);
+        let mix = match self.workload.and_then(|w| w.mix) {
+            Some(mix) => mix.to_mix(),
+            None => CapacityClassMix::paper_default(),
+        };
+        let population = flash_crowd_with(
+            &config,
+            self.peers(),
+            self.kind,
+            self.seed,
+            &mix,
+            self.scale.arrival_window(),
+        );
+        let recorder = match telemetry {
+            Some(telemetry) => Recorder::enabled(telemetry.clone()),
             None => Recorder::disabled(),
         };
-        run_sim_profiled(
-            self.kind,
-            self.scale,
-            self.plan.as_ref(),
-            self.faults.as_ref(),
-            self.workload.as_ref(),
-            self.seed,
-            recorder,
-            checkpoint_every,
-            profiled,
-            shards,
-        )
+        let mut builder = Simulation::builder(config)
+            .population(population)
+            .recorder(recorder);
+        if let Some(plan) = self.plan {
+            // The builder seeds patches with `config.seed`, which is the
+            // job's seed.
+            builder = builder.attack_plan(plan);
+        }
+        if let Some(faults) = self.faults {
+            builder = builder.fault_plan(faults);
+        }
+        if let Some(every) = checkpoint_every {
+            builder = builder.checkpoint_every(every);
+        }
+        if shards > 1 {
+            builder = builder.shards(shards);
+        }
+        let sim = builder.build().expect("scale configs validate");
+        profiler.stop(phase::EXEC_BUILD, build_t);
+        sim.with_profiler(profiler).run_profiled()
     }
 
     /// The fingerprint of this job's full configuration — the key the
@@ -668,44 +684,6 @@ impl Executor {
     /// Runs a batch of simulation jobs, returning results in job order.
     pub fn run_sims(&self, jobs: &[SimJob]) -> Vec<SimResult> {
         self.map(jobs, |_, job| job.run())
-    }
-
-    /// Runs a batch with per-job telemetry: results in job order plus a
-    /// slot-ordered [`BatchTrace`] (job spans with wall time, slow-job
-    /// flags, merged counters).
-    ///
-    /// The fail-fast wrapper around [`Executor::run_sims_robust`]: a job
-    /// that fails every attempt panics here (the historical contract).
-    /// Results never depend on whether tracing is on, and the trace's
-    /// slot ordering never depends on the worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any job fails every attempt; use
-    /// [`Executor::run_sims_robust`] to handle failures.
-    pub fn run_sims_traced(
-        &self,
-        jobs: &[SimJob],
-        opts: &TelemetryOpts,
-    ) -> (Vec<SimResult>, Option<BatchTrace>) {
-        let run = self.run_sims_robust(jobs, opts);
-        if let Some(first) = run.failures.first() {
-            panic!(
-                "{} of {} jobs failed; first: {} (seed {}) {}: {}",
-                run.failures.len(),
-                jobs.len(),
-                first.mechanism,
-                first.seed,
-                first.kind.name(),
-                first.message
-            );
-        }
-        let results = run
-            .results
-            .into_iter()
-            .map(|r| r.expect("no failures, so every slot holds a result"))
-            .collect();
-        (results, run.trace)
     }
 
     /// Runs a batch under the executor's full robustness policy: journal

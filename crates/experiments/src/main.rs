@@ -64,6 +64,7 @@ use coop_experiments::{
     load_pack, runners, usage, Artifact, BatchError, Executor, JournalReplay, OutputDir,
     PanicInject, RunJournal, RunSpec, ScenarioPack, SpecError,
 };
+use coop_incentives::MechanismKind;
 
 fn main() -> ExitCode {
     let spec = match RunSpec::parse(std::env::args().skip(1)) {
@@ -290,24 +291,29 @@ fn run_one(artifact: Artifact, spec: &RunSpec, executor: &Executor, errors: &mut
         Artifact::Fig1 => println!("{}", runners::fig1::run(scale, seed).render()),
         Artifact::Fig2 => println!("{}", runners::fig2::run(scale, seed).render()),
         Artifact::Fig3 => println!("{}", runners::fig3::run(scale, seed).render()),
-        Artifact::Fig4 if replicated => batch!(runners::fig4::try_run_replicated_with_telemetry(
+        Artifact::Fig4 if replicated => batch!(runners::fig4::try_run_replicated(
             scale, &seeds, executor, &telemetry, &out
         )
         .map(|r| r.0)),
-        Artifact::Fig5 if replicated => batch!(runners::fig5::try_run_replicated_with_telemetry(
+        Artifact::Fig5 if replicated => batch!(runners::fig5::try_run_replicated(
             scale, &seeds, executor, &telemetry, &out
         )
         .map(|r| r.0)),
-        Artifact::Fig6 if replicated => batch!(runners::fig6::try_run_replicated_with_telemetry(
+        Artifact::Fig6 if replicated => batch!(runners::fig6::try_run_replicated(
             scale, &seeds, executor, &telemetry, &out
         )
         .map(|r| r.0)),
-        Artifact::Fig4 => batch!(runners::fig4::try_run_with_telemetry(
-            scale, seed, executor, &telemetry, &out
+        Artifact::Fig4 => batch!(runners::fig4::try_run(
+            scale,
+            seed,
+            &MechanismKind::EXTENDED,
+            executor,
+            &telemetry,
+            &out
         )
         .map(|r| r.0)),
         Artifact::Fig4Scale => {
-            match runners::fig4_scale::try_run_with_telemetry(
+            match runners::fig4_scale::try_run(
                 scale,
                 seed,
                 spec.peers.as_deref(),
@@ -322,13 +328,13 @@ fn run_one(artifact: Artifact, spec: &RunSpec, executor: &Executor, errors: &mut
                 Err(err) => errors.push(err),
             }
         }
-        Artifact::FigEpoch => batch!(runners::fig_epoch::try_run_with_telemetry(
+        Artifact::FigEpoch => batch!(runners::fig_epoch::try_run(
             scale, seed, None, executor, &telemetry, &out
         )
         .map(|r| r.0)),
         // fig-consensus sweeps one population; `--peers` overrides it
         // (first entry wins — the flag's list form belongs to fig4-scale).
-        Artifact::FigConsensus => batch!(runners::fig_consensus::try_run_with_telemetry(
+        Artifact::FigConsensus => batch!(runners::fig_consensus::try_run(
             scale,
             seed,
             spec.peers.as_ref().and_then(|p| p.first().copied()),
@@ -338,24 +344,25 @@ fn run_one(artifact: Artifact, spec: &RunSpec, executor: &Executor, errors: &mut
             &out
         )
         .map(|r| r.0)),
-        Artifact::Fig4Churn => batch!(runners::fig4_churn::try_run_with_telemetry(
+        Artifact::Fig4Churn => batch!(runners::fig4_churn::try_run(
             scale,
             seed,
             spec.fault_plan(),
+            &runners::fig4_churn::MULTIPLIERS,
             executor,
             &telemetry,
             &out
         )
         .map(|r| r.0)),
-        Artifact::Fig5 => batch!(runners::fig5::try_run_with_telemetry(
+        Artifact::Fig5 => batch!(runners::fig5::try_run(
             scale, seed, executor, &telemetry, &out
         )
         .map(|r| r.0)),
-        Artifact::Fig6 => batch!(runners::fig6::try_run_with_telemetry(
+        Artifact::Fig6 => batch!(runners::fig6::try_run(
             scale, seed, executor, &telemetry, &out
         )
         .map(|r| r.0)),
-        Artifact::Ablations => batch!(runners::ablations::try_run_with(scale, seed, executor)),
+        Artifact::Ablations => batch!(runners::ablations::try_run(scale, seed, executor)),
         Artifact::Extensions => println!("{}", runners::extensions::run(scale, seed).render()),
         Artifact::Fluid => println!("{}", runners::fluid::run(scale, seed).render()),
         Artifact::All => unreachable!("expanded by the caller"),

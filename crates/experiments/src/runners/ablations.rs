@@ -15,8 +15,7 @@ use coop_attacks::AttackPlan;
 use coop_incentives::MechanismKind;
 use serde::Serialize;
 
-use crate::exec::{backoff_ms, BatchError, Executor, FailureKind, JobFailure};
-use crate::runners::run_sim;
+use crate::exec::{backoff_ms, BatchError, Executor, FailureKind, JobFailure, SimJob};
 use crate::table::num;
 use crate::{Scale, Table};
 
@@ -123,6 +122,14 @@ impl AblationReport {
     }
 }
 
+/// One attacked flash-crowd run at the scale's defaults.
+fn attacked(kind: MechanismKind, scale: Scale, seed: u64, plan: AttackPlan) -> SimJob {
+    SimJob {
+        plan: Some(plan),
+        ..SimJob::new(kind, scale, seed)
+    }
+}
+
 fn point(x: f64, result: &coop_swarm::SimResult) -> SweepPoint {
     SweepPoint {
         x,
@@ -135,24 +142,20 @@ fn point(x: f64, result: &coop_swarm::SimResult) -> SweepPoint {
 
 /// Runs all ablations with machine-sized parallelism.
 pub fn run(scale: Scale, seed: u64) -> AblationReport {
-    run_with(scale, seed, &Executor::default())
+    try_run(scale, seed, &Executor::default()).expect("ablations batch")
 }
 
 /// Runs all ablations on the given executor. Each sweep's points are
 /// independent simulations, so they fan out as one batch per sweep;
 /// results (and the JSON artifact) are identical for any worker count.
-pub fn run_with(scale: Scale, seed: u64, executor: &Executor) -> AblationReport {
-    try_run_with(scale, seed, executor).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_with`] under the executor's panic-isolation/retry policy: a sweep
+/// Points run under the executor's panic-isolation/retry policy: a sweep
 /// point that fails every attempt yields `Err` naming its sweep, after
 /// every healthy point has still run. No artifact is written on failure.
 ///
 /// # Errors
 ///
 /// Returns the failed points when any point fails every attempt.
-pub fn try_run_with(
+pub fn try_run(
     scale: Scale,
     seed: u64,
     executor: &Executor,
@@ -216,29 +219,15 @@ pub fn try_run_with(
     let altruism_fraction_sweep = take(
         "Altruism (free-rider fraction sweep)",
         executor.try_map(&fractions, |_, &f| {
-            let result = run_sim(
-                MechanismKind::Altruism,
-                scale,
-                Some(&AttackPlan::simple(f)),
-                None,
-                None,
-                seed,
-            );
-            point(f, &result)
+            let job = attacked(MechanismKind::Altruism, scale, seed, AttackPlan::simple(f));
+            point(f, &job.run())
         }),
     );
     let tchain_fraction_sweep = take(
         "T-Chain (free-rider fraction sweep)",
         executor.try_map(&fractions, |_, &f| {
-            let result = run_sim(
-                MechanismKind::TChain,
-                scale,
-                Some(&AttackPlan::most_effective(MechanismKind::TChain, f)),
-                None,
-                None,
-                seed,
-            );
-            point(f, &result)
+            let plan = AttackPlan::most_effective(MechanismKind::TChain, f);
+            point(f, &attacked(MechanismKind::TChain, scale, seed, plan).run())
         }),
     );
 
@@ -249,11 +238,8 @@ pub fn try_run_with(
     ];
     let reputation_false_praise = take(
         "Reputation (false-praise ablation)",
-        executor.try_map(&praise_plans, |_, &(x, ref plan)| {
-            point(
-                x,
-                &run_sim(MechanismKind::Reputation, scale, Some(plan), None, None, seed),
-            )
+        executor.try_map(&praise_plans, |_, &(x, plan)| {
+            point(x, &attacked(MechanismKind::Reputation, scale, seed, plan).run())
         }),
     );
 
@@ -263,8 +249,7 @@ pub fn try_run_with(
         executor.try_map(&[5u64, 10, 20, 40], |_, &w| {
             let mut plan = AttackPlan::simple(0.2);
             plan.whitewash_interval = Some(w);
-            let result = run_sim(MechanismKind::FairTorrent, scale, Some(&plan), None, None, seed);
-            point(w as f64, &result)
+            point(w as f64, &attacked(MechanismKind::FairTorrent, scale, seed, plan).run())
         }),
     );
 

@@ -94,131 +94,214 @@ impl SimFigureReport {
     }
 }
 
-/// Runs the figure's algorithm set — [`MechanismKind::EXTENDED`], the
-/// paper's six plus the epoch-settled variant — and collects the figure
-/// series (completion CDF, fairness-vs-time, bootstrap-vs-time,
-/// susceptibility-vs-time) as CSV artifacts named
-/// `{figure}{panel}_{algorithm}_{scale}.csv`.
-///
-/// Execution is two-phase: the independent simulations fan out across
-/// `executor`'s workers, then every artifact is written sequentially from
-/// the slot-ordered results — so the report and all files on disk are
-/// byte-identical for any worker count.
-pub(crate) fn run_figure(
-    figure: &str,
-    scale: Scale,
-    seed: u64,
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-) -> SimFigureReport {
-    run_figure_traced(
-        figure,
-        scale,
-        seed,
-        plan_for,
-        executor,
-        &TelemetryOpts::disabled(),
-        &OutputDir::default_dir(),
-        "none",
-    )
-    .0
+/// What sets Figs. 4, 5 and 6 apart: the figure's name, the attack each
+/// mechanism faces, and the attack label the telemetry manifest carries.
+/// The flash crowd, the mechanisms and the artifact set are shared, so
+/// each of the three runners is one [`SimFigure`] driven through
+/// [`SimFigure::single`] or [`SimFigure::replicated`].
+pub(crate) struct SimFigure {
+    /// Figure name and artifact prefix ("fig4" / "fig5" / "fig6").
+    pub(crate) name: &'static str,
+    /// The attack label recorded in the run's manifest.
+    pub(crate) attack: &'static str,
+    /// The attack plan each mechanism runs under (`None` = compliant).
+    pub(crate) plan_for: fn(MechanismKind) -> Option<AttackPlan>,
 }
 
-/// [`run_figure`] with telemetry: when `opts` enables it, each simulation
-/// runs with a recorder and the run's trace/progress/manifest outputs are
-/// emitted (see [`emit_run_outputs`]). Artifacts land in `out` either way
-/// and are byte-identical whether telemetry is on, off, or sampled.
-#[allow(clippy::too_many_arguments)] // one call site per figure, all distinct
-pub(crate) fn run_figure_traced(
-    figure: &str,
-    scale: Scale,
-    seed: u64,
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-    attack: &str,
-) -> (SimFigureReport, Option<BatchTrace>) {
-    try_run_figure_traced(figure, scale, seed, plan_for, executor, opts, out, attack)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
+/// Fig. 4: every peer compliant.
+const FIGURE: SimFigure = SimFigure {
+    name: "fig4",
+    attack: "none",
+    plan_for: |_| None,
+};
 
-/// [`run_figure_traced`] under the executor's robustness policy: a job
-/// that fails every attempt yields `Err` instead of panicking, after every
-/// healthy job has still run (and been journaled). No figure artifacts are
-/// written on failure — the artifact set is all-or-nothing, so a resumed
-/// run can regenerate it byte-identically.
-///
-/// # Errors
-///
-/// Returns the batch's failures when any job fails every attempt.
-#[allow(clippy::too_many_arguments)] // one call site per figure, all distinct
-pub(crate) fn try_run_figure_traced(
-    figure: &str,
-    scale: Scale,
-    seed: u64,
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-    attack: &str,
-) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced_for(
-        figure,
-        scale,
-        seed,
-        &MechanismKind::EXTENDED,
-        plan_for,
-        executor,
-        opts,
-        out,
-        attack,
-    )
-}
+impl SimFigure {
+    /// Runs the figure for one seed over `kinds` — the runners pass
+    /// [`MechanismKind::EXTENDED`], the paper's six plus the epoch-settled
+    /// and consensus variants — and collects the figure series
+    /// (completion CDF, fairness-vs-time, bootstrap-vs-time,
+    /// susceptibility-vs-time) as CSV artifacts named
+    /// `{figure}{panel}_{algorithm}_{scale}.csv`.
+    ///
+    /// Execution is two-phase: the independent simulations fan out across
+    /// `executor`'s workers, then every artifact is written sequentially
+    /// from the slot-ordered results — so the report and all files on
+    /// disk are byte-identical for any worker count. When `opts` enables
+    /// telemetry, each simulation runs with a recorder and the run's
+    /// trace/progress/manifest outputs are emitted (see
+    /// [`emit_run_outputs`]); artifacts are byte-identical whether
+    /// telemetry is on, off, or sampled.
+    ///
+    /// A job that fails every attempt yields `Err` instead of panicking,
+    /// after every healthy job has still run (and been journaled). No
+    /// figure artifacts are written on failure — the artifact set is
+    /// all-or-nothing, so a resumed run can regenerate it byte-identically.
+    ///
+    /// # Errors
+    ///
+    /// Returns the batch's failures when any job fails every attempt.
+    pub(crate) fn single(
+        &self,
+        scale: Scale,
+        seed: u64,
+        kinds: &[MechanismKind],
+        executor: &Executor,
+        opts: &TelemetryOpts,
+        out: &OutputDir,
+    ) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
+        let figure = self.name;
+        let jobs = SimJob::grid_of(scale, &[seed], kinds, self.plan_for);
+        let sim_clock = Stopwatch::start();
+        let run = executor.run_sims_robust(&jobs, opts);
+        let sim_ms = sim_clock.elapsed_ms();
+        let (results, trace) = run.into_complete(figure)?;
+        let write_clock = Stopwatch::start();
+        let report = write_figure_artifacts(figure, scale, seed, kinds, &results, out);
+        let trace = trace.map(|mut trace| {
+            trace.push_phase("simulate", sim_ms);
+            trace.push_phase("write_artifacts", write_clock.elapsed_ms());
+            emit_run_outputs(
+                figure,
+                &trace,
+                opts,
+                out,
+                scale,
+                seed,
+                1,
+                executor.jobs() as u64,
+                self.attack,
+            );
+            trace
+        });
+        Ok((report, trace))
+    }
 
-/// [`try_run_figure_traced`] over an explicit mechanism list (the
-/// scenario-pack path restricts figures to their declared mechanisms; the
-/// figure runners pass [`MechanismKind::EXTENDED`]).
-///
-/// # Errors
-///
-/// Returns the batch's failures when any job fails every attempt.
-#[allow(clippy::too_many_arguments)] // one call site per figure, all distinct
-pub(crate) fn try_run_figure_traced_for(
-    figure: &str,
-    scale: Scale,
-    seed: u64,
-    kinds: &[MechanismKind],
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-    attack: &str,
-) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    let jobs = SimJob::grid_of(scale, &[seed], kinds, plan_for);
-    let sim_clock = Stopwatch::start();
-    let run = executor.run_sims_robust(&jobs, opts);
-    let sim_ms = sim_clock.elapsed_ms();
-    let (results, trace) = run.into_complete(figure)?;
-    let write_clock = Stopwatch::start();
-    let report = write_figure_artifacts(figure, scale, seed, kinds, &results, out);
-    let trace = trace.map(|mut trace| {
-        trace.push_phase("simulate", sim_ms);
-        trace.push_phase("write_artifacts", write_clock.elapsed_ms());
-        emit_run_outputs(
-            figure,
-            &trace,
-            opts,
-            out,
+    /// The quick path: [`SimFigure::single`] over every mechanism with
+    /// machine-sized parallelism, no telemetry and the default artifact
+    /// directory, panicking on a failed batch.
+    pub(crate) fn quick(&self, scale: Scale, seed: u64) -> SimFigureReport {
+        self.single(
             scale,
             seed,
-            1,
-            executor.jobs() as u64,
-            attack,
-        );
-        trace
-    });
-    Ok((report, trace))
+            &MechanismKind::EXTENDED,
+            &Executor::default(),
+            &TelemetryOpts::disabled(),
+            &OutputDir::default_dir(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
+    }
+
+    /// Aggregates the figure over several seeds: the full mechanism ×
+    /// seed grid fans out across `executor` in one batch (replicates are
+    /// just more independent jobs), traced as one batch so the manifest
+    /// and trace cover every replicate; the per-seed artifact writes then
+    /// replay sequentially in seed order, exactly as a sequential run
+    /// would have produced them.
+    ///
+    /// On failure, per-seed artifacts are still written for every seed
+    /// whose jobs all succeeded (so a resume has less to redo), but the
+    /// aggregate report is withheld and `Err` names every failed cell.
+    ///
+    /// # Errors
+    ///
+    /// Returns the batch's failures when any job fails every attempt.
+    pub(crate) fn replicated(
+        &self,
+        scale: Scale,
+        seeds: &[u64],
+        executor: &Executor,
+        opts: &TelemetryOpts,
+        out: &OutputDir,
+    ) -> Result<(ReplicatedReport, Option<BatchTrace>), BatchError> {
+        let figure = self.name;
+        assert!(!seeds.is_empty(), "need at least one seed");
+        let jobs = SimJob::grid(scale, seeds, self.plan_for);
+        let sim_clock = Stopwatch::start();
+        let run = executor.run_sims_robust(&jobs, opts);
+        let sim_ms = sim_clock.elapsed_ms();
+        let per_seed = MechanismKind::EXTENDED.len();
+        if !run.failures.is_empty() {
+            for (i, &s) in seeds.iter().enumerate() {
+                let group = &run.results[i * per_seed..(i + 1) * per_seed];
+                if group.iter().all(Option::is_some) {
+                    let results: Vec<SimResult> =
+                        group.iter().map(|r| r.clone().expect("checked")).collect();
+                    write_figure_artifacts(figure, scale, s, &MechanismKind::EXTENDED, &results, out);
+                }
+            }
+            return Err(BatchError {
+                figure: figure.to_string(),
+                total: jobs.len(),
+                failures: run.failures,
+            });
+        }
+        let results: Vec<SimResult> = run
+            .results
+            .into_iter()
+            .map(|r| r.expect("no failures, so every slot holds a result"))
+            .collect();
+        let trace = run.trace;
+        let write_clock = Stopwatch::start();
+        let reports: Vec<SimFigureReport> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                write_figure_artifacts(
+                    figure,
+                    scale,
+                    s,
+                    &MechanismKind::EXTENDED,
+                    &results[i * per_seed..(i + 1) * per_seed],
+                    out,
+                )
+            })
+            .collect();
+        let rows = MechanismKind::EXTENDED
+            .iter()
+            .map(|&kind| {
+                let collect = |f: &dyn Fn(&SimRow) -> Option<f64>| -> Vec<f64> {
+                    reports
+                        .iter()
+                        .filter_map(|r| f(r.get(kind)))
+                        .collect()
+                };
+                ReplicatedRow {
+                    algorithm: kind.name().to_string(),
+                    mean_completion_s: MeanStd::from_samples(&collect(&|r| r.mean_completion_s)),
+                    mean_bootstrap_s: MeanStd::from_samples(&collect(&|r| r.mean_bootstrap_s)),
+                    fairness_f: MeanStd::from_samples(&collect(&|r| {
+                        r.fairness_f.is_finite().then_some(r.fairness_f)
+                    })),
+                    susceptibility: MeanStd::from_samples(&collect(&|r| Some(r.susceptibility))),
+                }
+            })
+            .collect();
+        let report = ReplicatedReport {
+            figure: format!("{figure} (replicated)"),
+            scale: scale.name().to_string(),
+            seeds: seeds.to_vec(),
+            rows,
+        };
+        let _ = out.json(&format!("{figure}_replicated_{}", scale.name()), &report);
+        let trace = trace.map(|mut trace| {
+            trace.push_phase("simulate", sim_ms);
+            trace.push_phase("write_artifacts", write_clock.elapsed_ms());
+            emit_run_outputs(
+                figure,
+                &trace,
+                opts,
+                out,
+                scale,
+                seeds[0],
+                seeds.len() as u64,
+                executor.jobs() as u64,
+                self.attack,
+            );
+            trace
+        });
+        Ok((report, trace))
+    }
 }
 
 /// The telemetry tail of a traced run: per-job progress lines on stderr,
@@ -266,7 +349,7 @@ pub(crate) fn emit_run_outputs(
     }
 }
 
-/// The sequential artifact phase of [`run_figure`]: renders one figure's
+/// The sequential artifact phase of [`SimFigure::single`]: renders one figure's
 /// report and writes its CSV/JSON/SVG artifacts from precomputed results
 /// (one per mechanism, in `kinds` order — [`MechanismKind::EXTENDED`] for
 /// the figure runners, a scenario's declared list for the sweep path).
@@ -421,55 +504,21 @@ pub(crate) fn write_figure_artifacts(
     report
 }
 
-/// Runs Fig. 4 (no free-riders) with machine-sized parallelism.
+/// Runs Fig. 4 (no free-riders) with machine-sized parallelism,
+/// panicking on a failed batch.
 pub fn run(scale: Scale, seed: u64) -> SimFigureReport {
-    run_with(scale, seed, &Executor::default())
+    FIGURE.quick(scale, seed)
 }
 
-/// Runs Fig. 4 (no free-riders) on the given executor.
-pub fn run_with(scale: Scale, seed: u64, executor: &Executor) -> SimFigureReport {
-    run_figure("fig4", scale, seed, |_| None, executor)
-}
-
-/// Runs Fig. 4 with explicit telemetry options and artifact directory.
-///
-/// The report and every artifact in `out` are byte-identical to
-/// [`run_with`]; telemetry only *adds* outputs (stderr progress, the
-/// optional `--trace-out` JSONL, and `manifest.json` in `out`).
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (SimFigureReport, Option<BatchTrace>) {
-    run_figure_traced("fig4", scale, seed, |_| None, executor, opts, out, "none")
-}
-
-/// [`run_with_telemetry`] returning batch failures as `Err` instead of
-/// panicking (the crash-safe CLI path).
+/// Runs Fig. 4 for one seed over `kinds` (the CLI passes
+/// [`MechanismKind::EXTENDED`]; a `figure`-style scenario pack must match
+/// this runner's artifacts for its declared kinds). See
+/// [`SimFigure::single`] for the guarantees.
 ///
 /// # Errors
 ///
 /// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced("fig4", scale, seed, |_| None, executor, opts, out, "none")
-}
-
-/// [`try_run_with_telemetry`] restricted to an explicit mechanism list —
-/// the byte-identity anchor for `figure`-style scenario packs, whose
-/// artifact sets must match this runner's for the same kinds and seed.
-///
-/// # Errors
-///
-/// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_with_telemetry_for(
+pub fn try_run(
     scale: Scale,
     seed: u64,
     kinds: &[MechanismKind],
@@ -477,9 +526,23 @@ pub fn try_run_with_telemetry_for(
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced_for(
-        "fig4", scale, seed, kinds, |_| None, executor, opts, out, "none",
-    )
+    FIGURE.single(scale, seed, kinds, executor, opts, out)
+}
+
+/// Runs Fig. 4 over several seeds and aggregates; see
+/// [`SimFigure::replicated`].
+///
+/// # Errors
+///
+/// Returns the batch's failures when any job fails every attempt.
+pub fn try_run_replicated(
+    scale: Scale,
+    seeds: &[u64],
+    executor: &Executor,
+    opts: &TelemetryOpts,
+    out: &OutputDir,
+) -> Result<(ReplicatedReport, Option<BatchTrace>), BatchError> {
+    FIGURE.replicated(scale, seeds, executor, opts, out)
 }
 
 /// Mean and sample standard deviation of one metric across replicates.
@@ -580,193 +643,6 @@ impl ReplicatedReport {
     }
 }
 
-/// Aggregates a figure over several seeds.
-///
-/// The full mechanism × seed grid fans out across `executor` in one batch
-/// (replicates are just more independent jobs); the per-seed artifact
-/// writes then replay sequentially in seed order, exactly as the
-/// sequential implementation would have produced them.
-pub(crate) fn replicate(
-    figure: &str,
-    scale: Scale,
-    seeds: &[u64],
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-) -> ReplicatedReport {
-    replicate_traced(
-        figure,
-        scale,
-        seeds,
-        plan_for,
-        executor,
-        &TelemetryOpts::disabled(),
-        &OutputDir::default_dir(),
-        "none",
-    )
-    .0
-}
-
-/// [`replicate`] with telemetry: the full mechanism × seed grid is traced
-/// as one batch, so the manifest and trace cover every replicate.
-#[allow(clippy::too_many_arguments)] // one call site per figure, all distinct
-pub(crate) fn replicate_traced(
-    figure: &str,
-    scale: Scale,
-    seeds: &[u64],
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-    attack: &str,
-) -> (ReplicatedReport, Option<BatchTrace>) {
-    try_replicate_traced(figure, scale, seeds, plan_for, executor, opts, out, attack)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`replicate_traced`] under the executor's robustness policy. On
-/// failure, per-seed artifacts are still written for every seed whose
-/// jobs all succeeded (so a resume has less to redo), but the aggregate
-/// report is withheld and `Err` names every failed cell.
-///
-/// # Errors
-///
-/// Returns the batch's failures when any job fails every attempt.
-#[allow(clippy::too_many_arguments)] // one call site per figure, all distinct
-pub(crate) fn try_replicate_traced(
-    figure: &str,
-    scale: Scale,
-    seeds: &[u64],
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-    attack: &str,
-) -> Result<(ReplicatedReport, Option<BatchTrace>), BatchError> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let jobs = SimJob::grid(scale, seeds, plan_for);
-    let sim_clock = Stopwatch::start();
-    let run = executor.run_sims_robust(&jobs, opts);
-    let sim_ms = sim_clock.elapsed_ms();
-    let per_seed = MechanismKind::EXTENDED.len();
-    if !run.failures.is_empty() {
-        for (i, &s) in seeds.iter().enumerate() {
-            let group = &run.results[i * per_seed..(i + 1) * per_seed];
-            if group.iter().all(Option::is_some) {
-                let results: Vec<SimResult> =
-                    group.iter().map(|r| r.clone().expect("checked")).collect();
-                write_figure_artifacts(figure, scale, s, &MechanismKind::EXTENDED, &results, out);
-            }
-        }
-        return Err(BatchError {
-            figure: figure.to_string(),
-            total: jobs.len(),
-            failures: run.failures,
-        });
-    }
-    let results: Vec<SimResult> = run
-        .results
-        .into_iter()
-        .map(|r| r.expect("no failures, so every slot holds a result"))
-        .collect();
-    let trace = run.trace;
-    let write_clock = Stopwatch::start();
-    let reports: Vec<SimFigureReport> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            write_figure_artifacts(
-                figure,
-                scale,
-                s,
-                &MechanismKind::EXTENDED,
-                &results[i * per_seed..(i + 1) * per_seed],
-                out,
-            )
-        })
-        .collect();
-    let rows = MechanismKind::EXTENDED
-        .iter()
-        .map(|&kind| {
-            let collect = |f: &dyn Fn(&SimRow) -> Option<f64>| -> Vec<f64> {
-                reports
-                    .iter()
-                    .filter_map(|r| f(r.get(kind)))
-                    .collect()
-            };
-            ReplicatedRow {
-                algorithm: kind.name().to_string(),
-                mean_completion_s: MeanStd::from_samples(&collect(&|r| r.mean_completion_s)),
-                mean_bootstrap_s: MeanStd::from_samples(&collect(&|r| r.mean_bootstrap_s)),
-                fairness_f: MeanStd::from_samples(&collect(&|r| {
-                    r.fairness_f.is_finite().then_some(r.fairness_f)
-                })),
-                susceptibility: MeanStd::from_samples(&collect(&|r| Some(r.susceptibility))),
-            }
-        })
-        .collect();
-    let report = ReplicatedReport {
-        figure: format!("{figure} (replicated)"),
-        scale: scale.name().to_string(),
-        seeds: seeds.to_vec(),
-        rows,
-    };
-    let _ = out.json(&format!("{figure}_replicated_{}", scale.name()), &report);
-    let trace = trace.map(|mut trace| {
-        trace.push_phase("simulate", sim_ms);
-        trace.push_phase("write_artifacts", write_clock.elapsed_ms());
-        emit_run_outputs(
-            figure,
-            &trace,
-            opts,
-            out,
-            scale,
-            seeds[0],
-            seeds.len() as u64,
-            executor.jobs() as u64,
-            attack,
-        );
-        trace
-    });
-    Ok((report, trace))
-}
-
-/// Runs Fig. 4 over several seeds and aggregates.
-pub fn run_replicated(scale: Scale, seeds: &[u64]) -> ReplicatedReport {
-    run_replicated_with(scale, seeds, &Executor::default())
-}
-
-/// Runs Fig. 4 over several seeds on the given executor.
-pub fn run_replicated_with(scale: Scale, seeds: &[u64], executor: &Executor) -> ReplicatedReport {
-    replicate("fig4", scale, seeds, |_| None, executor)
-}
-
-/// Runs replicated Fig. 4 with explicit telemetry options and artifact
-/// directory; see [`run_with_telemetry`] for the guarantees.
-pub fn run_replicated_with_telemetry(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ReplicatedReport, Option<BatchTrace>) {
-    replicate_traced("fig4", scale, seeds, |_| None, executor, opts, out, "none")
-}
-
-/// [`run_replicated_with_telemetry`] returning batch failures as `Err`
-/// instead of panicking (the crash-safe CLI path).
-///
-/// # Errors
-///
-/// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_replicated_with_telemetry(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> Result<(ReplicatedReport, Option<BatchTrace>), BatchError> {
-    try_replicate_traced("fig4", scale, seeds, |_| None, executor, opts, out, "none")
-}
 
 #[cfg(test)]
 mod tests {
@@ -808,7 +684,14 @@ mod tests {
 
     #[test]
     fn replicated_run_aggregates_and_orders() {
-        let r = run_replicated(Scale::Quick, &[71, 72]);
+        let (r, _) = try_run_replicated(
+            Scale::Quick,
+            &[71, 72],
+            &Executor::default(),
+            &TelemetryOpts::disabled(),
+            &OutputDir::default_dir(),
+        )
+        .expect("fig4 batch");
         assert_eq!(r.seeds.len(), 2);
         let alt = r.get(MechanismKind::Altruism);
         let rec = r.get(MechanismKind::Reciprocity);

@@ -118,82 +118,42 @@ impl ChurnReport {
     }
 }
 
-/// Runs the churn sweep with machine-sized parallelism and no telemetry.
+/// Runs the default churn sweep with machine-sized parallelism and no
+/// telemetry.
 pub fn run(scale: Scale, seed: u64) -> ChurnReport {
-    run_with_telemetry(
+    try_run(
         scale,
         seed,
         None,
+        &MULTIPLIERS,
         &Executor::default(),
         &TelemetryOpts::disabled(),
         &OutputDir::default_dir(),
     )
+    .expect("fig4-churn batch")
     .0
 }
 
-/// Runs the churn sweep: for each multiplier in [`MULTIPLIERS`], all six
-/// mechanisms run under `base` with its churn rate scaled by the
-/// multiplier (loss and seeder-exit settings apply at every multiplier,
-/// including the churn-free baseline).
+/// Runs the churn sweep: for each multiplier in `multipliers` (the CLI
+/// passes [`MULTIPLIERS`]; tests use a shorter sweep), all six mechanisms
+/// run under `base` with its churn rate scaled by the multiplier (loss
+/// and seeder-exit settings apply at every multiplier, including the
+/// churn-free baseline).
 ///
 /// `base` is the CLI's fault flags ([`crate::RunSpec::fault_plan`]); with
 /// no flags the sweep uses [`DEFAULT_CHURN_RATE`] and no loss. Artifacts:
 /// one CSV with every cell of the grid and one JSON report, both written
 /// sequentially from slot-ordered results (byte-identical for any worker
 /// count). With telemetry on, the batch manifest carries the
-/// `swarm.fault.*` counters summed over the whole sweep.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    base: Option<FaultPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ChurnReport, Option<BatchTrace>) {
-    run_sweep(scale, seed, base, &MULTIPLIERS, executor, opts, out)
-}
-
-/// [`run_with_telemetry`] returning batch failures as `Err` instead of
-/// panicking (the crash-safe CLI path).
-///
-/// # Errors
-///
-/// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    base: Option<FaultPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> Result<(ChurnReport, Option<BatchTrace>), BatchError> {
-    try_run_sweep(scale, seed, base, &MULTIPLIERS, executor, opts, out)
-}
-
-/// [`run_with_telemetry`] with an explicit multiplier list (tests and the
-/// CI smoke job use a shorter sweep).
-pub fn run_sweep(
-    scale: Scale,
-    seed: u64,
-    base: Option<FaultPlan>,
-    multipliers: &[f64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ChurnReport, Option<BatchTrace>) {
-    try_run_sweep(scale, seed, base, multipliers, executor, opts, out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_sweep`] under the executor's robustness policy: a cell that fails
-/// every attempt yields `Err` naming it, after every healthy cell has
-/// still run (and been journaled). No sweep artifacts are written on
+/// `swarm.fault.*` counters summed over the whole sweep. A cell that
+/// fails every attempt yields `Err` naming it, after every healthy cell
+/// has still run (and been journaled). No sweep artifacts are written on
 /// failure.
 ///
 /// # Errors
 ///
 /// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_sweep(
+pub fn try_run(
     scale: Scale,
     seed: u64,
     base: Option<FaultPlan>,
@@ -317,7 +277,7 @@ mod tests {
     #[test]
     fn churn_sweep_baseline_matches_fig4_and_churn_degrades_completion() {
         let executor = Executor::default();
-        let (report, trace) = run_sweep(
+        let (report, trace) = try_run(
             Scale::Quick,
             33,
             Some(FaultPlan::churn(0.02)),
@@ -325,12 +285,13 @@ mod tests {
             &executor,
             &TelemetryOpts::disabled(),
             &OutputDir::default_dir(),
-        );
+        )
+        .expect("fig4-churn batch");
         assert!(trace.is_none());
         assert_eq!(report.rows.len(), 2 * MechanismKind::ALL.len());
 
         // The multiplier-0 rows are exactly the fault-free Fig. 4 runs.
-        let fig4 = super::super::fig4::run_with(Scale::Quick, 33, &executor);
+        let fig4 = super::super::fig4::run(Scale::Quick, 33);
         for kind in MechanismKind::ALL {
             let base = report.get(0.0, kind);
             let reference = fig4.get(kind);

@@ -231,14 +231,15 @@ pub(crate) fn peak_rss_kb() -> u64 {
 
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> (ScaleReport, ScalePerfReport) {
-    let (report, perf, _) = run_with_telemetry(
+    let (report, perf, _) = try_run(
         scale,
         seed,
         None,
         &Executor::default(),
         &TelemetryOpts::disabled(),
         &OutputDir::default_dir(),
-    );
+    )
+    .expect("fig4-scale batch");
     (report, perf)
 }
 
@@ -246,27 +247,15 @@ pub fn run(scale: Scale, seed: u64) -> (ScaleReport, ScalePerfReport) {
 /// [`POPULATIONS`]), all six mechanisms run on the fixed per-cell config.
 /// Cells fan out across `executor`; the deterministic artifacts are
 /// written sequentially from slot-ordered results (byte-identical for any
-/// worker count), the perf artifacts carry the wall-clock columns.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    peers: Option<&[usize]>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ScaleReport, ScalePerfReport, Option<BatchTrace>) {
-    try_run_with_telemetry(scale, seed, peers, executor, opts, out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_with_telemetry`] with per-cell panic isolation: a cell that fails
-/// every attempt yields `Err` naming the (mechanism, N, seed) cell, after
-/// every healthy cell has still run. No artifacts are written on failure.
+/// worker count), the perf artifacts carry the wall-clock columns. A cell
+/// that fails every attempt yields `Err` naming the (mechanism, N, seed)
+/// cell, after every healthy cell has still run. No artifacts are written
+/// on failure.
 ///
 /// # Errors
 ///
 /// Returns the batch's failures when any cell fails every attempt.
-pub fn try_run_with_telemetry(
+pub fn try_run(
     scale: Scale,
     seed: u64,
     peers: Option<&[usize]>,
@@ -498,7 +487,7 @@ mod tests {
         let out = tmp();
         let opts = TelemetryOpts::disabled();
         let run = |jobs: usize| {
-            run_with_telemetry(
+            try_run(
                 Scale::Quick,
                 11,
                 Some(&[10, 14]),
@@ -506,6 +495,7 @@ mod tests {
                 &opts,
                 &out,
             )
+            .expect("fig4-scale batch")
         };
         let (seq, perf, trace) = run(1);
         assert!(trace.is_none());
@@ -536,14 +526,15 @@ mod tests {
         // non-pushing, so the delta column cannot be a copy of the
         // cumulative peak column.
         let out = tmp();
-        let (_, perf, _) = run_with_telemetry(
+        let (_, perf, _) = try_run(
             Scale::Quick,
             13,
             Some(&[120, 10]),
             &Executor::sequential(),
             &TelemetryOpts::disabled(),
             &out,
-        );
+        )
+        .expect("fig4-scale batch");
         if !cfg!(target_os = "linux") {
             return; // no /proc — both columns degrade to 0
         }

@@ -4,153 +4,63 @@
 //! FairTorrent.
 
 use coop_attacks::AttackPlan;
+use coop_incentives::MechanismKind;
 
 use crate::exec::{BatchError, Executor};
-use crate::runners::fig4::{
-    run_figure, run_figure_traced, try_replicate_traced, try_run_figure_traced, SimFigureReport,
-};
+use crate::runners::fig4::{ReplicatedReport, SimFigure, SimFigureReport};
 use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale};
 
 /// The paper's free-rider fraction.
 pub const FREERIDER_FRACTION: f64 = 0.2;
 
-/// The attack label Fig. 5 runs carry in their telemetry manifest.
-pub(crate) const ATTACK_LABEL: &str = "most-effective-per-mechanism (20% free-riders)";
+/// Fig. 5: each mechanism under its most effective attack.
+const FIGURE: SimFigure = SimFigure {
+    name: "fig5",
+    attack: "most-effective-per-mechanism (20% free-riders)",
+    plan_for: |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
+};
 
-/// Runs Fig. 5 with machine-sized parallelism.
+/// Runs Fig. 5 with machine-sized parallelism, panicking on a failed
+/// batch.
 pub fn run(scale: Scale, seed: u64) -> SimFigureReport {
-    run_with(scale, seed, &Executor::default())
+    FIGURE.quick(scale, seed)
 }
 
-/// Runs Fig. 5 on the given executor.
-pub fn run_with(scale: Scale, seed: u64, executor: &Executor) -> SimFigureReport {
-    run_figure(
-        "fig5",
-        scale,
-        seed,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-    )
-}
-
-/// Runs Fig. 5 with explicit telemetry options and artifact directory;
-/// see [`fig4::run_with_telemetry`](crate::runners::fig4::run_with_telemetry)
-/// for the guarantees.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (SimFigureReport, Option<BatchTrace>) {
-    run_figure_traced(
-        "fig5",
-        scale,
-        seed,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
-}
-
-/// [`run_with_telemetry`] returning batch failures as `Err` instead of
-/// panicking (the crash-safe CLI path).
+/// Runs Fig. 5 for one seed (the CLI path); see
+/// [`fig4::try_run`](crate::runners::fig4::try_run) for the guarantees.
 ///
 /// # Errors
 ///
 /// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_with_telemetry(
+pub fn try_run(
     scale: Scale,
     seed: u64,
     executor: &Executor,
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced(
-        "fig5",
-        scale,
-        seed,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
+    FIGURE.single(scale, seed, &MechanismKind::EXTENDED, executor, opts, out)
 }
 
 /// Runs Fig. 5 over several seeds and aggregates.
-pub fn run_replicated(scale: Scale, seeds: &[u64]) -> crate::runners::fig4::ReplicatedReport {
-    run_replicated_with(scale, seeds, &Executor::default())
-}
-
-/// Runs Fig. 5 over several seeds on the given executor.
-pub fn run_replicated_with(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-) -> crate::runners::fig4::ReplicatedReport {
-    crate::runners::fig4::replicate(
-        "fig5",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-    )
-}
-
-/// Runs replicated Fig. 5 with explicit telemetry options and artifact
-/// directory.
-pub fn run_replicated_with_telemetry(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (crate::runners::fig4::ReplicatedReport, Option<BatchTrace>) {
-    crate::runners::fig4::replicate_traced(
-        "fig5",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
-}
-
-/// [`run_replicated_with_telemetry`] returning batch failures as `Err`
-/// instead of panicking (the crash-safe CLI path).
 ///
 /// # Errors
 ///
 /// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_replicated_with_telemetry(
+pub fn try_run_replicated(
     scale: Scale,
     seeds: &[u64],
     executor: &Executor,
     opts: &TelemetryOpts,
     out: &OutputDir,
-) -> Result<(crate::runners::fig4::ReplicatedReport, Option<BatchTrace>), BatchError> {
-    try_replicate_traced(
-        "fig5",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
+) -> Result<(ReplicatedReport, Option<BatchTrace>), BatchError> {
+    FIGURE.replicated(scale, seeds, executor, opts, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coop_incentives::MechanismKind;
 
     #[test]
     fn fig5_susceptibility_ordering() {

@@ -3,153 +3,62 @@
 //! and optimistic-unchoke bandwidth.
 
 use coop_attacks::AttackPlan;
+use coop_incentives::MechanismKind;
 
 use crate::exec::{BatchError, Executor};
-use crate::runners::fig4::{
-    run_figure, run_figure_traced, try_replicate_traced, try_run_figure_traced, SimFigureReport,
-};
+use crate::runners::fig4::{ReplicatedReport, SimFigure, SimFigureReport};
 use crate::runners::fig5::FREERIDER_FRACTION;
 use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale};
 
-/// The attack label Fig. 6 runs carry in their telemetry manifest.
-pub(crate) const ATTACK_LABEL: &str =
-    "most-effective-per-mechanism + large-view (20% free-riders)";
+/// Fig. 6: the Fig. 5 attacks plus the large-view exploit.
+const FIGURE: SimFigure = SimFigure {
+    name: "fig6",
+    attack: "most-effective-per-mechanism + large-view (20% free-riders)",
+    plan_for: |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
+};
 
-/// Runs Fig. 6 with machine-sized parallelism.
+/// Runs Fig. 6 with machine-sized parallelism, panicking on a failed
+/// batch.
 pub fn run(scale: Scale, seed: u64) -> SimFigureReport {
-    run_with(scale, seed, &Executor::default())
+    FIGURE.quick(scale, seed)
 }
 
-/// Runs Fig. 6 on the given executor.
-pub fn run_with(scale: Scale, seed: u64, executor: &Executor) -> SimFigureReport {
-    run_figure(
-        "fig6",
-        scale,
-        seed,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-    )
-}
-
-/// Runs Fig. 6 with explicit telemetry options and artifact directory;
-/// see [`fig4::run_with_telemetry`](crate::runners::fig4::run_with_telemetry)
-/// for the guarantees.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (SimFigureReport, Option<BatchTrace>) {
-    run_figure_traced(
-        "fig6",
-        scale,
-        seed,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
-}
-
-/// [`run_with_telemetry`] returning batch failures as `Err` instead of
-/// panicking (the crash-safe CLI path).
+/// Runs Fig. 6 for one seed (the CLI path); see
+/// [`fig4::try_run`](crate::runners::fig4::try_run) for the guarantees.
 ///
 /// # Errors
 ///
 /// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_with_telemetry(
+pub fn try_run(
     scale: Scale,
     seed: u64,
     executor: &Executor,
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced(
-        "fig6",
-        scale,
-        seed,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
+    FIGURE.single(scale, seed, &MechanismKind::EXTENDED, executor, opts, out)
 }
 
 /// Runs Fig. 6 over several seeds and aggregates.
-pub fn run_replicated(scale: Scale, seeds: &[u64]) -> crate::runners::fig4::ReplicatedReport {
-    run_replicated_with(scale, seeds, &Executor::default())
-}
-
-/// Runs Fig. 6 over several seeds on the given executor.
-pub fn run_replicated_with(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-) -> crate::runners::fig4::ReplicatedReport {
-    crate::runners::fig4::replicate(
-        "fig6",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-    )
-}
-
-/// Runs replicated Fig. 6 with explicit telemetry options and artifact
-/// directory.
-pub fn run_replicated_with_telemetry(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (crate::runners::fig4::ReplicatedReport, Option<BatchTrace>) {
-    crate::runners::fig4::replicate_traced(
-        "fig6",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
-}
-
-/// [`run_replicated_with_telemetry`] returning batch failures as `Err`
-/// instead of panicking (the crash-safe CLI path).
 ///
 /// # Errors
 ///
 /// Returns the batch's failures when any job fails every attempt.
-pub fn try_run_replicated_with_telemetry(
+pub fn try_run_replicated(
     scale: Scale,
     seeds: &[u64],
     executor: &Executor,
     opts: &TelemetryOpts,
     out: &OutputDir,
-) -> Result<(crate::runners::fig4::ReplicatedReport, Option<BatchTrace>), BatchError> {
-    try_replicate_traced(
-        "fig6",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
+) -> Result<(ReplicatedReport, Option<BatchTrace>), BatchError> {
+    FIGURE.replicated(scale, seeds, executor, opts, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runners::fig5;
-    use coop_incentives::MechanismKind;
 
     #[test]
     fn large_view_increases_susceptibility() {

@@ -203,7 +203,7 @@ impl Cell {
 
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> ConsensusReport {
-    let (report, _) = run_with_telemetry(
+    try_run(
         scale,
         seed,
         None,
@@ -211,8 +211,9 @@ pub fn run(scale: Scale, seed: u64) -> ConsensusReport {
         &Executor::default(),
         &TelemetryOpts::disabled(),
         &OutputDir::default_dir(),
-    );
-    report
+    )
+    .expect("fig-consensus batch")
+    .0
 }
 
 /// Runs the defense sweep: every [`POLICIES`] entry at every rung of
@@ -220,21 +221,7 @@ pub fn run(scale: Scale, seed: u64) -> ConsensusReport {
 /// adaptive mix. `peers` overrides the scale's population (the `--peers`
 /// flag; the ISSUE-scale run uses 10 000). Cells fan out across
 /// `executor`; artifacts are written sequentially from slot-ordered
-/// results, so they are byte-identical for any worker count.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    peers: Option<usize>,
-    fractions: Option<&[f64]>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ConsensusReport, Option<BatchTrace>) {
-    try_run_with_telemetry(scale, seed, peers, fractions, executor, opts, out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_with_telemetry`] with per-cell panic isolation: a cell that
+/// results, so they are byte-identical for any worker count. A cell that
 /// fails every attempt yields `Err` naming it, after every healthy cell
 /// has still run. No artifacts are written on failure.
 ///
@@ -242,7 +229,7 @@ pub fn run_with_telemetry(
 ///
 /// Returns the batch's failures when any cell fails every attempt.
 #[allow(clippy::too_many_arguments)] // one parameter per orthogonal override
-pub fn try_run_with_telemetry(
+pub fn try_run(
     scale: Scale,
     seed: u64,
     peers: Option<usize>,
@@ -465,7 +452,7 @@ mod tests {
         let out = tmp();
         let opts = TelemetryOpts::disabled();
         let run = |jobs: usize| {
-            run_with_telemetry(
+            try_run(
                 Scale::Quick,
                 17,
                 None,
@@ -474,6 +461,7 @@ mod tests {
                 &opts,
                 &out,
             )
+            .expect("fig-consensus batch")
         };
         let (seq, trace) = run(1);
         assert!(trace.is_none());

@@ -153,42 +153,30 @@ impl Cell {
 
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> EpochReport {
-    let (report, _) = run_with_telemetry(
+    try_run(
         scale,
         seed,
         None,
         &Executor::default(),
         &TelemetryOpts::disabled(),
         &OutputDir::default_dir(),
-    );
-    report
+    )
+    .expect("fig-epoch batch")
+    .0
 }
 
 /// Runs the cadence sweep: the six baselines plus the epoch-settled
 /// mechanism at every rung of `epochs` (default [`EPOCH_ROUNDS`]), all
 /// under a [`ATTACK_FRACTION`] free-ride attack. Cells fan out across
 /// `executor`; artifacts are written sequentially from slot-ordered
-/// results, so they are byte-identical for any worker count.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    epochs: Option<&[u64]>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (EpochReport, Option<BatchTrace>) {
-    try_run_with_telemetry(scale, seed, epochs, executor, opts, out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_with_telemetry`] with per-cell panic isolation: a cell that
+/// results, so they are byte-identical for any worker count. A cell that
 /// fails every attempt yields `Err` naming it, after every healthy cell
 /// has still run. No artifacts are written on failure.
 ///
 /// # Errors
 ///
 /// Returns the batch's failures when any cell fails every attempt.
-pub fn try_run_with_telemetry(
+pub fn try_run(
     scale: Scale,
     seed: u64,
     epochs: Option<&[u64]>,
@@ -386,7 +374,7 @@ mod tests {
         let out = tmp();
         let opts = TelemetryOpts::disabled();
         let run = |jobs: usize| {
-            run_with_telemetry(
+            try_run(
                 Scale::Quick,
                 17,
                 Some(&[1, 64]),
@@ -394,6 +382,7 @@ mod tests {
                 &opts,
                 &out,
             )
+            .expect("fig-epoch batch")
         };
         let (seq, trace) = run(1);
         assert!(trace.is_none());

@@ -9,7 +9,7 @@ use coop_incentives::analysis::fluid::{effectiveness, flash_crowd_model};
 use coop_incentives::MechanismKind;
 use serde::Serialize;
 
-use crate::runners::run_sim;
+use crate::exec::SimJob;
 use crate::table::num;
 use crate::{Scale, Table};
 
@@ -105,7 +105,7 @@ pub fn run(scale: Scale, seed: u64) -> FluidReport {
                 &traj,
             );
             chart.push_series(crate::plot::Series::new(kind.name(), traj.clone()));
-            let sim = run_sim(kind, scale, None, None, None, seed);
+            let sim = SimJob::new(kind, scale, seed).run();
             FluidRow {
                 algorithm: kind.name().to_string(),
                 eta: effectiveness(kind, &dist, n, 0.2),

@@ -19,134 +19,7 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
-use coop_attacks::AttackPlan;
-use coop_faults::FaultPlan;
-use coop_incentives::MechanismKind;
-use coop_swarm::{flash_crowd_with, SimResult, Simulation};
-use coop_telemetry::{profile::phase, ProfileReport, Profiler, Recorder, TelemetryReport};
-
-use crate::scenario::Workload;
 use crate::Scale;
-
-/// Runs one swarm simulation of `kind` at `scale`, optionally under an
-/// attack plan, a fault plan, and/or scenario workload overrides. The seed
-/// controls population, arrivals and every random draw; identical inputs
-/// give identical results.
-pub(crate) fn run_sim(
-    kind: MechanismKind,
-    scale: Scale,
-    plan: Option<&AttackPlan>,
-    faults: Option<&FaultPlan>,
-    workload: Option<&Workload>,
-    seed: u64,
-) -> SimResult {
-    run_sim_traced(
-        kind,
-        scale,
-        plan,
-        faults,
-        workload,
-        seed,
-        Recorder::disabled(),
-        None,
-    )
-    .0
-}
-
-/// [`run_sim`] with an attached telemetry recorder and an optional mid-run
-/// checkpoint cadence. Both are purely observational: the [`SimResult`] is
-/// identical whether the recorder is enabled, disabled, or sampling at any
-/// rate, and for any checkpoint cadence including none.
-///
-/// A `workload` with `None` overrides (or no workload at all) uses the
-/// scale's default population and the paper's capacity mix — byte-identical
-/// to the pre-scenario code path.
-#[allow(clippy::too_many_arguments)] // one parameter per orthogonal override
-pub(crate) fn run_sim_traced(
-    kind: MechanismKind,
-    scale: Scale,
-    plan: Option<&AttackPlan>,
-    faults: Option<&FaultPlan>,
-    workload: Option<&Workload>,
-    seed: u64,
-    recorder: Recorder,
-    checkpoint_every: Option<u64>,
-) -> (SimResult, TelemetryReport) {
-    let (result, report, _) = run_sim_profiled(
-        kind,
-        scale,
-        plan,
-        faults,
-        workload,
-        seed,
-        recorder,
-        checkpoint_every,
-        false,
-        1,
-    );
-    (result, report)
-}
-
-/// [`run_sim_traced`] with an optionally live [`Profiler`]: when
-/// `profiled`, construction is timed under [`phase::EXEC_BUILD`] and the
-/// simulation runs with phase timers on, returning the gathered
-/// [`ProfileReport`]. Profiling is observational like the recorder — the
-/// [`SimResult`] is byte-identical either way. `shards` threads execute
-/// each round's phases inside the sim (`--shards`; 1 = unsharded) — also
-/// observational: results are byte-identical for any shard count.
-#[allow(clippy::too_many_arguments)] // one parameter per orthogonal override
-pub(crate) fn run_sim_profiled(
-    kind: MechanismKind,
-    scale: Scale,
-    plan: Option<&AttackPlan>,
-    faults: Option<&FaultPlan>,
-    workload: Option<&Workload>,
-    seed: u64,
-    recorder: Recorder,
-    checkpoint_every: Option<u64>,
-    profiled: bool,
-    shards: usize,
-) -> (SimResult, TelemetryReport, ProfileReport) {
-    let mut profiler = if profiled {
-        Profiler::enabled()
-    } else {
-        Profiler::disabled()
-    };
-    let build_t = profiler.start();
-    let config = scale.config(seed);
-    let mix = match workload.and_then(|w| w.mix) {
-        Some(mix) => mix.to_mix(),
-        None => coop_incentives::analysis::capacity::CapacityClassMix::paper_default(),
-    };
-    let peers = workload.and_then(|w| w.peers).unwrap_or_else(|| scale.peers());
-    let population = flash_crowd_with(
-        &config,
-        peers,
-        kind,
-        seed,
-        &mix,
-        scale.arrival_window(),
-    );
-    let mut builder = Simulation::builder(config)
-        .population(population)
-        .recorder(recorder);
-    if let Some(plan) = plan {
-        // The builder seeds patches with `config.seed`, which is `seed`.
-        builder = builder.attack_plan(*plan);
-    }
-    if let Some(faults) = faults {
-        builder = builder.fault_plan(*faults);
-    }
-    if let Some(every) = checkpoint_every {
-        builder = builder.checkpoint_every(every);
-    }
-    if shards > 1 {
-        builder = builder.shards(shards);
-    }
-    let sim = builder.build().expect("scale configs validate");
-    profiler.stop(phase::EXEC_BUILD, build_t);
-    sim.with_profiler(profiler).run_profiled()
-}
 
 /// The capacity vector used by the analytic runners: one sampled
 /// population at the given scale, sorted descending as the analysis

@@ -15,7 +15,8 @@ use coop_incentives::analysis::equilibrium::{download_rates, EquilibriumParams};
 use coop_incentives::MechanismKind;
 use serde::Serialize;
 
-use crate::runners::{analytic_capacities, run_sim};
+use crate::exec::SimJob;
+use crate::runners::analytic_capacities;
 use crate::table::num;
 use crate::{Scale, Table};
 
@@ -118,7 +119,7 @@ pub fn run(scale: Scale, seed: u64) -> Table1Report {
 
             // Measured side: usable download rate of each completed
             // compliant peer (bytes received / time to completion).
-            let sim = run_sim(kind, scale, None, None, None, seed);
+            let sim = SimJob::new(kind, scale, seed).run();
             let mut rates: Vec<(f64, f64)> = Vec::new(); // (capacity, rate)
             for p in sim.compliant() {
                 if let Some(ct) = p.completion_s {

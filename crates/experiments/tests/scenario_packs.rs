@@ -104,7 +104,7 @@ fn zero_fault_baseline_scenario_matches_plain_fig4_byte_for_byte() {
 
     // The scenario's `mechanisms: "all"` means the paper's six; restrict
     // the plain runner (which defaults to `EXTENDED`) to the same list.
-    fig4::try_run_with_telemetry_for(
+    fig4::try_run(
         Scale::Quick,
         seed,
         &MechanismKind::ALL,

@@ -1,9 +1,9 @@
 //! Eagerly-validated construction of [`Simulation`]s.
 //!
-//! [`Simulation::builder`] replaces the raw `Simulation::new(config,
-//! population)` entry point: the builder validates the configuration *and*
-//! every peer spec before any simulator state is allocated, and returns
-//! typed [`BuildError`]s instead of panicking mid-run on a bad spec.
+//! [`Simulation::builder`] is the only way to construct a simulation: the
+//! builder validates the configuration *and* every peer spec before any
+//! simulator state is allocated, and returns typed [`BuildError`]s instead
+//! of panicking mid-run on a bad spec.
 //!
 //! Attack wiring stays decoupled: the builder's
 //! [`attack_plan`](SimulationBuilder::attack_plan) hook accepts any
@@ -14,7 +14,7 @@ use coop_telemetry::{Profiler, Recorder};
 
 use crate::config::{ConfigError, PeerSpec, SwarmConfig};
 use crate::faults::{FaultPatch, FaultSchedule};
-use crate::sim::{RoundLoop, Simulation};
+use crate::sim::Simulation;
 
 /// A transformation applied to the population before the simulation is
 /// assembled. `coop_attacks::AttackPlan` implements this so attack
@@ -113,7 +113,6 @@ pub struct SimulationBuilder {
     recorder: Recorder,
     profiler: Profiler,
     naive_hotpath: bool,
-    round_loop: RoundLoop,
     shards: usize,
     checkpoint_every: Option<u64>,
 }
@@ -140,19 +139,9 @@ impl SimulationBuilder {
             recorder: Recorder::disabled(),
             profiler: Profiler::disabled(),
             naive_hotpath: false,
-            round_loop: RoundLoop::Dirty,
             shards: 1,
             checkpoint_every: None,
         }
-    }
-
-    /// Selects the round-loop strategy (the dirty-set loop by default).
-    /// Every [`RoundLoop`] yields identical results — the three-way
-    /// `hotpath_equivalence` battery pins this — so the switch exists for
-    /// the equivalence oracles and the `scale` bench baselines.
-    pub fn round_loop(mut self, round_loop: RoundLoop) -> Self {
-        self.round_loop = round_loop;
-        self
     }
 
     /// Shards one simulation's round across `k` scoped worker threads
@@ -178,7 +167,7 @@ impl SimulationBuilder {
     /// Routes the round loop through the pre-index hot path (per-probe
     /// availability recounts, per-round candidate rebuilds, per-bit
     /// rarest-first picks, full peer-struct membership scans). Results
-    /// are identical to the default indexed path — the
+    /// are identical to the default dirty-set loop — the
     /// `hotpath_equivalence` battery pins this — so this switch exists
     /// only as the oracle for equivalence tests and the baseline for the
     /// `scale` bench. Gated behind the `hotpath-oracle` feature.
@@ -302,7 +291,6 @@ impl SimulationBuilder {
         }
         let mut sim = Simulation::assemble(self.config, self.population, self.recorder, faults);
         sim.naive_hotpath = self.naive_hotpath;
-        sim.set_round_loop(self.round_loop);
         sim.set_shards(self.shards);
         sim.set_checkpoint_every(self.checkpoint_every);
         sim.set_profiler(self.profiler);

@@ -18,9 +18,10 @@
 //! a checkpoint onto it, finish the run, and the [`SimResult`](crate::SimResult)
 //! equals the straight-through run byte for byte. Checkpoints capture
 //! state; they do not capture the telemetry recorder (observation is not
-//! simulation state) or the unspawned arrival specs, whose mechanism
-//! factories are closures — the fresh simulation re-supplies both, and
-//! restore validates that its config and population shape match.
+//! simulation state), the builder's run settings (shard count, the
+//! naive-oracle switch), or the unspawned arrival specs, whose mechanism
+//! factories are closures — the fresh simulation re-supplies all three,
+//! and restore validates that its config and population shape match.
 
 use coop_des::EngineSnapshot;
 use coop_incentives::hash::IdMap;
@@ -100,7 +101,6 @@ pub(crate) struct CheckpointState {
     pub(crate) pending_arrivals: usize,
     pub(crate) open_active: usize,
     pub(crate) compliant_completed: usize,
-    pub(crate) naive_hotpath: bool,
     /// The dirty-set membership (sorted peer indices) at capture time, so
     /// a restored run rebuilds exactly the same visit sets — and hence
     /// the same work counters — as the straight-through run.

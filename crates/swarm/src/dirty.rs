@@ -9,6 +9,20 @@
 //! change — say a piece discarded back to absent — re-interests its
 //! *uploaders*, which are exactly its adjacency row).
 //!
+//! # The skip contract
+//!
+//! The dirty-set loop is the only production round loop. Each round it
+//! visits a peer when the peer's live visit bit is set — the bit covers
+//! dirty peers, their CSR-adjacent candidates, uploaders with outgoing
+//! partial transfers at round start, and peers marked by a delivery
+//! earlier in the same round — or when the peer has outstanding
+//! obligations. Every other online peer is skipped, and skipping it is
+//! provably a no-op: every built-in mechanism returns no grants, draws
+//! no RNG, and mutates nothing when none of its candidates is interested
+//! and no obligations are pending. The `hotpath-oracle` naive loop, which
+//! visits every online peer, is the test oracle that pins this: both
+//! loops must produce identical results.
+//!
 //! Determinism: marking is idempotent and order-insensitive (a bitmap
 //! dedups), and consumers drain the set *sorted* — the visit set for a
 //! round is a pure function of which peers were marked, never of the
@@ -44,7 +58,7 @@ impl DirtySet {
         }
     }
 
-    /// Marks every slot in `0..n` dirty (checkpoint restore, mode flips).
+    /// Marks every slot in `0..n` dirty.
     pub fn mark_all(&mut self, n: usize) {
         for id in 0..n as u32 {
             self.mark(id);

@@ -61,5 +61,5 @@ pub use config::{
 pub use faults::{FaultEvent, FaultKind, FaultPatch, FaultSchedule};
 pub use dirty::{DirtySet, VisitBits};
 pub use result::{ConsensusSummary, PeerRecord, SimResult, Totals};
-pub use sim::{RoundLoop, Simulation, SEEDER_ID};
+pub use sim::{Simulation, SEEDER_ID};
 pub use transfer::{InFlight, TransferTable};

@@ -31,7 +31,7 @@ use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::checkpoint::{CheckpointError, CheckpointLog, CheckpointState, SimCheckpoint};
-use crate::config::{ConfigError, PeerSpec, PieceStrategy, SwarmConfig};
+use crate::config::{PeerSpec, PieceStrategy, SwarmConfig};
 use crate::consensus::{self, ConsensusState, SlotBehavior};
 use crate::dirty::{DirtySet, VisitBits};
 use crate::faults::{FaultKind, FaultSchedule};
@@ -60,27 +60,6 @@ fn at_epoch_boundary(mech: &dyn Mechanism, finished_rounds: u64) -> bool {
 pub(crate) enum Event {
     Arrival(usize),
     RoundTick,
-}
-
-/// Which allocation-loop strategy the round loop runs. All strategies
-/// produce identical [`SimResult`]s (pinned by the three-way
-/// `hotpath_equivalence` battery); they differ only in how much work a
-/// round costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundLoop {
-    /// Visit every online peer every round, served by the incremental
-    /// indexes (availability histogram, CSR adjacency, SoA membership).
-    /// Retained as the second equivalence oracle beside the
-    /// `hotpath-oracle` naive loop.
-    Indexed,
-    /// Event-driven: visit only the peers marked dirty since last round
-    /// plus their CSR-adjacent candidates (and, live-checked, peers with
-    /// outstanding obligations or outgoing partial transfers). Skipped
-    /// peers are provably no-ops: every built-in mechanism returns no
-    /// grants, draws no RNG, and mutates nothing when none of its
-    /// candidates is interested and no obligations are pending.
-    #[default]
-    Dirty,
 }
 
 /// One simulation run.
@@ -144,9 +123,6 @@ pub struct Simulation {
     /// The `hotpath_equivalence` battery and the `scale` bench flip this
     /// on as the oracle/baseline; results must be identical either way.
     pub(crate) naive_hotpath: bool,
-    /// The allocation-loop strategy ([`RoundLoop::Dirty`] by default;
-    /// `naive_hotpath` overrides both indexed strategies entirely).
-    round_loop: RoundLoop,
     /// Worker threads sharding one round's read-only scans (1 = all on
     /// the caller's thread). Observational for results: artifacts are
     /// byte-identical for any value.
@@ -240,26 +216,6 @@ impl Simulation {
         crate::SimulationBuilder::new(config)
     }
 
-    /// Builds a simulation from a configuration and a population.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the configuration is invalid or the
-    /// population fails the builder's eager checks.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Simulation::builder(config).population(...).build()"
-    )]
-    pub fn new(config: SwarmConfig, population: Vec<PeerSpec>) -> Result<Self, ConfigError> {
-        Simulation::builder(config)
-            .population(population)
-            .build()
-            .map_err(|e| match e {
-                crate::BuildError::Config(e) => e,
-                other => ConfigError::new(other.to_string()),
-            })
-    }
-
     /// Assembles the simulation from already-validated parts (the
     /// builder's final step).
     pub(crate) fn assemble(
@@ -331,7 +287,6 @@ impl Simulation {
             open_active: 0,
             compliant_completed: 0,
             naive_hotpath: false,
-            round_loop: RoundLoop::Dirty,
             shards: 1,
             dirty: DirtySet::new(),
             visit: VisitBits::default(),
@@ -376,11 +331,6 @@ impl Simulation {
         self.profiler = profiler;
     }
 
-    /// Selects the allocation-loop strategy (builder plumbing).
-    pub(crate) fn set_round_loop(&mut self, round_loop: RoundLoop) {
-        self.round_loop = round_loop;
-    }
-
     /// Sets the intra-sim shard count (builder plumbing).
     pub(crate) fn set_shards(&mut self, k: usize) {
         self.shards = k.max(1);
@@ -389,7 +339,7 @@ impl Simulation {
     /// Is the dirty-set visit filter live? The naive oracle bypasses
     /// every index, including this one.
     fn dirty_active(&self) -> bool {
-        self.round_loop == RoundLoop::Dirty && !self.naive_hotpath
+        !self.naive_hotpath
     }
 
     /// Marks a peer's allocation-relevant state changed: it (and its
@@ -578,8 +528,9 @@ impl Simulation {
     /// The receiver must be freshly built (never run) from the same
     /// configuration and a population of the same shape; it re-supplies
     /// what a checkpoint deliberately does not carry — the unspawned
-    /// arrival specs (mechanism factories are closures) and the telemetry
-    /// recorder.
+    /// arrival specs (mechanism factories are closures), the telemetry
+    /// recorder, and the builder's run settings (shard count, the
+    /// naive-oracle switch).
     ///
     /// # Errors
     ///
@@ -630,7 +581,6 @@ impl Simulation {
         self.pending_arrivals = s.pending_arrivals;
         self.open_active = s.open_active;
         self.compliant_completed = s.compliant_completed;
-        self.naive_hotpath = s.naive_hotpath;
         for &d in &s.dirty {
             self.dirty.mark(d);
         }
@@ -663,9 +613,10 @@ impl Simulation {
         self.completed_frac = s.completed_frac.clone();
         self.susceptibility = s.susceptibility.clone();
         // Scratch buffers, the round driver, the recorder, the profiler,
-        // and the checkpoint settings stay as built: the first two are
-        // config-derived or lazily sized, the rest are deliberately not
-        // simulation state (observation travels with the run, not the
+        // the checkpoint settings, the shard count and the naive-oracle
+        // switch stay as built: the first two are config-derived or lazily
+        // sized, the rest are deliberately not simulation state
+        // (observation and loop mode travel with the run, not the
         // checkpoint).
         Ok(self)
     }
@@ -700,7 +651,6 @@ impl Simulation {
             pending_arrivals: self.pending_arrivals,
             open_active: self.open_active,
             compliant_completed: self.compliant_completed,
-            naive_hotpath: self.naive_hotpath,
             dirty: self.dirty.snapshot_sorted(),
             naive_probe_rebuilds: self.naive_probe_rebuilds,
             work_visited: self.work_visited,
@@ -1106,8 +1056,10 @@ impl Simulation {
         // bits and obligation flags — never pre-applied to `order` —
         // because a delivery earlier in the shuffled order can make a
         // later peer interested (or obliged) within the same round.
-        // Skipped peers are provably no-ops (see [`RoundLoop::Dirty`]), so
-        // `work_visited` counts only real visits here: the shrinking
+        // A peer is skipped only when its visit bit is clear and it has
+        // no pending obligations; the skip contract in [`crate::dirty`]
+        // says why such a peer's allocation is a no-op. So `work_visited`
+        // counts only real visits here: the shrinking
         // `wasted_visit_ratio` is the dirty loop's own acceptance gate.
         let filter = self.dirty_active();
         for pid in order {
@@ -3519,16 +3471,5 @@ mod tests {
                 .run()
         };
         assert_eq!(run(false), run(true), "fault paths diverged from oracle");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_shim_still_works() {
-        let config = SwarmConfig::tiny_test();
-        let population = flash_crowd(&config, 4, MechanismKind::Altruism, 3);
-        let r = Simulation::new(config, population).unwrap().run();
-        assert!(r.rounds_run > 0);
-        // The shim surfaces the builder's eager checks as ConfigErrors.
-        assert!(Simulation::new(SwarmConfig::tiny_test(), Vec::new()).is_err());
     }
 }

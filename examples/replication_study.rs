@@ -7,7 +7,7 @@
 //! ```
 
 use coop_experiments::runners::fig4;
-use coop_experiments::Scale;
+use coop_experiments::{Executor, OutputDir, Scale, TelemetryOpts};
 
 fn main() {
     let seeds: Vec<u64> = (100..105).collect();
@@ -15,7 +15,14 @@ fn main() {
         "Running the six-mechanism comparison over {} seeds at quick scale…\n",
         seeds.len()
     );
-    let report = fig4::run_replicated(Scale::Quick, &seeds);
+    let (report, _) = fig4::try_run_replicated(
+        Scale::Quick,
+        &seeds,
+        &Executor::default(),
+        &TelemetryOpts::disabled(),
+        &OutputDir::default_dir(),
+    )
+    .expect("fig4 batch");
     println!("{}", report.render());
     println!(
         "Reading: dispersion across seeds is small relative to the gaps \

@@ -150,14 +150,15 @@ fn epoch_open_fraction_predicts_simulated_susceptibility_ladder() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let (r, _) = fig_epoch::run_with_telemetry(
+    let (r, _) = fig_epoch::try_run(
         Scale::Quick,
         17,
         Some(&[1, 16, 256]),
         &Executor::default(),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir),
-    );
+    )
+    .expect("fig-epoch batch");
     let lambda = |e: u64| r.epoch(e).predicted_open_fraction.expect("epoch rung carries λ");
     let s = |e: u64| r.epoch(e).susceptibility;
     assert!(

@@ -1,8 +1,10 @@
 //! The experiment harness must actually produce its artifacts: CSV series,
 //! JSON summaries and SVG panels for each figure run.
 
-use coop_experiments::runners::fig4;
-use coop_experiments::Scale;
+use coop_experiments::journal::fnv1a;
+use coop_experiments::runners::{fig4, fig5, fig6};
+use coop_experiments::{BatchError, Executor, OutputDir, Scale, TelemetryOpts};
+use coop_incentives::MechanismKind;
 use std::path::Path;
 
 #[test]
@@ -51,4 +53,96 @@ fn peer_records_csv_is_well_formed() {
         rows += 1;
     }
     assert_eq!(rows, Scale::Quick.peers(), "one row per peer identity");
+}
+
+/// Folds FNV-1a over the sorted (name, bytes) of every `fig*` file in
+/// `dir`: each name, a zero byte, the length as little-endian u64, then
+/// the bytes.
+fn fig_files_hash(dir: &Path) -> (usize, u64) {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read artifact dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?.to_string();
+            name.starts_with("fig")
+                .then(|| (name, std::fs::read(&path).expect("read artifact")))
+        })
+        .collect();
+    files.sort();
+    let mut buf = Vec::new();
+    for (name, bytes) in &files {
+        buf.extend_from_slice(name.as_bytes());
+        buf.push(0);
+        buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        buf.extend_from_slice(bytes);
+    }
+    (files.len(), fnv1a(&buf))
+}
+
+/// Pins the bytes of the Fig. 4–6 artifact sets from one commit to the
+/// next: each figure at quick scale for seed 42, and again replicated over
+/// seeds `[42, 43]`, into its own directory. The expected file counts and
+/// hashes were computed on the commit before the figure runners were
+/// folded onto one shared single-seed path and one replicated path,
+/// so they prove that refactor left every artifact byte unchanged. A
+/// change here means a figure artifact changed; re-pin only when that is
+/// intended, and say which file moved and why.
+#[test]
+fn figure_artifact_bytes_are_pinned() {
+    type Run = fn(&Executor, &TelemetryOpts, &OutputDir) -> Result<(), BatchError>;
+    const SEEDS: [u64; 2] = [42, 43];
+    let cases: [(&str, Run, usize, u64); 6] = [
+        (
+            "fig4",
+            |ex, opts, out| {
+                fig4::try_run(Scale::Quick, 42, &MechanismKind::EXTENDED, ex, opts, out).map(drop)
+            },
+            53,
+            0xc869_0665_0b05_38e4,
+        ),
+        (
+            "fig5",
+            |ex, opts, out| fig5::try_run(Scale::Quick, 42, ex, opts, out).map(drop),
+            53,
+            0x2c58_3bd8_3660_53e2,
+        ),
+        (
+            "fig6",
+            |ex, opts, out| fig6::try_run(Scale::Quick, 42, ex, opts, out).map(drop),
+            53,
+            0x56e1_9dcb_ca55_1289,
+        ),
+        (
+            "fig4_replicated",
+            |ex, opts, out| fig4::try_run_replicated(Scale::Quick, &SEEDS, ex, opts, out).map(drop),
+            54,
+            0x24fa_5a6a_1fe5_9a83,
+        ),
+        (
+            "fig5_replicated",
+            |ex, opts, out| fig5::try_run_replicated(Scale::Quick, &SEEDS, ex, opts, out).map(drop),
+            54,
+            0x3b78_d67c_0a16_12b8,
+        ),
+        (
+            "fig6_replicated",
+            |ex, opts, out| fig6::try_run_replicated(Scale::Quick, &SEEDS, ex, opts, out).map(drop),
+            54,
+            0xc31f_8824_164d_3ce5,
+        ),
+    ];
+    for (name, run, files, hash) in cases {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join("artifact_pins")
+            .join(name);
+        // Stale files from a previous run would corrupt the hash.
+        let _ = std::fs::remove_dir_all(&dir);
+        run(&Executor::new(2), &TelemetryOpts::disabled(), &OutputDir::new(&dir))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            fig_files_hash(&dir),
+            (files, hash),
+            "{name}: figure artifact bytes drifted from the pinned (count, hash)"
+        );
+    }
 }

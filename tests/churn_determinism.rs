@@ -78,7 +78,7 @@ fn churn_sweep_artifacts_are_byte_identical_across_worker_counts() {
     let multipliers = [1.0];
 
     let dir_seq = scratch("jobs1");
-    let (report_seq, _) = fig4_churn::run_sweep(
+    let (report_seq, _) = fig4_churn::try_run(
         Scale::Quick,
         93,
         Some(stress_plan()),
@@ -86,10 +86,11 @@ fn churn_sweep_artifacts_are_byte_identical_across_worker_counts() {
         &Executor::sequential(),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_seq),
-    );
+    )
+    .expect("fig4-churn batch");
 
     let dir_par = scratch("jobs4");
-    let (report_par, _) = fig4_churn::run_sweep(
+    let (report_par, _) = fig4_churn::try_run(
         Scale::Quick,
         93,
         Some(stress_plan()),
@@ -97,7 +98,8 @@ fn churn_sweep_artifacts_are_byte_identical_across_worker_counts() {
         &Executor::new(4),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_par),
-    );
+    )
+    .expect("fig4-churn batch");
 
     assert_eq!(report_seq.render(), report_par.render());
     let base = artifact_bytes(&dir_seq);

@@ -15,6 +15,7 @@ use coop_experiments::{
     runners, Executor, FailureKind, JournalReplay, OutputDir, PanicInject, RunJournal, Scale,
     SimJob, TelemetryOpts,
 };
+use coop_incentives::MechanismKind;
 use coop_telemetry::json::{self, Json};
 
 /// A fresh scratch directory under `target/` for this test run.
@@ -165,13 +166,15 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
 
     // Reference: one uninterrupted, journal-free run.
     let dir_ref = scratch("reference");
-    runners::fig4::run_with_telemetry(
+    runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &Executor::new(2),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_ref),
-    );
+    )
+    .expect("fig4 batch");
     let reference = artifact_bytes(&dir_ref);
     assert!(reference.len() >= 40, "fig4 writes CSV/JSON/SVG artifacts");
 
@@ -182,9 +185,10 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
     let broken = Executor::new(2)
         .with_journal(Arc::clone(&journal))
         .with_panic_inject(inject("T-Chain", seed, None));
-    let err = runners::fig4::try_run_with_telemetry(
+    let err = runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &broken,
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir),
@@ -211,9 +215,10 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
     let resumed = Executor::new(2)
         .with_replay(Arc::new(replay))
         .with_journal(Arc::clone(&journal));
-    let (report, _) = runners::fig4::try_run_with_telemetry(
+    let (report, _) = runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &resumed,
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir),
@@ -240,9 +245,10 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
     let healed = Executor::new(2)
         .with_replay(Arc::new(replay))
         .with_journal(journal);
-    runners::fig4::try_run_with_telemetry(
+    runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &healed,
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir),

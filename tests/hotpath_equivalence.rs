@@ -1,23 +1,25 @@
-//! The hot-path equivalence battery: proves both round-loop optimisation
-//! generations — the incremental availability index + SoA loop, and the
-//! dirty-set loop layered on top of it — are **observably identical** to
-//! the naive pre-index path they replaced.
+//! The hot-path equivalence battery: proves the production round loop —
+//! the dirty-set loop, layered on the incremental availability index and
+//! SoA peer state — is **observably identical** to the naive pre-index
+//! path it replaced.
 //!
 //! Three layers of evidence, from strongest to broadest:
 //!
-//! 1. Per-mechanism three-way oracle runs — a fig4-sized swarm executed
-//!    three times from the same seed: once with `naive_hotpath(true)`
-//!    (the pre-index round loop kept behind `coop-swarm`'s
-//!    `hotpath-oracle` feature: per-round candidate rebuilds, per-bit
-//!    rarest-first picks, full peer-struct scans), once on the indexed
-//!    full-scan loop (`RoundLoop::Indexed`), and once on the dirty-set
-//!    loop (`RoundLoop::Dirty`, the default). All three [`SimResult`]s
-//!    must compare equal, and the dirty result's debug fingerprint must
-//!    match a pinned golden constant so *all* paths drifting together is
-//!    also caught. A second sweep repeats the three-way comparison with
-//!    a churn/fault plan active (outages, departures, link loss,
-//!    whitewashing and free-riding tags) — the regime where a stale
-//!    dirty set would actually skip work.
+//! 1. Per-mechanism oracle runs — a fig4-sized swarm executed twice from
+//!    the same seed: once with `naive_hotpath(true)` (the pre-index round
+//!    loop kept behind `coop-swarm`'s `hotpath-oracle` feature: every
+//!    online peer visited every round, per-round candidate rebuilds,
+//!    per-bit rarest-first picks, full peer-struct scans), and once on the
+//!    default dirty-set loop. Both [`SimResult`]s must compare equal, and
+//!    the dirty result's debug fingerprint must match a pinned golden
+//!    constant so *both* paths drifting together is also caught. A second
+//!    sweep repeats the comparison with a churn/fault plan active
+//!    (outages, departures, link loss, whitewashing and free-riding tags)
+//!    — the regime where a stale dirty set would actually skip work. The
+//!    `*_three_way_*` test names date from when a third, indexed
+//!    full-scan loop sat between the two; its visit counts equalled the
+//!    naive loop's, so the visit-count tests now compare against the
+//!    oracle.
 //! 2. Artifact byte-identity across worker counts — `fig4` rendered with
 //!    `--jobs 1` and `--jobs 4` into separate directories must produce
 //!    byte-identical files. Naive-path artifact identity follows from (1)
@@ -41,7 +43,7 @@ use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::MechanismKind;
 use coop_piece::{AvailabilityIndex, AvailabilityMap, Bitfield, PiecePicker, RarestFirstPicker};
 use coop_swarm::{
-    flash_crowd_with, FaultEvent, FaultKind, FaultSchedule, RoundLoop, SimResult, Simulation,
+    flash_crowd_with, FaultEvent, FaultKind, FaultSchedule, SimResult, Simulation,
     SimulationBuilder,
 };
 use coop_telemetry::fingerprint_debug;
@@ -51,15 +53,15 @@ const SEED: u64 = 42;
 /// Which round-loop implementation a cell runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
-    /// Pre-index oracle (`hotpath-oracle` feature).
+    /// Pre-index oracle (`hotpath-oracle` feature): every online peer
+    /// visited every round.
     Naive,
-    /// Indexed full-scan loop: every online peer visited every round.
-    Indexed,
-    /// Dirty-set loop: only changed peers and their candidates visited.
+    /// The production dirty-set loop: only changed peers and their
+    /// candidates visited.
     Dirty,
 }
 
-const MODES: [Mode; 3] = [Mode::Naive, Mode::Indexed, Mode::Dirty];
+const MODES: [Mode; 2] = [Mode::Naive, Mode::Dirty];
 
 /// One fig4-sized cell (quick scale: 80 peers, 64 pieces) on the given
 /// round loop, optionally under a churn/fault plan. Returned as a
@@ -86,14 +88,11 @@ fn build_cell(kind: MechanismKind, mode: Mode, faults: Option<FaultSchedule>) ->
         population[3].tags.whitewash_interval = Some(8);
         population[5].tags.compliant = false;
     }
-    let mut builder = Simulation::builder(config).population(population);
+    let mut builder = Simulation::builder(config)
+        .population(population)
+        .naive_hotpath(mode == Mode::Naive);
     if let Some(schedule) = faults {
         builder = builder.fault_schedule(schedule);
-    }
-    match mode {
-        Mode::Naive => builder = builder.naive_hotpath(true),
-        Mode::Indexed => builder = builder.round_loop(RoundLoop::Indexed),
-        Mode::Dirty => builder = builder.round_loop(RoundLoop::Dirty),
     }
     builder
 }
@@ -119,19 +118,13 @@ fn fault_plan() -> FaultSchedule {
     )
 }
 
-/// Three-way oracle equivalence plus the golden pin for one mechanism.
+/// Oracle equivalence plus the golden pin for one mechanism.
 fn check(kind: MechanismKind, golden: u64) {
-    let [naive, indexed, dirty] = MODES.map(|m| run_cell(kind, m, None));
+    let [naive, dirty] = MODES.map(|m| run_cell(kind, m, None));
     assert_eq!(
         naive,
-        indexed,
-        "{}: indexed and naive round loops must produce identical results",
-        kind.name()
-    );
-    assert_eq!(
-        indexed,
         dirty,
-        "{}: dirty-set and indexed round loops must produce identical results",
+        "{}: dirty-set and naive round loops must produce identical results",
         kind.name()
     );
     assert_eq!(
@@ -189,29 +182,22 @@ fn build_epoch_cell(epoch_rounds: u64, mode: Mode) -> SimulationBuilder {
         &CapacityClassMix::paper_default(),
         Scale::Quick.arrival_window(),
     );
-    let builder = Simulation::builder(config).population(population);
-    match mode {
-        Mode::Naive => builder.naive_hotpath(true),
-        Mode::Indexed => builder.round_loop(RoundLoop::Indexed),
-        Mode::Dirty => builder.round_loop(RoundLoop::Dirty),
-    }
+    Simulation::builder(config)
+        .population(population)
+        .naive_hotpath(mode == Mode::Naive)
 }
 
-/// Three-way oracle equivalence plus the golden pin for one epoch length.
+/// Oracle equivalence plus the golden pin for one epoch length.
 fn check_epoch(epoch_rounds: u64, golden: u64) {
-    let [naive, indexed, dirty] = MODES.map(|m| {
+    let [naive, dirty] = MODES.map(|m| {
         build_epoch_cell(epoch_rounds, m)
             .build()
             .expect("quick config validates")
             .run()
     });
     assert_eq!(
-        naive, indexed,
-        "epoch={epoch_rounds}: indexed and naive round loops must produce identical results"
-    );
-    assert_eq!(
-        indexed, dirty,
-        "epoch={epoch_rounds}: dirty-set and indexed round loops must produce identical results"
+        naive, dirty,
+        "epoch={epoch_rounds}: dirty-set and naive round loops must produce identical results"
     );
     assert_eq!(
         fingerprint_debug(&dirty),
@@ -241,29 +227,22 @@ fn build_consensus_cell(mode: Mode) -> SimulationBuilder {
         &coop_attacks::AttackPlan::adaptive_mix(0.2),
         SEED,
     );
-    let builder = Simulation::builder(config).population(population);
-    match mode {
-        Mode::Naive => builder.naive_hotpath(true),
-        Mode::Indexed => builder.round_loop(RoundLoop::Indexed),
-        Mode::Dirty => builder.round_loop(RoundLoop::Dirty),
-    }
+    Simulation::builder(config)
+        .population(population)
+        .naive_hotpath(mode == Mode::Naive)
 }
 
 #[test]
 fn consensus_three_way_agree_under_adaptive_attack() {
-    let [naive, indexed, dirty] = MODES.map(|m| {
+    let [naive, dirty] = MODES.map(|m| {
         build_consensus_cell(m)
             .build()
             .expect("quick config validates")
             .run()
     });
     assert_eq!(
-        naive, indexed,
-        "consensus: indexed and naive round loops must produce identical results"
-    );
-    assert_eq!(
-        indexed, dirty,
-        "consensus: dirty-set and indexed round loops must produce identical results"
+        naive, dirty,
+        "consensus: dirty-set and naive round loops must produce identical results"
     );
     // The cell must actually exercise the consensus layer, or the
     // equivalence claim is vacuous.
@@ -282,8 +261,8 @@ fn consensus_dirty_loop_does_strictly_less_visiting() {
     // Bans shrink the visit set: banned peers are skipped wholesale by
     // the allocation scan and evicted from every candidate row, so on the
     // same adaptive-attack workload the dirty loop must visit strictly
-    // fewer peers than the indexed full scan while producing the
-    // identical result.
+    // fewer peers than the naive full scan while producing the identical
+    // result.
     use coop_telemetry::profile::work;
     use coop_telemetry::{Recorder, TelemetryConfig};
     let traced = |mode| {
@@ -293,14 +272,14 @@ fn consensus_dirty_loop_does_strictly_less_visiting() {
             .expect("quick config validates")
             .run_traced()
     };
-    let (indexed, indexed_report) = traced(Mode::Indexed);
+    let (naive, naive_report) = traced(Mode::Naive);
     let (dirty, dirty_report) = traced(Mode::Dirty);
-    assert_eq!(indexed, dirty, "visit accounting must not change results");
-    let indexed_visits = indexed_report.counter(work::PEERS_VISITED);
+    assert_eq!(naive, dirty, "visit accounting must not change results");
+    let naive_visits = naive_report.counter(work::PEERS_VISITED);
     let dirty_visits = dirty_report.counter(work::PEERS_VISITED);
     assert!(
-        dirty_visits < indexed_visits,
-        "dirty loop visited {dirty_visits} peers, indexed {indexed_visits} — expected strictly fewer"
+        dirty_visits < naive_visits,
+        "dirty loop visited {dirty_visits} peers, naive {naive_visits} — expected strictly fewer"
     );
 }
 
@@ -335,13 +314,13 @@ fn epoch_settlement_dirty_loop_never_does_more_work_and_settles() {
             .expect("quick config validates")
             .run_traced()
     };
-    let (indexed, indexed_report) = traced(Mode::Indexed);
+    let (naive, naive_report) = traced(Mode::Naive);
     let (dirty, dirty_report) = traced(Mode::Dirty);
-    assert_eq!(indexed, dirty, "visit accounting must not change results");
-    let indexed_visits = indexed_report.counter(work::PEERS_VISITED);
+    assert_eq!(naive, dirty, "visit accounting must not change results");
+    let naive_visits = naive_report.counter(work::PEERS_VISITED);
     let dirty_visits = dirty_report.counter(work::PEERS_VISITED);
     assert_eq!(
-        dirty_visits, indexed_visits,
+        dirty_visits, naive_visits,
         "always-granting saturation: the dirty loop must collapse to the \
          full scan, no more and no less"
     );
@@ -354,15 +333,15 @@ fn epoch_settlement_dirty_loop_never_does_more_work_and_settles() {
             .expect("quick config validates")
             .run_traced()
     };
-    let (_, alt_indexed) = altruism_traced(Mode::Indexed);
+    let (_, alt_naive) = altruism_traced(Mode::Naive);
     let (_, alt_dirty) = altruism_traced(Mode::Dirty);
     assert_eq!(
         alt_dirty.counter(work::PEERS_VISITED),
-        alt_indexed.counter(work::PEERS_VISITED),
+        alt_naive.counter(work::PEERS_VISITED),
         "altruism no longer saturates the dirty set — re-examine the \
          epoch saturation claim above"
     );
-    for report in [&indexed_report, &dirty_report] {
+    for report in [&naive_report, &dirty_report] {
         let settlements = report.counter(work::EPOCH_SETTLEMENTS);
         let boundaries = report.counter(work::EPOCH_BOUNDARIES);
         assert!(settlements > 0, "no epoch settlements fired");
@@ -374,8 +353,8 @@ fn epoch_settlement_dirty_loop_never_does_more_work_and_settles() {
     }
     // Per-transfer mechanisms must pay nothing for the epoch gate: their
     // reports carry no settlement counters at all.
-    assert_eq!(alt_indexed.counter(work::EPOCH_SETTLEMENTS), 0);
-    assert_eq!(alt_indexed.counter(work::EPOCH_BOUNDARIES), 0);
+    assert_eq!(alt_naive.counter(work::EPOCH_SETTLEMENTS), 0);
+    assert_eq!(alt_naive.counter(work::EPOCH_BOUNDARIES), 0);
 }
 
 #[test]
@@ -384,30 +363,61 @@ fn three_way_agree_under_churn_and_faults() {
     // departures, lost deliveries and identity churn all mutate the set
     // of peers worth visiting. Every mechanism — including the
     // epoch-settled seventh, whose boundary pass must not drift under
-    // churn — must stay three-way identical with the full fault plan
-    // active.
+    // churn — must stay identical to the oracle with the full fault
+    // plan active.
     for kind in MechanismKind::EXTENDED {
-        let [naive, indexed, dirty] = MODES.map(|m| run_cell(kind, m, Some(fault_plan())));
+        let [naive, dirty] = MODES.map(|m| run_cell(kind, m, Some(fault_plan())));
         assert_eq!(
             naive,
-            indexed,
-            "{}: indexed loop diverged from oracle under faults",
-            kind.name()
-        );
-        assert_eq!(
-            indexed,
             dirty,
-            "{}: dirty-set loop diverged under faults",
+            "{}: dirty-set loop diverged from oracle under faults",
             kind.name()
         );
     }
 }
 
 #[test]
+fn naive_oracle_survives_checkpoint_restore() {
+    // The loop mode is a builder setting, not simulation state: a sim
+    // built as the naive oracle must finish on the naive loop even when
+    // it resumes from a checkpoint the dirty loop captured. Only the
+    // naive loop's per-probe histogram recounts feed the
+    // `swarm.availability.rebuilds` counter, so a positive count after
+    // restore shows the oracle really ran.
+    use coop_telemetry::{Recorder, TelemetryConfig};
+    let kind = MechanismKind::BitTorrent;
+    let straight = run_cell(kind, Mode::Dirty, None);
+    let (_, _, log) = build_cell(kind, Mode::Dirty, None)
+        .checkpoint_every(5)
+        .build()
+        .expect("quick config validates")
+        .run_checkpointed();
+    let checkpoint = log.first().expect("the run outlasts one cadence");
+    let (restored, report) = build_cell(kind, Mode::Naive, None)
+        .recorder(Recorder::enabled(TelemetryConfig {
+            probe_every: 1,
+            ..TelemetryConfig::default()
+        }))
+        .build()
+        .expect("quick config validates")
+        .restore(checkpoint)
+        .expect("same config and population")
+        .run_traced();
+    assert_eq!(
+        restored, straight,
+        "naive finish of a dirty-loop checkpoint must match the straight-through run"
+    );
+    assert!(
+        report.counter("swarm.availability.rebuilds") > 0,
+        "the restored sim did not run the naive oracle"
+    );
+}
+
+#[test]
 fn dirty_loop_does_strictly_less_visiting() {
     // Not an equivalence claim but the reason the loop exists: on the
-    // same workload the dirty loop must visit fewer peers than the
-    // full-scan loop while producing the identical result (checked
+    // same workload the dirty loop must visit fewer peers than the naive
+    // oracle's full scan while producing the identical result (checked
     // above). Reciprocity is the sharpest case — allocate is memoryless
     // and never grants (Lemma 2), so after one grantless round the dirty
     // loop drops a peer until an input changes; dense always-granting
@@ -423,14 +433,14 @@ fn dirty_loop_does_strictly_less_visiting() {
             .expect("quick config validates")
             .run_traced()
     };
-    let (indexed, indexed_report) = traced(Mode::Indexed);
+    let (naive, naive_report) = traced(Mode::Naive);
     let (dirty, dirty_report) = traced(Mode::Dirty);
-    assert_eq!(indexed, dirty, "visit accounting must not change results");
-    let indexed_visits = indexed_report.counter(work::PEERS_VISITED);
+    assert_eq!(naive, dirty, "visit accounting must not change results");
+    let naive_visits = naive_report.counter(work::PEERS_VISITED);
     let dirty_visits = dirty_report.counter(work::PEERS_VISITED);
     assert!(
-        dirty_visits < indexed_visits,
-        "dirty loop visited {dirty_visits} peers, indexed {indexed_visits} — expected strictly fewer"
+        dirty_visits < naive_visits,
+        "dirty loop visited {dirty_visits} peers, naive {naive_visits} — expected strictly fewer"
     );
 }
 
@@ -463,22 +473,26 @@ fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn fig4_artifacts_are_byte_identical_across_worker_counts() {
     let dir_seq = scratch("jobs1");
-    let (report_seq, _) = runners::fig4::run_with_telemetry(
+    let (report_seq, _) = runners::fig4::try_run(
         Scale::Quick,
         SEED,
+        &MechanismKind::EXTENDED,
         &Executor::new(1),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_seq),
-    );
+    )
+    .expect("fig4 batch");
 
     let dir_par = scratch("jobs4");
-    let (report_par, _) = runners::fig4::run_with_telemetry(
+    let (report_par, _) = runners::fig4::try_run(
         Scale::Quick,
         SEED,
+        &MechanismKind::EXTENDED,
         &Executor::new(4),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_par),
-    );
+    )
+    .expect("fig4 batch");
 
     assert_eq!(
         report_seq.render(),

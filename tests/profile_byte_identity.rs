@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use coop_experiments::{load_pack, runners, Executor, OutputDir, Scale, TelemetryOpts};
+use coop_incentives::MechanismKind;
 use coop_telemetry::profile::{phase, work};
 use coop_telemetry::{RunProfile, MANIFEST_FILE, PROFILE_FILE};
 
@@ -85,13 +86,15 @@ fn fig4_artifacts_are_byte_identical_across_profile_modes() {
 
     // Baseline: profiling off, two workers.
     let dir_off = scratch("fig4-off");
-    let (report_off, _) = runners::fig4::run_with_telemetry(
+    let (report_off, _) = runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &Executor::new(2),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_off),
-    );
+    )
+    .expect("fig4 batch");
     assert!(
         !dir_off.join(PROFILE_FILE).exists(),
         "profiling off writes no profile.json"
@@ -99,23 +102,27 @@ fn fig4_artifacts_are_byte_identical_across_profile_modes() {
 
     // Full-rate profiling on four workers.
     let dir_on = scratch("fig4-on");
-    let (report_on, _) = runners::fig4::run_with_telemetry(
+    let (report_on, _) = runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &Executor::new(4),
         &profile_opts(1),
         &OutputDir::new(&dir_on),
-    );
+    )
+    .expect("fig4 batch");
 
     // Sampled profiling (every other slot), single worker.
     let dir_sampled = scratch("fig4-sampled");
-    let (report_sampled, _) = runners::fig4::run_with_telemetry(
+    let (report_sampled, _) = runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &Executor::sequential(),
         &profile_opts(2),
         &OutputDir::new(&dir_sampled),
-    );
+    )
+    .expect("fig4 batch");
 
     assert_eq!(report_off.render(), report_on.render());
     assert_eq!(report_off.render(), report_sampled.render());
@@ -162,13 +169,15 @@ fn fig4_artifacts_are_byte_identical_across_shard_counts() {
     // baseline.
     let seed = 63;
     let run = |dir: &Path, jobs: usize, shards: usize, opts: &TelemetryOpts| {
-        runners::fig4::run_with_telemetry(
+        runners::fig4::try_run(
             Scale::Quick,
             seed,
+            &MechanismKind::EXTENDED,
             &Executor::new(jobs).with_shards(shards),
             opts,
             &OutputDir::new(dir),
         )
+        .expect("fig4 batch")
         .0
         .render()
     };

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use coop_experiments::{runners, Executor, OutputDir, Scale, TelemetryOpts};
+use coop_incentives::MechanismKind;
 use coop_telemetry::{json, RunManifest, MANIFEST_FILE};
 
 /// A fresh scratch directory under `target/` for this test run.
@@ -51,13 +52,15 @@ fn fig4_artifacts_are_byte_identical_across_telemetry_modes() {
 
     // Baseline: telemetry off.
     let dir_off = scratch("off");
-    let (report_off, trace_off) = runners::fig4::run_with_telemetry(
+    let (report_off, trace_off) = runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &executor,
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_off),
-    );
+    )
+    .expect("fig4 batch");
     assert!(trace_off.is_none(), "disabled telemetry gathers nothing");
 
     // Full-rate telemetry with a JSONL trace.
@@ -69,13 +72,15 @@ fn fig4_artifacts_are_byte_identical_across_telemetry_modes() {
         probe_every: 1,
         ..TelemetryOpts::disabled()
     };
-    let (report_on, trace_on) = runners::fig4::run_with_telemetry(
+    let (report_on, trace_on) = runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &executor,
         &opts_on,
         &OutputDir::new(&dir_on),
-    );
+    )
+    .expect("fig4 batch");
     let trace_on = trace_on.expect("telemetry on gathers a trace");
 
     // Sparse sampling on a different worker count.
@@ -86,13 +91,15 @@ fn fig4_artifacts_are_byte_identical_across_telemetry_modes() {
         probe_every: 7,
         ..TelemetryOpts::disabled()
     };
-    let (report_sampled, _) = runners::fig4::run_with_telemetry(
+    let (report_sampled, _) = runners::fig4::try_run(
         Scale::Quick,
         seed,
+        &MechanismKind::EXTENDED,
         &Executor::sequential(),
         &opts_sampled,
         &OutputDir::new(&dir_sampled),
-    );
+    )
+    .expect("fig4 batch");
 
     // The rendered reports agree exactly.
     assert_eq!(report_off.render(), report_on.render());
@@ -182,13 +189,14 @@ fn replicated_fig4_is_unchanged_by_telemetry() {
     let executor = Executor::new(2);
 
     let dir_off = scratch("rep-off");
-    let (report_off, _) = runners::fig4::run_replicated_with_telemetry(
+    let (report_off, _) = runners::fig4::try_run_replicated(
         Scale::Quick,
         &seeds,
         &executor,
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_off),
-    );
+    )
+    .expect("fig4 batch");
 
     let dir_on = scratch("rep-on");
     let opts = TelemetryOpts {
@@ -197,13 +205,14 @@ fn replicated_fig4_is_unchanged_by_telemetry() {
         probe_every: 3,
         ..TelemetryOpts::disabled()
     };
-    let (report_on, trace) = runners::fig4::run_replicated_with_telemetry(
+    let (report_on, trace) = runners::fig4::try_run_replicated(
         Scale::Quick,
         &seeds,
         &executor,
         &opts,
         &OutputDir::new(&dir_on),
-    );
+    )
+    .expect("fig4 batch");
     assert_eq!(report_off.render(), report_on.render());
 
     let trace = trace.expect("trace gathered");
