@@ -6,7 +6,12 @@
 //! execution layer for that decomposition:
 //!
 //! - [`SimJob`] is one typed cell of the grid (built en masse with
-//!   [`SimJob::grid`]).
+//!   [`SimJob::grid`]). Per-cell overrides — mechanism parameters, piece
+//!   strategy, arrival model, swarm profile, label — ride in its
+//!   [`Workload`], so every simulation this crate runs as a batch, from
+//!   the paper figures to the fig-epoch, fig-consensus, fig4-scale and
+//!   ablation sweeps, is a `SimJob` built and run by
+//!   [`SimJob::run_profiled`].
 //! - [`Executor`] fans a slice of jobs out across a bounded pool of
 //!   `std::thread::scope` workers and collects results **in slot order**,
 //!   so output is byte-identical regardless of worker count.
@@ -42,6 +47,7 @@
 //!   byte-identical to an uninterrupted run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,7 +56,7 @@ use coop_attacks::AttackPlan;
 use coop_faults::FaultPlan;
 use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::MechanismKind;
-use coop_swarm::{flash_crowd_with, SimResult, Simulation};
+use coop_swarm::{flash_crowd_with, staggered_arrivals, SimResult, Simulation};
 use coop_telemetry::{
     fingerprint_debug, profile::phase, ProfileReport, Profiler, Recorder, Stopwatch,
     TelemetryConfig, TelemetryReport,
@@ -58,7 +64,7 @@ use coop_telemetry::{
 use serde::Serialize;
 
 use crate::journal::{JobOutcome, JobRecord, JournalReplay, RunJournal};
-use crate::scenario::Workload;
+use crate::scenario::{JobLabel, Workload};
 use crate::telemetry::{BatchTrace, JobTrace, TelemetryOpts};
 use crate::{OutputDir, Scale};
 
@@ -76,11 +82,12 @@ pub struct SimJob {
     pub plan: Option<AttackPlan>,
     /// Fault/churn scenario, or `None` for a fault-free run.
     pub faults: Option<FaultPlan>,
-    /// Scenario workload overrides (population size, bandwidth-class
-    /// mix) plus the owning spec's fingerprint, or `None` for the
-    /// scale's defaults. Part of the `Debug` rendering, so a changed
-    /// spec changes [`SimJob::fingerprint`] and invalidates journal
-    /// replay for exactly the jobs it describes.
+    /// Per-job overrides (a scenario's population and bandwidth mix, a
+    /// sweep cell's mechanism parameters, piece strategy, arrivals,
+    /// swarm profile and label), or `None` for the scale's defaults.
+    /// Part of the `Debug` rendering, so a changed override changes
+    /// [`SimJob::fingerprint`] and invalidates journal replay for
+    /// exactly the jobs it describes.
     pub workload: Option<Workload>,
 }
 
@@ -157,8 +164,9 @@ impl SimJob {
     /// [`SimJob::run`]'s for any combination (pinned by the swarm crate's
     /// checkpoint-equivalence battery and the byte-identity tests).
     ///
-    /// A job without a [`Workload`] (or with `None` overrides) uses the
-    /// scale's default population and the paper's capacity mix.
+    /// A job without a [`Workload`] (or with default overrides) runs the
+    /// scale's swarm: its population, the paper's capacity mix and
+    /// mechanism parameters, rarest-first, and a flash crowd.
     pub fn run_profiled(
         &self,
         telemetry: Option<&TelemetryConfig>,
@@ -172,19 +180,23 @@ impl SimJob {
             Profiler::disabled()
         };
         let build_t = profiler.start();
-        let config = self.scale.config(self.seed);
-        let mix = match self.workload.and_then(|w| w.mix) {
+        let workload = self.workload.unwrap_or_default();
+        let mut config = workload.profile.config(self.scale, self.seed);
+        if let Some(params) = workload.params {
+            config.mechanism_params = params;
+        }
+        if let Some(strategy) = workload.piece_strategy {
+            config.piece_strategy = strategy;
+        }
+        let mix = match workload.mix {
             Some(mix) => mix.to_mix(),
             None => CapacityClassMix::paper_default(),
         };
-        let population = flash_crowd_with(
-            &config,
-            self.peers(),
-            self.kind,
-            self.seed,
-            &mix,
-            self.scale.arrival_window(),
-        );
+        let (n, kind, seed) = (self.peers(), self.kind, self.seed);
+        let population = match workload.arrival_gap {
+            Some(gap) => staggered_arrivals(&config, n, kind, seed, &mix, gap),
+            None => flash_crowd_with(&config, n, kind, seed, &mix, self.scale.arrival_window()),
+        };
         let recorder = match telemetry {
             Some(telemetry) => Recorder::enabled(telemetry.clone()),
             None => Recorder::disabled(),
@@ -217,9 +229,14 @@ impl SimJob {
         fingerprint_debug(self)
     }
 
-    /// The job's display label: its mechanism's canonical name.
-    pub fn label(&self) -> &'static str {
-        self.kind.name()
+    /// The job's display label: its workload's label when it has one,
+    /// its mechanism's canonical name otherwise. The journal, traces,
+    /// `failures.json` and panic injection all name the job by it.
+    pub fn label(&self) -> &str {
+        self.workload
+            .as_ref()
+            .and_then(|w| w.label.as_ref())
+            .map_or(self.kind.name(), JobLabel::as_str)
     }
 }
 
@@ -248,13 +265,16 @@ pub struct PanicInject {
 
 impl PanicInject {
     /// Parses the `LABEL:SEED:COUNT` form (see [`PANIC_INJECT_ENV`]).
+    /// SEED and COUNT are the last two fields, so the label may itself
+    /// contain `:` (fig-consensus cells are `consensus:{policy}@{fraction}`).
     ///
     /// # Errors
     ///
     /// Returns a message describing the malformed field.
     pub fn parse(s: &str) -> Result<PanicInject, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        let [label, seed, count] = parts.as_slice() else {
+        let mut fields = s.rsplitn(3, ':');
+        let (Some(count), Some(seed), Some(label)) = (fields.next(), fields.next(), fields.next())
+        else {
             return Err(format!(
                 "expected LABEL:SEED:COUNT (seed/count may be '*'), got '{s}'"
             ));
@@ -273,7 +293,7 @@ impl PanicInject {
             }
         };
         Ok(PanicInject {
-            label: (*label).to_string(),
+            label: label.to_string(),
             seed: wildcard_or(seed, "seed")?,
             fail_attempts: wildcard_or(count, "count")?,
         })
@@ -432,13 +452,49 @@ pub fn backoff_ms(fingerprint: u64, attempt: u64) -> u64 {
     (base + h % base).min(2_000)
 }
 
+/// The process's peak resident set (`VmHWM`) in kB, or 0 when
+/// `/proc/self/status` is unavailable.
+///
+/// A peak never falls, but raw `VmHWM` reads can: the kernel batches
+/// RSS counters per CPU, so in a multi-threaded process a later read may
+/// come back a few hundred kB below an earlier one. The value returned is
+/// therefore the running maximum of every read in this process.
+pub(crate) fn peak_rss_kb() -> u64 {
+    static PEAK_KB: AtomicU64 = AtomicU64::new(0);
+    let read = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1))
+                .and_then(|v| v.parse().ok())
+        })
+        .unwrap_or(0);
+    PEAK_KB.fetch_max(read, Ordering::Relaxed).max(read)
+}
+
+/// The executor's wall-clock and memory readings around one job's
+/// successful attempt. All zero for a job replayed from the journal or
+/// one that failed every attempt.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SlotPerf {
+    /// Wall-clock milliseconds of the attempt.
+    pub wall_ms: u64,
+    /// Process peak RSS (`VmHWM`, kB) just before the attempt.
+    pub rss_before_kb: u64,
+    /// Process peak RSS (`VmHWM`, kB) just after the attempt.
+    pub rss_after_kb: u64,
+}
+
 /// Everything a robust batch produced: slot-aligned results (`None`
-/// where the job failed every attempt), the failures in slot order, and
-/// the batch trace when telemetry was on.
+/// where the job failed every attempt) and perf readings, the failures
+/// in slot order, and the batch trace when telemetry was on.
 #[derive(Debug)]
 pub struct BatchRun {
     /// `results[i]` is job `i`'s result, or `None` if it failed.
     pub results: Vec<Option<SimResult>>,
+    /// `perf[i]` is the executor's reading around job `i`'s attempt.
+    pub perf: Vec<SlotPerf>,
     /// Failed jobs in slot order (empty on a clean batch).
     pub failures: Vec<JobFailure>,
     /// The slot-ordered batch trace (telemetry runs only). Failed jobs
@@ -649,38 +705,6 @@ impl Executor {
         tagged.into_iter().map(|(_, t)| t).collect()
     }
 
-    /// [`Executor::map`] with per-item panic isolation and the executor's
-    /// retry/backoff policy: each item's closure runs under
-    /// `catch_unwind`, failed items retry with the deterministic backoff
-    /// keyed by their slot, and an item that fails every attempt yields
-    /// `Err(panic message)` instead of tearing down the batch.
-    ///
-    /// This is the isolation layer for the closure-based runners
-    /// (ablations, fig4-scale) whose work items are not [`SimJob`]s; it
-    /// has no watchdog and no journal.
-    pub fn try_map<I, T, F>(&self, items: &[I], run: F) -> Vec<Result<T, String>>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        self.map(items, |i, item| {
-            let mut attempt = 0u64;
-            loop {
-                match catch_unwind(AssertUnwindSafe(|| run(i, item))) {
-                    Ok(value) => return Ok(value),
-                    Err(payload) => {
-                        if attempt >= self.retries {
-                            return Err(panic_message(payload.as_ref()));
-                        }
-                        std::thread::sleep(Duration::from_millis(backoff_ms(i as u64, attempt)));
-                        attempt += 1;
-                    }
-                }
-            }
-        })
-    }
-
     /// Runs a batch of simulation jobs, returning results in job order.
     pub fn run_sims(&self, jobs: &[SimJob]) -> Vec<SimResult> {
         self.map(jobs, |_, job| job.run())
@@ -692,25 +716,27 @@ impl Executor {
     /// failed jobs surface as `None` results plus [`JobFailure`] entries
     /// rather than aborting the run.
     pub fn run_sims_robust(&self, jobs: &[SimJob], opts: &TelemetryOpts) -> BatchRun {
-        use std::sync::atomic::Ordering;
         let config = opts.is_enabled().then(|| opts.recorder_config());
         self.journal_fsync_ns.store(0, Ordering::Relaxed);
         let runs = self.map(jobs, |slot, job| {
             self.run_one(slot, job, config.as_ref(), opts.profile_due(slot))
         });
         let mut results = Vec::with_capacity(jobs.len());
+        let mut perf = Vec::with_capacity(jobs.len());
         let mut failures = Vec::new();
         let mut traces = Vec::new();
         for run in runs {
             match run {
-                Ok((result, trace)) => {
+                Ok((result, trace, reading)) => {
                     results.push(Some(result));
+                    perf.push(reading);
                     if let Some(trace) = trace {
                         traces.push(trace);
                     }
                 }
                 Err(failure) => {
                     results.push(None);
+                    perf.push(SlotPerf::default());
                     failures.push(failure);
                 }
             }
@@ -722,6 +748,7 @@ impl Executor {
         });
         BatchRun {
             results,
+            perf,
             failures,
             trace,
         }
@@ -734,7 +761,7 @@ impl Executor {
         job: &SimJob,
         config: Option<&TelemetryConfig>,
         profiled: bool,
-    ) -> Result<(SimResult, Option<JobTrace>), JobFailure> {
+    ) -> Result<(SimResult, Option<JobTrace>, SlotPerf), JobFailure> {
         let fingerprint = job.fingerprint();
         // Resume: a job the ledger already holds is never re-simulated.
         if let Some(result) = self
@@ -753,16 +780,22 @@ impl Executor {
                 report: TelemetryReport::default(),
                 profile: None,
             });
-            return Ok((result.clone(), trace));
+            return Ok((result.clone(), trace, SlotPerf::default()));
         }
         let mut backoffs = Vec::new();
         let mut last_failure = None;
         for attempt in 0..=self.retries {
+            let rss_before_kb = peak_rss_kb();
             let attempt_clock = Stopwatch::start();
             match self.attempt(job, config, attempt, profiled) {
                 AttemptOutcome::Done(triple) => {
                     let (result, report, profile) = *triple;
                     let wall_ms = attempt_clock.elapsed_ms();
+                    let perf = SlotPerf {
+                        wall_ms,
+                        rss_before_kb,
+                        rss_after_kb: peak_rss_kb(),
+                    };
                     self.journal_record(&JobRecord {
                         fingerprint,
                         slot: slot as u64,
@@ -784,7 +817,7 @@ impl Executor {
                         report,
                         profile: profiled.then_some(profile),
                     });
-                    return Ok((result, trace));
+                    return Ok((result, trace, perf));
                 }
                 AttemptOutcome::Failed(kind, message) => {
                     last_failure = Some((kind, message));
@@ -960,25 +993,13 @@ mod tests {
     }
 
     #[test]
-    fn try_map_isolates_panics_and_retries_deterministically() {
-        let ex = Executor::new(2);
-        let got = ex.try_map(&[1u32, 2, 3], |_, &x| {
-            assert!(x != 2, "boom on {x}");
-            x * 10
-        });
-        assert_eq!(got[0], Ok(10));
-        assert_eq!(got[2], Ok(30));
-        let err = got[1].as_ref().unwrap_err();
-        assert!(err.contains("boom on 2"), "{err}");
-
-        // With retries, a flaky item eventually succeeds.
-        let tries = std::sync::atomic::AtomicU64::new(0);
-        let got = ex.with_retries(2).try_map(&[0u32], |_, _| {
-            let n = tries.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            assert!(n >= 2, "fail the first two attempts");
-            42u32
-        });
-        assert_eq!(got, vec![Ok(42)]);
+    fn peak_rss_reads_proc() {
+        // On Linux VmHWM is always present; elsewhere the probe degrades
+        // to 0 rather than failing.
+        let kb = peak_rss_kb();
+        if cfg!(target_os = "linux") {
+            assert!(kb > 0);
+        }
     }
 
     #[test]
@@ -992,6 +1013,12 @@ mod tests {
         let p = PanicInject::parse("T-Chain:*:*").unwrap();
         assert!(p.should_fail("T-Chain", 1, 0));
         assert!(p.should_fail("T-Chain", 999, 7));
+
+        // Labels may contain ':'; seed and count are the last two fields.
+        let p = PanicInject::parse("consensus:defense@0.1:*:2").unwrap();
+        assert_eq!(p.label, "consensus:defense@0.1");
+        assert!(p.should_fail("consensus:defense@0.1", 5, 1));
+        assert!(!p.should_fail("consensus:defense@0.1", 5, 2));
 
         for bad in ["", "x", "a:b", "a:b:c:d", "a:nan:1", "a:1:nan", ":1:1"] {
             assert!(PanicInject::parse(bad).is_err(), "{bad:?}");

@@ -51,8 +51,8 @@ pub use journal::{JournalReplay, RunJournal};
 pub use output::{write_csv, write_json, OutputDir};
 pub use scale::Scale;
 pub use scenario::{
-    load_pack, Arrival, ArtifactStyle, AttackMode, MixSpec, Scenario, ScenarioError,
-    ScenarioPack, Workload, SCENARIO_SPEC_VERSION,
+    load_pack, Arrival, ArtifactStyle, AttackMode, JobLabel, MixSpec, Scenario, ScenarioError,
+    ScenarioPack, SwarmProfile, Workload, SCENARIO_SPEC_VERSION,
 };
 pub use spec::{usage, Artifact, RunSpec, SpecError};
 pub use table::Table;

@@ -42,11 +42,15 @@
 //!
 //! # Crash safety
 //!
-//! Simulation batches (fig4, fig4-churn, fig5, fig6, all) append every
+//! Every simulation batch runs as `SimJob`s on one executor. The
+//! journaled ones (fig4, fig4-churn, fig5, fig6, fig-epoch,
+//! fig-consensus, ablations, all, and scenario sweeps) append every
 //! finished job to a fsynced `journal.jsonl` next to the artifacts. If a
 //! run is killed, `--resume DIR` replays that ledger: completed jobs are
 //! served from the journal, only the missing ones re-run, and the final
-//! artifact set is byte-identical to an uninterrupted run. A job that
+//! artifact set is byte-identical to an uninterrupted run. fig4-scale is
+//! not journaled: its perf rows are live readings a replay cannot
+//! reproduce. In every batch, a job that
 //! panics or exceeds `--job-timeout` is retried `--retries` times with
 //! deterministic backoff; if it still fails, the rest of the batch
 //! completes, the failed cells are listed in `failures.json` (naming

@@ -12,11 +12,15 @@
 //! * Whitewash-interval sweep — FairTorrent's attack knob.
 
 use coop_attacks::AttackPlan;
-use coop_incentives::MechanismKind;
+use coop_des::Duration;
+use coop_incentives::{MechanismKind, MechanismParams};
+use coop_swarm::PieceStrategy;
 use serde::Serialize;
 
-use crate::exec::{backoff_ms, BatchError, Executor, FailureKind, JobFailure, SimJob};
+use crate::exec::{BatchError, Executor, SimJob};
+use crate::scenario::{JobLabel, Workload};
 use crate::table::num;
+use crate::telemetry::TelemetryOpts;
 use crate::{Scale, Table};
 
 /// One sweep sample.
@@ -122,14 +126,6 @@ impl AblationReport {
     }
 }
 
-/// One attacked flash-crowd run at the scale's defaults.
-fn attacked(kind: MechanismKind, scale: Scale, seed: u64, plan: AttackPlan) -> SimJob {
-    SimJob {
-        plan: Some(plan),
-        ..SimJob::new(kind, scale, seed)
-    }
-}
-
 fn point(x: f64, result: &coop_swarm::SimResult) -> SweepPoint {
     SweepPoint {
         x,
@@ -140,17 +136,85 @@ fn point(x: f64, result: &coop_swarm::SimResult) -> SweepPoint {
     }
 }
 
+/// The seven sweeps A–G in report order, each as its `(x, job)` points.
+/// Every job carries its sweep's label, which the journal and
+/// `failures.json` name it by.
+fn sweeps(scale: Scale, seed: u64) -> [Vec<(f64, SimJob)>; 7] {
+    use MechanismKind::{Altruism, BitTorrent, FairTorrent, Reputation, TChain};
+    type Point = (f64, Option<AttackPlan>, Workload);
+    let sweep = |label: &str, kind, points: Vec<Point>| -> Vec<(f64, SimJob)> {
+        let label = Some(JobLabel::new(label));
+        let job = |plan, workload| SimJob {
+            plan,
+            workload: Some(Workload { label, ..workload }),
+            ..SimJob::new(kind, scale, seed)
+        };
+        points.into_iter().map(|(x, plan, w)| (x, job(plan, w))).collect()
+    };
+    let none = Workload::default();
+    let freeride = Some(AttackPlan::simple(0.2));
+    let fractions = [0.0, 0.1, 0.2, 0.4];
+    [
+        // A: α_BT sweep under 20 % simple free-riding.
+        sweep("BitTorrent (alpha_bt sweep)", BitTorrent, [0.0, 0.1, 0.2, 0.4].map(|alpha_bt| {
+            let params = MechanismParams { alpha_bt, ..MechanismParams::default() };
+            (alpha_bt, freeride, Workload { params: Some(params), ..none })
+        }).to_vec()),
+        // B & C: free-rider fraction sweeps.
+        sweep("Altruism (free-rider fraction sweep)", Altruism, fractions.map(|f| {
+            (f, Some(AttackPlan::simple(f)), none)
+        }).to_vec()),
+        sweep("T-Chain (free-rider fraction sweep)", TChain, fractions.map(|f| {
+            (f, Some(AttackPlan::most_effective(TChain, f)), none)
+        }).to_vec()),
+        // D: reputation false praise.
+        sweep("Reputation (false-praise ablation)", Reputation, vec![
+            (0.0, freeride, none),
+            (1.0, Some(AttackPlan::false_praise(0.2)), none),
+        ]),
+        // E: whitewash interval sweep.
+        sweep("FairTorrent (whitewash interval sweep)", FairTorrent, [5u64, 10, 20, 40].map(|w| {
+            let plan = AttackPlan { whitewash_interval: Some(w), ..AttackPlan::simple(0.2) };
+            (w as f64, Some(plan), none)
+        }).to_vec()),
+        // F: the paper assumes local-rarest-first selection; quantify what
+        // the alternatives cost.
+        sweep("Altruism (piece-strategy sweep)", Altruism, vec![
+            (0.0, None, Workload { piece_strategy: Some(PieceStrategy::RarestFirst), ..none }),
+            (1.0, None, Workload { piece_strategy: Some(PieceStrategy::Random), ..none }),
+            (2.0, None, Workload { piece_strategy: Some(PieceStrategy::Sequential), ..none }),
+        ]),
+        // G: the paper's flash crowd is the worst case for reputation
+        // bootstrapping (everyone has zero reputation at once). Staggered
+        // Poisson arrivals let newcomers land in a system with established
+        // reputations.
+        sweep("Reputation (arrival-model ablation)", Reputation, vec![
+            (0.0, None, none),
+            (1.0, None, Workload { arrival_gap: Some(Duration::from_millis(500)), ..none }),
+        ]),
+    ]
+}
+
+/// Every ablation job, sweeps A–G in report order.
+pub fn jobs(scale: Scale, seed: u64) -> Vec<SimJob> {
+    sweeps(scale, seed)
+        .into_iter()
+        .flatten()
+        .map(|(_, job)| job)
+        .collect()
+}
+
 /// Runs all ablations with machine-sized parallelism.
 pub fn run(scale: Scale, seed: u64) -> AblationReport {
     try_run(scale, seed, &Executor::default()).expect("ablations batch")
 }
 
-/// Runs all ablations on the given executor. Each sweep's points are
-/// independent simulations, so they fan out as one batch per sweep;
-/// results (and the JSON artifact) are identical for any worker count.
-/// Points run under the executor's panic-isolation/retry policy: a sweep
-/// point that fails every attempt yields `Err` naming its sweep, after
-/// every healthy point has still run. No artifact is written on failure.
+/// Runs all ablations on the given executor. Every sweep point is an
+/// independent simulation, so the seven sweeps run as one [`SimJob`]
+/// batch; results (and the JSON artifact) are identical for any worker
+/// count. A point that fails every attempt yields `Err` naming its
+/// sweep, after every healthy point has still run. No artifact is
+/// written on failure.
 ///
 /// # Errors
 ///
@@ -160,173 +224,19 @@ pub fn try_run(
     seed: u64,
     executor: &Executor,
 ) -> Result<AblationReport, BatchError> {
-    let mut failures: Vec<JobFailure> = Vec::new();
-    let mut total = 0usize;
-    // Converts one sweep's isolated runs into points, recording each
-    // failed point under the sweep's mechanism label.
-    let mut take = |label: &str, runs: Vec<Result<SweepPoint, String>>| -> Vec<SweepPoint> {
-        total += runs.len();
-        runs.into_iter()
-            .enumerate()
-            .filter_map(|(slot, run)| match run {
-                Ok(point) => Some(point),
-                Err(message) => {
-                    failures.push(JobFailure {
-                        slot,
-                        mechanism: label.to_string(),
-                        peers: scale.peers(),
-                        seed,
-                        attempts: executor.retries() + 1,
-                        kind: FailureKind::Panic,
-                        message,
-                        backoff_ms: (0..executor.retries())
-                            .map(|a| backoff_ms(slot as u64, a))
-                            .collect(),
-                    });
-                    None
-                }
-            })
+    let sweeps = sweeps(scale, seed);
+    let jobs: Vec<SimJob> = sweeps.iter().flatten().map(|&(_, job)| job).collect();
+    let (results, _) = executor
+        .run_sims_robust(&jobs, &TelemetryOpts::disabled())
+        .into_complete("ablations")?;
+    let mut results = results.iter();
+    let [alpha_bt_sweep, altruism_fraction_sweep, tchain_fraction_sweep, reputation_false_praise,
+        whitewash_sweep, piece_strategy_sweep, arrival_model_sweep] = sweeps.map(|points| {
+        points
+            .iter()
+            .map(|&(x, _)| point(x, results.next().expect("one result per job")))
             .collect()
-    };
-
-    // A: α_BT sweep. The mechanism parameter lives in the swarm config.
-    let alpha_bt_sweep = take(
-        "BitTorrent (alpha_bt sweep)",
-        executor.try_map(&[0.0, 0.1, 0.2, 0.4], |_, &alpha| {
-            let mut config = scale.config(seed);
-            config.mechanism_params.alpha_bt = alpha;
-            let mix = coop_incentives::analysis::capacity::CapacityClassMix::paper_default();
-            let population = coop_swarm::flash_crowd_with(
-                &config,
-                scale.peers(),
-                MechanismKind::BitTorrent,
-                seed,
-                &mix,
-                scale.arrival_window(),
-            );
-            let result = coop_swarm::Simulation::builder(config)
-                .population(population)
-                .attack_plan(AttackPlan::simple(0.2))
-                .build()
-                .expect("valid config")
-                .run();
-            point(alpha, &result)
-        }),
-    );
-
-    // B & C: free-rider fraction sweeps.
-    let fractions = [0.0, 0.1, 0.2, 0.4];
-    let altruism_fraction_sweep = take(
-        "Altruism (free-rider fraction sweep)",
-        executor.try_map(&fractions, |_, &f| {
-            let job = attacked(MechanismKind::Altruism, scale, seed, AttackPlan::simple(f));
-            point(f, &job.run())
-        }),
-    );
-    let tchain_fraction_sweep = take(
-        "T-Chain (free-rider fraction sweep)",
-        executor.try_map(&fractions, |_, &f| {
-            let plan = AttackPlan::most_effective(MechanismKind::TChain, f);
-            point(f, &attacked(MechanismKind::TChain, scale, seed, plan).run())
-        }),
-    );
-
-    // D: reputation false praise.
-    let praise_plans = [
-        (0.0, AttackPlan::simple(0.2)),
-        (1.0, AttackPlan::false_praise(0.2)),
-    ];
-    let reputation_false_praise = take(
-        "Reputation (false-praise ablation)",
-        executor.try_map(&praise_plans, |_, &(x, plan)| {
-            point(x, &attacked(MechanismKind::Reputation, scale, seed, plan).run())
-        }),
-    );
-
-    // E: whitewash interval sweep.
-    let whitewash_sweep = take(
-        "FairTorrent (whitewash interval sweep)",
-        executor.try_map(&[5u64, 10, 20, 40], |_, &w| {
-            let mut plan = AttackPlan::simple(0.2);
-            plan.whitewash_interval = Some(w);
-            point(w as f64, &attacked(MechanismKind::FairTorrent, scale, seed, plan).run())
-        }),
-    );
-
-    // F: the paper assumes local-rarest-first selection; quantify what the
-    // alternatives cost.
-    let strategies = [
-        coop_swarm::PieceStrategy::RarestFirst,
-        coop_swarm::PieceStrategy::Random,
-        coop_swarm::PieceStrategy::Sequential,
-    ];
-    let piece_strategy_sweep = take(
-        "Altruism (piece-strategy sweep)",
-        executor.try_map(&strategies, |i, &strategy| {
-            let mut config = scale.config(seed);
-        config.piece_strategy = strategy;
-        let mix = coop_incentives::analysis::capacity::CapacityClassMix::paper_default();
-        let population = coop_swarm::flash_crowd_with(
-            &config,
-            scale.peers(),
-            MechanismKind::Altruism,
-            seed,
-            &mix,
-            scale.arrival_window(),
-        );
-        let result = coop_swarm::Simulation::builder(config)
-            .population(population)
-            .build()
-            .expect("valid config")
-            .run();
-        point(i as f64, &result)
-        }),
-    );
-
-    // G: the paper's flash crowd is the worst case for reputation
-    // bootstrapping (everyone has zero reputation at once). Staggered
-    // Poisson arrivals let newcomers land in a system with established
-    // reputations.
-    let arrival_model_sweep = take(
-        "Reputation (arrival-model ablation)",
-        executor.try_map(&[false, true], |_, &staggered| {
-            let config = scale.config(seed);
-            let mix = coop_incentives::analysis::capacity::CapacityClassMix::paper_default();
-            let population = if staggered {
-                coop_swarm::staggered_arrivals(
-                    &config,
-                    scale.peers(),
-                    MechanismKind::Reputation,
-                    seed,
-                    &mix,
-                    coop_des::Duration::from_millis(500),
-                )
-            } else {
-                coop_swarm::flash_crowd_with(
-                    &config,
-                    scale.peers(),
-                    MechanismKind::Reputation,
-                    seed,
-                    &mix,
-                    scale.arrival_window(),
-                )
-            };
-            let result = coop_swarm::Simulation::builder(config)
-                .population(population)
-                .build()
-                .expect("valid config")
-                .run();
-            point(if staggered { 1.0 } else { 0.0 }, &result)
-        }),
-    );
-
-    if !failures.is_empty() {
-        return Err(BatchError {
-            figure: "ablations".to_string(),
-            total,
-            failures,
-        });
-    }
+    });
     let report = AblationReport {
         scale: scale.name().to_string(),
         alpha_bt_sweep,

@@ -8,7 +8,7 @@ use coop_swarm::SimResult;
 use coop_telemetry::Stopwatch;
 use serde::Serialize;
 
-use crate::exec::{BatchError, Executor, SimJob};
+use crate::exec::{BatchError, Executor, SimJob, SlotPerf};
 use crate::table::num;
 use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale, Table};
@@ -130,12 +130,8 @@ impl SimFigure {
     /// telemetry, each simulation runs with a recorder and the run's
     /// trace/progress/manifest outputs are emitted (see
     /// [`emit_run_outputs`]); artifacts are byte-identical whether
-    /// telemetry is on, off, or sampled.
-    ///
-    /// A job that fails every attempt yields `Err` instead of panicking,
-    /// after every healthy job has still run (and been journaled). No
-    /// figure artifacts are written on failure — the artifact set is
-    /// all-or-nothing, so a resumed run can regenerate it byte-identically.
+    /// telemetry is on, off, or sampled. Runs through [`run_grid`], so no
+    /// artifacts are written when a job fails every attempt.
     ///
     /// # Errors
     ///
@@ -149,31 +145,18 @@ impl SimFigure {
         opts: &TelemetryOpts,
         out: &OutputDir,
     ) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-        let figure = self.name;
         let jobs = SimJob::grid_of(scale, &[seed], kinds, self.plan_for);
-        let sim_clock = Stopwatch::start();
-        let run = executor.run_sims_robust(&jobs, opts);
-        let sim_ms = sim_clock.elapsed_ms();
-        let (results, trace) = run.into_complete(figure)?;
-        let write_clock = Stopwatch::start();
-        let report = write_figure_artifacts(figure, scale, seed, kinds, &results, out);
-        let trace = trace.map(|mut trace| {
-            trace.push_phase("simulate", sim_ms);
-            trace.push_phase("write_artifacts", write_clock.elapsed_ms());
-            emit_run_outputs(
-                figure,
-                &trace,
-                opts,
-                out,
-                scale,
-                seed,
-                1,
-                executor.jobs() as u64,
-                self.attack,
-            );
-            trace
-        });
-        Ok((report, trace))
+        run_grid(
+            self.name,
+            self.attack,
+            &jobs,
+            scale,
+            seed,
+            executor,
+            opts,
+            out,
+            |results, _| write_figure_artifacts(self.name, scale, seed, kinds, results, out),
+        )
     }
 
     /// The quick path: [`SimFigure::single`] over every mechanism with
@@ -302,6 +285,58 @@ impl SimFigure {
         });
         Ok((report, trace))
     }
+}
+
+/// The single-seed batch driver every grid runner shares: runs `jobs` as
+/// one robust batch on `executor`, hands the slot-ordered results and
+/// each slot's [`SlotPerf`] reading to `write` (which builds the report
+/// and writes the artifacts), then closes the trace with the simulate
+/// and write phases and emits the run outputs (see [`emit_run_outputs`]).
+///
+/// A job that fails every attempt yields `Err` after every healthy job
+/// has still run (and been journaled), and `write` is never called: the
+/// artifact set is all-or-nothing, so a resumed run can regenerate it
+/// byte-identically.
+///
+/// # Errors
+///
+/// Returns the batch's failures when any job fails every attempt.
+#[allow(clippy::too_many_arguments)] // the batch, its manifest fields and the writer
+pub(crate) fn run_grid<R>(
+    figure: &str,
+    attack: &str,
+    jobs: &[SimJob],
+    scale: Scale,
+    seed: u64,
+    executor: &Executor,
+    opts: &TelemetryOpts,
+    out: &OutputDir,
+    write: impl FnOnce(&[SimResult], &[SlotPerf]) -> R,
+) -> Result<(R, Option<BatchTrace>), BatchError> {
+    let sim_clock = Stopwatch::start();
+    let mut run = executor.run_sims_robust(jobs, opts);
+    let sim_ms = sim_clock.elapsed_ms();
+    let perf = std::mem::take(&mut run.perf);
+    let (results, trace) = run.into_complete(figure)?;
+    let write_clock = Stopwatch::start();
+    let report = write(&results, &perf);
+    let trace = trace.map(|mut trace| {
+        trace.push_phase("simulate", sim_ms);
+        trace.push_phase("write_artifacts", write_clock.elapsed_ms());
+        emit_run_outputs(
+            figure,
+            &trace,
+            opts,
+            out,
+            scale,
+            seed,
+            1,
+            executor.jobs() as u64,
+            attack,
+        );
+        trace
+    });
+    Ok((report, trace))
 }
 
 /// The telemetry tail of a traced run: per-job progress lines on stderr,

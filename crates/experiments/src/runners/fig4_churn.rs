@@ -11,11 +11,11 @@
 
 use coop_faults::FaultPlan;
 use coop_incentives::MechanismKind;
-use coop_telemetry::Stopwatch;
+use coop_swarm::SimResult;
 use serde::Serialize;
 
 use crate::exec::{BatchError, Executor, SimJob};
-use crate::runners::fig4::emit_run_outputs;
+use crate::runners::fig4::run_grid;
 use crate::table::num;
 use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale, Table};
@@ -185,12 +185,21 @@ pub fn try_run(
             })
         })
         .collect();
-    let sim_clock = Stopwatch::start();
-    let run = executor.run_sims_robust(&jobs, opts);
-    let sim_ms = sim_clock.elapsed_ms();
-    let (results, trace) = run.into_complete("fig4-churn")?;
-    let write_clock = Stopwatch::start();
+    run_grid("fig4-churn", "none", &jobs, scale, seed, executor, opts, out, |results, _| {
+        write_artifacts(scale, seed, base, multipliers, results, out)
+    })
+}
 
+/// Builds the report from the slot-ordered results and writes the sweep
+/// CSV and JSON.
+fn write_artifacts(
+    scale: Scale,
+    seed: u64,
+    base: FaultPlan,
+    multipliers: &[f64],
+    results: &[SimResult],
+    out: &OutputDir,
+) -> ChurnReport {
     let per_rate = MechanismKind::ALL.len();
     let rows: Vec<ChurnRow> = multipliers
         .iter()
@@ -250,24 +259,7 @@ pub fn try_run(
         &csv_rows,
     );
     let _ = out.json(&format!("fig4churn_{}", scale.name()), &report);
-
-    let trace = trace.map(|mut trace| {
-        trace.push_phase("simulate", sim_ms);
-        trace.push_phase("write_artifacts", write_clock.elapsed_ms());
-        emit_run_outputs(
-            "fig4-churn",
-            &trace,
-            opts,
-            out,
-            scale,
-            seed,
-            1,
-            executor.jobs() as u64,
-            "none",
-        );
-        trace
-    });
-    Ok((report, trace))
+    report
 }
 
 #[cfg(test)]

@@ -21,20 +21,16 @@
 //! instead; see [`PerfRow::rss_delta_kb`] for its own caveat under
 //! parallel execution.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use coop_des::Duration;
-use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::MechanismKind;
 use coop_piece::FileSpec;
-use coop_swarm::{flash_crowd_with, Simulation, SwarmConfig};
-use coop_telemetry::{profile::phase, Profiler, Recorder, Stopwatch};
+use coop_swarm::{SimResult, SwarmConfig};
 use serde::Serialize;
 
-use crate::exec::{backoff_ms, BatchError, Executor, FailureKind, JobFailure};
-use crate::runners::fig4::emit_run_outputs;
+use crate::exec::{BatchError, Executor, SimJob, SlotPerf};
+use crate::runners::fig4::run_grid;
+use crate::scenario::{JobLabel, SwarmProfile, Workload};
 use crate::table::num;
-use crate::telemetry::{BatchTrace, JobTrace, TelemetryOpts};
+use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale, Table};
 
 /// The default population ladder. The 50k/100k rungs are what the
@@ -208,27 +204,6 @@ impl ScalePerfReport {
     }
 }
 
-/// The process's peak resident set (`VmHWM`) in kB, or 0 when
-/// `/proc/self/status` is unavailable.
-///
-/// A peak never falls, but raw `VmHWM` reads can: the kernel batches
-/// RSS counters per CPU, so in a multi-threaded process a later read may
-/// come back a few hundred kB below an earlier one. The value returned is
-/// therefore the running maximum of every read in this process.
-pub(crate) fn peak_rss_kb() -> u64 {
-    static PEAK_KB: AtomicU64 = AtomicU64::new(0);
-    let read = std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0);
-    PEAK_KB.fetch_max(read, Ordering::Relaxed).max(read)
-}
-
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> (ScaleReport, ScalePerfReport) {
     let (report, perf, _) = try_run(
@@ -243,14 +218,34 @@ pub fn run(scale: Scale, seed: u64) -> (ScaleReport, ScalePerfReport) {
     (report, perf)
 }
 
-/// Runs the scaling sweep: for each population in `peers` (default
-/// [`POPULATIONS`]), all six mechanisms run on the fixed per-cell config.
-/// Cells fan out across `executor`; the deterministic artifacts are
-/// written sequentially from slot-ordered results (byte-identical for any
-/// worker count), the perf artifacts carry the wall-clock columns. A cell
-/// that fails every attempt yields `Err` naming the (mechanism, N, seed)
-/// cell, after every healthy cell has still run. No artifacts are written
-/// on failure.
+/// The sweep's jobs, in report row order: for each population in
+/// `peers`, all six mechanisms on the fixed per-cell config
+/// ([`SwarmProfile::ScalingCell`]), labeled `{mechanism}@{peers}`.
+pub fn jobs(scale: Scale, seed: u64, peers: &[usize]) -> Vec<SimJob> {
+    peers
+        .iter()
+        .flat_map(|&n| {
+            MechanismKind::ALL.iter().map(move |&kind| SimJob {
+                workload: Some(Workload {
+                    peers: Some(n),
+                    profile: SwarmProfile::ScalingCell,
+                    label: Some(JobLabel::new(&format!("{}@{n}", kind.name()))),
+                    ..Workload::default()
+                }),
+                ..SimJob::new(kind, scale, seed)
+            })
+        })
+        .collect()
+}
+
+/// Runs the scaling sweep over `peers` (default [`POPULATIONS`]); see
+/// [`jobs`] for the cells. They run as one [`SimJob`] batch on
+/// `executor`; the deterministic artifacts are written from slot-ordered
+/// results (byte-identical for any worker count), and the perf artifacts
+/// carry the executor's per-cell wall-clock and `VmHWM` readings. A cell
+/// that fails every attempt yields `Err` naming the `{mechanism}@{N}`
+/// cell, after every healthy cell has still run. No artifacts are
+/// written on failure.
 ///
 /// # Errors
 ///
@@ -263,101 +258,39 @@ pub fn try_run(
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(ScaleReport, ScalePerfReport, Option<BatchTrace>), BatchError> {
-    let peers: Vec<usize> = peers.unwrap_or(&POPULATIONS).to_vec();
-    let cells: Vec<(usize, MechanismKind)> = peers
-        .iter()
-        .flat_map(|&n| MechanismKind::ALL.iter().map(move |&kind| (n, kind)))
-        .collect();
-    let recorder_config = opts.is_enabled().then(|| opts.recorder_config());
-    let shards = executor.shards();
-    let sim_clock = Stopwatch::start();
-    let runs = executor.try_map(&cells, |slot, &(n, kind)| {
-        let cell_clock = Stopwatch::start();
-        let rss_before_kb = peak_rss_kb();
-        let recorder = match &recorder_config {
-            Some(config) => Recorder::enabled(config.clone()),
-            None => Recorder::disabled(),
-        };
-        let mut profiler = if opts.profile_due(slot) {
-            Profiler::enabled()
-        } else {
-            Profiler::disabled()
-        };
-        let build_t = profiler.start();
-        let config = cell_config(scale, seed);
-        let mix = CapacityClassMix::paper_default();
-        let population =
-            flash_crowd_with(&config, n, kind, seed, &mix, Duration::from_secs(10));
-        let sim = Simulation::builder(config)
-            .population(population)
-            .recorder(recorder)
-            .shards(shards)
-            .build()
-            .expect("cell configs validate");
-        profiler.stop(phase::EXEC_BUILD, build_t);
-        let (result, report, profile) = sim.with_profiler(profiler).run_profiled();
-        let wall_ms = cell_clock.elapsed_ms();
-        let trace = JobTrace {
-            slot,
-            label: format!("{}@{n}", kind.name()),
-            seed,
-            wall_ms,
-            slow: false,
-            // `try_map` retries opaquely; per-attempt counts are only
-            // tracked for `SimJob` batches.
-            retries: 0,
-            peers: n as u64,
-            report,
-            profile: opts.profile_due(slot).then_some(profile),
-        };
-        let rss_after_kb = peak_rss_kb();
-        (
-            result,
-            wall_ms,
-            rss_after_kb,
-            rss_after_kb.saturating_sub(rss_before_kb),
-            trace,
-        )
-    });
-    let sim_ms = sim_clock.elapsed_ms();
-    let write_clock = Stopwatch::start();
+    let jobs = jobs(scale, seed, peers.unwrap_or(&POPULATIONS));
+    run_grid(
+        "fig4-scale",
+        "none",
+        &jobs,
+        scale,
+        seed,
+        executor,
+        opts,
+        out,
+        |results, perf| write_artifacts(scale, seed, executor, &jobs, results, perf, out),
+    )
+    .map(|((report, perf), trace)| (report, perf, trace))
+}
 
-    let failures: Vec<JobFailure> = cells
-        .iter()
-        .zip(&runs)
-        .enumerate()
-        .filter_map(|(slot, (&(n, kind), run))| {
-            run.as_ref().err().map(|message| JobFailure {
-                slot,
-                mechanism: kind.name().to_string(),
-                peers: n,
-                seed,
-                attempts: executor.retries() + 1,
-                kind: FailureKind::Panic,
-                message: message.clone(),
-                backoff_ms: (0..executor.retries())
-                    .map(|a| backoff_ms(slot as u64, a))
-                    .collect(),
-            })
-        })
-        .collect();
-    if !failures.is_empty() {
-        return Err(BatchError {
-            figure: "fig4-scale".to_string(),
-            total: cells.len(),
-            failures,
-        });
-    }
-
-    let mut rows = Vec::with_capacity(runs.len());
-    let mut perf_rows = Vec::with_capacity(runs.len());
-    let mut traces = Vec::with_capacity(runs.len());
-    for (&(n, kind), run) in cells.iter().zip(runs) {
-        let (result, wall_ms, rss_kb, rss_delta_kb, trace) =
-            run.expect("failures were returned above");
+/// Builds both reports from the slot-ordered results and perf readings
+/// and writes the sweep and perf CSV/JSON.
+fn write_artifacts(
+    scale: Scale,
+    seed: u64,
+    executor: &Executor,
+    jobs: &[SimJob],
+    results: &[SimResult],
+    readings: &[SlotPerf],
+    out: &OutputDir,
+) -> (ScaleReport, ScalePerfReport) {
+    let mut rows = Vec::with_capacity(jobs.len());
+    let mut perf_rows = Vec::with_capacity(jobs.len());
+    for ((job, result), reading) in jobs.iter().zip(results).zip(readings) {
+        let (peers, algorithm) = (job.peers(), job.kind.name().to_string());
         rows.push(ScaleRow {
-            peers: n,
-            algorithm: kind.name().to_string(),
+            peers,
+            algorithm: algorithm.clone(),
             rounds_run: result.rounds_run,
             completed_fraction: result.completed_fraction(),
             mean_completion_s: result.mean_completion_time(),
@@ -365,15 +298,14 @@ pub fn try_run(
             stalled: result.stalled,
         });
         perf_rows.push(PerfRow {
-            peers: n,
-            algorithm: kind.name().to_string(),
+            peers,
+            algorithm,
             rounds_run: result.rounds_run,
-            wall_ms,
-            rounds_per_sec: result.rounds_run as f64 * 1000.0 / wall_ms.max(1) as f64,
-            peak_rss_kb: rss_kb,
-            rss_delta_kb,
+            wall_ms: reading.wall_ms,
+            rounds_per_sec: result.rounds_run as f64 * 1000.0 / reading.wall_ms.max(1) as f64,
+            peak_rss_kb: reading.rss_after_kb,
+            rss_delta_kb: reading.rss_after_kb.saturating_sub(reading.rss_before_kb),
         });
-        traces.push(trace);
     }
     let report = ScaleReport {
         figure: "fig4-scale".to_string(),
@@ -386,7 +318,7 @@ pub fn try_run(
         scale: scale.name().to_string(),
         seed,
         jobs: executor.jobs() as u64,
-        shards: shards as u64,
+        shards: executor.shards() as u64,
         rows: perf_rows,
     };
 
@@ -450,24 +382,7 @@ pub fn try_run(
     );
     let _ = out.json(&format!("fig4scale_perf_{}", scale.name()), &perf);
 
-    let trace = recorder_config.is_some().then(|| {
-        let mut trace = BatchTrace::new(traces);
-        trace.push_phase("simulate", sim_ms);
-        trace.push_phase("write_artifacts", write_clock.elapsed_ms());
-        emit_run_outputs(
-            "fig4-scale",
-            &trace,
-            opts,
-            out,
-            scale,
-            seed,
-            1,
-            executor.jobs() as u64,
-            "none",
-        );
-        trace
-    });
-    Ok((report, perf, trace))
+    (report, perf)
 }
 
 #[cfg(test)]
@@ -552,15 +467,5 @@ mod tests {
         let deltas: Vec<u64> = perf.rows.iter().map(|r| r.rss_delta_kb).collect();
         let peaks: Vec<u64> = perf.rows.iter().map(|r| r.peak_rss_kb).collect();
         assert_ne!(deltas, peaks, "delta column must not mirror the peak column");
-    }
-
-    #[test]
-    fn peak_rss_reads_proc() {
-        // On Linux VmHWM is always present; elsewhere the probe degrades
-        // to 0 rather than failing.
-        let kb = peak_rss_kb();
-        if cfg!(target_os = "linux") {
-            assert!(kb > 0);
-        }
     }
 }

@@ -27,16 +27,15 @@
 //! are byte-identical for any `--jobs`/`--shards` count.
 
 use coop_attacks::AttackPlan;
-use coop_incentives::analysis::capacity::CapacityClassMix;
-use coop_incentives::MechanismKind;
-use coop_swarm::flash_crowd_with;
-use coop_telemetry::{profile::phase, Profiler, Recorder, Stopwatch};
+use coop_incentives::{MechanismKind, MechanismParams};
+use coop_swarm::SimResult;
 use serde::Serialize;
 
-use crate::exec::{backoff_ms, BatchError, Executor, FailureKind, JobFailure};
-use crate::runners::fig4::emit_run_outputs;
+use crate::exec::{BatchError, Executor, SimJob};
+use crate::runners::fig4::run_grid;
+use crate::scenario::{JobLabel, Workload};
 use crate::table::num;
-use crate::telemetry::{BatchTrace, JobTrace, TelemetryOpts};
+use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale, Table};
 
 /// The default adaptive-attacker-fraction ladder. `0.0` is the
@@ -188,17 +187,24 @@ impl ConsensusReport {
     }
 }
 
-/// One cell of the grid.
-#[derive(Clone, Copy, Debug)]
-struct Cell {
-    policy: DefensePolicy,
-    fraction: f64,
+impl DefensePolicy {
+    /// The mechanism parameters a cell under this policy runs with.
+    pub fn params(self) -> MechanismParams {
+        MechanismParams {
+            consensus_quorum: self.quorum,
+            consensus_ban_threshold: self.ban_threshold,
+            consensus_decay: self.decay,
+            consensus_temp_ban_rounds: self.temp_ban_rounds,
+            ..MechanismParams::default()
+        }
+    }
 }
 
-impl Cell {
-    fn label(self) -> String {
-        format!("consensus:{}@{}", self.policy.name, self.fraction)
-    }
+/// The grid's (policy, attacker fraction) cells, policy-major.
+fn cells(fractions: &[f64]) -> impl Iterator<Item = (DefensePolicy, f64)> + '_ {
+    POLICIES
+        .into_iter()
+        .flat_map(move |policy| fractions.iter().map(move |&fraction| (policy, fraction)))
 }
 
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
@@ -216,14 +222,31 @@ pub fn run(scale: Scale, seed: u64) -> ConsensusReport {
     .0
 }
 
-/// Runs the defense sweep: every [`POLICIES`] entry at every rung of
-/// `fractions` (default [`FRACTIONS`]), the attacked cells under the
-/// adaptive mix. `peers` overrides the scale's population (the `--peers`
-/// flag; the ISSUE-scale run uses 10 000). Cells fan out across
-/// `executor`; artifacts are written sequentially from slot-ordered
-/// results, so they are byte-identical for any worker count. A cell that
-/// fails every attempt yields `Err` naming it, after every healthy cell
-/// has still run. No artifacts are written on failure.
+/// The sweep's jobs, in report row order: the consensus mechanism under
+/// every [`POLICIES`] entry at every rung of `fractions`, labeled
+/// `consensus:{policy}@{fraction}`. The attacked cells face the adaptive
+/// mix; `peers` overrides the scale's population.
+pub fn jobs(scale: Scale, seed: u64, peers: Option<usize>, fractions: &[f64]) -> Vec<SimJob> {
+    cells(fractions)
+        .map(|(policy, fraction)| SimJob {
+            plan: (fraction > 0.0).then(|| AttackPlan::adaptive_mix(fraction)),
+            workload: Some(Workload {
+                peers,
+                params: Some(policy.params()),
+                label: Some(JobLabel::new(&format!("consensus:{}@{fraction}", policy.name))),
+                ..Workload::default()
+            }),
+            ..SimJob::new(MechanismKind::ConsensusReputation, scale, seed)
+        })
+        .collect()
+}
+
+/// Runs the defense sweep over `fractions` (default [`FRACTIONS`]); see
+/// [`jobs`] for the cells; `peers` is the `--peers` flag. The cells run
+/// as one [`SimJob`] batch on `executor`, and the artifacts are written
+/// from slot-ordered results, so they are byte-identical for any worker
+/// count. A cell that fails every attempt yields `Err` naming it, after
+/// every healthy cell has still run. No artifacts are written on failure.
 ///
 /// # Errors
 ///
@@ -238,126 +261,58 @@ pub fn try_run(
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(ConsensusReport, Option<BatchTrace>), BatchError> {
-    let fractions: Vec<f64> = fractions.unwrap_or(&FRACTIONS).to_vec();
-    let peers = peers.unwrap_or_else(|| scale.peers());
-    let mut cells = Vec::with_capacity(POLICIES.len() * fractions.len());
-    for policy in POLICIES {
-        for &fraction in &fractions {
-            cells.push(Cell { policy, fraction });
-        }
-    }
-    let recorder_config = opts.is_enabled().then(|| opts.recorder_config());
-    let shards = executor.shards();
-    let sim_clock = Stopwatch::start();
-    let runs = executor.try_map(&cells, |slot, &cell| {
-        let cell_clock = Stopwatch::start();
-        let recorder = match &recorder_config {
-            Some(config) => Recorder::enabled(config.clone()),
-            None => Recorder::disabled(),
-        };
-        let mut profiler = if opts.profile_due(slot) {
-            Profiler::enabled()
-        } else {
-            Profiler::disabled()
-        };
-        let build_t = profiler.start();
-        let mut config = scale.config(seed);
-        config.mechanism_params.consensus_quorum = cell.policy.quorum;
-        config.mechanism_params.consensus_ban_threshold = cell.policy.ban_threshold;
-        config.mechanism_params.consensus_decay = cell.policy.decay;
-        config.mechanism_params.consensus_temp_ban_rounds = cell.policy.temp_ban_rounds;
-        let mix = CapacityClassMix::paper_default();
-        let population = flash_crowd_with(
-            &config,
-            peers,
-            MechanismKind::ConsensusReputation,
-            seed,
-            &mix,
-            scale.arrival_window(),
-        );
-        let mut builder = coop_swarm::Simulation::builder(config)
-            .population(population)
-            .recorder(recorder)
-            .shards(shards);
-        if cell.fraction > 0.0 {
-            builder = builder.attack_plan(AttackPlan::adaptive_mix(cell.fraction));
-        }
-        let sim = builder.build().expect("scale configs validate");
-        profiler.stop(phase::EXEC_BUILD, build_t);
-        let (result, report, profile) = sim.with_profiler(profiler).run_profiled();
-        let trace = JobTrace {
-            slot,
-            label: cell.label(),
-            seed,
-            wall_ms: cell_clock.elapsed_ms(),
-            slow: false,
-            // `try_map` retries opaquely; per-attempt counts are only
-            // tracked for `SimJob` batches.
-            retries: 0,
-            peers: peers as u64,
-            report,
-            profile: opts.profile_due(slot).then_some(profile),
-        };
-        (result, trace)
-    });
-    let sim_ms = sim_clock.elapsed_ms();
-    let write_clock = Stopwatch::start();
+    let fractions = fractions.unwrap_or(&FRACTIONS);
+    let jobs = jobs(scale, seed, peers, fractions);
+    run_grid(
+        "fig-consensus",
+        "adaptive-mix",
+        &jobs,
+        scale,
+        seed,
+        executor,
+        opts,
+        out,
+        |results, _| write_artifacts(scale, seed, fractions, &jobs, results, out),
+    )
+}
 
-    let failures: Vec<JobFailure> = cells
-        .iter()
-        .zip(&runs)
-        .enumerate()
-        .filter_map(|(slot, (&cell, run))| {
-            run.as_ref().err().map(|message| JobFailure {
-                slot,
-                mechanism: cell.label(),
-                peers,
-                seed,
-                attempts: executor.retries() + 1,
-                kind: FailureKind::Panic,
-                message: message.clone(),
-                backoff_ms: (0..executor.retries())
-                    .map(|a| backoff_ms(slot as u64, a))
-                    .collect(),
-            })
+/// Builds the report from the slot-ordered results and writes the sweep
+/// CSV and JSON.
+fn write_artifacts(
+    scale: Scale,
+    seed: u64,
+    fractions: &[f64],
+    jobs: &[SimJob],
+    results: &[SimResult],
+    out: &OutputDir,
+) -> ConsensusReport {
+    let rows = cells(fractions)
+        .zip(jobs.iter().zip(results))
+        .map(|((policy, fraction), (job, result))| {
+            let summary = result
+                .consensus
+                .expect("the consensus mechanism reports its summary");
+            ConsensusRow {
+                policy: policy.name.to_string(),
+                quorum: policy.quorum,
+                ban_threshold: policy.ban_threshold,
+                decay: policy.decay,
+                attack_fraction: fraction,
+                peers: job.peers(),
+                completed_fraction: result.completed_fraction(),
+                mean_completion_s: result.mean_completion_time(),
+                fairness_f: result.final_fairness_stat(),
+                susceptibility: result.final_susceptibility(),
+                reports: summary.reports,
+                disputes: summary.disputes,
+                bans_temp: summary.bans_temp,
+                bans_perm: summary.bans_perm,
+                bans_compliant: summary.bans_compliant,
+                bans_noncompliant: summary.bans_noncompliant,
+                stalled: result.stalled,
+            }
         })
         .collect();
-    if !failures.is_empty() {
-        return Err(BatchError {
-            figure: "fig-consensus".to_string(),
-            total: cells.len(),
-            failures,
-        });
-    }
-
-    let mut rows = Vec::with_capacity(cells.len());
-    let mut traces = Vec::with_capacity(cells.len());
-    for (&cell, run) in cells.iter().zip(runs) {
-        let (result, trace) = run.expect("failures were returned above");
-        let summary = result
-            .consensus
-            .expect("the consensus mechanism reports its summary");
-        rows.push(ConsensusRow {
-            policy: cell.policy.name.to_string(),
-            quorum: cell.policy.quorum,
-            ban_threshold: cell.policy.ban_threshold,
-            decay: cell.policy.decay,
-            attack_fraction: cell.fraction,
-            peers,
-            completed_fraction: result.completed_fraction(),
-            mean_completion_s: result.mean_completion_time(),
-            fairness_f: result.final_fairness_stat(),
-            susceptibility: result.final_susceptibility(),
-            reports: summary.reports,
-            disputes: summary.disputes,
-            bans_temp: summary.bans_temp,
-            bans_perm: summary.bans_perm,
-            bans_compliant: summary.bans_compliant,
-            bans_noncompliant: summary.bans_noncompliant,
-            stalled: result.stalled,
-        });
-        traces.push(trace);
-    }
     let report = ConsensusReport {
         figure: "fig-consensus".to_string(),
         scale: scale.name().to_string(),
@@ -415,24 +370,7 @@ pub fn try_run(
     );
     let _ = out.json(&format!("figconsensus_{}", scale.name()), &report);
 
-    let trace = recorder_config.is_some().then(|| {
-        let mut trace = BatchTrace::new(traces);
-        trace.push_phase("simulate", sim_ms);
-        trace.push_phase("write_artifacts", write_clock.elapsed_ms());
-        emit_run_outputs(
-            "fig-consensus",
-            &trace,
-            opts,
-            out,
-            scale,
-            seed,
-            1,
-            executor.jobs() as u64,
-            "adaptive-mix",
-        );
-        trace
-    });
-    Ok((report, trace))
+    report
 }
 
 #[cfg(test)]

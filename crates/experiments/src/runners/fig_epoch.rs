@@ -16,17 +16,16 @@
 //! byte-identical for any `--jobs`/`--shards` count.
 
 use coop_attacks::AttackPlan;
-use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::analysis::equilibrium::EquilibriumParams;
-use coop_incentives::MechanismKind;
-use coop_swarm::flash_crowd_with;
-use coop_telemetry::{profile::phase, Profiler, Recorder, Stopwatch};
+use coop_incentives::{MechanismKind, MechanismParams};
+use coop_swarm::SimResult;
 use serde::Serialize;
 
-use crate::exec::{backoff_ms, BatchError, Executor, FailureKind, JobFailure};
-use crate::runners::fig4::emit_run_outputs;
+use crate::exec::{BatchError, Executor, SimJob};
+use crate::runners::fig4::run_grid;
+use crate::scenario::{JobLabel, Workload};
 use crate::table::num;
-use crate::telemetry::{BatchTrace, JobTrace, TelemetryOpts};
+use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale, Table};
 
 /// The default epoch-length ladder, log-spaced across the cadence range:
@@ -127,30 +126,6 @@ impl EpochReport {
     }
 }
 
-/// One cell of the sweep: a baseline mechanism, or the epoch-settled
-/// mechanism at one ladder rung.
-#[derive(Clone, Copy, Debug)]
-enum Cell {
-    Baseline(MechanismKind),
-    Epoch(u64),
-}
-
-impl Cell {
-    fn kind(self) -> MechanismKind {
-        match self {
-            Cell::Baseline(kind) => kind,
-            Cell::Epoch(_) => MechanismKind::EpochSettlement,
-        }
-    }
-
-    fn label(self) -> String {
-        match self {
-            Cell::Baseline(kind) => kind.name().to_string(),
-            Cell::Epoch(e) => format!("{}@{e}", MechanismKind::EpochSettlement.name()),
-        }
-    }
-}
-
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> EpochReport {
     try_run(
@@ -165,13 +140,38 @@ pub fn run(scale: Scale, seed: u64) -> EpochReport {
     .0
 }
 
-/// Runs the cadence sweep: the six baselines plus the epoch-settled
-/// mechanism at every rung of `epochs` (default [`EPOCH_ROUNDS`]), all
-/// under a [`ATTACK_FRACTION`] free-ride attack. Cells fan out across
-/// `executor`; artifacts are written sequentially from slot-ordered
-/// results, so they are byte-identical for any worker count. A cell that
-/// fails every attempt yields `Err` naming it, after every healthy cell
-/// has still run. No artifacts are written on failure.
+/// The sweep's jobs, in report row order: the six baselines, then the
+/// epoch-settled mechanism at every rung of `epochs`, labeled
+/// `EpochSettlement@{epoch}`. Every cell runs under an
+/// [`ATTACK_FRACTION`] free-ride attack.
+pub fn jobs(scale: Scale, seed: u64, epochs: &[u64]) -> Vec<SimJob> {
+    let plan = Some(AttackPlan::simple(ATTACK_FRACTION));
+    let baselines = MechanismKind::ALL.iter().map(|&kind| SimJob {
+        plan,
+        ..SimJob::new(kind, scale, seed)
+    });
+    let kind = MechanismKind::EpochSettlement;
+    let ladder = epochs.iter().map(|&epoch_rounds| SimJob {
+        plan,
+        workload: Some(Workload {
+            params: Some(MechanismParams {
+                epoch_rounds,
+                ..MechanismParams::default()
+            }),
+            label: Some(JobLabel::new(&format!("{}@{epoch_rounds}", kind.name()))),
+            ..Workload::default()
+        }),
+        ..SimJob::new(kind, scale, seed)
+    });
+    baselines.chain(ladder).collect()
+}
+
+/// Runs the cadence sweep over `epochs` (default [`EPOCH_ROUNDS`]); see
+/// [`jobs`] for the cells. They run as one [`SimJob`] batch on
+/// `executor`, and the artifacts are written from slot-ordered results,
+/// so they are byte-identical for any worker count. A cell that fails
+/// every attempt yields `Err` naming it, after every healthy cell has
+/// still run. No artifacts are written on failure.
 ///
 /// # Errors
 ///
@@ -184,118 +184,53 @@ pub fn try_run(
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(EpochReport, Option<BatchTrace>), BatchError> {
-    let epochs: Vec<u64> = epochs.unwrap_or(&EPOCH_ROUNDS).to_vec();
-    let mut cells: Vec<Cell> = MechanismKind::ALL.iter().map(|&k| Cell::Baseline(k)).collect();
-    cells.extend(epochs.iter().map(|&e| Cell::Epoch(e)));
-    let plan = AttackPlan::simple(ATTACK_FRACTION);
-    let recorder_config = opts.is_enabled().then(|| opts.recorder_config());
-    let shards = executor.shards();
-    let sim_clock = Stopwatch::start();
-    let runs = executor.try_map(&cells, |slot, &cell| {
-        let cell_clock = Stopwatch::start();
-        let recorder = match &recorder_config {
-            Some(config) => Recorder::enabled(config.clone()),
-            None => Recorder::disabled(),
-        };
-        let mut profiler = if opts.profile_due(slot) {
-            Profiler::enabled()
-        } else {
-            Profiler::disabled()
-        };
-        let build_t = profiler.start();
-        let mut config = scale.config(seed);
-        if let Cell::Epoch(e) = cell {
-            config.mechanism_params.epoch_rounds = e;
-        }
-        let mix = CapacityClassMix::paper_default();
-        let population = flash_crowd_with(
-            &config,
-            scale.peers(),
-            cell.kind(),
-            seed,
-            &mix,
-            scale.arrival_window(),
-        );
-        let sim = coop_swarm::Simulation::builder(config)
-            .population(population)
-            .recorder(recorder)
-            .attack_plan(plan)
-            .shards(shards)
-            .build()
-            .expect("scale configs validate");
-        profiler.stop(phase::EXEC_BUILD, build_t);
-        let (result, report, profile) = sim.with_profiler(profiler).run_profiled();
-        let trace = JobTrace {
-            slot,
-            label: cell.label(),
-            seed,
-            wall_ms: cell_clock.elapsed_ms(),
-            slow: false,
-            // `try_map` retries opaquely; per-attempt counts are only
-            // tracked for `SimJob` batches.
-            retries: 0,
-            peers: scale.peers() as u64,
-            report,
-            profile: opts.profile_due(slot).then_some(profile),
-        };
-        (result, trace)
-    });
-    let sim_ms = sim_clock.elapsed_ms();
-    let write_clock = Stopwatch::start();
+    let jobs = jobs(scale, seed, epochs.unwrap_or(&EPOCH_ROUNDS));
+    let attack = format!("freeride({ATTACK_FRACTION})");
+    run_grid(
+        "fig-epoch",
+        &attack,
+        &jobs,
+        scale,
+        seed,
+        executor,
+        opts,
+        out,
+        |results, _| write_artifacts(scale, seed, &jobs, results, out),
+    )
+}
 
-    let failures: Vec<JobFailure> = cells
+/// Builds the report from the slot-ordered results and writes the sweep
+/// CSV and JSON.
+fn write_artifacts(
+    scale: Scale,
+    seed: u64,
+    jobs: &[SimJob],
+    results: &[SimResult],
+    out: &OutputDir,
+) -> EpochReport {
+    let rows = jobs
         .iter()
-        .zip(&runs)
-        .enumerate()
-        .filter_map(|(slot, (&cell, run))| {
-            run.as_ref().err().map(|message| JobFailure {
-                slot,
-                mechanism: cell.label(),
-                peers: scale.peers(),
-                seed,
-                attempts: executor.retries() + 1,
-                kind: FailureKind::Panic,
-                message: message.clone(),
-                backoff_ms: (0..executor.retries())
-                    .map(|a| backoff_ms(slot as u64, a))
-                    .collect(),
-            })
+        .zip(results)
+        .map(|(job, result)| {
+            let epoch_rounds = job.workload.and_then(|w| w.params).map(|p| p.epoch_rounds);
+            EpochRow {
+                algorithm: job.kind.name().to_string(),
+                epoch_rounds,
+                predicted_open_fraction: epoch_rounds.map(|e| {
+                    EquilibriumParams {
+                        epoch_rounds: e as f64,
+                        ..EquilibriumParams::default()
+                    }
+                    .epoch_open_fraction()
+                }),
+                completed_fraction: result.completed_fraction(),
+                mean_completion_s: result.mean_completion_time(),
+                fairness_f: result.final_fairness_stat(),
+                susceptibility: result.final_susceptibility(),
+                stalled: result.stalled,
+            }
         })
         .collect();
-    if !failures.is_empty() {
-        return Err(BatchError {
-            figure: "fig-epoch".to_string(),
-            total: cells.len(),
-            failures,
-        });
-    }
-
-    let mut rows = Vec::with_capacity(cells.len());
-    let mut traces = Vec::with_capacity(cells.len());
-    for (&cell, run) in cells.iter().zip(runs) {
-        let (result, trace) = run.expect("failures were returned above");
-        let (epoch_rounds, lambda) = match cell {
-            Cell::Baseline(_) => (None, None),
-            Cell::Epoch(e) => {
-                let params = EquilibriumParams {
-                    epoch_rounds: e as f64,
-                    ..EquilibriumParams::default()
-                };
-                (Some(e), Some(params.epoch_open_fraction()))
-            }
-        };
-        rows.push(EpochRow {
-            algorithm: cell.kind().name().to_string(),
-            epoch_rounds,
-            predicted_open_fraction: lambda,
-            completed_fraction: result.completed_fraction(),
-            mean_completion_s: result.mean_completion_time(),
-            fairness_f: result.final_fairness_stat(),
-            susceptibility: result.final_susceptibility(),
-            stalled: result.stalled,
-        });
-        traces.push(trace);
-    }
     let report = EpochReport {
         figure: "fig-epoch".to_string(),
         scale: scale.name().to_string(),
@@ -336,25 +271,7 @@ pub fn try_run(
         &csv_rows,
     );
     let _ = out.json(&format!("figepoch_{}", scale.name()), &report);
-
-    let trace = recorder_config.is_some().then(|| {
-        let mut trace = BatchTrace::new(traces);
-        trace.push_phase("simulate", sim_ms);
-        trace.push_phase("write_artifacts", write_clock.elapsed_ms());
-        emit_run_outputs(
-            "fig-epoch",
-            &trace,
-            opts,
-            out,
-            scale,
-            seed,
-            1,
-            executor.jobs() as u64,
-            &format!("freeride({ATTACK_FRACTION})"),
-        );
-        trace
-    });
-    Ok((report, trace))
+    report
 }
 
 #[cfg(test)]

@@ -23,13 +23,16 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use coop_attacks::AttackPlan;
+use coop_des::Duration;
 use coop_faults::FaultPlan;
 use coop_incentives::analysis::capacity::{CapacityClass, CapacityClassMix};
-use coop_incentives::MechanismKind;
+use coop_incentives::{MechanismKind, MechanismParams};
+use coop_swarm::{PieceStrategy, SwarmConfig};
 use coop_telemetry::json::{self, write_escaped, write_f64, Json};
 use coop_telemetry::Fnv;
 
 use crate::exec::SimJob;
+use crate::runners::fig4_scale::cell_config;
 use crate::Scale;
 
 /// The spec schema version this build understands.
@@ -183,18 +186,97 @@ impl fmt::Debug for MixSpec {
     }
 }
 
-/// Per-job workload overrides compiled from a scenario spec. `None`
-/// everywhere (and on legacy jobs, `workload: None`) means the scale's
-/// defaults — the exact code path the paper figures use.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Per-job overrides of the scale's defaults: the workload a scenario
+/// spec compiles to, and the per-cell knobs the built-in sweep grids
+/// (fig-epoch, fig-consensus, fig4-scale, ablations) vary. The default
+/// everywhere (and `workload: None` on the paper-figure jobs) is the
+/// scale's defaults, the exact code path the paper figures use. Every
+/// field is part of the `Debug` rendering, so each override reaches
+/// [`SimJob::fingerprint`] and keys journal replay.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Workload {
-    /// Fingerprint of the owning scenario's canonical spec. Folded into
-    /// [`SimJob::fingerprint`] via `Debug`, which keys journal replay.
+    /// Fingerprint of the owning scenario's canonical spec (0 for the
+    /// built-in sweep grids).
     pub spec_fingerprint: u64,
     /// Population-size override (peer-count sweeps).
     pub peers: Option<usize>,
     /// Bandwidth-class mix override.
     pub mix: Option<MixSpec>,
+    /// Mechanism parameters (epoch length, consensus policy, `α_BT`) in
+    /// place of the defaults.
+    pub params: Option<MechanismParams>,
+    /// Piece-selection strategy in place of rarest-first.
+    pub piece_strategy: Option<PieceStrategy>,
+    /// Staggered Poisson arrivals with this mean gap in place of the
+    /// scale's flash crowd.
+    pub arrival_gap: Option<Duration>,
+    /// The swarm configuration the job starts from.
+    pub profile: SwarmProfile,
+    /// The job's label in place of its mechanism name.
+    pub label: Option<JobLabel>,
+}
+
+/// The swarm configuration a job starts from, before its overrides.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SwarmProfile {
+    /// [`Scale::config`]: the paper-figure swarm.
+    #[default]
+    Figure,
+    /// [`cell_config`]: a small file and capped rounds, so population is
+    /// the only axis of the fig4-scale sweep.
+    ScalingCell,
+}
+
+impl SwarmProfile {
+    /// The profile's swarm configuration at `scale` for `seed`.
+    pub fn config(self, scale: Scale, seed: u64) -> SwarmConfig {
+        match self {
+            SwarmProfile::Figure => scale.config(seed),
+            SwarmProfile::ScalingCell => cell_config(scale, seed),
+        }
+    }
+}
+
+/// Capacity of a [`JobLabel`] in bytes.
+const LABEL_CAP: usize = 47;
+
+/// A job label stored inline, so it can ride inside [`SimJob`] without
+/// costing `Copy`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct JobLabel {
+    len: u8,
+    bytes: [u8; LABEL_CAP],
+}
+
+impl JobLabel {
+    /// Packs `text`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `text` is longer than 47 bytes. The grid builders'
+    /// labels (a mechanism or sweep name plus at most one number) stay
+    /// well under that.
+    pub fn new(text: &str) -> JobLabel {
+        assert!(text.len() <= LABEL_CAP, "job label too long: {text:?}");
+        let mut bytes = [0; LABEL_CAP];
+        bytes[..text.len()].copy_from_slice(text.as_bytes());
+        JobLabel {
+            len: text.len() as u8,
+            bytes,
+        }
+    }
+
+    /// The label text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len as usize]).expect("packed from a str")
+    }
+}
+
+/// Debug prints the text only, like [`MixSpec`].
+impl fmt::Debug for JobLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -614,6 +696,7 @@ impl Scenario {
                             spec_fingerprint: fingerprint,
                             peers,
                             mix: self.classes,
+                            ..Workload::default()
                         }),
                     });
                 }

@@ -62,11 +62,17 @@ pub enum Artifact {
 }
 
 /// The artifacts whose simulation jobs are journaled for `--resume`.
+/// `fig4-scale` runs the same `SimJob` batches but is left out: its perf
+/// rows are live wall-clock and `VmHWM` readings, which a replay from the
+/// journal cannot reproduce.
 const JOURNALED: &[Artifact] = &[
     Artifact::Fig4,
     Artifact::Fig4Churn,
     Artifact::Fig5,
     Artifact::Fig6,
+    Artifact::FigEpoch,
+    Artifact::FigConsensus,
+    Artifact::Ablations,
     Artifact::All,
     Artifact::Sweep,
 ];
@@ -1456,7 +1462,16 @@ mod tests {
 
     #[test]
     fn resume_parses_for_journaled_artifacts() {
-        for artifact in ["fig4", "fig4-churn", "fig5", "fig6", "all"] {
+        for artifact in [
+            "fig4",
+            "fig4-churn",
+            "fig5",
+            "fig6",
+            "fig-epoch",
+            "fig-consensus",
+            "ablations",
+            "all",
+        ] {
             let spec = parse(&[artifact, "--resume", "out/run1"]).unwrap();
             assert_eq!(
                 spec.resume.as_deref(),
@@ -1483,6 +1498,8 @@ mod tests {
         );
         let msg = err.to_string();
         assert!(msg.contains("--resume") && msg.contains("table1"), "{msg}");
+        // fig4-scale's perf rows are live readings a replay cannot give.
+        assert!(parse(&["fig4-scale", "--resume", "out/run1"]).is_err());
 
         // --resume and --out-dir are mutually exclusive.
         let err = parse(&["fig4", "--resume", "out/run1", "--out-dir", "out/x"]).unwrap_err();

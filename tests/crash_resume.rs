@@ -5,15 +5,16 @@
 //! produces artifacts byte-identical to an uninterrupted run — even when
 //! the crash tore the journal's trailing line.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use coop_experiments::journal::RunHeader;
+use coop_experiments::runners::{ablations, fig4_scale, fig_consensus, fig_epoch};
 use coop_experiments::{
     runners, Executor, FailureKind, JournalReplay, OutputDir, PanicInject, RunJournal, Scale,
-    SimJob, TelemetryOpts,
+    SimJob, TelemetryOpts, Workload,
 };
 use coop_incentives::MechanismKind;
 use coop_telemetry::json::{self, Json};
@@ -255,4 +256,163 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
     )
     .expect("resume after torn line completes");
     assert_eq!(artifact_bytes(&dir), reference, "post-tear resume byte-exact");
+}
+
+/// Journal replay serves a job the result stored under its fingerprint,
+/// so no two cells of one sweep grid may share one. The check also runs
+/// with every label stripped: the fig-epoch rungs share mechanism, seed
+/// and scale, so their mechanism-parameter override itself must reach
+/// the fingerprint, not just the label naming it.
+#[test]
+fn sweep_grid_jobs_have_distinct_fingerprints() {
+    let grids = [
+        (
+            "fig-epoch",
+            fig_epoch::jobs(Scale::Quick, 42, &fig_epoch::EPOCH_ROUNDS),
+        ),
+        (
+            "fig-consensus",
+            fig_consensus::jobs(Scale::Quick, 42, None, &fig_consensus::FRACTIONS),
+        ),
+        (
+            "fig4-scale",
+            fig4_scale::jobs(Scale::Quick, 42, &fig4_scale::POPULATIONS),
+        ),
+        ("ablations", ablations::jobs(Scale::Quick, 42)),
+    ];
+    let unlabeled = |job: &SimJob| SimJob {
+        workload: job.workload.map(|w| Workload { label: None, ..w }),
+        ..*job
+    };
+    for (grid, jobs) in grids {
+        let fingerprints: HashSet<u64> = jobs.iter().map(SimJob::fingerprint).collect();
+        assert_eq!(fingerprints.len(), jobs.len(), "{grid}: fingerprints collide");
+        let fingerprints: HashSet<u64> = jobs.iter().map(|j| unlabeled(j).fingerprint()).collect();
+        assert_eq!(
+            fingerprints.len(),
+            jobs.len(),
+            "{grid}: fingerprints collide once labels are stripped"
+        );
+    }
+}
+
+/// Panic injection reaches the sweep grids: a targeted cell fails every
+/// attempt (the retry included), the batch names it by its label, and no
+/// artifacts are written.
+#[test]
+fn injected_panics_fail_sweep_grids_and_name_the_cell() {
+    let executor = |target: &str| {
+        Executor::new(2)
+            .with_retries(1)
+            .with_panic_inject(Some(PanicInject::parse(target).expect("valid injection")))
+    };
+    let check = |err: coop_experiments::BatchError, figure: &str, label: &str, dir: &Path| {
+        assert_eq!(err.figure, figure);
+        assert_eq!(err.failures.len(), 1, "{figure}: {:?}", err.failures);
+        assert_eq!(err.failures[0].mechanism, label);
+        assert_eq!(err.failures[0].attempts, 2, "the retry ran too");
+        assert_eq!(err.failures[0].kind, FailureKind::Panic);
+        assert!(artifact_bytes(dir).is_empty(), "{figure} wrote artifacts");
+    };
+
+    let dir = scratch("panic-epoch");
+    let err = fig_epoch::try_run(
+        Scale::Quick,
+        42,
+        None,
+        &executor("EpochSettlement@16:*:*"),
+        &TelemetryOpts::disabled(),
+        &OutputDir::new(&dir),
+    )
+    .unwrap_err();
+    check(err, "fig-epoch", "EpochSettlement@16", &dir);
+
+    let dir = scratch("panic-consensus");
+    let err = fig_consensus::try_run(
+        Scale::Quick,
+        42,
+        None,
+        Some(&[0.0, 0.1]),
+        &executor("consensus:defense@0.1:*:*"),
+        &TelemetryOpts::disabled(),
+        &OutputDir::new(&dir),
+    )
+    .unwrap_err();
+    check(err, "fig-consensus", "consensus:defense@0.1", &dir);
+}
+
+/// fig-epoch cells are journaled `SimJob`s: a run killed mid-batch (its
+/// journal cut after three cells, no artifacts written yet) resumes by
+/// replaying those three and re-running only the missing cells, and the
+/// artifacts come out byte-identical to an uninterrupted run.
+#[test]
+fn fig_epoch_resumes_from_a_truncated_journal() {
+    let seed = 73;
+    let epochs: &[u64] = &[4, 64];
+    let header = RunHeader {
+        artifact: "fig-epoch".to_string(),
+        scale: "quick".to_string(),
+        seed,
+        replicates: 1,
+    };
+    let run = |executor: &Executor, dir: &Path| {
+        fig_epoch::try_run(
+            Scale::Quick,
+            seed,
+            Some(epochs),
+            executor,
+            &TelemetryOpts::disabled(),
+            &OutputDir::new(dir),
+        )
+        .expect("fig-epoch batch")
+    };
+    let cells = fig_epoch::jobs(Scale::Quick, seed, epochs).len();
+
+    let dir_ref = scratch("epoch-reference");
+    run(&Executor::new(2), &dir_ref);
+    let reference = artifact_bytes(&dir_ref);
+    assert_eq!(reference.len(), 2, "sweep CSV and JSON");
+
+    // A journaled run, then the "crash": keep the header and the first
+    // three job records, and drop the artifacts the killed run would not
+    // have reached.
+    let dir = scratch("epoch-resumed");
+    let journal = Arc::new(RunJournal::create(&dir, &header).expect("create journal"));
+    run(&Executor::new(2).with_journal(journal), &dir);
+    let path = RunJournal::path_in(&dir);
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let kept: Vec<&str> = text.lines().take(4).collect();
+    std::fs::write(&path, kept.join("\n") + "\n").expect("truncate journal");
+    for name in reference.keys() {
+        std::fs::remove_file(dir.join(name)).expect("remove artifact");
+    }
+    let labels = |lines: &[Json]| -> BTreeSet<String> {
+        lines
+            .iter()
+            .map(|l| l.get("label").and_then(Json::as_str).expect("label").to_string())
+            .collect()
+    };
+    let replayed = labels(&journal_job_lines(&dir));
+    assert_eq!(replayed.len(), 3);
+
+    let replay = JournalReplay::load(&dir).expect("load journal");
+    assert_eq!(replay.header, Some(header));
+    assert_eq!(replay.completed_count(), 3);
+    let journal = Arc::new(RunJournal::open_append(&dir).expect("append journal"));
+    run(
+        &Executor::new(2)
+            .with_replay(Arc::new(replay))
+            .with_journal(journal),
+        &dir,
+    );
+    assert_eq!(artifact_bytes(&dir), reference, "resume must be byte-exact");
+
+    // Only the missing cells re-ran: each cell has exactly one record,
+    // and the records appended by the resume are the cells the
+    // truncation dropped.
+    let lines = journal_job_lines(&dir);
+    assert_eq!(lines.len(), cells);
+    let rerun = labels(&lines[3..]);
+    assert_eq!(rerun.len(), cells - 3);
+    assert!(rerun.is_disjoint(&replayed), "a replayed cell re-ran");
 }
