@@ -105,6 +105,10 @@ pub(crate) struct CheckpointState {
     /// a restored run rebuilds exactly the same visit sets — and hence
     /// the same work counters — as the straight-through run.
     pub(crate) dirty: Vec<u32>,
+    /// The revisit-mark membership (sorted peer indices), restored as
+    /// revisit marks: folding it into `dirty` would CSR-expand it and
+    /// visit more peers than the straight-through run.
+    pub(crate) revisit: Vec<u32>,
     pub(crate) naive_probe_rebuilds: u64,
     pub(crate) work_visited: u64,
     pub(crate) work_productive: u64,

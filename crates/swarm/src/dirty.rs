@@ -1,27 +1,80 @@
 //! Incremental dirty-peer tracking for the event-driven round loop.
 //!
 //! The allocation loop's O(N·degree) scan visits every online peer every
-//! round even when most of them provably have nothing to do. [`DirtySet`]
-//! records the peers whose allocation-relevant state changed since the
-//! current visit set was built (piece acquisitions, obligation churn,
-//! neighbor edges, fault transitions); the round loop then visits only
-//! the dirty peers plus their CSR-adjacent candidates (a candidate-side
-//! change — say a piece discarded back to absent — re-interests its
-//! *uploaders*, which are exactly its adjacency row).
+//! round even when most of them provably have nothing to do. The round
+//! loop instead records which peers' allocation-relevant state changed
+//! since the current visit set was built, in two [`DirtySet`]s — one per
+//! mark grade — and visits only those peers (plus, for one grade, their
+//! CSR-adjacent candidates).
+//!
+//! # Two mark grades
+//!
+//! * **Neighborhood mark** (`mark_dirty`): a candidate's interest
+//!   *toward* the peer can have grown — its `absent ∖ inflight` grew, or
+//!   its candidate edges reappeared. The peer is visited next round and
+//!   the visit-set build CSR-expands it to its adjacency row, which
+//!   (edges being symmetric) is exactly the set of uploaders that may
+//!   now serve it.
+//! * **Revisit mark** (`mark_revisit`): only the peer's own allocation
+//!   inputs changed — its ledger, its offer, its candidate row, its
+//!   epoch balances. The peer alone is visited next round; no neighbor
+//!   is expanded.
+//!
+//! Both grades also set the peer's live visit bit, so a change made
+//! earlier in a round's shuffled order is seen by the peer's own visit
+//! later in the same round.
 //!
 //! # The skip contract
 //!
 //! The dirty-set loop is the only production round loop. Each round it
 //! visits a peer when the peer's live visit bit is set — the bit covers
-//! dirty peers, their CSR-adjacent candidates, uploaders with outgoing
-//! partial transfers at round start, and peers marked by a delivery
-//! earlier in the same round — or when the peer has outstanding
-//! obligations. Every other online peer is skipped, and skipping it is
-//! provably a no-op: every built-in mechanism returns no grants, draws
-//! no RNG, and mutates nothing when none of its candidates is interested
-//! and no obligations are pending. The `hotpath-oracle` naive loop, which
-//! visits every online peer, is the test oracle that pins this: both
-//! loops must produce identical results.
+//! neighborhood-marked peers and their CSR-adjacent candidates,
+//! revisit-marked peers, uploaders with outgoing partial transfers at
+//! round start, and peers marked earlier in the same round — or when the
+//! peer has outstanding obligations. Every other online peer is skipped,
+//! and skipping it is provably a no-op: every built-in mechanism returns
+//! no grants, draws no RNG, and mutates nothing when none of its
+//! candidates is interested and no obligations are pending; a
+//! memoryless mechanism (`Mechanism::allocate_is_memoryless`) also
+//! repeats a grantless decision until one of its inputs changes.
+//!
+//! Why the revisit grade is sound: an uploader `u` gains an interested
+//! candidate only when
+//!
+//! 1. its own offer grows — a delivery *to* `u`, which revisits `u`;
+//! 2. a candidate's `absent ∖ inflight` grows — a stall, a dropped or
+//!    lost delivery, a discarded obligation piece, or a departure or
+//!    outage dropping transfers — each a neighborhood mark on the
+//!    candidate, whose expansion reaches `u`;
+//! 3. its candidate row gains a member — an arrival, a new edge, an
+//!    outage end or an unban — where `u` itself is marked.
+//!
+//! A memoryless mechanism also reads its own ledger, which moves only
+//! through its own visits and through transfers *to* it (revisit marks
+//! on the receiver). A delivery removes the piece from the receiver's
+//! `absent` and `inflight` together (and `lock_piece` clears `absent`
+//! too), so it grows no one else's interest.
+//!
+//! | Grade | Site (`coop-swarm::sim`) | Why |
+//! |---|---|---|
+//! | revisit | `allocate_and_execute` own re-marks (budget drained, interested stateful peer, productive visit) | only the peer's own state changed |
+//! | revisit | `account_bytes` (receiver) | only the receiver's ledger and deficits changed |
+//! | revisit | `deliver` (receiver) | `absent` and `inflight` shrink together |
+//! | revisit | `replenish_neighbors` (both endpoints) | each endpoint's row gains the other |
+//! | revisit | consensus transition, each online neighbor | a neighbor gains or loses one row member; expanding it would visit two hops out |
+//! | revisit | `epoch_close_pass` | settlement changes only the settled peer's own balances |
+//! | neighborhood | `spawn_peer`, `spawn_successor` | a newcomer's edges appear and it wants pieces |
+//! | neighborhood | `stalled_transfers_pass`, `obligations_pass` discards | the receiver's `absent ∖ inflight` grows |
+//! | neighborhood | `depart`, `re_identity`, `seeder_fault_pass`, `start_outage` transfer drops | the dropped receivers' `absent ∖ inflight` grows |
+//! | neighborhood | `end_outage`, `drop_delivery` | edges reappear; a lost piece stays absent |
+//! | neighborhood | consensus transition, the banned or unbanned peer | its candidate edges vanish or reappear |
+//!
+//! The `hotpath-oracle` naive loop, which visits every online peer, is
+//! the test oracle that pins this: both loops must produce identical
+//! results. Debug builds also check the contract inside every run: the
+//! round loop re-runs a fixed deterministic sample of its skips on a
+//! clone of the skipped peer's mechanism with a draw-counting RNG
+//! (`DrawCounter`) and asserts no grant and no draw.
 //!
 //! Determinism: marking is idempotent and order-insensitive (a bitmap
 //! dedups), and consumers drain the set *sorted* — the visit set for a
@@ -103,11 +156,12 @@ impl DirtySet {
 }
 
 /// A plain grow-on-demand bitmap over peer slots: the *live* visit set
-/// for the round in progress. Rebuilt from the [`DirtySet`] (plus CSR
-/// expansion and uploaders with outgoing partials) at the top of each
-/// allocation phase, and updated mid-round by delivery paths so a peer
-/// whose offer grows during the loop is still visited later in the same
-/// round's shuffled order.
+/// for the round in progress. Rebuilt from the two [`DirtySet`]s (the
+/// neighborhood set with CSR expansion, the revisit set without) plus
+/// uploaders with outgoing partials at the top of each allocation phase,
+/// and updated mid-round by both mark grades so a peer whose offer grows
+/// during the loop is still visited later in the same round's shuffled
+/// order.
 #[derive(Clone, Debug, Default)]
 pub struct VisitBits {
     bits: Vec<u64>,
@@ -144,6 +198,33 @@ impl VisitBits {
         for (mine, theirs) in self.bits.iter_mut().zip(other.bits.iter()) {
             *mine |= theirs;
         }
+    }
+}
+
+/// A deterministic RNG that counts its draws: the debug-build
+/// skip-contract oracle hands it to a skipped peer's cloned mechanism,
+/// which must never touch it.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+pub(crate) struct DrawCounter {
+    pub(crate) draws: u64,
+}
+
+#[cfg(debug_assertions)]
+impl rand::RngCore for DrawCounter {
+    fn next_u32(&mut self) -> u32 {
+        self.next_u64() as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        // SplitMix64 over the draw count: varied values, so a mechanism
+        // that does draw cannot spin on a constant stream before the
+        // oracle's assertion reports it.
+        self.draws += 1;
+        let mut z = self.draws.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 }
 

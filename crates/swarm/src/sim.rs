@@ -127,12 +127,18 @@ pub struct Simulation {
     /// the caller's thread). Observational for results: artifacts are
     /// byte-identical for any value.
     shards: usize,
-    /// Peers whose allocation-relevant state changed since the current
-    /// visit set was built (piece/obligation/neighbor/fault churn).
+    /// Neighborhood marks: peers toward which a candidate's interest can
+    /// have grown since the current visit set was built (arrivals,
+    /// stalls, discards, drops, outage ends, bans). Visited together with
+    /// their CSR-adjacent candidates.
     dirty: DirtySet,
+    /// Revisit marks: peers whose own allocation inputs changed (ledger
+    /// steps, deliveries, new edges, settlements) but toward which no
+    /// candidate's interest grew. Visited alone, with no CSR expansion.
+    revisit: DirtySet,
     /// The live visit bitmap for the round in progress: dirty ∪
-    /// CSR-neighbors(dirty) ∪ uploaders-with-partials at round start,
-    /// plus mid-round delivery marks.
+    /// CSR-neighbors(dirty) ∪ revisit ∪ uploaders-with-partials at round
+    /// start, plus mid-round marks.
     visit: VisitBits,
     /// Fresh availability histogram rebuilds performed by naive-mode
     /// probes (telemetry; always zero on the indexed path).
@@ -289,6 +295,7 @@ impl Simulation {
             naive_hotpath: false,
             shards: 1,
             dirty: DirtySet::new(),
+            revisit: DirtySet::new(),
             visit: VisitBits::default(),
             naive_probe_rebuilds: 0,
             recorder,
@@ -342,15 +349,27 @@ impl Simulation {
         !self.naive_hotpath
     }
 
-    /// Marks a peer's allocation-relevant state changed: it (and its
-    /// candidates, via CSR expansion at the next visit-set build) will be
-    /// visited next round, and — because delivery during the allocation
-    /// loop can make a later-in-order peer interested *this* round — its
-    /// live visit bit is set too. Cheap no-op bookkeeping when the
-    /// dirty loop is off; never called with the seeder.
+    /// Neighborhood mark: a candidate's interest *toward* this peer can
+    /// have grown (its `absent ∖ inflight` grew, or its candidate edges
+    /// reappeared), so the peer and — via CSR expansion at the next
+    /// visit-set build — every candidate that may now serve it are
+    /// visited next round. Because a change during the allocation loop
+    /// can matter to a later-in-order peer *this* round, the peer's live
+    /// visit bit is set too. Never called with the seeder; see
+    /// [`crate::dirty`] for which sites take which grade.
     fn mark_dirty(&mut self, id: PeerId) {
         debug_assert_ne!(id, SEEDER_ID, "the seeder is not a peer slot");
         self.dirty.mark(id.index());
+        self.visit.set(id.index());
+    }
+
+    /// Revisit mark: only this peer's own allocation inputs changed (its
+    /// ledger, offer, candidate row or balances), so it alone is visited
+    /// next round — no CSR expansion — and its live visit bit is set for
+    /// the rest of this round. Never called with the seeder.
+    fn mark_revisit(&mut self, id: PeerId) {
+        debug_assert_ne!(id, SEEDER_ID, "the seeder is not a peer slot");
+        self.revisit.mark(id.index());
         self.visit.set(id.index());
     }
 
@@ -584,6 +603,9 @@ impl Simulation {
         for &d in &s.dirty {
             self.dirty.mark(d);
         }
+        for &d in &s.revisit {
+            self.revisit.mark(d);
+        }
         self.naive_probe_rebuilds = s.naive_probe_rebuilds;
         self.work_visited = s.work_visited;
         self.work_productive = s.work_productive;
@@ -652,6 +674,7 @@ impl Simulation {
             open_active: self.open_active,
             compliant_completed: self.compliant_completed,
             dirty: self.dirty.snapshot_sorted(),
+            revisit: self.revisit.snapshot_sorted(),
             naive_probe_rebuilds: self.naive_probe_rebuilds,
             work_visited: self.work_visited,
             work_productive: self.work_productive,
@@ -929,9 +952,10 @@ impl Simulation {
     }
 
     /// Rebuilds the live visit bitmap for this round: the drained dirty
-    /// set, its CSR-adjacent candidates (a dirty peer's state change can
-    /// re-interest exactly its adjacency row — edges are symmetric), and
-    /// every uploader with an outgoing partial transfer (it must drain
+    /// (neighborhood) set, its CSR-adjacent candidates (a neighborhood
+    /// mark can re-interest exactly its adjacency row — edges are
+    /// symmetric), the drained revisit set without expansion, and every
+    /// uploader with an outgoing partial transfer (it must drain
     /// regardless of interest). With `--shards K` the CSR expansion fans
     /// out over contiguous ranges of the *sorted* dirty ids onto scoped
     /// threads whose per-thread bitmaps are OR-merged — a commutative
@@ -983,6 +1007,9 @@ impl Simulation {
                     }
                 }
             }
+        }
+        for d in self.revisit.drain_sorted() {
+            self.visit.set(d);
         }
         // An uploader's own visit is the only place `targets_of` drains;
         // a peer can't gain outgoing partials without being visited, so
@@ -1070,6 +1097,10 @@ impl Simulation {
                     "obliged flag diverged from the obligation list"
                 );
                 if !self.visit.get(pid) && !self.hot.is_obliged(pid as usize) {
+                    #[cfg(debug_assertions)]
+                    if (u64::from(pid) + self.round_idx).is_multiple_of(8) {
+                        self.assert_skip_is_noop(PeerId::new(pid));
+                    }
                     continue;
                 }
             }
@@ -1172,6 +1203,38 @@ impl Simulation {
         });
     }
 
+    /// The debug-build skip-contract oracle: runs a skipped peer's
+    /// allocation on a clone of its mechanism, at the moment of the skip,
+    /// with a draw-counting RNG, and asserts it would have granted
+    /// nothing and drawn nothing. The round loop samples a fixed
+    /// deterministic eighth of its skips; the clone keeps the real
+    /// mechanism, the seed tree and every artifact untouched. Banned and
+    /// zero-budget peers are skipped by `allocate_and_execute` itself, so
+    /// they are not checked.
+    #[cfg(debug_assertions)]
+    fn assert_skip_is_noop(&self, id: PeerId) {
+        let idx = id.index() as usize;
+        let budget = self.config.bytes_per_round(self.peers[idx].capacity_bps);
+        if budget == 0 || self.is_banned(id) {
+            return;
+        }
+        let mut probe = self.peers[idx]
+            .mechanism
+            .as_ref()
+            .expect("mechanism present outside allocation")
+            .clone_box();
+        let mut rng = crate::dirty::DrawCounter::default();
+        let grants = probe.allocate(&SimView::new(self, id), budget, &mut rng);
+        debug_assert!(
+            grants.is_empty() && rng.draws == 0,
+            "skip contract violated at round {}: skipped peer {} would grant {} time(s) and draw {} value(s)",
+            self.round_idx,
+            id.index(),
+            grants.len(),
+            rng.draws
+        );
+    }
+
     /// Returns the bytes this visit actually moved (drained plus newly
     /// granted) — the signal behind the `swarm.work.peers_productive`
     /// counter.
@@ -1204,7 +1267,7 @@ impl Simulation {
             // still holds this peer (indexed mode would call its
             // mechanism then).
             if self.dirty_active() {
-                self.mark_dirty(id);
+                self.mark_revisit(id);
             }
             return drained;
         }
@@ -1234,7 +1297,7 @@ impl Simulation {
                     .expect("mechanism present outside allocation")
                     .allocate_is_memoryless();
                 if !memoryless {
-                    self.mark_dirty(id);
+                    self.mark_revisit(id);
                 }
             } else if self.peers[idx].obligations.is_empty() {
                 return drained;
@@ -1274,7 +1337,7 @@ impl Simulation {
             // leave credit or budget unspent — always worth revisiting
             // (idempotent for the stateful mechanisms marked above; the
             // path that keeps productive memoryless peers alive).
-            self.mark_dirty(id);
+            self.mark_revisit(id);
         }
         drained + granted
     }
@@ -1511,11 +1574,12 @@ impl Simulation {
         // Ledger movement is an allocate input for the receiving end:
         // credit grows with every partial step, not just at delivery,
         // which can flip a memoryless mechanism's grantless decision.
+        // Only the receiver's own inputs moved, so it is revisited alone.
         // (The sender re-marks itself through the productive-visit path,
         // and uploaders with open partials are seeded into every visit
         // set.)
         if self.dirty_active() {
-            self.mark_dirty(to);
+            self.mark_revisit(to);
         }
         if from == SEEDER_ID {
             self.totals.uploaded_seeder += bytes;
@@ -1569,12 +1633,13 @@ impl Simulation {
         let piece = done.piece;
         let to_idx = to.index() as usize;
         // A delivery changes the receiver's piece/obligation state (and
-        // removes the pair's inflight entry): re-mark it so later visits
-        // this round and next round's visit set observe the change. The
-        // *sender* side needs no mark — delivery removes the piece from
-        // the receiver's absent and inflight sets together, so no other
-        // uploader's interest toward the receiver flips on either.
-        self.mark_dirty(to);
+        // removes the pair's inflight entry): revisit it so later visits
+        // this round and next round's visit set observe its grown offer.
+        // Neither the sender nor the receiver's other candidates need a
+        // mark — delivery removes the piece from the receiver's absent
+        // and inflight sets together, so no uploader's interest toward
+        // the receiver grows.
+        self.mark_revisit(to);
         self.peers[to_idx].inflight.unset(piece);
         if done.condition.is_some() {
             self.peers[to_idx].inflight_conditional =
@@ -2352,10 +2417,11 @@ impl Simulation {
                 self.peers[pid as usize].neighbors.insert(n);
                 self.peers[n.index() as usize].neighbors.insert(id);
                 self.adj_dirty = true;
-                // A fresh edge can make either endpoint interested in the
-                // other; mark both so both are visited.
-                self.mark_dirty(id);
-                self.mark_dirty(n);
+                // A fresh edge adds a member to both endpoints' candidate
+                // rows; revisit both — the edge is the only change, so
+                // neither endpoint's other candidates need a visit.
+                self.mark_revisit(id);
+                self.mark_revisit(n);
             }
         }
         self.scratch_pool = pool;
@@ -2625,9 +2691,12 @@ impl Simulation {
         }
         self.consensus = Some(c);
         for &(peer, kind, strikes) in &transitions {
-            // Every transition changes the candidate graph; mark the peer
-            // and its neighbors so the dirty loop re-visits both sides of
-            // each vanishing or reappearing edge.
+            // Every transition changes the candidate graph. The peer
+            // takes a neighborhood mark (an unban makes its edges
+            // reappear, so candidates may serve it again); each online
+            // neighbor only gains or loses one row member, so it is
+            // revisited alone — expanding it would visit two hops out
+            // for nothing.
             self.adj_dirty = true;
             if self.dirty_active() {
                 self.mark_dirty(PeerId::new(peer));
@@ -2638,7 +2707,7 @@ impl Simulation {
                     .filter(|&n| n != SEEDER_ID && self.is_online(n))
                     .collect();
                 for n in neighbors {
-                    self.mark_dirty(n);
+                    self.mark_revisit(n);
                 }
             }
             if self.recorder.is_enabled() {
@@ -2701,13 +2770,12 @@ impl Simulation {
         if !settled.is_empty() {
             self.epoch_boundaries += 1;
             self.epoch_settlements += settled.len() as u64;
-            // A settlement changes the settled peer's own next
-            // allocation (fresh balances reorder its creditor service),
-            // so the dirty loop must re-visit it; CSR expansion of the
-            // mark covers the neighbors it may now serve.
+            // A settlement changes only the settled peer's own balances
+            // (fresh balances reorder its creditor service), so it is
+            // revisited alone; no candidate's interest toward it grows.
             if self.dirty_active() {
                 for &pid in &settled {
-                    self.mark_dirty(PeerId::new(pid));
+                    self.mark_revisit(PeerId::new(pid));
                 }
             }
         }

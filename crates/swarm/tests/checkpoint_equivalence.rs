@@ -19,6 +19,8 @@ use coop_swarm::{
     flash_crowd_with, CheckpointError, FaultEvent, FaultKind, FaultSchedule, PeerSpec, PeerTags,
     SimResult, Simulation, SimulationBuilder, SwarmConfig,
 };
+use coop_telemetry::profile::work;
+use coop_telemetry::{Recorder, TelemetryConfig, TelemetryReport};
 
 /// FNV-1a accumulator, identical to `golden_equivalence.rs`.
 struct Fnv(u64);
@@ -166,8 +168,24 @@ fn checkpointed_runs_reproduce_the_golden_fingerprints() {
 
 #[test]
 fn restore_then_finish_equals_straight_run_for_every_mechanism() {
+    // Work counters ride on the telemetry report, so the straight and
+    // resumed runs carry recorders. Equal visit counts show the
+    // checkpoint keeps both mark grades apart: a dropped revisit set
+    // drifts results, one folded into the CSR-expanded dirty set
+    // visits more peers.
+    let traced = || Recorder::enabled(TelemetryConfig::default());
+    let work_of = |report: &TelemetryReport| {
+        (
+            report.counter(work::PEERS_VISITED),
+            report.counter(work::CANDIDATE_SCANS),
+        )
+    };
     for &kind in &MechanismKind::ALL {
-        let straight = scenario_builder(kind, 42).build().unwrap().run();
+        let (straight, straight_report) = scenario_builder(kind, 42)
+            .recorder(traced())
+            .build()
+            .unwrap()
+            .run_traced();
         let (checkpointed, _report, log) = scenario_builder(kind, 42)
             .checkpoint_every(4)
             .build()
@@ -175,15 +193,22 @@ fn restore_then_finish_equals_straight_run_for_every_mechanism() {
             .run_checkpointed();
         assert_eq!(straight, checkpointed, "{kind:?}: cadence changed results");
         for ckpt in [log.first().unwrap(), log.latest().unwrap()] {
-            let resumed = scenario_builder(kind, 42)
+            let (resumed, resumed_report) = scenario_builder(kind, 42)
+                .recorder(traced())
                 .build()
                 .unwrap()
                 .restore(ckpt)
                 .unwrap_or_else(|e| panic!("{kind:?}: restore failed: {e}"))
-                .run();
+                .run_traced();
             assert_eq!(
                 straight, resumed,
                 "{kind:?}: resume from round {} diverged",
+                ckpt.round()
+            );
+            assert_eq!(
+                work_of(&straight_report),
+                work_of(&resumed_report),
+                "{kind:?}: resume from round {} changed (peers_visited, candidate_scans)",
                 ckpt.round()
             );
         }

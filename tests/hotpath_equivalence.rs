@@ -15,7 +15,8 @@
 //!    constant so *both* paths drifting together is also caught. A second
 //!    sweep repeats the comparison with a churn/fault plan active
 //!    (outages, departures, link loss, whitewashing and free-riding tags)
-//!    — the regime where a stale dirty set would actually skip work. The
+//!    — the regime where a stale dirty set would actually skip work — and
+//!    a multi-seed sweep repeats both for every extended mechanism. The
 //!    `*_three_way_*` test names date from when a third, indexed
 //!    full-scan loop sat between the two; its visit counts equalled the
 //!    naive loop's, so the visit-count tests now compare against the
@@ -66,13 +67,18 @@ const MODES: [Mode; 2] = [Mode::Naive, Mode::Dirty];
 /// One fig4-sized cell (quick scale: 80 peers, 64 pieces) on the given
 /// round loop, optionally under a churn/fault plan. Returned as a
 /// builder so tests can attach a recorder before running.
-fn build_cell(kind: MechanismKind, mode: Mode, faults: Option<FaultSchedule>) -> SimulationBuilder {
-    let config = Scale::Quick.config(SEED);
+fn build_cell(
+    kind: MechanismKind,
+    mode: Mode,
+    faults: Option<FaultSchedule>,
+    seed: u64,
+) -> SimulationBuilder {
+    let config = Scale::Quick.config(seed);
     let mut population = flash_crowd_with(
         &config,
         Scale::Quick.peers(),
         kind,
-        SEED,
+        seed,
         &CapacityClassMix::paper_default(),
         Scale::Quick.arrival_window(),
     );
@@ -98,15 +104,16 @@ fn build_cell(kind: MechanismKind, mode: Mode, faults: Option<FaultSchedule>) ->
 }
 
 fn run_cell(kind: MechanismKind, mode: Mode, faults: Option<FaultSchedule>) -> SimResult {
-    build_cell(kind, mode, faults)
+    build_cell(kind, mode, faults, SEED)
         .build()
         .expect("quick config validates")
         .run()
 }
 
 /// The churn/fault plan for the faulted sweep: an outage spanning several
-/// rounds, a mid-run departure, and 10% link loss throughout.
-fn fault_plan() -> FaultSchedule {
+/// rounds, a mid-run departure, and 10% link loss throughout, with the
+/// loss stream drawn from `seed`.
+fn fault_plan(seed: u64) -> FaultSchedule {
     FaultSchedule::from_events(
         vec![
             FaultEvent { round: 2, peer: 1, kind: FaultKind::OutageStart },
@@ -114,7 +121,7 @@ fn fault_plan() -> FaultSchedule {
             FaultEvent { round: 6, peer: 1, kind: FaultKind::OutageEnd },
         ],
         0.1,
-        SEED,
+        seed,
     )
 }
 
@@ -281,7 +288,22 @@ fn consensus_dirty_loop_does_strictly_less_visiting() {
         dirty_visits < naive_visits,
         "dirty loop visited {dirty_visits} peers, naive {naive_visits} — expected strictly fewer"
     );
+    // Ban transitions revisit each neighbor alone instead of expanding
+    // it to its own row; the exact count pins that grade.
+    assert_eq!(
+        dirty_visits, CONSENSUS_DIRTY_VISITS,
+        "consensus cell: dirty-loop visit count drifted"
+    );
 }
+
+/// Exact dirty-loop `swarm.work.peers_visited` of this file's seed-42
+/// visit-count cells. A re-widened mark (a revisit site demoted back to a
+/// CSR-expanded neighborhood mark) raises these; an unsound narrowing
+/// breaks the naive equality first.
+const RECIPROCITY_DIRTY_VISITS: u64 = 4_704;
+const CONSENSUS_DIRTY_VISITS: u64 = 19_172;
+const EPOCH_DIRTY_VISITS: u64 = 5_689;
+const ALTRUISM_DIRTY_VISITS: u64 = 4_590;
 
 #[test]
 fn epoch_settlement_three_way_agree_short_epochs() {
@@ -296,15 +318,16 @@ fn epoch_settlement_three_way_agree_long_epochs() {
 #[test]
 fn epoch_settlement_dirty_loop_never_does_more_work_and_settles() {
     // EpochSettlement is an always-granting mechanism: any spare budget
-    // falls back to random altruism, so every online peer produces a
-    // grant every round and the dirty set saturates — the dirty loop
-    // degenerates to exactly the full scan, like pure [`Altruism`] does
-    // (the strictly-fewer-visits win belongs to choking mechanisms; see
+    // falls back to random altruism, so nearly every online peer
+    // produces a grant every round and the dirty set nearly saturates —
+    // like pure [`Altruism`], the dirty loop skips only the few visits
+    // in which no candidate is interested (the strictly-fewer-visits
+    // win belongs to choking mechanisms; see
     // `dirty_loop_does_strictly_less_visiting`). What the epoch cadence
     // must NOT do is make the dirty loop visit *more* than the scan: the
-    // boundary pass re-marks settled peers, and those marks must stay
-    // inside the already-saturated visit set. The settlement counters
-    // prove the cadence actually fired while visits stayed pinned.
+    // boundary pass revisits settled peers, and those marks must stay
+    // inside the visit set. The settlement counters prove the cadence
+    // actually fired while visits stayed pinned.
     use coop_telemetry::profile::work;
     use coop_telemetry::{Recorder, TelemetryConfig};
     let traced = |mode| {
@@ -319,27 +342,41 @@ fn epoch_settlement_dirty_loop_never_does_more_work_and_settles() {
     assert_eq!(naive, dirty, "visit accounting must not change results");
     let naive_visits = naive_report.counter(work::PEERS_VISITED);
     let dirty_visits = dirty_report.counter(work::PEERS_VISITED);
-    assert_eq!(
-        dirty_visits, naive_visits,
-        "always-granting saturation: the dirty loop must collapse to the \
-         full scan, no more and no less"
+    assert!(
+        dirty_visits <= naive_visits,
+        "the dirty loop visited {dirty_visits} peers, more than the full \
+         scan's {naive_visits}"
     );
-    // The saturation is the always-granting class property, not an
-    // epoch-pass artifact: pure Altruism shows the identical collapse.
+    assert_eq!(
+        dirty_visits, EPOCH_DIRTY_VISITS,
+        "epoch cell: dirty-loop visit count drifted"
+    );
+    // Near-saturation is the always-granting class property, not an
+    // epoch-pass artifact: pure Altruism shows the same collapse to
+    // within a few visits of the full scan.
     let altruism_traced = |mode| {
-        build_cell(MechanismKind::Altruism, mode, None)
+        build_cell(MechanismKind::Altruism, mode, None, SEED)
             .recorder(Recorder::enabled(TelemetryConfig::default()))
             .build()
             .expect("quick config validates")
             .run_traced()
     };
-    let (_, alt_naive) = altruism_traced(Mode::Naive);
-    let (_, alt_dirty) = altruism_traced(Mode::Dirty);
+    let (alt_naive_result, alt_naive) = altruism_traced(Mode::Naive);
+    let (alt_dirty_result, alt_dirty) = altruism_traced(Mode::Dirty);
     assert_eq!(
-        alt_dirty.counter(work::PEERS_VISITED),
-        alt_naive.counter(work::PEERS_VISITED),
-        "altruism no longer saturates the dirty set — re-examine the \
-         epoch saturation claim above"
+        alt_naive_result, alt_dirty_result,
+        "altruism: visit accounting must not change results"
+    );
+    let alt_naive_visits = alt_naive.counter(work::PEERS_VISITED);
+    let alt_dirty_visits = alt_dirty.counter(work::PEERS_VISITED);
+    assert!(
+        alt_dirty_visits <= alt_naive_visits && alt_naive_visits - alt_dirty_visits <= 10,
+        "altruism no longer nearly saturates the dirty set ({alt_dirty_visits} dirty vs \
+         {alt_naive_visits} naive visits) — re-examine the epoch saturation claim above"
+    );
+    assert_eq!(
+        alt_dirty_visits, ALTRUISM_DIRTY_VISITS,
+        "altruism cell: dirty-loop visit count drifted"
     );
     for report in [&naive_report, &dirty_report] {
         let settlements = report.counter(work::EPOCH_SETTLEMENTS);
@@ -366,7 +403,7 @@ fn three_way_agree_under_churn_and_faults() {
     // churn — must stay identical to the oracle with the full fault
     // plan active.
     for kind in MechanismKind::EXTENDED {
-        let [naive, dirty] = MODES.map(|m| run_cell(kind, m, Some(fault_plan())));
+        let [naive, dirty] = MODES.map(|m| run_cell(kind, m, Some(fault_plan(SEED))));
         assert_eq!(
             naive,
             dirty,
@@ -387,13 +424,13 @@ fn naive_oracle_survives_checkpoint_restore() {
     use coop_telemetry::{Recorder, TelemetryConfig};
     let kind = MechanismKind::BitTorrent;
     let straight = run_cell(kind, Mode::Dirty, None);
-    let (_, _, log) = build_cell(kind, Mode::Dirty, None)
+    let (_, _, log) = build_cell(kind, Mode::Dirty, None, SEED)
         .checkpoint_every(5)
         .build()
         .expect("quick config validates")
         .run_checkpointed();
     let checkpoint = log.first().expect("the run outlasts one cadence");
-    let (restored, report) = build_cell(kind, Mode::Naive, None)
+    let (restored, report) = build_cell(kind, Mode::Naive, None, SEED)
         .recorder(Recorder::enabled(TelemetryConfig {
             probe_every: 1,
             ..TelemetryConfig::default()
@@ -427,7 +464,7 @@ fn dirty_loop_does_strictly_less_visiting() {
     use coop_telemetry::profile::work;
     use coop_telemetry::{Recorder, TelemetryConfig};
     let traced = |mode| {
-        build_cell(MechanismKind::Reciprocity, mode, None)
+        build_cell(MechanismKind::Reciprocity, mode, None, SEED)
             .recorder(Recorder::enabled(TelemetryConfig::default()))
             .build()
             .expect("quick config validates")
@@ -438,10 +475,53 @@ fn dirty_loop_does_strictly_less_visiting() {
     assert_eq!(naive, dirty, "visit accounting must not change results");
     let naive_visits = naive_report.counter(work::PEERS_VISITED);
     let dirty_visits = dirty_report.counter(work::PEERS_VISITED);
+    // Nobody ever uploads, so only arrivals, the seeder's deliveries and
+    // their ledger steps mark anyone; revisit marks keep those from
+    // fanning out to whole adjacency rows.
     assert!(
-        dirty_visits < naive_visits,
-        "dirty loop visited {dirty_visits} peers, naive {naive_visits} — expected strictly fewer"
+        dirty_visits * 5 <= naive_visits,
+        "dirty loop visited {dirty_visits} peers, naive {naive_visits} — expected at most a fifth"
     );
+    assert_eq!(
+        dirty_visits, RECIPROCITY_DIRTY_VISITS,
+        "reciprocity cell: dirty-loop visit count drifted"
+    );
+}
+
+/// Oracle equality for every extended mechanism at `seed`, fault-free
+/// and under the churn/fault plan. The revisit grade narrows the visit
+/// set, so each extra seed is another chance for an unsound mark to
+/// skip a peer the oracle would have served.
+fn agree_across_extended(seed: u64) {
+    for kind in MechanismKind::EXTENDED {
+        for faults in [None, Some(fault_plan(seed))] {
+            let faulted = faults.is_some();
+            let [naive, dirty] = MODES.map(|m| {
+                build_cell(kind, m, faults.clone(), seed)
+                    .build()
+                    .expect("quick config validates")
+                    .run()
+            });
+            assert_eq!(
+                naive,
+                dirty,
+                "{} seed {seed} (faults: {faulted}): dirty-set loop diverged from the oracle",
+                kind.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn naive_and_dirty_agree_across_seeds_42_43() {
+    agree_across_extended(42);
+    agree_across_extended(43);
+}
+
+#[test]
+fn naive_and_dirty_agree_across_seeds_44_45() {
+    agree_across_extended(44);
+    agree_across_extended(45);
 }
 
 /// A fresh scratch directory under `target/` for this test run.
