@@ -152,17 +152,16 @@ impl SimJob {
     /// arrivals and every random draw; identical jobs give identical
     /// results.
     pub fn run(&self) -> SimResult {
-        self.run_profiled(None, None, false, 1).0
+        self.run_profiled(None, false, 1).0
     }
 
     /// Runs this job with observation attached: an enabled recorder built
-    /// from `telemetry` (when given), a mid-run checkpoint cadence
-    /// (`--checkpoint-every`), a live wall-clock profiler when `profiled`
-    /// (`--profile`; construction is timed under [`phase::EXEC_BUILD`]),
-    /// and `shards` intra-sim worker threads (`--shards`; 1 = unsharded).
-    /// All four only observe: the [`SimResult`] is identical to
-    /// [`SimJob::run`]'s for any combination (pinned by the swarm crate's
-    /// checkpoint-equivalence battery and the byte-identity tests).
+    /// from `telemetry` (when given), a live wall-clock profiler when
+    /// `profiled` (`--profile`; construction is timed under
+    /// [`phase::EXEC_BUILD`]), and `shards` intra-sim worker threads
+    /// (`--shards`; 1 = unsharded). All three only observe: the
+    /// [`SimResult`] is identical to [`SimJob::run`]'s for any combination
+    /// (pinned by the byte-identity tests).
     ///
     /// A job without a [`Workload`] (or with default overrides) runs the
     /// scale's swarm: its population, the paper's capacity mix and
@@ -170,7 +169,6 @@ impl SimJob {
     pub fn run_profiled(
         &self,
         telemetry: Option<&TelemetryConfig>,
-        checkpoint_every: Option<u64>,
         profiled: bool,
         shards: usize,
     ) -> (SimResult, TelemetryReport, ProfileReport) {
@@ -211,9 +209,6 @@ impl SimJob {
         }
         if let Some(faults) = self.faults {
             builder = builder.fault_plan(faults);
-        }
-        if let Some(every) = checkpoint_every {
-            builder = builder.checkpoint_every(every);
         }
         if shards > 1 {
             builder = builder.shards(shards);
@@ -547,7 +542,6 @@ pub struct Executor {
     shards: usize,
     retries: u64,
     job_timeout: Option<Duration>,
-    checkpoint_every: Option<u64>,
     panic_inject: Option<PanicInject>,
     journal: Option<Arc<RunJournal>>,
     replay: Option<Arc<JournalReplay>>,
@@ -566,7 +560,6 @@ impl Executor {
             shards: 1,
             retries: 0,
             job_timeout: None,
-            checkpoint_every: None,
             panic_inject: None,
             journal: None,
             replay: None,
@@ -603,15 +596,6 @@ impl Executor {
     #[must_use]
     pub fn with_job_timeout(mut self, timeout: Duration) -> Self {
         self.job_timeout = Some(timeout);
-        self
-    }
-
-    /// Captures a mid-run simulation checkpoint every `k` rounds in each
-    /// job (`--checkpoint-every`); `0` disables. Observational: results
-    /// are identical for any cadence.
-    #[must_use]
-    pub fn with_checkpoint_every(mut self, k: u64) -> Self {
-        self.checkpoint_every = (k > 0).then_some(k);
         self
     }
 
@@ -656,11 +640,6 @@ impl Executor {
     /// The configured per-attempt watchdog timeout.
     pub fn job_timeout(&self) -> Option<Duration> {
         self.job_timeout
-    }
-
-    /// The configured checkpoint cadence.
-    pub fn checkpoint_every(&self) -> Option<u64> {
-        self.checkpoint_every
     }
 
     /// Maps `run` over `items` using up to `self.jobs()` worker threads.
@@ -868,13 +847,12 @@ impl Executor {
             .panic_inject
             .as_ref()
             .is_some_and(|p| p.should_fail(job.label(), job.seed, attempt));
-        let checkpoint_every = self.checkpoint_every;
         let shards = self.shards;
         let job = *job;
         let config = config.cloned();
         let body = move || {
             assert!(!inject, "injected panic ({PANIC_INJECT_ENV})");
-            job.run_profiled(config.as_ref(), checkpoint_every, profiled, shards)
+            job.run_profiled(config.as_ref(), profiled, shards)
         };
         match self.job_timeout {
             None => match catch_unwind(AssertUnwindSafe(body)) {

@@ -394,7 +394,13 @@ fn series_from_json(j: &Json) -> Option<TimeSeries> {
     for p in points {
         let Json::Arr(pair) = p else { return None };
         let [t, v] = pair.as_slice() else { return None };
-        series.push(t.as_f64()?, v.as_f64()?);
+        let t = t.as_f64()?;
+        // `TimeSeries::push` panics on a time that goes backwards; the
+        // writer never records one, so such a line is corrupt.
+        if series.points().last().is_some_and(|&(last, _)| t < last) {
+            return None;
+        }
+        series.push(t, v.as_f64()?);
     }
     Some(series)
 }

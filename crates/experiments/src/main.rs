@@ -1,16 +1,14 @@
 //! `coop-experiments` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! coop-experiments <table1|table2|table3|fig1|fig2|fig3|fig4|fig4-churn|fig4-scale|fig5|fig6|fig-epoch|fig-consensus|fluid|ablations|extensions|all>
+//! coop-experiments <table1|table2|table3|fig1|fig2|fig3|fig4|fig4-scale|fig5|fig6|fig-epoch|fig-consensus|fluid|ablations|extensions|all>
 //! coop-experiments sweep <scenario|spec.json|pack-dir>
 //! coop-experiments perf-diff --baseline FILE --current FILE [--tolerance SHARE]
 //!                  [--scale quick|default|paper] [--seed N] [--replicates N]
 //!                  [--jobs N] [--out-dir DIR]
 //!                  [--telemetry] [--trace-out FILE] [--probe-every N]
 //!                  [--profile] [--profile-every K]
-//!                  [--retries N] [--job-timeout SECS] [--checkpoint-every ROUNDS]
-//!                  [--resume DIR]
-//!                  [--churn RATE] [--loss PROB] [--seeder-exit FRACTION]
+//!                  [--retries N] [--job-timeout SECS] [--resume DIR]
 //!                  [--peers N[,N...]]
 //! ```
 //!
@@ -18,9 +16,10 @@
 //! `--help`), one spec JSON file, or a directory of them. Each scenario
 //! compiles onto the same journaled executor as the figure runners, so
 //! `--resume`, `--retries`, `--telemetry` and byte-identical artifacts all
-//! apply unchanged. The `--churn`/`--loss`/`--seeder-exit` flags are
-//! deprecated in favor of a scenario spec's `faults` fragment (behavior is
-//! unchanged while they last).
+//! apply unchanged. Faults are declared in a spec's `faults` fragment: the
+//! built-in `fig4-churn` pack re-runs the Fig. 4 comparison at churn rates
+//! {0, 0.005, 0.01, 0.02}, and a copy of its spec files with other rates
+//! or a `loss_prob` is a new churn sweep.
 //!
 //! Reports print to stdout; CSV/JSON series land in `target/experiments/`
 //! (or `--out-dir`). `--replicates N` aggregates the simulation figures
@@ -43,8 +42,8 @@
 //! # Crash safety
 //!
 //! Every simulation batch runs as `SimJob`s on one executor. The
-//! journaled ones (fig4, fig4-churn, fig5, fig6, fig-epoch,
-//! fig-consensus, ablations, all, and scenario sweeps) append every
+//! journaled ones (fig4, fig5, fig6, fig-epoch, fig-consensus,
+//! ablations, all, and scenario sweeps) append every
 //! finished job to a fsynced `journal.jsonl` next to the artifacts. If a
 //! run is killed, `--resume DIR` replays that ledger: completed jobs are
 //! served from the journal, only the missing ones re-run, and the final
@@ -55,9 +54,6 @@
 //! deterministic backoff; if it still fails, the rest of the batch
 //! completes, the failed cells are listed in `failures.json` (naming
 //! mechanism, population and seed), and the process exits with code 1.
-//! `--checkpoint-every K` additionally captures a mid-run simulation
-//! checkpoint every K rounds inside each job — purely observational, the
-//! results are identical for any cadence.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -83,9 +79,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(note) = spec.deprecation_notice() {
-        eprintln!("{note}");
-    }
     // perf-diff compares two existing profile.json files; it runs no
     // simulations, so none of the pack/journal wiring below applies.
     if spec.artifact == Artifact::PerfDiff {
@@ -343,16 +336,6 @@ fn run_one(artifact: Artifact, spec: &RunSpec, executor: &Executor, errors: &mut
             seed,
             spec.peers.as_ref().and_then(|p| p.first().copied()),
             None,
-            executor,
-            &telemetry,
-            &out
-        )
-        .map(|r| r.0)),
-        Artifact::Fig4Churn => batch!(runners::fig4_churn::try_run(
-            scale,
-            seed,
-            spec.fault_plan(),
-            &runners::fig4_churn::MULTIPLIERS,
             executor,
             &telemetry,
             &out

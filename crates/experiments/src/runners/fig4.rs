@@ -270,6 +270,7 @@ impl SimFigure {
         let trace = trace.map(|mut trace| {
             trace.push_phase("simulate", sim_ms);
             trace.push_phase("write_artifacts", write_clock.elapsed_ms());
+            emit_probe_csv(figure, &trace, out);
             emit_run_outputs(
                 figure,
                 &trace,
@@ -323,6 +324,7 @@ pub(crate) fn run_grid<R>(
     let trace = trace.map(|mut trace| {
         trace.push_phase("simulate", sim_ms);
         trace.push_phase("write_artifacts", write_clock.elapsed_ms());
+        emit_probe_csv(figure, &trace, out);
         emit_run_outputs(
             figure,
             &trace,
@@ -342,7 +344,9 @@ pub(crate) fn run_grid<R>(
 /// The telemetry tail of a traced run: per-job progress lines on stderr,
 /// the slot-ordered JSONL trace (when `--trace-out` named a file), the
 /// run's `manifest.json`, and — when `--profile` is on — `profile.json`,
-/// all next to the artifacts in `out`.
+/// all next to the artifacts in `out`. A run writes these once, also
+/// when it ran several batches (a scenario pack joins its batches with
+/// [`BatchTrace::concat`]).
 ///
 /// Everything here carries wall-clock data, which is why none of it goes
 /// into figure artifacts — those must stay byte-deterministic.
@@ -367,10 +371,6 @@ pub(crate) fn emit_run_outputs(
             Err(e) => eprintln!("[{figure}] trace write to {} failed: {e}", path.display()),
         }
     }
-    match trace.write_probe_csv(out, figure) {
-        Ok(path) => eprintln!("[{figure}] round probes -> {}", path.display()),
-        Err(e) => eprintln!("[{figure}] probe CSV write failed: {e}"),
-    }
     let manifest = trace.manifest(figure, scale, seed, replicates, jobs, attack);
     match manifest.write_to(out.path()) {
         Ok(path) => eprintln!("[{figure}] manifest -> {}", path.display()),
@@ -381,6 +381,15 @@ pub(crate) fn emit_run_outputs(
             Ok(path) => eprintln!("[{figure}] profile -> {}", path.display()),
             Err(e) => eprintln!("[{figure}] profile write failed: {e}"),
         }
+    }
+}
+
+/// Writes one batch's kept round probes to
+/// `{figure}_round_probes_telemetry.csv` in `out`.
+pub(crate) fn emit_probe_csv(figure: &str, trace: &BatchTrace, out: &OutputDir) {
+    match trace.write_probe_csv(out, figure) {
+        Ok(path) => eprintln!("[{figure}] round probes -> {}", path.display()),
+        Err(e) => eprintln!("[{figure}] probe CSV write failed: {e}"),
     }
 }
 

@@ -6,7 +6,6 @@ pub mod fig1;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
-pub mod fig4_churn;
 pub mod fig4_scale;
 pub mod fig5;
 pub mod fig6;

@@ -7,17 +7,24 @@
 //! `figure`-style scenario writes the full fig4-style artifact set per
 //! seed — the baseline pack's `figure: "fig4"` output is byte-identical
 //! to the plain `fig4` runner's. A `sweep`-style scenario writes one
-//! summary CSV row per job plus one report JSON, in the style of the
-//! fig4-churn sweep.
+//! summary CSV row per job plus one report JSON (the built-in
+//! `fig4-churn` pack is four of them: the Fig. 4 comparison at four churn
+//! rates).
+//!
+//! With telemetry on, each scenario writes its own round-probe CSV, and
+//! the pack writes one `manifest.json`, one `--trace-out` file and one
+//! `profile.json` covering every scenario's jobs in pack order. Their
+//! identity is the pack: its source and [`ScenarioPack::fingerprint`],
+//! as in the journal header.
 
 use coop_telemetry::Stopwatch;
 use serde::Serialize;
 
 use crate::exec::{BatchError, Executor};
-use crate::runners::fig4::{emit_run_outputs, write_figure_artifacts};
+use crate::runners::fig4::{emit_probe_csv, emit_run_outputs, write_figure_artifacts};
 use crate::scenario::{ArtifactStyle, Scenario, ScenarioPack};
 use crate::table::num;
-use crate::telemetry::TelemetryOpts;
+use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale, Table};
 
 /// One (seed, peer-count, mechanism) cell of a scenario.
@@ -146,7 +153,10 @@ impl PackReport {
 /// Runs every scenario of `pack` in order, collecting per-scenario batch
 /// failures instead of aborting the pack: a scenario whose batch fails
 /// writes no artifacts, but the remaining scenarios still run (and their
-/// finished jobs are journaled either way).
+/// finished jobs are journaled either way). With telemetry on, the
+/// scenarios' traces are joined in pack order and the run outputs are
+/// written once, after the last scenario (a failed scenario contributes
+/// no jobs to them).
 pub fn try_run_pack(
     pack: &ScenarioPack,
     scale: Scale,
@@ -158,11 +168,42 @@ pub fn try_run_pack(
 ) -> (PackReport, Vec<BatchError>) {
     let mut scenarios = Vec::new();
     let mut errors = Vec::new();
+    let mut traces = Vec::new();
     for scenario in &pack.scenarios {
         match try_run_scenario(scenario, scale, seed, cli_replicates, executor, opts, out) {
-            Ok(outcome) => scenarios.push(outcome),
+            Ok((outcome, trace)) => {
+                scenarios.push(outcome);
+                traces.extend(trace);
+            }
             Err(err) => errors.push(err),
         }
+    }
+    if !traces.is_empty() {
+        let mut trace = BatchTrace::concat(traces);
+        trace.scenario = Some((pack.source.clone(), pack.fingerprint()));
+        let replicates = pack
+            .scenarios
+            .iter()
+            .map(|s| s.effective_replicates(cli_replicates))
+            .max()
+            .unwrap_or(1);
+        let mut attacks: Vec<String> = Vec::new();
+        for label in pack.scenarios.iter().map(|s| s.attack.label()) {
+            if !attacks.contains(&label) {
+                attacks.push(label);
+            }
+        }
+        emit_run_outputs(
+            "sweep",
+            &trace,
+            opts,
+            out,
+            scale,
+            seed,
+            replicates,
+            executor.jobs() as u64,
+            &attacks.join(","),
+        );
     }
     (
         PackReport {
@@ -176,7 +217,9 @@ pub fn try_run_pack(
     )
 }
 
-/// Runs one scenario's batch and writes its artifacts.
+/// Runs one scenario's batch and writes its artifacts (and, with
+/// telemetry on, its round-probe CSV), returning the batch trace for the
+/// pack's run outputs.
 ///
 /// # Errors
 ///
@@ -190,7 +233,7 @@ fn try_run_scenario(
     executor: &Executor,
     opts: &TelemetryOpts,
     out: &OutputDir,
-) -> Result<ScenarioOutcome, BatchError> {
+) -> Result<(ScenarioOutcome, Option<BatchTrace>), BatchError> {
     let jobs = scenario.jobs(scale, base_seed, cli_replicates);
     let replicates = scenario.effective_replicates(cli_replicates);
     let sim_clock = Stopwatch::start();
@@ -288,29 +331,20 @@ fn try_run_scenario(
         }
     }
 
-    if let Some(mut trace) = trace {
-        trace.scenario = Some((scenario.name.clone(), scenario.fingerprint()));
+    let trace = trace.map(|mut trace| {
         trace.push_phase("simulate", sim_ms);
         trace.push_phase("write_artifacts", write_clock.elapsed_ms());
-        emit_run_outputs(
-            &scenario.figure,
-            &trace,
-            opts,
-            out,
-            scale,
-            base_seed,
-            replicates,
-            executor.jobs() as u64,
-            &scenario.attack.label(),
-        );
-    }
-    Ok(outcome)
+        emit_probe_csv(&scenario.figure, &trace, out);
+        trace
+    });
+    Ok((outcome, trace))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::load_pack;
+    use coop_incentives::MechanismKind;
 
     fn tmp_out(tag: &str) -> OutputDir {
         let dir = std::env::temp_dir().join(format!(
@@ -356,6 +390,61 @@ mod tests {
         assert!(dir.path().join("tiny-sweep_sweep_quick.csv").is_file());
         assert!(dir.path().join("tiny-sweep_quick.json").is_file());
         assert!(report.render().contains("tiny-sweep"));
+        let _ = std::fs::remove_dir_all(dir.path());
+    }
+
+    #[test]
+    fn churn_pack_baseline_matches_fig4_and_churn_degrades_completion() {
+        let dir = tmp_out("churn");
+        let pack = load_pack("fig4-churn").unwrap();
+        let rates: Vec<f64> = pack.scenarios.iter().map(|s| s.faults.churn_rate).collect();
+        assert_eq!(rates, [0.0, 0.005, 0.01, 0.02]);
+        let (report, errors) = try_run_pack(
+            &pack,
+            Scale::Quick,
+            33,
+            1,
+            &Executor::default(),
+            &TelemetryOpts::disabled(),
+            &dir,
+        );
+        assert!(errors.is_empty());
+        assert_eq!(report.scenarios.len(), 4);
+        let row = |scenario: &ScenarioOutcome, kind: MechanismKind| {
+            scenario
+                .rows
+                .iter()
+                .find(|r| r.algorithm == kind.name())
+                .cloned()
+                .expect("all cells present")
+        };
+
+        // The rate-0 rows are exactly the fault-free Fig. 4 runs.
+        let baseline = &report.scenarios[0];
+        assert_eq!(baseline.rows.len(), MechanismKind::ALL.len());
+        let fig4 = super::super::fig4::run(Scale::Quick, 33);
+        for kind in MechanismKind::ALL {
+            let base = row(baseline, kind);
+            let reference = fig4.get(kind);
+            assert_eq!(
+                base.completed_fraction, reference.completed_fraction,
+                "{kind}"
+            );
+            assert_eq!(
+                base.mean_completion_s, reference.mean_completion_s,
+                "{kind}"
+            );
+            assert!(!base.stalled);
+        }
+
+        // Churn strictly removes peers, so completion cannot improve for
+        // the altruistic baseline at any rate of the ladder.
+        let alt0 = row(baseline, MechanismKind::Altruism).completed_fraction;
+        for churned in &report.scenarios[1..] {
+            let alt = row(churned, MechanismKind::Altruism).completed_fraction;
+            assert!(alt <= alt0 + 1e-12, "{}: {alt} > {alt0}", churned.scenario);
+        }
+        assert!(report.render().contains("fig4-churn-0-020"));
         let _ = std::fs::remove_dir_all(dir.path());
     }
 }

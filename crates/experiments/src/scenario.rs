@@ -374,8 +374,7 @@ pub enum ArtifactStyle {
     /// SVG panels) per seed. Requires the full mechanism grid and at most
     /// one peer-count entry.
     Figure,
-    /// One summary CSV row per job plus one report JSON, in the style of
-    /// the fig4-churn sweep.
+    /// One summary CSV row per job plus one report JSON.
     Sweep,
 }
 
@@ -1063,9 +1062,7 @@ fn parse_attack(root: &Obj<'_>) -> Result<AttackMode, ScenarioError> {
     }
 }
 
-/// Parses a spec `faults` section into a [`FaultPlan`]. Shared by the
-/// spec parser and the deprecated `--churn/--loss/--seeder-exit` flags
-/// (which compile their values into this same fragment).
+/// Parses a spec `faults` section into a [`FaultPlan`].
 fn parse_faults(obj: &Obj<'_>) -> Result<FaultPlan, ScenarioError> {
     obj.check_unknown(&[
         "churn_rate",
@@ -1184,70 +1181,54 @@ fn parse_classes(root: &Obj<'_>) -> Result<Option<MixSpec>, ScenarioError> {
         .map_err(|msg| ScenarioError::field("bandwidth_classes", msg))
 }
 
-/// Compiles the deprecated `--churn/--loss/--seeder-exit` flags into the
-/// same spec fragment the `faults` section uses, then parses it through
-/// the identical validator — the flags are now sugar for a one-section
-/// scenario.
-pub(crate) fn legacy_fault_fragment(
-    churn: Option<f64>,
-    loss: Option<f64>,
-    seeder_exit: Option<f64>,
-) -> Option<FaultPlan> {
-    if churn.is_none() && loss.is_none() && seeder_exit.is_none() {
-        return None;
-    }
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(rate) = churn {
-        fields.push(("churn_rate".into(), Json::Num(rate)));
-    }
-    if let Some(prob) = loss {
-        fields.push(("loss_prob".into(), Json::Num(prob)));
-    }
-    if let Some(fraction) = seeder_exit {
-        fields.push(("seeder_exit_fraction".into(), Json::Num(fraction)));
-    }
-    let obj = Obj {
-        fields: &fields,
-        path: "faults".into(),
-    };
-    Some(parse_faults(&obj).expect("CLI-validated fault flags form a valid fragment"))
-}
-
 // ---------------------------------------------------------------------------
 // Packs and the built-in scenario library
 // ---------------------------------------------------------------------------
 
-/// The built-in scenario library, embedded at compile time.
-pub const BUILTIN_SCENARIOS: &[(&str, &str)] = &[
+/// The built-in scenario library, embedded at compile time: each name
+/// maps to the spec texts of its pack, in pack order. Most packs hold one
+/// scenario named like the pack; `fig4-churn` holds the Fig. 4
+/// comparison at churn rates 0, 0.005, 0.01 and 0.02 (0, 0.5, 1 and 2×
+/// a base hazard of 0.01).
+pub const BUILTIN_PACKS: &[(&str, &[&str])] = &[
     (
         "flash-crowd-baseline",
-        include_str!("../scenarios/flash-crowd-baseline.json"),
+        &[include_str!("../scenarios/flash-crowd-baseline.json")],
     ),
     (
         "software-update-push",
-        include_str!("../scenarios/software-update-push.json"),
+        &[include_str!("../scenarios/software-update-push.json")],
     ),
     (
         "mobile-churn-storm",
-        include_str!("../scenarios/mobile-churn-storm.json"),
+        &[include_str!("../scenarios/mobile-churn-storm.json")],
     ),
     (
         "seeder-starved-archive",
-        include_str!("../scenarios/seeder-starved-archive.json"),
+        &[include_str!("../scenarios/seeder-starved-archive.json")],
     ),
     (
         "epoch-settlement",
-        include_str!("../scenarios/epoch-settlement.json"),
+        &[include_str!("../scenarios/epoch-settlement.json")],
     ),
     (
         "consensus-bans",
-        include_str!("../scenarios/consensus-bans.json"),
+        &[include_str!("../scenarios/consensus-bans.json")],
+    ),
+    (
+        "fig4-churn",
+        &[
+            include_str!("../scenarios/fig4-churn/fig4-churn-0-000.json"),
+            include_str!("../scenarios/fig4-churn/fig4-churn-0-005.json"),
+            include_str!("../scenarios/fig4-churn/fig4-churn-0-010.json"),
+            include_str!("../scenarios/fig4-churn/fig4-churn-0-020.json"),
+        ],
     ),
 ];
 
 /// Names of the built-in scenarios, in library order.
 pub fn builtin_names() -> Vec<&'static str> {
-    BUILTIN_SCENARIOS.iter().map(|(name, _)| *name).collect()
+    BUILTIN_PACKS.iter().map(|(name, _)| *name).collect()
 }
 
 /// A loaded, validated set of scenarios to sweep.
@@ -1273,7 +1254,7 @@ impl ScenarioPack {
     }
 }
 
-/// Loads a pack from a built-in scenario name, a single spec file, or a
+/// Loads a pack from a built-in pack name, a single spec file, or a
 /// directory of `*.json` spec files (sorted by file name).
 ///
 /// # Errors
@@ -1281,12 +1262,15 @@ impl ScenarioPack {
 /// Returns a [`ScenarioError`] for unreadable paths, invalid specs (with
 /// file and line), duplicate scenario names, or an unknown built-in name.
 pub fn load_pack(arg: &str) -> Result<ScenarioPack, ScenarioError> {
-    if let Some((_, text)) = BUILTIN_SCENARIOS.iter().find(|(name, _)| *name == arg) {
-        let scenario = Scenario::parse(text)
+    if let Some((_, texts)) = BUILTIN_PACKS.iter().find(|(name, _)| *name == arg) {
+        let scenarios = texts
+            .iter()
+            .map(|text| Scenario::parse(text))
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| ScenarioError::new(format!("built-in scenario '{arg}': {e}")))?;
         return Ok(ScenarioPack {
             source: arg.to_string(),
-            scenarios: vec![scenario],
+            scenarios,
         });
     }
 
@@ -1508,14 +1492,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fault_flags_compile_through_the_spec_fragment() {
-        assert_eq!(legacy_fault_fragment(None, None, None), None);
-        let plan = legacy_fault_fragment(Some(0.01), Some(0.05), Some(0.5)).unwrap();
-        let mut expected = FaultPlan::none();
-        expected.churn_rate = 0.01;
-        expected.loss_prob = 0.05;
-        expected.seeder_exit_fraction = Some(0.5);
-        assert_eq!(plan, expected);
+    fn deeply_nested_specs_fail_with_a_named_error() {
+        let text = minimal(&format!(r#", "peers": {}"#, "[".repeat(1_000_000)));
+        let err = Scenario::parse(&text).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.line, Some(1));
     }
 
     #[test]
@@ -1529,10 +1510,24 @@ mod tests {
 
     #[test]
     fn builtins_parse_and_match_their_names() {
-        for (name, text) in BUILTIN_SCENARIOS {
-            let s = Scenario::parse(text)
-                .unwrap_or_else(|e| panic!("built-in '{name}' failed to parse: {e}"));
-            assert_eq!(&s.name, name, "built-in file name and spec name differ");
+        for (name, texts) in BUILTIN_PACKS {
+            let names: Vec<String> = texts
+                .iter()
+                .map(|text| {
+                    Scenario::parse(text)
+                        .unwrap_or_else(|e| panic!("built-in '{name}' failed to parse: {e}"))
+                        .name
+                })
+                .collect();
+            if let [only] = names.as_slice() {
+                assert_eq!(only, name, "built-in pack name and spec name differ");
+            } else {
+                // A multi-scenario pack's specs share its name as a prefix
+                // and are in file-name order, so a copied directory pack
+                // loads in the same order.
+                assert!(names.iter().all(|n| n.starts_with(name)), "{names:?}");
+                assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+            }
         }
     }
 

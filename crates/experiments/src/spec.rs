@@ -6,15 +6,13 @@
 //! the offending flag.
 //!
 //! Flag handling is data-driven: [`FLAGS`] is the single table mapping
-//! each flag to its value parser, the artifacts it is restricted to, and
-//! its deprecation status. The usage text ([`usage`]), per-artifact
-//! gating, and gating error messages are all generated from that one
-//! table, so they cannot drift apart.
+//! each flag to its value parser and the artifacts it is restricted to.
+//! The usage text ([`usage`]), per-artifact gating, and gating error
+//! messages are all generated from that one table, so they cannot drift
+//! apart.
 
 use std::path::PathBuf;
 use std::time::Duration;
-
-use coop_faults::FaultPlan;
 
 use crate::exec::Executor;
 use crate::scenario;
@@ -32,7 +30,6 @@ pub enum Artifact {
     Fig2,
     Fig3,
     Fig4,
-    Fig4Churn,
     /// The hot-path scaling sweep (population × mechanism, rounds/sec and
     /// peak-RSS columns). Not part of `all`: its perf artifacts carry
     /// wall-clock data and exist to benchmark the harness, not the paper.
@@ -67,7 +64,6 @@ pub enum Artifact {
 /// journal cannot reproduce.
 const JOURNALED: &[Artifact] = &[
     Artifact::Fig4,
-    Artifact::Fig4Churn,
     Artifact::Fig5,
     Artifact::Fig6,
     Artifact::FigEpoch,
@@ -79,7 +75,7 @@ const JOURNALED: &[Artifact] = &[
 
 impl Artifact {
     /// The individual artifacts, in the order `all` runs them.
-    pub const ALL: [Artifact; 13] = [
+    pub const ALL: [Artifact; 12] = [
         Artifact::Table1,
         Artifact::Fig1,
         Artifact::Fig2,
@@ -87,7 +83,6 @@ impl Artifact {
         Artifact::Table2,
         Artifact::Table3,
         Artifact::Fig4,
-        Artifact::Fig4Churn,
         Artifact::Fig5,
         Artifact::Fig6,
         Artifact::Fluid,
@@ -109,7 +104,6 @@ impl Artifact {
             "fig2" => Ok(Artifact::Fig2),
             "fig3" => Ok(Artifact::Fig3),
             "fig4" => Ok(Artifact::Fig4),
-            "fig4-churn" | "fig4churn" => Ok(Artifact::Fig4Churn),
             "fig4-scale" | "fig4scale" => Ok(Artifact::Fig4Scale),
             "fig5" => Ok(Artifact::Fig5),
             "fig6" => Ok(Artifact::Fig6),
@@ -135,7 +129,6 @@ impl Artifact {
             Artifact::Fig2 => "fig2",
             Artifact::Fig3 => "fig3",
             Artifact::Fig4 => "fig4",
-            Artifact::Fig4Churn => "fig4-churn",
             Artifact::Fig4Scale => "fig4-scale",
             Artifact::Fig5 => "fig5",
             Artifact::Fig6 => "fig6",
@@ -220,16 +213,6 @@ pub struct RunSpec {
     /// Maximum tolerated absolute phase-share drift for `perf-diff`
     /// (`--tolerance`, default 0.25).
     pub tolerance: f64,
-    /// Per-round churn departure hazard (`--churn`, fig4-churn only;
-    /// deprecated — use a scenario spec's `faults.churn_rate`).
-    pub churn: Option<f64>,
-    /// Per-transfer message-loss probability (`--loss`, fig4-churn only;
-    /// deprecated — use a scenario spec's `faults.loss_prob`).
-    pub loss: Option<f64>,
-    /// Seeder exits once this fraction of compliant peers completed
-    /// (`--seeder-exit`, fig4-churn only; deprecated — use a scenario
-    /// spec's `faults.seeder_exit_fraction`).
-    pub seeder_exit: Option<f64>,
     /// Population sweep override (`--peers N[,N...]`, fig4-scale only);
     /// `None` means the runner's default sweep.
     pub peers: Option<Vec<usize>>,
@@ -246,12 +229,6 @@ pub struct RunSpec {
     /// Per-attempt watchdog timeout in seconds (`--job-timeout`; `None`
     /// means no watchdog).
     pub job_timeout: Option<u64>,
-    /// Mid-run simulation checkpoint cadence in rounds
-    /// (`--checkpoint-every`; `None` means no checkpoints).
-    pub checkpoint_every: Option<u64>,
-    /// Deprecated flags that were actually used, for the CLI's one-line
-    /// deprecation notice.
-    pub deprecated_flags: Vec<&'static str>,
 }
 
 /// Why an argv slice failed to parse into a [`RunSpec`].
@@ -336,16 +313,11 @@ struct Draft {
     baseline: Option<PathBuf>,
     current: Option<PathBuf>,
     tolerance: f64,
-    churn: Option<f64>,
-    loss: Option<f64>,
-    seeder_exit: Option<f64>,
     peers: Option<Vec<usize>>,
     scenario: Option<String>,
     resume: Option<PathBuf>,
     retries: u64,
     job_timeout: Option<u64>,
-    checkpoint_every: Option<u64>,
-    deprecated_flags: Vec<&'static str>,
 }
 
 impl Draft {
@@ -366,16 +338,11 @@ impl Draft {
             baseline: None,
             current: None,
             tolerance: 0.25,
-            churn: None,
-            loss: None,
-            seeder_exit: None,
             peers: None,
             scenario: None,
             resume: None,
             retries: 0,
             job_timeout: None,
-            checkpoint_every: None,
-            deprecated_flags: Vec::new(),
         }
     }
 }
@@ -383,8 +350,8 @@ impl Draft {
 /// Argument iterator type the flag setters consume values from.
 type Args<'a> = &'a mut dyn Iterator<Item = String>;
 
-/// One CLI flag: its name, value syntax, artifact gating, deprecation
-/// status, and value parser. [`usage`], the parse loop, and the
+/// One CLI flag: its name, value syntax, artifact gating, and value
+/// parser. [`usage`], the parse loop, and the
 /// per-artifact gating pass are all driven by this table alone.
 struct FlagDef {
     /// The flag as typed (`"--scale"`).
@@ -394,9 +361,6 @@ struct FlagDef {
     /// Artifacts the flag is restricted to; `None` = available
     /// everywhere. Gating errors list these names.
     only: Option<&'static [Artifact]>,
-    /// Deprecated flags still parse, but the CLI prints a pointer to the
-    /// replacement and `usage` annotates them.
-    deprecated: bool,
     /// Parses the flag's value(s) into the draft.
     set: fn(&mut Draft, Args<'_>) -> Result<(), SpecError>,
     /// Whether the flag was used — consulted for gating.
@@ -488,11 +452,6 @@ fn set_job_timeout(d: &mut Draft, it: Args<'_>) -> Result<(), SpecError> {
     Ok(())
 }
 
-fn set_checkpoint_every(d: &mut Draft, it: Args<'_>) -> Result<(), SpecError> {
-    d.checkpoint_every = Some(parse_number(it, "--checkpoint-every", 1)?);
-    Ok(())
-}
-
 fn set_resume(d: &mut Draft, it: Args<'_>) -> Result<(), SpecError> {
     d.resume = Some(PathBuf::from(next_value(it, "--resume")?));
     Ok(())
@@ -508,36 +467,12 @@ fn set_peers(d: &mut Draft, it: Args<'_>) -> Result<(), SpecError> {
     Ok(())
 }
 
-fn set_churn(d: &mut Draft, it: Args<'_>) -> Result<(), SpecError> {
-    d.churn = Some(parse_float(it, "--churn", 1.0)?);
-    Ok(())
-}
-
-fn set_loss(d: &mut Draft, it: Args<'_>) -> Result<(), SpecError> {
-    d.loss = Some(parse_float(it, "--loss", 1.0)?);
-    Ok(())
-}
-
-fn set_seeder_exit(d: &mut Draft, it: Args<'_>) -> Result<(), SpecError> {
-    let v = parse_float(it, "--seeder-exit", 1.0)?;
-    if v <= 0.0 {
-        return Err(SpecError::InvalidValue {
-            flag: "--seeder-exit",
-            value: format!("{v}"),
-            reason: "must be in (0, 1]".to_string(),
-        });
-    }
-    d.seeder_exit = Some(v);
-    Ok(())
-}
-
 /// The one flag table: declaration order is usage order.
 static FLAGS: &[FlagDef] = &[
     FlagDef {
         name: "--scale",
         metavar: Some("quick|default|paper"),
         only: None,
-        deprecated: false,
         set: set_scale,
         is_set: |_| false,
     },
@@ -545,7 +480,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--seed",
         metavar: Some("N"),
         only: None,
-        deprecated: false,
         set: set_seed,
         is_set: |_| false,
     },
@@ -553,7 +487,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--replicates",
         metavar: Some("N"),
         only: None,
-        deprecated: false,
         set: set_replicates,
         is_set: |_| false,
     },
@@ -561,7 +494,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--jobs",
         metavar: Some("N"),
         only: None,
-        deprecated: false,
         set: set_jobs,
         is_set: |_| false,
     },
@@ -569,7 +501,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--shards",
         metavar: Some("K"),
         only: None,
-        deprecated: false,
         set: set_shards,
         is_set: |_| false,
     },
@@ -577,7 +508,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--out-dir",
         metavar: Some("DIR"),
         only: None,
-        deprecated: false,
         set: set_out_dir,
         is_set: |_| false,
     },
@@ -585,7 +515,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--telemetry",
         metavar: None,
         only: None,
-        deprecated: false,
         set: set_telemetry,
         is_set: |_| false,
     },
@@ -593,7 +522,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--trace-out",
         metavar: Some("FILE"),
         only: None,
-        deprecated: false,
         set: set_trace_out,
         is_set: |_| false,
     },
@@ -601,7 +529,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--probe-every",
         metavar: Some("N"),
         only: None,
-        deprecated: false,
         set: set_probe_every,
         is_set: |_| false,
     },
@@ -609,7 +536,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--profile",
         metavar: None,
         only: None,
-        deprecated: false,
         set: set_profile,
         is_set: |_| false,
     },
@@ -617,7 +543,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--profile-every",
         metavar: Some("K"),
         only: None,
-        deprecated: false,
         set: set_profile_every,
         is_set: |_| false,
     },
@@ -625,7 +550,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--retries",
         metavar: Some("N"),
         only: None,
-        deprecated: false,
         set: set_retries,
         is_set: |_| false,
     },
@@ -633,23 +557,13 @@ static FLAGS: &[FlagDef] = &[
         name: "--job-timeout",
         metavar: Some("SECS"),
         only: None,
-        deprecated: false,
         set: set_job_timeout,
-        is_set: |_| false,
-    },
-    FlagDef {
-        name: "--checkpoint-every",
-        metavar: Some("ROUNDS"),
-        only: None,
-        deprecated: false,
-        set: set_checkpoint_every,
         is_set: |_| false,
     },
     FlagDef {
         name: "--resume",
         metavar: Some("DIR"),
         only: Some(JOURNALED),
-        deprecated: false,
         set: set_resume,
         is_set: |d| d.resume.is_some(),
     },
@@ -657,7 +571,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--scenario",
         metavar: Some("NAME|FILE|DIR"),
         only: Some(&[Artifact::Sweep]),
-        deprecated: false,
         set: set_scenario,
         is_set: |d| d.scenario.is_some(),
     },
@@ -665,7 +578,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--peers",
         metavar: Some("N[,N...]"),
         only: Some(&[Artifact::Fig4Scale, Artifact::FigConsensus]),
-        deprecated: false,
         set: set_peers,
         is_set: |d| d.peers.is_some(),
     },
@@ -673,7 +585,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--baseline",
         metavar: Some("FILE"),
         only: Some(&[Artifact::PerfDiff]),
-        deprecated: false,
         set: set_baseline,
         is_set: |d| d.baseline.is_some(),
     },
@@ -681,7 +592,6 @@ static FLAGS: &[FlagDef] = &[
         name: "--current",
         metavar: Some("FILE"),
         only: Some(&[Artifact::PerfDiff]),
-        deprecated: false,
         set: set_current,
         is_set: |d| d.current.is_some(),
     },
@@ -689,39 +599,14 @@ static FLAGS: &[FlagDef] = &[
         name: "--tolerance",
         metavar: Some("SHARE"),
         only: Some(&[Artifact::PerfDiff]),
-        deprecated: false,
         set: set_tolerance,
         is_set: |d| d.tolerance != 0.25,
-    },
-    FlagDef {
-        name: "--churn",
-        metavar: Some("RATE"),
-        only: Some(&[Artifact::Fig4Churn]),
-        deprecated: true,
-        set: set_churn,
-        is_set: |d| d.churn.is_some(),
-    },
-    FlagDef {
-        name: "--loss",
-        metavar: Some("PROB"),
-        only: Some(&[Artifact::Fig4Churn]),
-        deprecated: true,
-        set: set_loss,
-        is_set: |d| d.loss.is_some(),
-    },
-    FlagDef {
-        name: "--seeder-exit",
-        metavar: Some("FRACTION"),
-        only: Some(&[Artifact::Fig4Churn]),
-        deprecated: true,
-        set: set_seeder_exit,
-        is_set: |d| d.seeder_exit.is_some(),
     },
 ];
 
 /// The usage text, generated from [`FLAGS`] so it can never drift from
 /// the parser: ungated flags first, then one line per gated group with
-/// the allowed artifacts (and deprecation) annotated.
+/// the allowed artifacts annotated.
 pub fn usage() -> String {
     let artifacts: Vec<&str> = Artifact::ALL
         .iter()
@@ -755,32 +640,23 @@ pub fn usage() -> String {
         out.push_str(&line);
     }
 
-    // Gated flags, one line per (artifact set, deprecation) group in
-    // first-seen order.
-    let mut groups: Vec<(&[Artifact], bool, Vec<String>)> = Vec::new();
+    // Gated flags, one line per artifact-set group in first-seen order.
+    let mut groups: Vec<(&[Artifact], Vec<String>)> = Vec::new();
     for flag in FLAGS.iter() {
         let Some(only) = flag.only else { continue };
         let piece = match flag.metavar {
             Some(mv) => format!("[{} {mv}]", flag.name),
             None => format!("[{}]", flag.name),
         };
-        match groups
-            .iter_mut()
-            .find(|(o, d, _)| std::ptr::eq(*o, only) && *d == flag.deprecated)
-        {
-            Some((_, _, pieces)) => pieces.push(piece),
-            None => groups.push((only, flag.deprecated, vec![piece])),
+        match groups.iter_mut().find(|(o, _)| std::ptr::eq(*o, only)) {
+            Some((_, pieces)) => pieces.push(piece),
+            None => groups.push((only, vec![piece])),
         }
     }
-    for (only, deprecated, pieces) in groups {
+    for (only, pieces) in groups {
         let names: Vec<&str> = only.iter().map(|a| a.name()).collect();
-        let note = if deprecated {
-            "; deprecated — use a scenario spec"
-        } else {
-            ""
-        };
         out.push_str(&format!(
-            "\n       {}  ({}{note})",
+            "\n       {}  ({})",
             pieces.join(" "),
             names.join("|")
         ));
@@ -805,9 +681,6 @@ impl RunSpec {
                     for flag in FLAGS {
                         if flag.name == other {
                             (flag.set)(&mut draft, &mut it)?;
-                            if flag.deprecated {
-                                draft.deprecated_flags.push(flag.name);
-                            }
                             continue 'args;
                         }
                     }
@@ -888,16 +761,11 @@ impl RunSpec {
             baseline: draft.baseline,
             current: draft.current,
             tolerance: draft.tolerance,
-            churn: draft.churn,
-            loss: draft.loss,
-            seeder_exit: draft.seeder_exit,
             peers: draft.peers,
             scenario: draft.scenario,
             resume: draft.resume,
             retries: draft.retries,
             job_timeout: draft.job_timeout,
-            checkpoint_every: draft.checkpoint_every,
-            deprecated_flags: draft.deprecated_flags,
         })
     }
 
@@ -907,9 +775,9 @@ impl RunSpec {
     }
 
     /// An [`Executor`] sized to this spec's `--jobs` and `--shards` and
-    /// carrying its robustness policy (`--retries`, `--job-timeout`,
-    /// `--checkpoint-every`). Journal/replay wiring is the caller's job —
-    /// it needs the artifact directory.
+    /// carrying its robustness policy (`--retries`, `--job-timeout`).
+    /// Journal/replay wiring is the caller's job — it needs the artifact
+    /// directory.
     pub fn executor(&self) -> Executor {
         let mut executor = Executor::new(self.jobs)
             .with_shards(self.shards)
@@ -917,35 +785,7 @@ impl RunSpec {
         if let Some(secs) = self.job_timeout {
             executor = executor.with_job_timeout(Duration::from_secs(secs));
         }
-        if let Some(every) = self.checkpoint_every {
-            executor = executor.with_checkpoint_every(every);
-        }
         executor
-    }
-
-    /// The base fault plan implied by the deprecated `--churn`, `--loss`
-    /// and `--seeder-exit` flags, or `None` when no fault flag was given
-    /// (the fig4-churn runner then uses its default sweep).
-    ///
-    /// The flags compile through the same scenario-spec `faults` fragment
-    /// a spec file would use, so their behavior is pinned to the
-    /// declarative path byte-for-byte.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        scenario::legacy_fault_fragment(self.churn, self.loss, self.seeder_exit)
-    }
-
-    /// One-line deprecation notice for any deprecated flags used, or
-    /// `None` when the invocation is clean.
-    pub fn deprecation_notice(&self) -> Option<String> {
-        if self.deprecated_flags.is_empty() {
-            return None;
-        }
-        let verb = if self.deprecated_flags.len() == 1 { "is" } else { "are" };
-        Some(format!(
-            "note: {} {verb} deprecated; declare faults in a scenario spec and run \
-             `coop-experiments sweep <spec.json>` (behavior and artifacts are unchanged)",
-            self.deprecated_flags.join("/")
-        ))
     }
 
     /// The telemetry options implied by `--telemetry`, `--trace-out`,
@@ -1077,8 +917,6 @@ mod tests {
         assert_eq!(spec.trace_out, None);
         assert_eq!(spec.probe_every, 10);
         assert!(!spec.telemetry_opts().is_enabled());
-        assert!(spec.deprecated_flags.is_empty());
-        assert_eq!(spec.deprecation_notice(), None);
     }
 
     #[test]
@@ -1132,63 +970,32 @@ mod tests {
     }
 
     #[test]
-    fn fault_flags_parse_into_a_plan() {
-        let spec = parse(&[
-            "fig4-churn",
-            "--churn",
-            "0.02",
-            "--loss",
-            "0.1",
-            "--seeder-exit",
-            "0.5",
-        ])
-        .unwrap();
-        assert_eq!(spec.artifact, Artifact::Fig4Churn);
-        let plan = spec.fault_plan().unwrap();
-        assert_eq!(plan.churn_rate, 0.02);
-        assert_eq!(plan.loss_prob, 0.1);
-        assert_eq!(plan.seeder_exit_fraction, Some(0.5));
-        assert!(plan.fixed_lifetime_rounds.is_none());
-
-        // No fault flags: the runner picks its default sweep.
-        let spec = parse(&["fig4-churn"]).unwrap();
-        assert_eq!(spec.fault_plan(), None);
+    fn tolerance_values_are_validated() {
+        let perf_diff = |tail: &[&str]| {
+            let mut args = vec!["perf-diff", "--baseline", "a.json", "--current", "b.json"];
+            args.extend_from_slice(tail);
+            parse(&args)
+        };
+        for bad in ["1.5", "NaN", "-0.1", "inf", "wide"] {
+            let err = perf_diff(&["--tolerance", bad]).unwrap_err();
+            assert!(
+                matches!(err, SpecError::InvalidValue { flag: "--tolerance", .. }),
+                "{bad:?}: {err:?}"
+            );
+        }
+        let err = perf_diff(&["--tolerance"]).unwrap_err();
+        assert_eq!(err, SpecError::MissingValue { flag: "--tolerance" });
     }
 
     #[test]
-    fn fault_flags_are_marked_deprecated() {
-        let spec = parse(&["fig4-churn", "--churn", "0.02", "--loss", "0.1"]).unwrap();
-        assert_eq!(spec.deprecated_flags, vec!["--churn", "--loss"]);
-        let notice = spec.deprecation_notice().unwrap();
-        assert!(notice.contains("--churn/--loss"), "{notice}");
-        assert!(notice.contains("sweep"), "{notice}");
-        assert!(notice.contains("unchanged"), "{notice}");
-    }
-
-    #[test]
-    fn fault_flag_values_are_validated() {
-        let err = parse(&["fig4-churn", "--loss", "1.5"]).unwrap_err();
-        assert!(matches!(err, SpecError::InvalidValue { flag: "--loss", .. }), "{err:?}");
-
-        let err = parse(&["fig4-churn", "--churn", "NaN"]).unwrap_err();
-        assert!(matches!(err, SpecError::InvalidValue { flag: "--churn", .. }), "{err:?}");
-
-        let err = parse(&["fig4-churn", "--seeder-exit", "0"]).unwrap_err();
+    fn tolerance_rejected_for_other_artifacts() {
+        let err = parse(&["fig4", "--tolerance", "0.1"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--seeder-exit", .. }),
+            matches!(err, SpecError::InvalidValue { flag: "--tolerance", .. }),
             "{err:?}"
         );
-
-        let err = parse(&["fig4-churn", "--churn"]).unwrap_err();
-        assert_eq!(err, SpecError::MissingValue { flag: "--churn" });
-    }
-
-    #[test]
-    fn fault_flags_rejected_for_other_artifacts() {
-        let err = parse(&["fig4", "--churn", "0.02"]).unwrap_err();
-        assert!(matches!(err, SpecError::InvalidValue { flag: "--churn", .. }), "{err:?}");
         let msg = err.to_string();
-        assert!(msg.contains("fig4-churn"), "{msg}");
+        assert!(msg.contains("perf-diff"), "{msg}");
     }
 
     #[test]
@@ -1400,27 +1207,21 @@ mod tests {
             "2",
             "--job-timeout",
             "90",
-            "--checkpoint-every",
-            "50",
         ])
         .unwrap();
         assert_eq!(spec.retries, 2);
         assert_eq!(spec.job_timeout, Some(90));
-        assert_eq!(spec.checkpoint_every, Some(50));
         let executor = spec.executor();
         assert_eq!(executor.retries(), 2);
         assert_eq!(executor.job_timeout(), Some(Duration::from_secs(90)));
-        assert_eq!(executor.checkpoint_every(), Some(50));
 
-        // Defaults: fail-fast, no watchdog, no checkpoints.
+        // Defaults: fail-fast, no watchdog.
         let spec = parse(&["fig4"]).unwrap();
         assert_eq!(spec.retries, 0);
         assert_eq!(spec.job_timeout, None);
-        assert_eq!(spec.checkpoint_every, None);
         let executor = spec.executor();
         assert_eq!(executor.retries(), 0);
         assert_eq!(executor.job_timeout(), None);
-        assert_eq!(executor.checkpoint_every(), None);
     }
 
     #[test]
@@ -1445,26 +1246,12 @@ mod tests {
         let err = parse(&["fig4", "--job-timeout", "soon"]).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("--job-timeout") && msg.contains("soon"), "{msg}");
-
-        let err = parse(&["fig4", "--checkpoint-every"]).unwrap_err();
-        assert_eq!(err, SpecError::MissingValue { flag: "--checkpoint-every" });
-
-        let err = parse(&["fig4", "--checkpoint-every", "0"]).unwrap_err();
-        assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--checkpoint-every", .. }),
-            "{err:?}"
-        );
-
-        let err = parse(&["fig4", "--checkpoint-every", "x"]).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("--checkpoint-every") && msg.contains("x"), "{msg}");
     }
 
     #[test]
     fn resume_parses_for_journaled_artifacts() {
         for artifact in [
             "fig4",
-            "fig4-churn",
             "fig5",
             "fig6",
             "fig-epoch",
@@ -1524,10 +1311,9 @@ mod tests {
         for flag in super::FLAGS {
             assert!(text.contains(flag.name), "usage is missing {}", flag.name);
         }
-        // Gated groups name their artifacts; deprecated groups say so.
+        // Gated groups name their artifacts.
         assert!(text.contains("fig4-scale"), "{text}");
-        assert!(text.contains("fig4-churn"), "{text}");
-        assert!(text.contains("deprecated"), "{text}");
+        assert!(text.contains("(perf-diff)"), "{text}");
         assert!(text.contains("sweep <scenario|spec.json|pack-dir>"), "{text}");
     }
 }

@@ -128,8 +128,8 @@ pub struct BatchTrace {
     pub jobs: Vec<JobTrace>,
     /// Wall-clock phases of the surrounding run, in execution order.
     pub phases: Vec<PhaseTiming>,
-    /// The owning scenario's `(name, spec fingerprint)` when the batch
-    /// came from a scenario-pack sweep; carried into the manifest.
+    /// The owning pack's `(source, pack fingerprint)` when the batch came
+    /// from a scenario-pack sweep; carried into the manifest.
     pub scenario: Option<(String, u64)>,
     /// Total journal append + fsync nanoseconds across the batch (set by
     /// the executor when a journal is wired; surfaced in `profile.json`
@@ -154,6 +154,32 @@ impl BatchTrace {
             phases: Vec::new(),
             scenario: None,
             journal_fsync_ns: 0,
+        }
+    }
+
+    /// Joins batches that ran one after another into one run-level
+    /// trace, in batch order: slots are renumbered so they stay unique,
+    /// slow-job flags are recomputed against the joined median, phases of
+    /// the same name sum (first-seen order), and journal time sums.
+    pub fn concat(batches: Vec<BatchTrace>) -> BatchTrace {
+        let mut phases: Vec<PhaseTiming> = Vec::new();
+        for timing in batches.iter().flat_map(|b| &b.phases) {
+            match phases.iter_mut().find(|p| p.name == timing.name) {
+                Some(p) => p.wall_ms += timing.wall_ms,
+                None => phases.push(timing.clone()),
+            }
+        }
+        let journal_fsync_ns = batches.iter().map(|b| b.journal_fsync_ns).sum();
+        let jobs = batches
+            .into_iter()
+            .flat_map(|b| b.jobs)
+            .enumerate()
+            .map(|(slot, job)| JobTrace { slot, ..job })
+            .collect();
+        BatchTrace {
+            phases,
+            journal_fsync_ns,
+            ..BatchTrace::new(jobs)
         }
     }
 
@@ -458,6 +484,37 @@ mod tests {
                 ("swarm.rounds".to_string(), 15)
             ]
         );
+    }
+
+    #[test]
+    fn concat_renumbers_slots_and_sums_phases() {
+        let mut a = BatchTrace::new(vec![job(0, 1, vec![("swarm.rounds".into(), 4)])]);
+        a.push_phase("simulate", 10);
+        a.push_phase("write_artifacts", 1);
+        a.journal_fsync_ns = 5;
+        let mut b = BatchTrace::new(vec![
+            job(0, 1, vec![("swarm.rounds".into(), 6)]),
+            job(1, 1, vec![]),
+        ]);
+        b.push_phase("simulate", 20);
+        b.push_phase("write_artifacts", 2);
+        b.journal_fsync_ns = 7;
+        let joined = BatchTrace::concat(vec![a, b]);
+        let slots: Vec<usize> = joined.jobs.iter().map(|j| j.slot).collect();
+        assert_eq!(slots, vec![0, 1, 2]);
+        assert_eq!(
+            joined.merged_counters(),
+            vec![("swarm.rounds".to_string(), 10)]
+        );
+        let phases: Vec<(&str, u64)> = joined
+            .phases
+            .iter()
+            .map(|p| (p.name.as_str(), p.wall_ms))
+            .collect();
+        assert_eq!(phases, vec![("simulate", 30), ("write_artifacts", 3)]);
+        assert_eq!(joined.journal_fsync_ns, 12);
+        assert_eq!(joined.events_kept(), 3);
+        assert!(joined.scenario.is_none());
     }
 
     #[test]

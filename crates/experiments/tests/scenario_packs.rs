@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 use coop_experiments::runners::{fig4, sweep};
-use coop_experiments::scenario::{builtin_names, BUILTIN_SCENARIOS};
+use coop_experiments::scenario::{builtin_names, BUILTIN_PACKS};
 use coop_experiments::{load_pack, Executor, OutputDir, Scale, Scenario, TelemetryOpts};
 use coop_incentives::MechanismKind;
 
@@ -24,7 +24,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn builtin_scenarios_round_trip_through_their_canonical_json() {
-    for (name, text) in BUILTIN_SCENARIOS {
+    for (name, text) in BUILTIN_PACKS
+        .iter()
+        .flat_map(|(name, texts)| texts.iter().map(move |text| (name, text)))
+    {
         let parsed = Scenario::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let reparsed = Scenario::parse(&parsed.to_json())
             .unwrap_or_else(|e| panic!("{name} canonical json: {e}"));
@@ -43,21 +46,30 @@ fn builtin_scenarios_round_trip_through_their_canonical_json() {
 /// (it invalidates `--resume` for in-flight sweeps of that scenario).
 #[test]
 fn builtin_fingerprints_are_pinned() {
-    let golden: &[(&str, u64)] = &[
-        ("flash-crowd-baseline", 0x703d_21b6_ecdf_1404),
-        ("software-update-push", 0x4be3_15b3_0b40_2fe5),
-        ("mobile-churn-storm", 0xb069_7c5f_e4ba_d236),
-        ("seeder-starved-archive", 0x8c13_4418_f432_7e62),
-        ("epoch-settlement", 0xe137_b39e_b041_f318),
-        ("consensus-bans", 0x4f2b_4262_7b23_9ecc),
+    let golden: &[(&str, &[u64])] = &[
+        ("flash-crowd-baseline", &[0x703d_21b6_ecdf_1404]),
+        ("software-update-push", &[0x4be3_15b3_0b40_2fe5]),
+        ("mobile-churn-storm", &[0xb069_7c5f_e4ba_d236]),
+        ("seeder-starved-archive", &[0x8c13_4418_f432_7e62]),
+        ("epoch-settlement", &[0xe137_b39e_b041_f318]),
+        ("consensus-bans", &[0x4f2b_4262_7b23_9ecc]),
+        (
+            "fig4-churn",
+            &[
+                0xa8af_db7c_c8a0_ca06,
+                0x1e96_0b32_5547_32e5,
+                0x2002_e1b3_9ec0_f26b,
+                0x8afc_bba5_2aeb_4709,
+            ],
+        ),
     ];
     assert_eq!(builtin_names().len(), golden.len());
     for (name, expected) in golden {
         let pack = load_pack(name).unwrap();
-        let actual = pack.scenarios[0].fingerprint();
+        let actual: Vec<u64> = pack.scenarios.iter().map(|s| s.fingerprint()).collect();
         assert_eq!(
             actual, *expected,
-            "{name}: spec fingerprint drifted (actual {actual:#018x})"
+            "{name}: spec fingerprints drifted (actual {actual:#018x?})"
         );
     }
 }

@@ -167,8 +167,10 @@ impl std::fmt::Debug for SimCheckpoint {
     }
 }
 
-/// The checkpoints a run captured (`--checkpoint-every`), bounded in
-/// memory: the first and the latest snapshot are kept, plus a count.
+/// The checkpoints a run captured
+/// ([`SimulationBuilder::checkpoint_every`](crate::SimulationBuilder::checkpoint_every)),
+/// bounded in memory: the first and the latest snapshot are kept, plus a
+/// count.
 #[derive(Clone, Debug, Default)]
 pub struct CheckpointLog {
     taken: u64,

@@ -207,10 +207,10 @@ pub enum TraceEvent {
         /// The peer's strike level at the transition.
         strikes: f64,
     },
-    /// A mid-run simulation checkpoint was captured (`--checkpoint-every`).
-    /// Shares the engine category: like `EngineStats` it describes run
-    /// machinery, not swarm behavior, and adding a category would resize
-    /// the sampling table.
+    /// A mid-run simulation checkpoint was captured (the swarm builder's
+    /// `checkpoint_every` cadence). Shares the engine category: like
+    /// `EngineStats` it describes run machinery, not swarm behavior, and
+    /// adding a category would resize the sampling table.
     Checkpoint {
         /// Round index the checkpoint covers (the next tick to run).
         round: u64,

@@ -8,8 +8,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use coop_experiments::runners::fig4_churn;
-use coop_experiments::{Executor, OutputDir, Scale, SimJob, TelemetryOpts};
+use coop_experiments::runners::sweep;
+use coop_experiments::{Executor, OutputDir, Scale, Scenario, ScenarioPack, SimJob, TelemetryOpts};
 use coop_faults::FaultPlan;
 use coop_incentives::MechanismKind;
 use coop_telemetry::MANIFEST_FILE;
@@ -73,33 +73,46 @@ fn artifact_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     files
 }
 
+/// A one-scenario churn sweep: the six paper mechanisms under
+/// [`stress_plan`], declared as a scenario spec.
+fn stress_pack() -> ScenarioPack {
+    let spec = r#"{
+        "spec_version": 1,
+        "name": "churn-stress",
+        "artifacts": "sweep",
+        "mechanisms": "all",
+        "faults": {"churn_rate": 0.008, "outage_prob": 0.4, "outage_rounds": 5, "loss_prob": 0.05}
+    }"#;
+    let scenario = Scenario::parse(spec).expect("stress spec parses");
+    assert_eq!(scenario.fault_plan(), stress_plan());
+    ScenarioPack {
+        source: "churn-stress".to_string(),
+        scenarios: vec![scenario],
+    }
+}
+
 #[test]
 fn churn_sweep_artifacts_are_byte_identical_across_worker_counts() {
-    let multipliers = [1.0];
+    let pack = stress_pack();
+    let run = |dir: &Path, executor: &Executor| {
+        let (report, errors) = sweep::try_run_pack(
+            &pack,
+            Scale::Quick,
+            93,
+            1,
+            executor,
+            &TelemetryOpts::disabled(),
+            &OutputDir::new(dir),
+        );
+        assert!(errors.is_empty(), "{errors:?}");
+        report
+    };
 
     let dir_seq = scratch("jobs1");
-    let (report_seq, _) = fig4_churn::try_run(
-        Scale::Quick,
-        93,
-        Some(stress_plan()),
-        &multipliers,
-        &Executor::sequential(),
-        &TelemetryOpts::disabled(),
-        &OutputDir::new(&dir_seq),
-    )
-    .expect("fig4-churn batch");
+    let report_seq = run(&dir_seq, &Executor::sequential());
 
     let dir_par = scratch("jobs4");
-    let (report_par, _) = fig4_churn::try_run(
-        Scale::Quick,
-        93,
-        Some(stress_plan()),
-        &multipliers,
-        &Executor::new(4),
-        &TelemetryOpts::disabled(),
-        &OutputDir::new(&dir_par),
-    )
-    .expect("fig4-churn batch");
+    let report_par = run(&dir_par, &Executor::new(4));
 
     assert_eq!(report_seq.render(), report_par.render());
     let base = artifact_bytes(&dir_seq);

@@ -138,18 +138,6 @@ fn watchdog_converts_hangs_into_timeout_failures() {
 }
 
 #[test]
-fn checkpointing_cadence_is_observationally_free() {
-    let seed = 60;
-    let jobs = SimJob::grid(Scale::Quick, &[seed], |_| None);
-    let plain = Executor::new(2).run_sims(&jobs);
-    let run = Executor::new(2)
-        .with_checkpoint_every(7)
-        .run_sims_robust(&jobs, &TelemetryOpts::disabled());
-    let (checkpointed, _) = run.into_complete("fig4").unwrap();
-    assert_eq!(plain, checkpointed);
-}
-
-#[test]
 fn killed_run_resumes_to_byte_identical_artifacts() {
     let seed = 71;
     let header = RunHeader {

@@ -1,7 +1,7 @@
 //! Cross-mechanism invariants **at scale**: the conservation and
 //! monotonicity laws from `tests/conservation.rs` re-asserted on the
 //! populations the SoA hot path was built for (N ∈ {100, 1000, 5000}),
-//! with and without fig4-churn-style fault plans.
+//! with and without churn fault plans.
 //!
 //! The laws themselves are population-independent:
 //!
@@ -18,7 +18,6 @@
 //! change.
 
 use coop_des::Duration;
-use coop_experiments::runners::fig4_churn::DEFAULT_CHURN_RATE;
 use coop_faults::FaultPlan;
 use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::MechanismKind;
@@ -60,9 +59,10 @@ fn run_at(
     (builder.build().expect("config validates").run(), config)
 }
 
-/// The fig4-churn sweep's fault shape at its default operating point.
+/// Churn at the base hazard of the built-in `fig4-churn` pack (mean
+/// lifetime 100 rounds) plus link loss.
 fn churn_plan() -> FaultPlan {
-    FaultPlan::churn(DEFAULT_CHURN_RATE).with_loss(0.05)
+    FaultPlan::churn(0.01).with_loss(0.05)
 }
 
 fn assert_invariants(r: &SimResult, label: &str) {

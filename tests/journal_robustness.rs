@@ -63,6 +63,37 @@ fn record(fingerprint: u64, slot: u64, bits: u64, x: f64) -> JobRecord {
     }
 }
 
+/// A JSON-valid job line whose series time goes backwards is corrupt:
+/// replay drops it (the job re-runs) instead of panicking in
+/// `TimeSeries::push`.
+#[test]
+fn backwards_series_time_drops_the_line() {
+    let dir = tmp_dir("backwards");
+    let header = RunHeader {
+        artifact: "fig4".to_string(),
+        scale: "quick".to_string(),
+        seed: 3,
+        replicates: 1,
+    };
+    let journal = RunJournal::create(&dir, &header).expect("create");
+    journal.record_job(&record(7, 0, 21, 4.5)).expect("record");
+    drop(journal);
+
+    let path = RunJournal::path_in(&dir);
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let key = "\"fairness_avg\":[";
+    let start = text.find(key).expect("journal line carries fairness_avg") + key.len() - 1;
+    let end = start + text[start..].find("]]").expect("series closes") + 2;
+    let corrupt = format!("{}[[2,0],[1,0]]{}", &text[..start], &text[end..]);
+    std::fs::write(&path, corrupt).expect("rewrite journal");
+
+    let replay = JournalReplay::load(&dir).expect("a corrupt line never fails the load");
+    assert_eq!(replay.header, Some(header));
+    assert_eq!(replay.dropped_lines, 1);
+    assert_eq!(replay.completed_count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

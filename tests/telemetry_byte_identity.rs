@@ -229,3 +229,93 @@ fn replicated_fig4_is_unchanged_by_telemetry() {
     assert_eq!(manifest.replicates, 2);
     assert_eq!(manifest.mechanisms.len(), 8, "labels deduplicated");
 }
+
+/// A multi-scenario sweep writes one manifest and one trace for the whole
+/// pack: the manifest's counters are the sum over every scenario's jobs
+/// (not just the last scenario's), the trace holds every job's span, and
+/// the run identity is the pack's source and fingerprint.
+#[test]
+fn pack_sweep_telemetry_covers_every_scenario() {
+    use coop_experiments::{load_pack, ScenarioPack};
+
+    let specs = scratch("pack-specs");
+    std::fs::write(
+        specs.join("a-churned.json"),
+        r#"{"spec_version": 1, "name": "a-churned", "mechanisms": ["BitTorrent", "Altruism"],
+            "peers": [24], "faults": {"churn_rate": 0.02, "loss_prob": 0.05}}"#,
+    )
+    .expect("write spec");
+    std::fs::write(
+        specs.join("b-clean.json"),
+        r#"{"spec_version": 1, "name": "b-clean", "mechanisms": ["T-Chain"], "peers": [24, 32]}"#,
+    )
+    .expect("write spec");
+    let pack = load_pack(specs.to_str().expect("utf-8 path")).expect("pack loads");
+    assert_eq!(pack.scenarios.len(), 2);
+
+    let run = |pack: &ScenarioPack, tag: &str| {
+        let dir = scratch(tag);
+        let opts = TelemetryOpts {
+            trace_out: Some(dir.join("trace.jsonl")),
+            ..TelemetryOpts::disabled()
+        };
+        let (_, errors) = runners::sweep::try_run_pack(
+            pack,
+            Scale::Quick,
+            17,
+            1,
+            &Executor::new(2),
+            &opts,
+            &OutputDir::new(&dir),
+        );
+        assert!(errors.is_empty(), "{errors:?}");
+        let manifest = RunManifest::parse(
+            &std::fs::read_to_string(dir.join(MANIFEST_FILE)).expect("manifest written"),
+        )
+        .expect("manifest parses");
+        let spans = std::fs::read_to_string(dir.join("trace.jsonl"))
+            .expect("trace written")
+            .lines()
+            .filter(|line| line.contains("\"type\":\"job_span\""))
+            .count();
+        (manifest, spans, dir)
+    };
+
+    let (whole, spans, dir) = run(&pack, "pack-whole");
+    let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+    let mut jobs = 0;
+    for (i, scenario) in pack.scenarios.iter().enumerate() {
+        let single = ScenarioPack {
+            source: scenario.name.clone(),
+            scenarios: vec![scenario.clone()],
+        };
+        let (manifest, single_spans, _) = run(&single, &format!("pack-part-{i}"));
+        for (name, value) in manifest.counters {
+            *expected.entry(name).or_insert(0) += value;
+        }
+        jobs += single_spans;
+        assert!(
+            dir.join(format!("{}_round_probes_telemetry.csv", scenario.figure))
+                .is_file(),
+            "{}: per-scenario probe CSV",
+            scenario.name
+        );
+    }
+    assert_eq!(jobs, 2 + 2);
+    assert_eq!(spans, jobs, "the pack trace holds every job's span");
+    assert_eq!(
+        whole.counters,
+        expected.into_iter().collect::<Vec<_>>(),
+        "pack manifest counters are the sum over every scenario's jobs"
+    );
+    for fault in ["swarm.fault.departures", "swarm.fault.drops"] {
+        assert!(
+            whole.counters.iter().any(|(n, v)| n == fault && *v > 0),
+            "{fault} from the first scenario survives the last one"
+        );
+    }
+    assert_eq!(whole.artifact, "sweep");
+    assert_eq!(whole.scenario, pack.source);
+    assert_eq!(whole.spec_fingerprint, pack.fingerprint());
+    assert_eq!(whole.mechanisms, ["BitTorrent", "Altruism", "T-Chain"]);
+}
