@@ -41,7 +41,12 @@ impl Mechanism for FreeRider {
         self.mimics
     }
 
-    fn allocate(&mut self, _view: &dyn SwarmView, _budget: u64, _rng: &mut dyn RngCore) -> Vec<Grant> {
+    fn allocate(
+        &mut self,
+        _view: &dyn SwarmView,
+        _budget: u64,
+        _rng: &mut dyn RngCore,
+    ) -> Vec<Grant> {
         Vec::new()
     }
 

@@ -2,8 +2,8 @@
 
 use coop_incentives::MechanismKind;
 use coop_swarm::{PeerSpec, PeerTags};
-use rand::seq::SliceRandom;
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::FreeRider;
@@ -274,7 +274,11 @@ mod tests {
     #[test]
     fn colluders_share_a_ring() {
         let mut pop = population(20, MechanismKind::TChain);
-        apply_attack(&mut pop, &AttackPlan::most_effective(MechanismKind::TChain, 0.25), 2);
+        apply_attack(
+            &mut pop,
+            &AttackPlan::most_effective(MechanismKind::TChain, 0.25),
+            2,
+        );
         let rings: Vec<Option<u16>> = pop
             .iter()
             .filter(|p| !p.tags.compliant)

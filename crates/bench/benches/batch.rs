@@ -18,7 +18,11 @@ fn bench_batch_speedup(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut group = c.benchmark_group("batch_executor");
     group.sample_size(10);
-    for workers in [1usize, 2, 4, cores].iter().copied().collect::<std::collections::BTreeSet<_>>() {
+    for workers in [1usize, 2, 4, cores]
+        .iter()
+        .copied()
+        .collect::<std::collections::BTreeSet<_>>()
+    {
         let executor = Executor::new(workers);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("jobs={workers}")),

@@ -29,9 +29,7 @@ use coop_des::rng::SeedTree;
 use coop_des::Duration;
 use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::MechanismKind;
-use coop_piece::{
-    AvailabilityIndex, Bitfield, FileSpec, PiecePicker, RarestFirstPicker,
-};
+use coop_piece::{AvailabilityIndex, Bitfield, FileSpec, PiecePicker, RarestFirstPicker};
 use coop_swarm::{flash_crowd_with, SimResult, Simulation, SwarmConfig};
 use coop_telemetry::{profile::phase, ProfileReport, Profiler};
 

@@ -219,8 +219,7 @@ pub fn prop4_pairwise(p: &BootstrapParams) -> Prop4Conditions {
     let prob = |k| bootstrap_probability(k, p);
     let tol = 1e-12;
     Prop4Conditions {
-        altruism_beats_tchain: prob(MechanismKind::Altruism)
-            >= prob(MechanismKind::TChain) - tol,
+        altruism_beats_tchain: prob(MechanismKind::Altruism) >= prob(MechanismKind::TChain) - tol,
         altruism_beats_fairtorrent: prob(MechanismKind::Altruism)
             >= prob(MechanismKind::FairTorrent) - tol,
         altruism_beats_bittorrent: prob(MechanismKind::Altruism)

@@ -199,10 +199,7 @@ impl CapacityClassMix {
 
     /// The population-mean upload capacity.
     pub fn mean(&self) -> f64 {
-        self.classes
-            .iter()
-            .map(|c| c.fraction * c.upload_bps)
-            .sum()
+        self.classes.iter().map(|c| c.fraction * c.upload_bps).sum()
     }
 }
 
@@ -252,11 +249,8 @@ mod tests {
     #[test]
     fn default_mix_mean_matches_classes() {
         let mix = CapacityClassMix::paper_default();
-        let expected = 0.1 * 16_000.0
-            + 0.3 * 32_000.0
-            + 0.3 * 64_000.0
-            + 0.2 * 128_000.0
-            + 0.1 * 256_000.0;
+        let expected =
+            0.1 * 16_000.0 + 0.3 * 32_000.0 + 0.3 * 64_000.0 + 0.2 * 128_000.0 + 0.1 * 256_000.0;
         assert!((mix.mean() - expected).abs() < 1e-6);
     }
 
@@ -265,12 +259,8 @@ mod tests {
         let mix = CapacityClassMix::paper_default();
         let mut rng = SmallRng::seed_from_u64(123);
         let caps = mix.sample(20_000, &mut rng);
-        let frac_top = caps
-            .as_slice()
-            .iter()
-            .filter(|&&c| c == 256_000.0)
-            .count() as f64
-            / 20_000.0;
+        let frac_top =
+            caps.as_slice().iter().filter(|&&c| c == 256_000.0).count() as f64 / 20_000.0;
         assert!((frac_top - 0.1).abs() < 0.01, "frac_top = {frac_top}");
         let empirical_mean = caps.mean();
         assert!((empirical_mean - mix.mean()).abs() / mix.mean() < 0.02);

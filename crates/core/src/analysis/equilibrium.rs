@@ -261,10 +261,7 @@ mod tests {
                     | MechanismKind::Altruism
                     | MechanismKind::BitTorrent
             ) {
-                assert!(
-                    (d - u).abs() < 1e-9,
-                    "{kind}: Σd = {d}, Σu = {u}"
-                );
+                assert!((d - u).abs() < 1e-9, "{kind}: Σd = {d}, Σu = {u}");
             } else {
                 assert!((d - u).abs() / u < 0.05, "{kind}: Σd = {d}, Σu = {u}");
             }
@@ -358,7 +355,9 @@ mod tests {
         let d: f64 = download_rates(MechanismKind::EpochSettlement, &c, &p)
             .iter()
             .sum();
-        let u: f64 = upload_rates(MechanismKind::EpochSettlement, &c).iter().sum();
+        let u: f64 = upload_rates(MechanismKind::EpochSettlement, &c)
+            .iter()
+            .sum();
         assert!((d - u).abs() < 1e-9, "Σd = {d}, Σu = {u}");
     }
 
@@ -379,7 +378,10 @@ mod tests {
             p.epoch_rounds = 1e15;
             let d = download_utilization(MechanismKind::EpochSettlement, i, &c, &p);
             let alt = download_utilization(MechanismKind::Altruism, i, &c, &p);
-            assert!((d - alt).abs() < 1e-9 * alt.max(1.0), "user {i}: {d} vs {alt}");
+            assert!(
+                (d - alt).abs() < 1e-9 * alt.max(1.0),
+                "user {i}: {d} vs {alt}"
+            );
         }
     }
 
@@ -387,9 +389,9 @@ mod tests {
     fn epoch_settlement_interpolates_between_the_extremes() {
         let c = caps();
         let p = params(); // default λ = 0.5
-        // The strongest user downloads less than under FairTorrent (some
-        // of its earned bandwidth leaks altruistically), the weakest
-        // downloads more.
+                          // The strongest user downloads less than under FairTorrent (some
+                          // of its earned bandwidth leaks altruistically), the weakest
+                          // downloads more.
         let ft = |i| download_utilization(MechanismKind::FairTorrent, i, &c, &p);
         let alt = |i| download_utilization(MechanismKind::Altruism, i, &c, &p);
         let ep = |i| download_utilization(MechanismKind::EpochSettlement, i, &c, &p);

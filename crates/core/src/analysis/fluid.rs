@@ -142,7 +142,9 @@ impl FluidModel {
             // The persistent seeder mass y0 never departs; only surplus
             // seeds (completed leechers that linger) decay at rate γ.
             x = (x + dx * dt).max(0.0);
-            y = (y + dy * dt).max(self.y0.min(y + dy * dt).max(0.0)).max(0.0);
+            y = (y + dy * dt)
+                .max(self.y0.min(y + dy * dt).max(0.0))
+                .max(0.0);
             if y < self.y0 {
                 y = self.y0;
             }
@@ -265,10 +267,7 @@ mod tests {
     fn higher_effectiveness_means_faster_downloads() {
         let slow = FluidModel::new(params(0.2), 0.0, 1.0).mean_download_time(5000.0, 0.1);
         let fast = FluidModel::new(params(0.9), 0.0, 1.0).mean_download_time(5000.0, 0.1);
-        assert!(
-            fast < slow,
-            "η = 0.9 should beat η = 0.2: {fast} vs {slow}"
-        );
+        assert!(fast < slow, "η = 0.9 should beat η = 0.2: {fast} vs {slow}");
     }
 
     #[test]

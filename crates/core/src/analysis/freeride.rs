@@ -156,7 +156,10 @@ mod tests {
             epoch_open_fraction: 0.0,
             ..FreeRideParams::default()
         };
-        assert_eq!(exploitable_resources(MechanismKind::EpochSettlement, &p), 0.0);
+        assert_eq!(
+            exploitable_resources(MechanismKind::EpochSettlement, &p),
+            0.0
+        );
         p.epoch_open_fraction = 1.0;
         assert_eq!(
             exploitable_resources(MechanismKind::EpochSettlement, &p),

@@ -27,10 +27,7 @@ pub fn reputation_download_rates(reputations: &[f64], capacities: &[f64]) -> Vec
     let total_r: f64 = reputations.iter().sum();
     assert!(total_r > 0.0, "at least one user must have reputation");
     let total_u: f64 = capacities.iter().sum();
-    reputations
-        .iter()
-        .map(|&r| r * total_u / total_r)
-        .collect()
+    reputations.iter().map(|&r| r * total_u / total_r).collect()
 }
 
 /// Proposition 3's fairness statistic: `F = (1/N) Σ |log(d_i/U_i)|` with
@@ -89,10 +86,7 @@ mod tests {
         let e = prop3_efficiency(&reps, &caps);
         let total_r: f64 = reps.iter().sum();
         let total_u: f64 = caps.iter().sum();
-        let expected: f64 = reps
-            .iter()
-            .map(|&r| total_r / (2.0 * r * total_u))
-            .sum();
+        let expected: f64 = reps.iter().map(|&r| total_r / (2.0 * r * total_u)).sum();
         assert!((e - expected).abs() < 1e-12);
     }
 

@@ -244,10 +244,7 @@ mod tests {
     #[test]
     fn extended_is_all_plus_extensions() {
         assert_eq!(&MechanismKind::EXTENDED[..6], &MechanismKind::ALL[..]);
-        assert_eq!(
-            MechanismKind::EXTENDED[6],
-            MechanismKind::EpochSettlement
-        );
+        assert_eq!(MechanismKind::EXTENDED[6], MechanismKind::EpochSettlement);
         assert_eq!(
             MechanismKind::EXTENDED[7],
             MechanismKind::ConsensusReputation

@@ -405,8 +405,7 @@ impl ReportedReputation {
         const DAMPING: f64 = 0.15;
         const ITERATIONS: usize = 15;
         let now = self.round;
-        let effective =
-            |c: &Claim| c.decayed * REPORT_DECAY.powi((now - c.last_round) as i32);
+        let effective = |c: &Claim| c.decayed * REPORT_DECAY.powi((now - c.last_round) as i32);
         // Collect every peer seen as reporter or subject.
         let mut members: Vec<PeerId> = self.reports.keys().copied().collect();
         for reporters in self.reports.values() {
@@ -433,13 +432,10 @@ impl ReportedReputation {
                 *outgoing_total.entry(r).or_insert(0.0) += effective(claim);
             }
         }
-        let mut trust: IdMap<PeerId, f64> =
-            members.iter().map(|&m| (m, pre_of(m))).collect();
+        let mut trust: IdMap<PeerId, f64> = members.iter().map(|&m| (m, pre_of(m))).collect();
         for _ in 0..ITERATIONS {
-            let mut next: IdMap<PeerId, f64> = members
-                .iter()
-                .map(|&m| (m, DAMPING * pre_of(m)))
-                .collect();
+            let mut next: IdMap<PeerId, f64> =
+                members.iter().map(|&m| (m, DAMPING * pre_of(m))).collect();
             for (&subject, reporters) in &self.reports {
                 let mut inflow = 0.0;
                 for (&reporter, claim) in reporters {

@@ -107,7 +107,12 @@ impl Grant {
 
     /// A conditional (encrypted) grant requiring reciprocation to
     /// `reciprocate_to`.
-    pub fn conditional(to: PeerId, bytes: u64, reason: GrantReason, reciprocate_to: PeerId) -> Self {
+    pub fn conditional(
+        to: PeerId,
+        bytes: u64,
+        reason: GrantReason,
+        reciprocate_to: PeerId,
+    ) -> Self {
         Grant {
             to,
             bytes,
@@ -443,7 +448,10 @@ mod tests {
             let m = build_mechanism(kind, MechanismParams::default());
             if kind == MechanismKind::ConsensusReputation {
                 let policy = m.consensus_policy().expect("declares a policy");
-                assert_eq!(policy, ConsensusPolicy::from_params(&MechanismParams::default()));
+                assert_eq!(
+                    policy,
+                    ConsensusPolicy::from_params(&MechanismParams::default())
+                );
             } else {
                 assert!(m.consensus_policy().is_none(), "{kind}");
             }

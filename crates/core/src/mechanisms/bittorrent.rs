@@ -64,7 +64,12 @@ impl BitTorrent {
         }
     }
 
-    fn reevaluate(&mut self, view: &dyn SwarmView, candidates: &[crate::PeerId], rng: &mut dyn RngCore) {
+    fn reevaluate(
+        &mut self,
+        view: &dyn SwarmView,
+        candidates: &[crate::PeerId],
+        rng: &mut dyn RngCore,
+    ) {
         let mut ranked: Vec<(crate::PeerId, f64)> = candidates
             .iter()
             .map(|&p| (p, self.rates.get(&p).copied().unwrap_or(0.0)))
@@ -163,9 +168,13 @@ impl Mechanism for BitTorrent {
         if altruism_budget > 0 {
             grants.extend(
                 self.optimistic
-                    .allocate(altruism_budget, view.piece_size(), &candidates, rng, |c, rng| {
-                        pick_random(c, rng)
-                    })
+                    .allocate(
+                        altruism_budget,
+                        view.piece_size(),
+                        &candidates,
+                        rng,
+                        |c, rng| pick_random(c, rng),
+                    )
                     .into_iter()
                     .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::OptimisticUnchoke)),
             );

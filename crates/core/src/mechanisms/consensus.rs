@@ -113,9 +113,13 @@ impl Mechanism for ConsensusReputation {
         // start until confirmed transfers seed the table.
         grants.extend(
             self.weighted
-                .allocate(score_budget, view.piece_size(), &candidates, rng, |c, rng| {
-                    Self::sample_by_score(view, c, rng)
-                })
+                .allocate(
+                    score_budget,
+                    view.piece_size(),
+                    &candidates,
+                    rng,
+                    |c, rng| Self::sample_by_score(view, c, rng),
+                )
                 .into_iter()
                 .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Reputation)),
         );
@@ -123,9 +127,13 @@ impl Mechanism for ConsensusReputation {
         // neighbor, zero-score newcomers included.
         grants.extend(
             self.altruistic
-                .allocate(altruism_budget, view.piece_size(), &candidates, rng, |c, rng| {
-                    pick_random(c, rng)
-                })
+                .allocate(
+                    altruism_budget,
+                    view.piece_size(),
+                    &candidates,
+                    rng,
+                    |c, rng| pick_random(c, rng),
+                )
                 .into_iter()
                 .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Altruism)),
         );

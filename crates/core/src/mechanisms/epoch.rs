@@ -474,10 +474,7 @@ mod tests {
             (0u32..8, 1u64..1_000_000).prop_map(|(peer, bytes)| Op::Accrue { peer, bytes }),
             (0u64..5_000_000u64).prop_map(|pool| Op::Close { pool }),
             (0u64..5_000_000u64).prop_map(|pool| Op::Close { pool }),
-            (0u32..8, 0u8..100).prop_map(|(peer, fraction_pct)| Op::Spend {
-                peer,
-                fraction_pct
-            }),
+            (0u32..8, 0u8..100).prop_map(|(peer, fraction_pct)| Op::Spend { peer, fraction_pct }),
             (0u32..8).prop_map(|peer| Op::Leave { peer }),
         ]
     }

@@ -115,9 +115,13 @@ impl Mechanism for PropShare {
         if altruism_budget > 0 {
             grants.extend(
                 self.optimistic
-                    .allocate(altruism_budget, view.piece_size(), &candidates, rng, |c, rng| {
-                        pick_random(c, rng)
-                    })
+                    .allocate(
+                        altruism_budget,
+                        view.piece_size(),
+                        &candidates,
+                        rng,
+                        |c, rng| pick_random(c, rng),
+                    )
                     .into_iter()
                     .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::OptimisticUnchoke)),
             );

@@ -75,20 +75,22 @@ impl Mechanism for FairTorrent {
         let mut planned: HashMap<PeerId, i64> = HashMap::new();
         let deficits = view.deficits();
         let piece = view.piece_size();
-        let chunks = self.sticky.allocate(budget, piece, &candidates, rng, |c, rng| {
-            let min = c
-                .iter()
-                .map(|&p| deficits.deficit(p) + planned.get(&p).copied().unwrap_or(0))
-                .min()?;
-            let lowest: Vec<PeerId> = c
-                .iter()
-                .copied()
-                .filter(|&p| deficits.deficit(p) + planned.get(&p).copied().unwrap_or(0) == min)
-                .collect();
-            let to = *lowest.choose(rng)?;
-            *planned.entry(to).or_insert(0) += piece as i64;
-            Some(to)
-        });
+        let chunks = self
+            .sticky
+            .allocate(budget, piece, &candidates, rng, |c, rng| {
+                let min = c
+                    .iter()
+                    .map(|&p| deficits.deficit(p) + planned.get(&p).copied().unwrap_or(0))
+                    .min()?;
+                let lowest: Vec<PeerId> = c
+                    .iter()
+                    .copied()
+                    .filter(|&p| deficits.deficit(p) + planned.get(&p).copied().unwrap_or(0) == min)
+                    .collect();
+                let to = *lowest.choose(rng)?;
+                *planned.entry(to).or_insert(0) += piece as i64;
+                Some(to)
+            });
         chunks
             .into_iter()
             .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Deficit))

@@ -99,9 +99,13 @@ impl Mechanism for Reputation {
         // systems.
         grants.extend(
             self.weighted
-                .allocate(reputation_budget, view.piece_size(), &candidates, rng, |c, rng| {
-                    Self::sample_by_reputation(view, c, rng)
-                })
+                .allocate(
+                    reputation_budget,
+                    view.piece_size(),
+                    &candidates,
+                    rng,
+                    |c, rng| Self::sample_by_reputation(view, c, rng),
+                )
                 .into_iter()
                 .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Reputation)),
         );
@@ -109,9 +113,13 @@ impl Mechanism for Reputation {
         // newcomers included.
         grants.extend(
             self.altruistic
-                .allocate(altruism_budget, view.piece_size(), &candidates, rng, |c, rng| {
-                    pick_random(c, rng)
-                })
+                .allocate(
+                    altruism_budget,
+                    view.piece_size(),
+                    &candidates,
+                    rng,
+                    |c, rng| pick_random(c, rng),
+                )
                 .into_iter()
                 .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Altruism)),
         );
@@ -167,9 +175,7 @@ mod tests {
         // Only the altruistic 10% is granted.
         let total: u64 = grants.iter().map(|g| g.bytes).sum();
         assert_eq!(total, 1000);
-        assert!(grants
-            .iter()
-            .all(|g| g.reason == GrantReason::Altruism));
+        assert!(grants.iter().all(|g| g.reason == GrantReason::Altruism));
     }
 
     #[test]

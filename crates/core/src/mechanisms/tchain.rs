@@ -176,8 +176,7 @@ impl Mechanism for TChain {
         let candidates: Vec<PeerId> = interested_neighbors(view)
             .into_iter()
             .filter(|&p| {
-                (view.obligation_count(p) < self.params.tchain_max_backlog
-                    || view.uploading_to(p))
+                (view.obligation_count(p) < self.params.tchain_max_backlog || view.uploading_to(p))
                     && !self.is_defector(p)
             })
             .collect();
@@ -186,7 +185,9 @@ impl Mechanism for TChain {
         }
         for (to, bytes) in self
             .seeding
-            .allocate(remaining, piece, &candidates, rng, |c, rng| pick_random(c, rng))
+            .allocate(remaining, piece, &candidates, rng, |c, rng| {
+                pick_random(c, rng)
+            })
         {
             match Self::reciprocation_target(view, to, rng) {
                 Some(target) => {

@@ -78,7 +78,13 @@ pub fn efficiency_from_rates(rates: &[f64]) -> f64 {
     let n = rates.len() as f64;
     rates
         .iter()
-        .map(|&d| if d > 0.0 { 1.0 / (n * d) } else { f64::INFINITY })
+        .map(|&d| {
+            if d > 0.0 {
+                1.0 / (n * d)
+            } else {
+                f64::INFINITY
+            }
+        })
         .sum()
 }
 
@@ -431,9 +437,7 @@ mod tests {
 
     #[test]
     fn time_series_step_lookup() {
-        let ts: TimeSeries = [(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)]
-            .into_iter()
-            .collect();
+        let ts: TimeSeries = [(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)].into_iter().collect();
         assert_eq!(ts.value_at(-1.0), None);
         assert_eq!(ts.value_at(0.0), Some(1.0));
         assert_eq!(ts.value_at(15.0), Some(2.0));

@@ -150,9 +150,7 @@ pub fn weighted_index(rng: &mut dyn RngCore, weights: &[f64]) -> Option<usize> {
             x -= w;
         }
     }
-    weights
-        .iter()
-        .rposition(|&w| w.is_finite() && w > 0.0)
+    weights.iter().rposition(|&w| w.is_finite() && w > 0.0)
 }
 
 #[cfg(test)]
@@ -164,8 +162,14 @@ mod tests {
     #[test]
     fn same_label_same_stream() {
         let t = SeedTree::new(7);
-        let xs: Vec<u64> = (0..8).map(|_| 0).scan(t.rng(3), |r, _| Some(r.gen())).collect();
-        let ys: Vec<u64> = (0..8).map(|_| 0).scan(t.rng(3), |r, _| Some(r.gen())).collect();
+        let xs: Vec<u64> = (0..8)
+            .map(|_| 0)
+            .scan(t.rng(3), |r, _| Some(r.gen()))
+            .collect();
+        let ys: Vec<u64> = (0..8)
+            .map(|_| 0)
+            .scan(t.rng(3), |r, _| Some(r.gen()))
+            .collect();
         assert_eq!(xs, ys);
     }
 

@@ -82,10 +82,7 @@ mod tests {
     #[test]
     fn next_tick_is_strictly_after() {
         let rd = RoundDriver::new(Duration::from_millis(250));
-        assert_eq!(
-            rd.next_tick_after(SimTime::ZERO),
-            SimTime::from_millis(250)
-        );
+        assert_eq!(rd.next_tick_after(SimTime::ZERO), SimTime::from_millis(250));
         assert_eq!(
             rd.next_tick_after(SimTime::from_millis(250)),
             SimTime::from_millis(500)

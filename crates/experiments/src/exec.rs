@@ -130,9 +130,7 @@ impl SimJob {
     ) -> Vec<SimJob> {
         seeds
             .iter()
-            .flat_map(|&seed| {
-                kinds.iter().map(move |&kind| (seed, kind))
-            })
+            .flat_map(|&seed| kinds.iter().map(move |&kind| (seed, kind)))
             .map(|(seed, kind)| SimJob {
                 plan: plan_for(kind),
                 ..SimJob::new(kind, scale, seed)
@@ -504,7 +502,10 @@ impl BatchRun {
     /// # Errors
     ///
     /// Returns the error when `failures` is non-empty.
-    pub fn into_complete(self, figure: &str) -> Result<(Vec<SimResult>, Option<BatchTrace>), BatchError> {
+    pub fn into_complete(
+        self,
+        figure: &str,
+    ) -> Result<(Vec<SimResult>, Option<BatchTrace>), BatchError> {
         if !self.failures.is_empty() {
             return Err(BatchError {
                 figure: figure.to_string(),
@@ -895,8 +896,10 @@ impl Executor {
                     record.label, record.seed
                 );
             }
-            self.journal_fsync_ns
-                .fetch_add(fsync_clock.elapsed_ns(), std::sync::atomic::Ordering::Relaxed);
+            self.journal_fsync_ns.fetch_add(
+                fsync_clock.elapsed_ns(),
+                std::sync::atomic::Ordering::Relaxed,
+            );
         }
     }
 }
@@ -984,7 +987,10 @@ mod tests {
     fn panic_inject_parses_and_matches() {
         let p = PanicInject::parse("BitTorrent:42:1").unwrap();
         assert!(p.should_fail("BitTorrent", 42, 0));
-        assert!(!p.should_fail("BitTorrent", 42, 1), "only the first attempt");
+        assert!(
+            !p.should_fail("BitTorrent", 42, 1),
+            "only the first attempt"
+        );
         assert!(!p.should_fail("BitTorrent", 43, 0), "wrong seed");
         assert!(!p.should_fail("T-Chain", 42, 0), "wrong label");
 

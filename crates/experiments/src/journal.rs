@@ -691,8 +691,11 @@ mod tests {
             })
             .unwrap();
         let path = RunJournal::path_in(&dir);
-        let mut lines: Vec<String> =
-            std::fs::read_to_string(&path).unwrap().lines().map(String::from).collect();
+        let mut lines: Vec<String> = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .collect();
         lines.insert(1, "{\"type\":\"job\",\"fp\":garbage".into());
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
 

@@ -89,7 +89,10 @@ fn main() -> ExitCode {
     // should fail fast with a field-level error, not after a journal
     // exists.
     let pack: Option<ScenarioPack> = if spec.artifact == Artifact::Sweep {
-        let arg = spec.scenario.as_deref().expect("parse requires a scenario for sweep");
+        let arg = spec
+            .scenario
+            .as_deref()
+            .expect("parse requires a scenario for sweep");
         match load_pack(arg) {
             Ok(pack) => Some(pack),
             Err(err) => {
@@ -341,14 +344,12 @@ fn run_one(artifact: Artifact, spec: &RunSpec, executor: &Executor, errors: &mut
             &out
         )
         .map(|r| r.0)),
-        Artifact::Fig5 => batch!(runners::fig5::try_run(
-            scale, seed, executor, &telemetry, &out
-        )
-        .map(|r| r.0)),
-        Artifact::Fig6 => batch!(runners::fig6::try_run(
-            scale, seed, executor, &telemetry, &out
-        )
-        .map(|r| r.0)),
+        Artifact::Fig5 => {
+            batch!(runners::fig5::try_run(scale, seed, executor, &telemetry, &out).map(|r| r.0))
+        }
+        Artifact::Fig6 => {
+            batch!(runners::fig6::try_run(scale, seed, executor, &telemetry, &out).map(|r| r.0))
+        }
         Artifact::Ablations => batch!(runners::ablations::try_run(scale, seed, executor)),
         Artifact::Extensions => println!("{}", runners::extensions::run(scale, seed).render()),
         Artifact::Fluid => println!("{}", runners::fluid::run(scale, seed).render()),

@@ -149,49 +149,125 @@ fn sweeps(scale: Scale, seed: u64) -> [Vec<(f64, SimJob)>; 7] {
             workload: Some(Workload { label, ..workload }),
             ..SimJob::new(kind, scale, seed)
         };
-        points.into_iter().map(|(x, plan, w)| (x, job(plan, w))).collect()
+        points
+            .into_iter()
+            .map(|(x, plan, w)| (x, job(plan, w)))
+            .collect()
     };
     let none = Workload::default();
     let freeride = Some(AttackPlan::simple(0.2));
     let fractions = [0.0, 0.1, 0.2, 0.4];
     [
         // A: α_BT sweep under 20 % simple free-riding.
-        sweep("BitTorrent (alpha_bt sweep)", BitTorrent, [0.0, 0.1, 0.2, 0.4].map(|alpha_bt| {
-            let params = MechanismParams { alpha_bt, ..MechanismParams::default() };
-            (alpha_bt, freeride, Workload { params: Some(params), ..none })
-        }).to_vec()),
+        sweep(
+            "BitTorrent (alpha_bt sweep)",
+            BitTorrent,
+            [0.0, 0.1, 0.2, 0.4]
+                .map(|alpha_bt| {
+                    let params = MechanismParams {
+                        alpha_bt,
+                        ..MechanismParams::default()
+                    };
+                    (
+                        alpha_bt,
+                        freeride,
+                        Workload {
+                            params: Some(params),
+                            ..none
+                        },
+                    )
+                })
+                .to_vec(),
+        ),
         // B & C: free-rider fraction sweeps.
-        sweep("Altruism (free-rider fraction sweep)", Altruism, fractions.map(|f| {
-            (f, Some(AttackPlan::simple(f)), none)
-        }).to_vec()),
-        sweep("T-Chain (free-rider fraction sweep)", TChain, fractions.map(|f| {
-            (f, Some(AttackPlan::most_effective(TChain, f)), none)
-        }).to_vec()),
+        sweep(
+            "Altruism (free-rider fraction sweep)",
+            Altruism,
+            fractions
+                .map(|f| (f, Some(AttackPlan::simple(f)), none))
+                .to_vec(),
+        ),
+        sweep(
+            "T-Chain (free-rider fraction sweep)",
+            TChain,
+            fractions
+                .map(|f| (f, Some(AttackPlan::most_effective(TChain, f)), none))
+                .to_vec(),
+        ),
         // D: reputation false praise.
-        sweep("Reputation (false-praise ablation)", Reputation, vec![
-            (0.0, freeride, none),
-            (1.0, Some(AttackPlan::false_praise(0.2)), none),
-        ]),
+        sweep(
+            "Reputation (false-praise ablation)",
+            Reputation,
+            vec![
+                (0.0, freeride, none),
+                (1.0, Some(AttackPlan::false_praise(0.2)), none),
+            ],
+        ),
         // E: whitewash interval sweep.
-        sweep("FairTorrent (whitewash interval sweep)", FairTorrent, [5u64, 10, 20, 40].map(|w| {
-            let plan = AttackPlan { whitewash_interval: Some(w), ..AttackPlan::simple(0.2) };
-            (w as f64, Some(plan), none)
-        }).to_vec()),
+        sweep(
+            "FairTorrent (whitewash interval sweep)",
+            FairTorrent,
+            [5u64, 10, 20, 40]
+                .map(|w| {
+                    let plan = AttackPlan {
+                        whitewash_interval: Some(w),
+                        ..AttackPlan::simple(0.2)
+                    };
+                    (w as f64, Some(plan), none)
+                })
+                .to_vec(),
+        ),
         // F: the paper assumes local-rarest-first selection; quantify what
         // the alternatives cost.
-        sweep("Altruism (piece-strategy sweep)", Altruism, vec![
-            (0.0, None, Workload { piece_strategy: Some(PieceStrategy::RarestFirst), ..none }),
-            (1.0, None, Workload { piece_strategy: Some(PieceStrategy::Random), ..none }),
-            (2.0, None, Workload { piece_strategy: Some(PieceStrategy::Sequential), ..none }),
-        ]),
+        sweep(
+            "Altruism (piece-strategy sweep)",
+            Altruism,
+            vec![
+                (
+                    0.0,
+                    None,
+                    Workload {
+                        piece_strategy: Some(PieceStrategy::RarestFirst),
+                        ..none
+                    },
+                ),
+                (
+                    1.0,
+                    None,
+                    Workload {
+                        piece_strategy: Some(PieceStrategy::Random),
+                        ..none
+                    },
+                ),
+                (
+                    2.0,
+                    None,
+                    Workload {
+                        piece_strategy: Some(PieceStrategy::Sequential),
+                        ..none
+                    },
+                ),
+            ],
+        ),
         // G: the paper's flash crowd is the worst case for reputation
         // bootstrapping (everyone has zero reputation at once). Staggered
         // Poisson arrivals let newcomers land in a system with established
         // reputations.
-        sweep("Reputation (arrival-model ablation)", Reputation, vec![
-            (0.0, None, none),
-            (1.0, None, Workload { arrival_gap: Some(Duration::from_millis(500)), ..none }),
-        ]),
+        sweep(
+            "Reputation (arrival-model ablation)",
+            Reputation,
+            vec![
+                (0.0, None, none),
+                (
+                    1.0,
+                    None,
+                    Workload {
+                        arrival_gap: Some(Duration::from_millis(500)),
+                        ..none
+                    },
+                ),
+            ],
+        ),
     ]
 }
 
@@ -219,24 +295,20 @@ pub fn run(scale: Scale, seed: u64) -> AblationReport {
 /// # Errors
 ///
 /// Returns the failed points when any point fails every attempt.
-pub fn try_run(
-    scale: Scale,
-    seed: u64,
-    executor: &Executor,
-) -> Result<AblationReport, BatchError> {
+pub fn try_run(scale: Scale, seed: u64, executor: &Executor) -> Result<AblationReport, BatchError> {
     let sweeps = sweeps(scale, seed);
     let jobs: Vec<SimJob> = sweeps.iter().flatten().map(|&(_, job)| job).collect();
     let (results, _) = executor
         .run_sims_robust(&jobs, &TelemetryOpts::disabled())
         .into_complete("ablations")?;
     let mut results = results.iter();
-    let [alpha_bt_sweep, altruism_fraction_sweep, tchain_fraction_sweep, reputation_false_praise,
-        whitewash_sweep, piece_strategy_sweep, arrival_model_sweep] = sweeps.map(|points| {
-        points
-            .iter()
-            .map(|&(x, _)| point(x, results.next().expect("one result per job")))
-            .collect()
-    });
+    let [alpha_bt_sweep, altruism_fraction_sweep, tchain_fraction_sweep, reputation_false_praise, whitewash_sweep, piece_strategy_sweep, arrival_model_sweep] =
+        sweeps.map(|points| {
+            points
+                .iter()
+                .map(|&(x, _)| point(x, results.next().expect("one result per job")))
+                .collect()
+        });
     let report = AblationReport {
         scale: scale.name().to_string(),
         alpha_bt_sweep,

@@ -111,7 +111,11 @@ impl ExtensionsReport {
         for r in &self.variants {
             t.row(vec![
                 r.client.clone(),
-                if r.attacked { "20%".into() } else { "none".into() },
+                if r.attacked {
+                    "20%".into()
+                } else {
+                    "none".into()
+                },
                 num(r.completed_fraction),
                 r.mean_completion_s.map_or("n/a".into(), num),
                 r.mean_bootstrap_s.map_or("n/a".into(), num),
@@ -347,10 +351,7 @@ mod tests {
         // reputation-weighted bandwidth share and finish fast; EigenTrust
         // zeroes their scores, so they crawl on the α_R trickle alone.
         match (trusted.fr_mean_completion_s, basic.fr_mean_completion_s) {
-            (Some(t), Some(b)) => assert!(
-                t > b,
-                "EigenTrust should slow colluders: {t} vs {b}"
-            ),
+            (Some(t), Some(b)) => assert!(t > b, "EigenTrust should slow colluders: {t} vs {b}"),
             (None, Some(_)) => {}
             other => panic!("unexpected completion pattern {other:?}"),
         }

@@ -161,8 +161,7 @@ pub fn run(scale: Scale, seed: u64) -> Fig1Report {
                 e.freeride_resistance,
             ];
             let measured_agrees: [bool; 4] = std::array::from_fn(|m| {
-                let agrees =
-                    (ranks[m][i] as i64 - rating_rank(expected[m]) as i64).abs() <= 1;
+                let agrees = (ranks[m][i] as i64 - rating_rank(expected[m]) as i64).abs() <= 1;
                 if agrees {
                     agree_count += 1;
                 }

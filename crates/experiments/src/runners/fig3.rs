@@ -10,9 +10,7 @@
 //! Panel B quantifies Proposition 3: how much a reputation/capacity
 //! mismatch degrades the reputation algorithm's fairness and efficiency.
 
-use coop_incentives::analysis::exchange::{
-    expected_exchange_probability, PieceCountDistribution,
-};
+use coop_incentives::analysis::exchange::{expected_exchange_probability, PieceCountDistribution};
 use coop_incentives::analysis::reputation::{prop3_efficiency, prop3_fairness};
 use coop_incentives::MechanismKind;
 use serde::Serialize;
@@ -113,9 +111,7 @@ pub fn run(scale: Scale, _seed: u64) -> Fig3Report {
     // Panel B: start from reputation aligned with capacity, then decouple
     // a growing fraction of users (their reputation drops to 1% of their
     // capacity — the "low reputation but moderate upload bandwidth" case).
-    let caps: Vec<f64> = (0..50)
-        .map(|i| 16_000.0 * (1.0 + (i % 5) as f64))
-        .collect();
+    let caps: Vec<f64> = (0..50).map(|i| 16_000.0 * (1.0 + (i % 5) as f64)).collect();
     let reputation_skew: Vec<ReputationSkewPoint> = [0.0, 0.1, 0.25, 0.5]
         .iter()
         .map(|&skew| {
@@ -166,8 +162,7 @@ mod tests {
         let r = run(Scale::Quick, 0);
         for point in &r.exchange {
             let p = |k: MechanismKind| {
-                point.probabilities
-                    [MechanismKind::ALL.iter().position(|&x| x == k).unwrap()]
+                point.probabilities[MechanismKind::ALL.iter().position(|&x| x == k).unwrap()]
             };
             assert!(p(MechanismKind::Altruism) >= p(MechanismKind::TChain) - 1e-12);
             assert!(p(MechanismKind::TChain) >= p(MechanismKind::BitTorrent) - 1e-12);

@@ -210,7 +210,14 @@ impl SimFigure {
                 if group.iter().all(Option::is_some) {
                     let results: Vec<SimResult> =
                         group.iter().map(|r| r.clone().expect("checked")).collect();
-                    write_figure_artifacts(figure, scale, s, &MechanismKind::EXTENDED, &results, out);
+                    write_figure_artifacts(
+                        figure,
+                        scale,
+                        s,
+                        &MechanismKind::EXTENDED,
+                        &results,
+                        out,
+                    );
                 }
             }
             return Err(BatchError {
@@ -244,10 +251,7 @@ impl SimFigure {
             .iter()
             .map(|&kind| {
                 let collect = |f: &dyn Fn(&SimRow) -> Option<f64>| -> Vec<f64> {
-                    reports
-                        .iter()
-                        .filter_map(|r| f(r.get(kind)))
-                        .collect()
+                    reports.iter().filter_map(|r| f(r.get(kind))).collect()
                 };
                 ReplicatedRow {
                     algorithm: kind.name().to_string(),
@@ -687,7 +691,6 @@ impl ReplicatedReport {
     }
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,7 +743,10 @@ mod tests {
         let alt = r.get(MechanismKind::Altruism);
         let rec = r.get(MechanismKind::Reciprocity);
         assert!(alt.mean_completion_s.is_some());
-        assert!(rec.mean_completion_s.is_none(), "reciprocity never completes");
+        assert!(
+            rec.mean_completion_s.is_none(),
+            "reciprocity never completes"
+        );
         // Std is finite and nonnegative.
         let ms = alt.mean_completion_s.unwrap();
         assert!(ms.std >= 0.0 && ms.std.is_finite());

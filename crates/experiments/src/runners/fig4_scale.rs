@@ -331,7 +331,8 @@ fn write_artifacts(
                 r.algorithm.clone(),
                 r.rounds_run.to_string(),
                 format!("{}", r.completed_fraction),
-                r.mean_completion_s.map_or(String::new(), |v| format!("{v}")),
+                r.mean_completion_s
+                    .map_or(String::new(), |v| format!("{v}")),
                 format!("{}", r.fairness_f),
                 r.stalled.to_string(),
             ]
@@ -454,7 +455,9 @@ mod tests {
             return; // no /proc — both columns degrade to 0
         }
         assert!(
-            perf.rows.windows(2).all(|w| w[0].peak_rss_kb <= w[1].peak_rss_kb),
+            perf.rows
+                .windows(2)
+                .all(|w| w[0].peak_rss_kb <= w[1].peak_rss_kb),
             "VmHWM stays nondecreasing in completion order"
         );
         assert!(
@@ -466,6 +469,9 @@ mod tests {
         );
         let deltas: Vec<u64> = perf.rows.iter().map(|r| r.rss_delta_kb).collect();
         let peaks: Vec<u64> = perf.rows.iter().map(|r| r.peak_rss_kb).collect();
-        assert_ne!(deltas, peaks, "delta column must not mirror the peak column");
+        assert_ne!(
+            deltas, peaks,
+            "delta column must not mirror the peak column"
+        );
     }
 }

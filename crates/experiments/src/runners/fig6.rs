@@ -108,8 +108,7 @@ mod tests {
         // T-Chain is visibly more fair (and efficient) than BitTorrent.
         let r = run(Scale::Quick, 43);
         assert!(
-            r.get(MechanismKind::TChain).fairness_f
-                < r.get(MechanismKind::BitTorrent).fairness_f
+            r.get(MechanismKind::TChain).fairness_f < r.get(MechanismKind::BitTorrent).fairness_f
         );
     }
 }

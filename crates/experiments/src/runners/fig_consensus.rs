@@ -233,7 +233,10 @@ pub fn jobs(scale: Scale, seed: u64, peers: Option<usize>, fractions: &[f64]) ->
             workload: Some(Workload {
                 peers,
                 params: Some(policy.params()),
-                label: Some(JobLabel::new(&format!("consensus:{}@{fraction}", policy.name))),
+                label: Some(JobLabel::new(&format!(
+                    "consensus:{}@{fraction}",
+                    policy.name
+                ))),
                 ..Workload::default()
             }),
             ..SimJob::new(MechanismKind::ConsensusReputation, scale, seed)
@@ -332,7 +335,8 @@ fn write_artifacts(
                 format!("{}", r.attack_fraction),
                 r.peers.to_string(),
                 format!("{}", r.completed_fraction),
-                r.mean_completion_s.map_or(String::new(), |v| format!("{v}")),
+                r.mean_completion_s
+                    .map_or(String::new(), |v| format!("{v}")),
                 format!("{}", r.fairness_f),
                 format!("{}", r.susceptibility),
                 r.reports.to_string(),

@@ -249,7 +249,8 @@ fn write_artifacts(
                 r.predicted_open_fraction
                     .map_or(String::new(), |v| format!("{v}")),
                 format!("{}", r.completed_fraction),
-                r.mean_completion_s.map_or(String::new(), |v| format!("{v}")),
+                r.mean_completion_s
+                    .map_or(String::new(), |v| format!("{v}")),
                 format!("{}", r.fairness_f),
                 format!("{}", r.susceptibility),
                 r.stalled.to_string(),
@@ -319,10 +320,7 @@ mod tests {
         let (par, _) = run(4);
         assert_eq!(seq.rows, par.rows);
         assert!(seq.render().contains("fig-epoch"));
-        assert!(out
-            .path()
-            .join("figepoch_sweep_quick.csv")
-            .is_file());
+        assert!(out.path().join("figepoch_sweep_quick.csv").is_file());
         let _ = std::fs::remove_dir_all(out.path());
     }
 }

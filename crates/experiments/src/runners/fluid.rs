@@ -146,9 +146,7 @@ mod tests {
     #[test]
     fn fluid_drain_ordering_matches_eta_ordering() {
         let r = run(Scale::Quick, 82);
-        let drain = |k: MechanismKind| {
-            r.get(k).fluid_drain_s.unwrap_or(f64::INFINITY)
-        };
+        let drain = |k: MechanismKind| r.get(k).fluid_drain_s.unwrap_or(f64::INFINITY);
         assert!(drain(MechanismKind::Altruism) <= drain(MechanismKind::TChain) + 1e-9);
         assert!(drain(MechanismKind::TChain) <= drain(MechanismKind::BitTorrent) + 1e-9);
         // Reciprocity drains only through the persistent seeder — an order

@@ -184,8 +184,16 @@ pub fn diff(base: &RunProfile, cur: &RunProfile, tolerance: f64) -> DiffReport {
         let base_ns = base.phase(name).map_or(0, |s| s.total_ns);
         let cur_ns = cur.phase(name).map_or(0, |s| s.total_ns);
         let comparable = phase::ATTRIBUTED.contains(&name);
-        let base_share = if comparable { share(base_total, base_ns) } else { None };
-        let cur_share = if comparable { share(cur_total, cur_ns) } else { None };
+        let base_share = if comparable {
+            share(base_total, base_ns)
+        } else {
+            None
+        };
+        let cur_share = if comparable {
+            share(cur_total, cur_ns)
+        } else {
+            None
+        };
         let drift = match (base_share, cur_share) {
             (Some(b), Some(c)) => (c - b).abs() > tolerance,
             _ => false,
@@ -227,22 +235,24 @@ pub fn diff(base: &RunProfile, cur: &RunProfile, tolerance: f64) -> DiffReport {
     // cannot move bytes, so a current snapshot whose ratio climbs past
     // the committed baseline has regressed toward full scanning even if
     // it still clears the absolute 1.0 sanity bound.
-    gates.push(match (cur.wasted_visit_ratio(), base.wasted_visit_ratio()) {
-        (Some(r), Some(b)) if r < 1.0 && r <= b => (
-            true,
-            format!("wasted-visit ratio: {r:.3} (<= baseline {b:.3})"),
-        ),
-        (Some(r), Some(b)) if r < 1.0 => (
-            false,
-            format!("wasted-visit ratio: {r:.3} (must be <= baseline {b:.3})"),
-        ),
-        (Some(r), None) if r < 1.0 => (true, format!("wasted-visit ratio: {r:.3} (< 1.0)")),
-        (Some(r), _) => (false, format!("wasted-visit ratio: {r:.3} (must be < 1.0)")),
-        (None, _) => (
-            false,
-            "wasted-visit ratio: absent (work counters missing)".to_string(),
-        ),
-    });
+    gates.push(
+        match (cur.wasted_visit_ratio(), base.wasted_visit_ratio()) {
+            (Some(r), Some(b)) if r < 1.0 && r <= b => (
+                true,
+                format!("wasted-visit ratio: {r:.3} (<= baseline {b:.3})"),
+            ),
+            (Some(r), Some(b)) if r < 1.0 => (
+                false,
+                format!("wasted-visit ratio: {r:.3} (must be <= baseline {b:.3})"),
+            ),
+            (Some(r), None) if r < 1.0 => (true, format!("wasted-visit ratio: {r:.3} (< 1.0)")),
+            (Some(r), _) => (false, format!("wasted-visit ratio: {r:.3} (must be < 1.0)")),
+            (None, _) => (
+                false,
+                "wasted-visit ratio: absent (work counters missing)".to_string(),
+            ),
+        },
+    );
     gates.push(if drifted.is_empty() {
         (true, format!("phase shares within ±{tolerance:.3}"))
     } else {

@@ -108,7 +108,9 @@ impl PackReport {
             "sweep — scenario pack '{}' ({} scale, seed {}, pack fingerprint {})\n",
             self.source, self.scale, self.seed, self.pack_fingerprint
         );
-        let mut summary = Table::new(vec!["Scenario", "style", "figure", "jobs", "attack", "spec fp"]);
+        let mut summary = Table::new(vec![
+            "Scenario", "style", "figure", "jobs", "attack", "spec fp",
+        ]);
         for s in &self.scenarios {
             summary.row(vec![
                 s.scenario.clone(),
@@ -299,7 +301,8 @@ fn try_run_scenario(
                         r.seed.to_string(),
                         r.peers.to_string(),
                         format!("{}", r.completed_fraction),
-                        r.mean_completion_s.map_or(String::new(), |v| format!("{v}")),
+                        r.mean_completion_s
+                            .map_or(String::new(), |v| format!("{v}")),
                         r.mean_bootstrap_s.map_or(String::new(), |v| format!("{v}")),
                         r.avg_fairness.map_or(String::new(), |v| format!("{v}")),
                         format!("{}", r.fairness_f),

@@ -203,8 +203,7 @@ mod tests {
         // Altruism: capacity-independent analytic rates (top ≈ bottom).
         let alt = get("Altruism");
         assert!(
-            (alt.analytic_top_class - alt.analytic_bottom_class).abs()
-                / alt.analytic_bottom_class
+            (alt.analytic_top_class - alt.analytic_bottom_class).abs() / alt.analytic_bottom_class
                 < 0.15,
             "altruism rates are nearly capacity-independent"
         );

@@ -142,7 +142,10 @@ mod tests {
     #[test]
     fn collusion_column_matches_paper() {
         let r = run(Scale::Default, 5);
-        assert_eq!(r.get(MechanismKind::Reciprocity).collusion_probability, None);
+        assert_eq!(
+            r.get(MechanismKind::Reciprocity).collusion_probability,
+            None
+        );
         assert_eq!(r.get(MechanismKind::BitTorrent).collusion_probability, None);
         assert_eq!(
             r.get(MechanismKind::Reputation).collusion_probability,

@@ -92,9 +92,7 @@ impl ScenarioError {
                     .unwrap_or(field)
                     .trim_end_matches(|c: char| c == ']' || c.is_ascii_digit() || c == '[');
                 let needle = format!("\"{leaf}\"");
-                self.line = text
-                    .find(&needle)
-                    .map(|at| line_of(text, at));
+                self.line = text.find(&needle).map(|at| line_of(text, at));
             }
         }
         self
@@ -823,9 +821,9 @@ impl<'a> Obj<'a> {
     }
 
     fn require_str(&self, key: &str) -> Result<String, ScenarioError> {
-        self.str(key)?.map(str::to_string).ok_or_else(|| {
-            ScenarioError::field(self.path_of(key), "required field is missing")
-        })
+        self.str(key)?
+            .map(str::to_string)
+            .ok_or_else(|| ScenarioError::field(self.path_of(key), "required field is missing"))
     }
 
     fn f64(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
@@ -853,9 +851,8 @@ impl<'a> Obj<'a> {
     }
 
     fn require_u64(&self, key: &str) -> Result<u64, ScenarioError> {
-        self.u64(key)?.ok_or_else(|| {
-            ScenarioError::field(self.path_of(key), "required field is missing")
-        })
+        self.u64(key)?
+            .ok_or_else(|| ScenarioError::field(self.path_of(key), "required field is missing"))
     }
 
     fn arr(&self, key: &str) -> Result<Option<&'a [Json]>, ScenarioError> {
@@ -878,12 +875,7 @@ impl<'a> Obj<'a> {
     }
 
     /// A number in `[lo, hi]`.
-    fn f64_in(
-        &self,
-        key: &str,
-        lo: f64,
-        hi: f64,
-    ) -> Result<Option<f64>, ScenarioError> {
+    fn f64_in(&self, key: &str, lo: f64, hi: f64) -> Result<Option<f64>, ScenarioError> {
         match self.f64(key)? {
             None => Ok(None),
             Some(v) if v >= lo && v <= hi => Ok(Some(v)),
@@ -957,7 +949,9 @@ fn parse_arrival(root: &Obj<'_>) -> Result<Arrival, ScenarioError> {
         }
         other => Err(ScenarioError::field(
             obj.path_of("process"),
-            format!("unknown arrival process '{other}' (expected flash-crowd, poisson, or diurnal)"),
+            format!(
+                "unknown arrival process '{other}' (expected flash-crowd, poisson, or diurnal)"
+            ),
         )),
     }
 }
@@ -1130,10 +1124,7 @@ fn parse_peers(root: &Obj<'_>) -> Result<Vec<usize>, ScenarioError> {
             .as_f64()
             .filter(|v| v.fract() == 0.0 && *v >= 2.0 && *v <= 1e9)
             .ok_or_else(|| {
-                ScenarioError::field(
-                    format!("peers[{i}]"),
-                    "must be an integer of at least 2",
-                )
+                ScenarioError::field(format!("peers[{i}]"), "must be an integer of at least 2")
             })? as usize;
         if peers.contains(&n) {
             return Err(ScenarioError::field(
@@ -1306,10 +1297,7 @@ pub fn load_pack(arg: &str) -> Result<ScenarioPack, ScenarioError> {
             message: format!("cannot read spec file: {e}"),
         })?;
         let scenario = Scenario::parse_located(&text, Some(file))?;
-        if scenarios
-            .iter()
-            .any(|s: &Scenario| s.name == scenario.name)
-        {
+        if scenarios.iter().any(|s: &Scenario| s.name == scenario.name) {
             return Err(ScenarioError {
                 file: Some(file.clone()),
                 line: None,
@@ -1354,8 +1342,7 @@ mod tests {
         assert_eq!(err.field.as_deref(), Some("chrun_rate"));
         assert!(err.message.contains("unknown field"), "{err}");
 
-        let err =
-            Scenario::parse(&minimal(r#", "faults": {"churnrate": 0.1}"#)).unwrap_err();
+        let err = Scenario::parse(&minimal(r#", "faults": {"churnrate": 0.1}"#)).unwrap_err();
         assert_eq!(err.field.as_deref(), Some("faults.churnrate"));
     }
 
@@ -1434,8 +1421,7 @@ mod tests {
         assert_eq!(err.field.as_deref(), Some("artifacts"));
 
         let err =
-            Scenario::parse(&minimal(r#", "artifacts": "figure", "peers": [40, 80]"#))
-                .unwrap_err();
+            Scenario::parse(&minimal(r#", "artifacts": "figure", "peers": [40, 80]"#)).unwrap_err();
         assert_eq!(err.field.as_deref(), Some("peers"));
 
         assert!(Scenario::parse(&minimal(r#", "artifacts": "figure""#)).is_ok());
@@ -1456,7 +1442,9 @@ mod tests {
         assert_eq!(jobs[2].workload.unwrap().peers, Some(80));
         assert_eq!(jobs[4].seed, 8);
         let fp = s.fingerprint();
-        assert!(jobs.iter().all(|j| j.workload.unwrap().spec_fingerprint == fp));
+        assert!(jobs
+            .iter()
+            .all(|j| j.workload.unwrap().spec_fingerprint == fp));
     }
 
     #[test]
@@ -1501,10 +1489,16 @@ mod tests {
 
     #[test]
     fn mechanism_names_parse_case_insensitively() {
-        assert_eq!(parse_mechanism("bittorrent"), Some(MechanismKind::BitTorrent));
+        assert_eq!(
+            parse_mechanism("bittorrent"),
+            Some(MechanismKind::BitTorrent)
+        );
         assert_eq!(parse_mechanism("T-Chain"), Some(MechanismKind::TChain));
         assert_eq!(parse_mechanism("tchain"), Some(MechanismKind::TChain));
-        assert_eq!(parse_mechanism("FairTorrent"), Some(MechanismKind::FairTorrent));
+        assert_eq!(
+            parse_mechanism("FairTorrent"),
+            Some(MechanismKind::FairTorrent)
+        );
         assert_eq!(parse_mechanism("nope"), None);
     }
 

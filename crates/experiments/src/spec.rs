@@ -286,7 +286,11 @@ impl std::fmt::Display for SpecError {
             SpecError::MissingFlag { flag } => {
                 write!(f, "required flag '{flag}' was not provided")
             }
-            SpecError::InvalidValue { flag, value, reason } => {
+            SpecError::InvalidValue {
+                flag,
+                value,
+                reason,
+            } => {
                 write!(f, "invalid value '{value}' for '{flag}': {reason}")
             }
         }
@@ -689,10 +693,7 @@ impl RunSpec {
                 other if draft.artifact.is_none() => {
                     draft.artifact = Some(Artifact::parse(other)?);
                 }
-                other
-                    if draft.artifact == Some(Artifact::Sweep)
-                        && draft.scenario.is_none() =>
-                {
+                other if draft.artifact == Some(Artifact::Sweep) && draft.scenario.is_none() => {
                     // `sweep`'s second positional names the scenario pack.
                     draft.scenario = Some(other.to_string());
                 }
@@ -875,8 +876,17 @@ mod tests {
     #[test]
     fn parses_full_flag_set() {
         let spec = parse(&[
-            "fig5", "--scale", "paper", "--seed", "7", "--replicates", "3", "--jobs", "2",
-            "--out-dir", "out/x",
+            "fig5",
+            "--scale",
+            "paper",
+            "--seed",
+            "7",
+            "--replicates",
+            "3",
+            "--jobs",
+            "2",
+            "--out-dir",
+            "out/x",
         ])
         .unwrap();
         assert_eq!(spec.artifact, Artifact::Fig5);
@@ -896,7 +906,13 @@ mod tests {
         assert_eq!(spec.executor().shards(), 4);
         let err = parse(&["fig4", "--shards", "0"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--shards", .. }),
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--shards",
+                    ..
+                }
+            ),
             "{err:?}"
         );
         let err = parse(&["fig4", "--shards"]).unwrap_err();
@@ -949,20 +965,39 @@ mod tests {
     #[test]
     fn telemetry_flag_errors_are_named() {
         let err = parse(&["fig4", "--trace-out"]).unwrap_err();
-        assert_eq!(err, SpecError::MissingValue { flag: "--trace-out" });
+        assert_eq!(
+            err,
+            SpecError::MissingValue {
+                flag: "--trace-out"
+            }
+        );
 
         let err = parse(&["fig4", "--probe-every"]).unwrap_err();
-        assert_eq!(err, SpecError::MissingValue { flag: "--probe-every" });
+        assert_eq!(
+            err,
+            SpecError::MissingValue {
+                flag: "--probe-every"
+            }
+        );
 
         let err = parse(&["fig4", "--probe-every", "0"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--probe-every", .. }),
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--probe-every",
+                    ..
+                }
+            ),
             "{err:?}"
         );
 
         let err = parse(&["fig4", "--probe-every", "often"]).unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("--probe-every") && msg.contains("often"), "{msg}");
+        assert!(
+            msg.contains("--probe-every") && msg.contains("often"),
+            "{msg}"
+        );
 
         // A typo'd telemetry flag is still an unknown flag.
         let err = parse(&["fig4", "--telemetri"]).unwrap_err();
@@ -979,19 +1014,36 @@ mod tests {
         for bad in ["1.5", "NaN", "-0.1", "inf", "wide"] {
             let err = perf_diff(&["--tolerance", bad]).unwrap_err();
             assert!(
-                matches!(err, SpecError::InvalidValue { flag: "--tolerance", .. }),
+                matches!(
+                    err,
+                    SpecError::InvalidValue {
+                        flag: "--tolerance",
+                        ..
+                    }
+                ),
                 "{bad:?}: {err:?}"
             );
         }
         let err = perf_diff(&["--tolerance"]).unwrap_err();
-        assert_eq!(err, SpecError::MissingValue { flag: "--tolerance" });
+        assert_eq!(
+            err,
+            SpecError::MissingValue {
+                flag: "--tolerance"
+            }
+        );
     }
 
     #[test]
     fn tolerance_rejected_for_other_artifacts() {
         let err = parse(&["fig4", "--tolerance", "0.1"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--tolerance", .. }),
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--tolerance",
+                    ..
+                }
+            ),
             "{err:?}"
         );
         let msg = err.to_string();
@@ -1024,12 +1076,21 @@ mod tests {
 
         let err = parse(&["fig4", "--replicates", "0"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--replicates", .. }),
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--replicates",
+                    ..
+                }
+            ),
             "{err:?}"
         );
 
         let err = parse(&["fig4", "--jobs", "0"]).unwrap_err();
-        assert!(matches!(err, SpecError::InvalidValue { flag: "--jobs", .. }), "{err:?}");
+        assert!(
+            matches!(err, SpecError::InvalidValue { flag: "--jobs", .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1159,7 +1220,13 @@ mod tests {
     fn scenario_flag_rejected_for_other_artifacts() {
         let err = parse(&["fig4", "--scenario", "x.json"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--scenario", .. }),
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--scenario",
+                    ..
+                }
+            ),
             "{err:?}"
         );
         assert!(err.to_string().contains("sweep"));
@@ -1169,7 +1236,10 @@ mod tests {
     fn sweep_resumes_and_replicates() {
         let spec = parse(&["sweep", "p.json", "--resume", "out/run1"]).unwrap();
         assert!(spec.artifact.supports_resume());
-        assert_eq!(spec.resume.as_deref(), Some(std::path::Path::new("out/run1")));
+        assert_eq!(
+            spec.resume.as_deref(),
+            Some(std::path::Path::new("out/run1"))
+        );
     }
 
     #[test]
@@ -1191,7 +1261,13 @@ mod tests {
         for bad in ["", "0", "1", "abc", "100,", "100,,200", "100,x"] {
             let err = parse(&["fig4-scale", "--peers", bad]).unwrap_err();
             assert!(
-                matches!(err, SpecError::InvalidValue { flag: "--peers", .. }),
+                matches!(
+                    err,
+                    SpecError::InvalidValue {
+                        flag: "--peers",
+                        ..
+                    }
+                ),
                 "{bad:?}: {err:?}"
             );
         }
@@ -1201,14 +1277,7 @@ mod tests {
 
     #[test]
     fn robustness_flags_parse_and_configure_the_executor() {
-        let spec = parse(&[
-            "fig4",
-            "--retries",
-            "2",
-            "--job-timeout",
-            "90",
-        ])
-        .unwrap();
+        let spec = parse(&["fig4", "--retries", "2", "--job-timeout", "90"]).unwrap();
         assert_eq!(spec.retries, 2);
         assert_eq!(spec.job_timeout, Some(90));
         let executor = spec.executor();
@@ -1235,17 +1304,31 @@ mod tests {
         assert!(msg.contains("--retries") && msg.contains("many"), "{msg}");
 
         let err = parse(&["fig4", "--job-timeout"]).unwrap_err();
-        assert_eq!(err, SpecError::MissingValue { flag: "--job-timeout" });
+        assert_eq!(
+            err,
+            SpecError::MissingValue {
+                flag: "--job-timeout"
+            }
+        );
 
         let err = parse(&["fig4", "--job-timeout", "0"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--job-timeout", .. }),
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--job-timeout",
+                    ..
+                }
+            ),
             "{err:?}"
         );
 
         let err = parse(&["fig4", "--job-timeout", "soon"]).unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("--job-timeout") && msg.contains("soon"), "{msg}");
+        assert!(
+            msg.contains("--job-timeout") && msg.contains("soon"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -1280,7 +1363,13 @@ mod tests {
         // Non-journaled artifacts reject it, naming both sides.
         let err = parse(&["table1", "--resume", "out/run1"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--resume", .. }),
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--resume",
+                    ..
+                }
+            ),
             "{err:?}"
         );
         let msg = err.to_string();
@@ -1291,7 +1380,13 @@ mod tests {
         // --resume and --out-dir are mutually exclusive.
         let err = parse(&["fig4", "--resume", "out/run1", "--out-dir", "out/x"]).unwrap_err();
         assert!(
-            matches!(err, SpecError::InvalidValue { flag: "--resume", .. }),
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--resume",
+                    ..
+                }
+            ),
             "{err:?}"
         );
         assert!(err.to_string().contains("--out-dir"));
@@ -1300,7 +1395,16 @@ mod tests {
     #[test]
     fn peers_flag_rejected_for_other_artifacts() {
         let err = parse(&["fig4", "--peers", "1000"]).unwrap_err();
-        assert!(matches!(err, SpecError::InvalidValue { flag: "--peers", .. }), "{err:?}");
+        assert!(
+            matches!(
+                err,
+                SpecError::InvalidValue {
+                    flag: "--peers",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
         assert!(err.to_string().contains("fig4-scale"));
     }
 
@@ -1314,6 +1418,9 @@ mod tests {
         // Gated groups name their artifacts.
         assert!(text.contains("fig4-scale"), "{text}");
         assert!(text.contains("(perf-diff)"), "{text}");
-        assert!(text.contains("sweep <scenario|spec.json|pack-dir>"), "{text}");
+        assert!(
+            text.contains("sweep <scenario|spec.json|pack-dir>"),
+            "{text}"
+        );
     }
 }

@@ -387,7 +387,11 @@ impl BatchTrace {
             push_phase_ns(&mut phases, name, timing.wall_ms.saturating_mul(1_000_000));
         }
         if self.journal_fsync_ns > 0 {
-            push_phase_ns(&mut phases, phase::BATCH_JOURNAL_FSYNC, self.journal_fsync_ns);
+            push_phase_ns(
+                &mut phases,
+                phase::BATCH_JOURNAL_FSYNC,
+                self.journal_fsync_ns,
+            );
         }
         RunProfile {
             artifact: artifact.to_string(),
@@ -398,9 +402,7 @@ impl BatchTrace {
             work: self
                 .merged_counters()
                 .into_iter()
-                .filter(|(name, _)| {
-                    name.starts_with("swarm.work.") || name.ends_with(".rebuilds")
-                })
+                .filter(|(name, _)| name.starts_with("swarm.work.") || name.ends_with(".rebuilds"))
                 .collect(),
             per_job: self
                 .jobs
@@ -474,7 +476,11 @@ mod tests {
     #[test]
     fn counters_merge_across_jobs() {
         let batch = BatchTrace::new(vec![
-            job(0, 1, vec![("swarm.rounds".into(), 10), ("swarm.grants".into(), 3)]),
+            job(
+                0,
+                1,
+                vec![("swarm.rounds".into(), 10), ("swarm.grants".into(), 3)],
+            ),
             job(1, 1, vec![("swarm.rounds".into(), 5)]),
         ]);
         assert_eq!(
@@ -552,7 +558,10 @@ mod tests {
             ..TelemetryOpts::disabled()
         };
         assert!(opts.is_enabled(), "--profile implies telemetry");
-        assert!(opts.profile_due(0) && opts.profile_due(1), "default cadence is 1");
+        assert!(
+            opts.profile_due(0) && opts.profile_due(1),
+            "default cadence is 1"
+        );
         let sampled = TelemetryOpts {
             profile: true,
             profile_every: 3,
@@ -560,7 +569,10 @@ mod tests {
         };
         let due: Vec<usize> = (0..7).filter(|&s| sampled.profile_due(s)).collect();
         assert_eq!(due, vec![0, 3, 6]);
-        assert!(!TelemetryOpts::disabled().profile_due(0), "off means never due");
+        assert!(
+            !TelemetryOpts::disabled().profile_due(0),
+            "off means never due"
+        );
     }
 
     #[test]

@@ -21,7 +21,11 @@ fn parallel_batches_match_sequential_byte_for_byte() {
     let parallel = Executor::new(4).run_sims(&jobs);
 
     assert_eq!(sequential.len(), parallel.len());
-    for ((kind, seq), par) in MechanismKind::EXTENDED.iter().zip(&sequential).zip(&parallel) {
+    for ((kind, seq), par) in MechanismKind::EXTENDED
+        .iter()
+        .zip(&sequential)
+        .zip(&parallel)
+    {
         // SimResult derives PartialEq over every observable — peer records,
         // totals, byte counters and all six time series — so equality here
         // means the artifacts rendered from these results are identical.

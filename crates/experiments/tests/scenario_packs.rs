@@ -31,7 +31,10 @@ fn builtin_scenarios_round_trip_through_their_canonical_json() {
         let parsed = Scenario::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let reparsed = Scenario::parse(&parsed.to_json())
             .unwrap_or_else(|e| panic!("{name} canonical json: {e}"));
-        assert_eq!(parsed, reparsed, "{name}: canonical JSON round-trip drifted");
+        assert_eq!(
+            parsed, reparsed,
+            "{name}: canonical JSON round-trip drifted"
+        );
         assert_eq!(
             parsed.fingerprint(),
             reparsed.fingerprint(),
@@ -129,7 +132,11 @@ fn zero_fault_baseline_scenario_matches_plain_fig4_byte_for_byte() {
     let pack = load_pack("flash-crowd-baseline").unwrap();
     let (report, errors) =
         sweep::try_run_pack(&pack, Scale::Quick, seed, 1, &executor, &opts, &sweep_out);
-    assert!(errors.is_empty(), "{:?}", errors.first().map(ToString::to_string));
+    assert!(
+        errors.is_empty(),
+        "{:?}",
+        errors.first().map(ToString::to_string)
+    );
     assert_eq!(report.scenarios.len(), 1);
     assert_eq!(report.get("flash-crowd-baseline").figure, "fig4");
 
@@ -149,7 +156,10 @@ fn zero_fault_baseline_scenario_matches_plain_fig4_byte_for_byte() {
         );
         compared += 1;
     }
-    assert!(compared >= 6, "expected the full fig4 artifact set, compared {compared}");
+    assert!(
+        compared >= 6,
+        "expected the full fig4 artifact set, compared {compared}"
+    );
     let _ = std::fs::remove_dir_all(&plain_dir);
     let _ = std::fs::remove_dir_all(&sweep_dir);
 }
@@ -212,7 +222,11 @@ fn directory_packs_load_sorted_and_reject_duplicate_names() {
     std::fs::write(dir.join("a.json"), spec("alpha")).unwrap();
     let pack = load_pack(dir.to_str().unwrap()).unwrap();
     let names: Vec<&str> = pack.scenarios.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, ["alpha", "beta"], "pack order must follow file names");
+    assert_eq!(
+        names,
+        ["alpha", "beta"],
+        "pack order must follow file names"
+    );
 
     std::fs::write(dir.join("c.json"), spec("alpha")).unwrap();
     let err = load_pack(dir.to_str().unwrap()).unwrap_err();

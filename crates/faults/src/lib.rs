@@ -368,7 +368,11 @@ mod tests {
             .compile(&mut pop, &cfg);
         schedule.validate(pop.len()).unwrap();
         for peer in 0..pop.len() {
-            let evs: Vec<_> = schedule.events().iter().filter(|e| e.peer == peer).collect();
+            let evs: Vec<_> = schedule
+                .events()
+                .iter()
+                .filter(|e| e.peer == peer)
+                .collect();
             let depart = evs.iter().find(|e| e.kind == FaultKind::Depart);
             let end = evs.iter().find(|e| e.kind == FaultKind::OutageEnd);
             if let (Some(d), Some(e)) = (depart, end) {

@@ -30,27 +30,29 @@ fn population(n: usize) -> Vec<PeerSpec> {
 
 fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
     (
-        0.0f64..3.0,                        // arrival_spread_s
-        0.0f64..0.15,                       // churn_rate
-        proptest::option::of(1u64..=60),    // fixed_lifetime_rounds
-        0.0f64..1.0,                        // outage_prob
-        0u64..8,                            // outage_rounds
-        0.0f64..0.5,                        // loss_prob
-        1.0f64..600.0,                      // diurnal_period_s
-        0.0f64..0.9,                        // diurnal_amplitude
+        0.0f64..3.0,                     // arrival_spread_s
+        0.0f64..0.15,                    // churn_rate
+        proptest::option::of(1u64..=60), // fixed_lifetime_rounds
+        0.0f64..1.0,                     // outage_prob
+        0u64..8,                         // outage_rounds
+        0.0f64..0.5,                     // loss_prob
+        1.0f64..600.0,                   // diurnal_period_s
+        0.0f64..0.9,                     // diurnal_amplitude
     )
-        .prop_map(|(spread, churn, fixed, op, or, loss, period, amp)| FaultPlan {
-            arrival_spread_s: spread,
-            churn_rate: churn,
-            fixed_lifetime_rounds: fixed,
-            outage_prob: op,
-            outage_rounds: or,
-            loss_prob: loss,
-            seeder_exit_fraction: None,
-            seeder_failure_round: None,
-            diurnal_period_s: period,
-            diurnal_amplitude: amp,
-        })
+        .prop_map(
+            |(spread, churn, fixed, op, or, loss, period, amp)| FaultPlan {
+                arrival_spread_s: spread,
+                churn_rate: churn,
+                fixed_lifetime_rounds: fixed,
+                outage_prob: op,
+                outage_rounds: or,
+                loss_prob: loss,
+                seeder_exit_fraction: None,
+                seeder_failure_round: None,
+                diurnal_period_s: period,
+                diurnal_amplitude: amp,
+            },
+        )
 }
 
 proptest! {

@@ -117,10 +117,7 @@ impl AvailabilityMap {
     /// [`crate::AvailabilityIndex::min_over`], which skips empty words
     /// and short-circuits on the first zero-availability piece.
     pub fn min_over(&self, needed: impl IntoIterator<Item = PieceId>) -> Option<u32> {
-        needed
-            .into_iter()
-            .map(|i| self.counts[i as usize])
-            .min()
+        needed.into_iter().map(|i| self.counts[i as usize]).min()
     }
 
     /// Normalized Shannon entropy of the availability distribution: 1 when

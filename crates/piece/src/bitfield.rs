@@ -254,12 +254,14 @@ impl Bitfield {
     /// # Panics
     ///
     /// Panics if the bitfields have different lengths.
-    pub fn iter_missing_from<'a>(&'a self, other: &'a Bitfield) -> impl Iterator<Item = PieceId> + 'a {
+    pub fn iter_missing_from<'a>(
+        &'a self,
+        other: &'a Bitfield,
+    ) -> impl Iterator<Item = PieceId> + 'a {
         self.check_same_len(other);
-        Self::bits_of(
-            self.word_iter().zip(other.word_iter()),
-            |(mine, theirs)| !mine & theirs,
-        )
+        Self::bits_of(self.word_iter().zip(other.word_iter()), |(mine, theirs)| {
+            !mine & theirs
+        })
     }
 
     /// Returns true if the two bitfields share at least one set piece —
@@ -530,7 +532,9 @@ impl Iterator for Words<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let remaining = match &self.0 {
             WordsState::Dense(iter) => iter.len(),
-            WordsState::Runs { word, num_words, .. } => num_words - word,
+            WordsState::Runs {
+                word, num_words, ..
+            } => num_words - word,
         };
         (remaining, Some(remaining))
     }
@@ -542,11 +546,7 @@ impl PartialEq for Bitfield {
     /// Semantic equality: two bitfields are equal when they cover the same
     /// pieces, regardless of storage representation.
     fn eq(&self, other: &Bitfield) -> bool {
-        self.len == other.len
-            && self
-                .word_iter()
-                .zip(other.word_iter())
-                .all(|(a, b)| a == b)
+        self.len == other.len && self.word_iter().zip(other.word_iter()).all(|(a, b)| a == b)
     }
 }
 
@@ -840,10 +840,7 @@ mod tests {
         assert!(a_runs.wants_from(&b));
         assert!(!b.wants_from(&b));
         assert_eq!(a_runs.missing_from(&b), 1);
-        assert_eq!(
-            a_runs.iter_missing_from(&b).collect::<Vec<_>>(),
-            vec![195]
-        );
+        assert_eq!(a_runs.iter_missing_from(&b).collect::<Vec<_>>(), vec![195]);
         assert!(!a_runs.intersects(&b));
         b.set(100);
         assert!(a_runs.intersects(&b));

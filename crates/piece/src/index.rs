@@ -360,13 +360,8 @@ mod tests {
         let mut ties = Vec::new();
         for _ in 0..50 {
             let fast = idx.pick_rarest_into(&down, &up, &mut ties, &mut fast_rng);
-            let naive = crate::PiecePicker::pick(
-                &RarestFirstPicker,
-                &down,
-                &up,
-                idx.map(),
-                &mut naive_rng,
-            );
+            let naive =
+                crate::PiecePicker::pick(&RarestFirstPicker, &down, &up, idx.map(), &mut naive_rng);
             assert_eq!(fast, naive);
         }
     }
@@ -391,7 +386,10 @@ mod tests {
         idx.add_peer(&bf(70, &[0, 1, 69]));
         idx.add_peer(&bf(70, &[0]));
         let needed = bf(70, &[0, 1, 69]);
-        assert_eq!(idx.min_over(&needed), idx.map().min_over(needed.iter_ones()));
+        assert_eq!(
+            idx.min_over(&needed),
+            idx.map().min_over(needed.iter_ones())
+        );
         assert_eq!(idx.min_over(&bf(70, &[2])), Some(0));
         assert_eq!(idx.min_over(&bf(70, &[])), None);
         assert_eq!(idx.min_over(&bf(70, &[0])), Some(2));

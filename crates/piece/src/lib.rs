@@ -32,10 +32,12 @@ mod index;
 mod picker;
 
 pub use availability::AvailabilityMap;
-pub use index::AvailabilityIndex;
 pub use bitfield::{Bitfield, Words};
 pub use file::FileSpec;
-pub use picker::{PiecePicker, PieceSelection, RandomFirstPicker, RarestFirstPicker, SequentialPicker};
+pub use index::AvailabilityIndex;
+pub use picker::{
+    PiecePicker, PieceSelection, RandomFirstPicker, RarestFirstPicker, SequentialPicker,
+};
 
 /// Index of a piece within a file, starting at 0.
 pub type PieceId = u32;

@@ -224,7 +224,9 @@ impl SwarmConfig {
     /// Returns a [`ConfigError`] describing the first invalid field.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.seeder_bps < 0.0 || !self.seeder_bps.is_finite() {
-            return Err(ConfigError::new("seeder_bps must be finite and nonnegative"));
+            return Err(ConfigError::new(
+                "seeder_bps must be finite and nonnegative",
+            ));
         }
         if self.neighbor_degree == 0 {
             return Err(ConfigError::new("neighbor_degree must be positive"));
@@ -402,7 +404,14 @@ mod tests {
     fn staggered_arrivals_are_increasing_and_poisson_ish() {
         let c = SwarmConfig::tiny_test();
         let mix = CapacityClassMix::paper_default();
-        let pop = staggered_arrivals(&c, 200, MechanismKind::TChain, 5, &mix, Duration::from_secs(2));
+        let pop = staggered_arrivals(
+            &c,
+            200,
+            MechanismKind::TChain,
+            5,
+            &mix,
+            Duration::from_secs(2),
+        );
         assert_eq!(pop.len(), 200);
         for w in pop.windows(2) {
             assert!(w[1].arrival >= w[0].arrival, "arrivals nondecreasing");
@@ -417,8 +426,22 @@ mod tests {
     fn staggered_arrivals_deterministic() {
         let c = SwarmConfig::tiny_test();
         let mix = CapacityClassMix::paper_default();
-        let a = staggered_arrivals(&c, 20, MechanismKind::Altruism, 9, &mix, Duration::from_secs(1));
-        let b = staggered_arrivals(&c, 20, MechanismKind::Altruism, 9, &mix, Duration::from_secs(1));
+        let a = staggered_arrivals(
+            &c,
+            20,
+            MechanismKind::Altruism,
+            9,
+            &mix,
+            Duration::from_secs(1),
+        );
+        let b = staggered_arrivals(
+            &c,
+            20,
+            MechanismKind::Altruism,
+            9,
+            &mix,
+            Duration::from_secs(1),
+        );
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.arrival, y.arrival);
             assert_eq!(x.capacity_bps, y.capacity_bps);

@@ -312,8 +312,10 @@ pub(crate) fn build_reports(
             }
         }
         if !fabricated.is_empty() {
-            let mut map: std::collections::BTreeMap<(u32, u32), (u64, u64)> =
-                pairs.iter().map(|p| ((p.from, p.to), (p.claim, p.ack))).collect();
+            let mut map: std::collections::BTreeMap<(u32, u32), (u64, u64)> = pairs
+                .iter()
+                .map(|p| ((p.from, p.to), (p.claim, p.ack)))
+                .collect();
             for f in fabricated {
                 let e = map.entry((f.from, f.to)).or_insert((0, 0));
                 e.0 += f.claim;
@@ -421,7 +423,10 @@ pub(crate) fn aggregate(
         for g in groups[range.clone()].iter() {
             let group = &pairs[g.clone()];
             let uploader = group[0].from;
-            let matched = group.iter().filter(|p| p.claim == p.ack && p.claim > 0).count();
+            let matched = group
+                .iter()
+                .filter(|p| p.claim == p.ack && p.claim > 0)
+                .count();
             let mut credit: u64 = group
                 .iter()
                 .filter(|p| p.claim == p.ack && p.claim > 0)
@@ -549,7 +554,11 @@ mod tests {
         behaviors[3].underreport = true;
         let strikes = [0.0, 0.0, 0.0, 1.2];
         let pairs = build_reports(&p, &transfers, &behaviors, &strikes, 64, 0);
-        let denied: Vec<u32> = pairs.iter().filter(|p| p.ack < p.claim).map(|p| p.from).collect();
+        let denied: Vec<u32> = pairs
+            .iter()
+            .filter(|p| p.ack < p.claim)
+            .map(|p| p.from)
+            .collect();
         assert_eq!(denied, vec![0]);
         // At 3.1 strikes the budget is zero.
         let strikes = [0.0, 0.0, 0.0, 3.1];
@@ -617,8 +626,9 @@ mod tests {
             .iter()
             .any(|q| q.from == 3 && q.to == 4 && q.claim == 64 && q.ack == 64));
         // Phantom claims against honest bystanders arrive unacked.
-        assert!(pairs.iter().any(|q| q.from == 3 && q.ack == 0 && q.claim == 64
-            && (q.to == 1 || q.to == 2)));
+        assert!(pairs
+            .iter()
+            .any(|q| q.from == 3 && q.ack == 0 && q.claim == 64 && (q.to == 1 || q.to == 2)));
         let out = aggregate(&p, pairs, &transfers, 1);
         // With quorum 1 the fabricated corroboration makes the phantom
         // stick: some honest bystander is struck...

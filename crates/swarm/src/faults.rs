@@ -134,13 +134,14 @@ impl FaultSchedule {
     /// Returns a human-readable description of the first violation.
     pub fn validate(&self, population_len: usize) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.loss_prob) || !self.loss_prob.is_finite() {
-            return Err(format!("loss_prob must be in [0, 1], got {}", self.loss_prob));
+            return Err(format!(
+                "loss_prob must be in [0, 1], got {}",
+                self.loss_prob
+            ));
         }
         if let Some(f) = self.seeder_exit_fraction {
             if !(f > 0.0 && f <= 1.0) {
-                return Err(format!(
-                    "seeder_exit_fraction must be in (0, 1], got {f}"
-                ));
+                return Err(format!("seeder_exit_fraction must be in (0, 1], got {f}"));
             }
         }
         for w in self.events.windows(2) {
@@ -170,7 +171,10 @@ impl FaultSchedule {
                 match ev.kind {
                     FaultKind::OutageStart => {
                         if open_outage.is_some() {
-                            return Err(format!("peer {peer}: nested outage at round {}", ev.round));
+                            return Err(format!(
+                                "peer {peer}: nested outage at round {}",
+                                ev.round
+                            ));
                         }
                         open_outage = Some(ev.round);
                     }
@@ -201,7 +205,9 @@ impl FaultSchedule {
                 }
             }
             if let Some(start) = open_outage {
-                return Err(format!("peer {peer}: outage starting at round {start} never ends"));
+                return Err(format!(
+                    "peer {peer}: outage starting at round {start} never ends"
+                ));
             }
         }
         Ok(())
@@ -286,7 +292,10 @@ mod tests {
         assert!(s.validate(3).is_err());
         // Event after departure.
         let s = FaultSchedule::from_events(
-            vec![ev(1, 0, FaultKind::Depart), ev(2, 0, FaultKind::OutageStart)],
+            vec![
+                ev(1, 0, FaultKind::Depart),
+                ev(2, 0, FaultKind::OutageStart),
+            ],
             0.0,
             0,
         );
@@ -296,7 +305,10 @@ mod tests {
         assert!(s.validate(1).is_err());
         // Zero-length outage.
         let s = FaultSchedule::from_events(
-            vec![ev(1, 0, FaultKind::OutageStart), ev(1, 0, FaultKind::OutageEnd)],
+            vec![
+                ev(1, 0, FaultKind::OutageStart),
+                ev(1, 0, FaultKind::OutageEnd),
+            ],
             0.0,
             0,
         );
@@ -323,7 +335,10 @@ mod tests {
         );
         assert_eq!(s.events()[1].kind, FaultKind::OutageEnd);
         assert_eq!(s.events()[2].kind, FaultKind::Depart);
-        assert!(s.validate(1).is_ok(), "outage closed at the departure round");
+        assert!(
+            s.validate(1).is_ok(),
+            "outage closed at the departure round"
+        );
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub use config::{
     flash_crowd, flash_crowd_with, staggered_arrivals, ConfigError, MechanismFactory, PeerSpec,
     PeerTags, PieceStrategy, SwarmConfig,
 };
-pub use faults::{FaultEvent, FaultKind, FaultPatch, FaultSchedule};
 pub use dirty::{DirtySet, VisitBits};
+pub use faults::{FaultEvent, FaultKind, FaultPatch, FaultSchedule};
 pub use result::{ConsensusSummary, PeerRecord, SimResult, Totals};
 pub use sim::{Simulation, SEEDER_ID};
 pub use transfer::{InFlight, TransferTable};

@@ -302,10 +302,7 @@ mod tests {
     #[test]
     fn fairness_from_cumulative_totals() {
         let r = SimResult {
-            peers: vec![
-                record(true, None, 100, 100),
-                record(true, None, 300, 300),
-            ],
+            peers: vec![record(true, None, 100, 100), record(true, None, 300, 300)],
             ..SimResult::default()
         };
         assert!((r.final_avg_fairness().unwrap() - 1.0).abs() < 1e-12);

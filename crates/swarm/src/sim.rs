@@ -12,11 +12,6 @@ use std::collections::BTreeSet;
 
 use coop_des::rng::SeedTree;
 use coop_des::{Engine, RoundDriver, SimTime};
-use coop_telemetry::profile::phase;
-use coop_telemetry::{
-    Category, Histogram, PhaseToken, ProfileReport, Profiler, Recorder, Sampling, TelemetryConfig,
-    TelemetryReport, TraceEvent,
-};
 use coop_incentives::hash::IdMap;
 use coop_incentives::ledger::{ReportedReputation, ReputationTable};
 use coop_incentives::metrics::TimeSeries;
@@ -26,6 +21,11 @@ use coop_incentives::{
 use coop_piece::{
     AvailabilityIndex, Bitfield, PiecePicker, PieceSelection, RandomFirstPicker, RarestFirstPicker,
     SequentialPicker,
+};
+use coop_telemetry::profile::phase;
+use coop_telemetry::{
+    Category, Histogram, PhaseToken, ProfileReport, Profiler, Recorder, Sampling, TelemetryConfig,
+    TelemetryReport, TraceEvent,
 };
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -235,8 +235,7 @@ impl Simulation {
         // one that keeps only `final`-category events and writes them as
         // JSONL to stderr (the structured successor of the old ad-hoc
         // eprintln dumps).
-        let recorder = if !recorder.is_enabled() && std::env::var_os("COOP_SWARM_DEBUG").is_some()
-        {
+        let recorder = if !recorder.is_enabled() && std::env::var_os("COOP_SWARM_DEBUG").is_some() {
             let sampling = Category::ALL
                 .iter()
                 .fold(Sampling::keep_all(), |s, &c| s.every(c, 0))
@@ -748,11 +747,7 @@ impl Simulation {
                 // `max_rounds`.
                 let moved = self.totals.uploaded_total() != self.prev_uploaded_total;
                 self.prev_uploaded_total = self.totals.uploaded_total();
-                if !all_done
-                    && !moved
-                    && !self.faults.is_inert()
-                    && self.swarm_unsatisfiable()
-                {
+                if !all_done && !moved && !self.faults.is_inert() && self.swarm_unsatisfiable() {
                     self.stalled = true;
                     self.recorder.incr("swarm.fault.stalls", 1);
                     self.record_fault("stalled", u32::MAX, 0);
@@ -1279,10 +1274,7 @@ impl Simulation {
             // unobservable. Obliged-only peers are re-visited through the
             // live obliged flag instead (obligations can be granted
             // toward non-neighbors, so interest does not cover them).
-            let interested = self
-                .round_candidates(id)
-                .iter()
-                .any(|&c| self.needs(c, id));
+            let interested = self.round_candidates(id).iter().any(|&c| self.needs(c, id));
             if interested {
                 // Stateful mechanisms may decide differently next round
                 // on identical inputs (unchoke rotations, sticky
@@ -1328,7 +1320,8 @@ impl Simulation {
                 break;
             }
             let bytes = g.bytes.min(remaining);
-            let used = self.execute_grant(id, g.to, bytes, g.reason, g.condition, now, &mut exec_rng);
+            let used =
+                self.execute_grant(id, g.to, bytes, g.reason, g.condition, now, &mut exec_rng);
             remaining -= used;
         }
         let granted = budget - remaining;
@@ -1353,10 +1346,14 @@ impl Simulation {
                 .bytes_per_round(self.peers[from.index() as usize].capacity_bps)
         };
         let mut used = 0;
-        let mut rng = self
-            .seeds
-            .subtree(0x520_0000 + self.round_idx)
-            .rng(0xD0A1 ^ u64::from(if from == SEEDER_ID { u32::MAX } else { from.index() }));
+        let mut rng = self.seeds.subtree(0x520_0000 + self.round_idx).rng(
+            0xD0A1
+                ^ u64::from(if from == SEEDER_ID {
+                    u32::MAX
+                } else {
+                    from.index()
+                }),
+        );
         for to in self.transfers.targets_of(from) {
             if used >= budget {
                 break;
@@ -1420,11 +1417,7 @@ impl Simulation {
                     .expect("just checked")
                     .remaining();
                 let step = left.min(remaining);
-                let reason = self
-                    .transfers
-                    .get(from, to)
-                    .expect("just checked")
-                    .reason;
+                let reason = self.transfers.get(from, to).expect("just checked").reason;
                 effective_reason = reason;
                 self.account_bytes(from, to, step);
                 self.totals.bytes_by_reason[reason.index()] += step;
@@ -1432,7 +1425,11 @@ impl Simulation {
                     // Per-link message loss: a pure hash of (loss_seed,
                     // link, piece, round) — a no-op single branch when the
                     // schedule carries no loss probability.
-                    let from_raw = if from == SEEDER_ID { u32::MAX } else { from.index() };
+                    let from_raw = if from == SEEDER_ID {
+                        u32::MAX
+                    } else {
+                        from.index()
+                    };
                     if self
                         .faults
                         .drops_piece(from_raw, to.index(), done.piece, self.round_idx)
@@ -1510,17 +1507,23 @@ impl Simulation {
             self.recorder.incr("swarm.transfers_started", 1);
         }
         let round = self.round_idx;
-        self.recorder.emit_sampled(Category::Grant, || TraceEvent::Grant {
-            round,
-            from: from.index(),
-            to: to.index(),
-            bytes: used,
-            reason: reason.name(),
-            new_transfer: started_new,
-        });
+        self.recorder
+            .emit_sampled(Category::Grant, || TraceEvent::Grant {
+                round,
+                from: from.index(),
+                to: to.index(),
+                bytes: used,
+                reason: reason.name(),
+                new_transfer: started_new,
+            });
     }
 
-    fn pick_piece(&mut self, from: PeerId, to: PeerId, rng: &mut dyn RngCore) -> Option<(u32, u64)> {
+    fn pick_piece(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        rng: &mut dyn RngCore,
+    ) -> Option<(u32, u64)> {
         // The picker treats the downloader bitfield as "pieces already
         // held"; in-flight pieces count as held so they are not fetched
         // twice. The scratch bitfield is moved out and refilled in place
@@ -1545,7 +1548,8 @@ impl Simulation {
                     // Word-skipping walk over the incremental index; draws
                     // from `rng` exactly as the naive picker does (pinned
                     // by the `availability_index` proptests).
-                    self.availability.pick_rarest_into(&held, offer, &mut ties, rng)
+                    self.availability
+                        .pick_rarest_into(&held, offer, &mut ties, rng)
                 }
             }
             PieceStrategy::Random => {
@@ -1830,9 +1834,7 @@ impl Simulation {
                     .copied()
                     .collect();
                 for ob in colluding {
-                    self.peers[pid as usize]
-                        .obligations
-                        .retain(|o| o != &ob);
+                    self.peers[pid as usize].obligations.retain(|o| o != &ob);
                     self.unlock_for(id, ob.piece);
                     // The accomplice's false receipt report convinces the
                     // uploader the chain was honored.
@@ -2131,7 +2133,8 @@ impl Simulation {
         }
         self.totals.fault_dropped_bytes += done.piece_len;
         self.recorder.incr("swarm.fault.drops", 1);
-        self.recorder.incr("swarm.fault.dropped_bytes", done.piece_len);
+        self.recorder
+            .incr("swarm.fault.dropped_bytes", done.piece_len);
         self.record_fault("piece_drop", to.index(), done.piece_len);
     }
 
@@ -2166,9 +2169,9 @@ impl Simulation {
     fn whitewash_pass(&mut self, now: SimTime) {
         let round = self.round_idx;
         let due = |p: &PeerState| {
-            p.tags
-                .whitewash_interval
-                .is_some_and(|w| round > p.arrival_round && (round - p.arrival_round).is_multiple_of(w))
+            p.tags.whitewash_interval.is_some_and(|w| {
+                round > p.arrival_round && (round - p.arrival_round).is_multiple_of(w)
+            })
         };
         let targets: Vec<u32> = if self.naive_hotpath {
             self.peers
@@ -2444,54 +2447,50 @@ impl Simulation {
         // out over contiguous peer-index ranges; concatenating the
         // per-range hits in range order *is* id order, so the vector fed
         // to the shuffle below is identical for any K.
-        let mut candidates: Vec<PeerId> =
-            if self.shards > 1 && self.peers.len() >= SHARD_MIN_ITEMS {
-                let (peers, transfers, seeder_bf) =
-                    (&self.peers, &self.transfers, &self.seeder_bf);
-                let seeder_online = self.seeder_online;
-                let consensus = self.consensus.as_ref();
-                let round = self.round_idx;
-                let parts: Vec<Vec<PeerId>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = shard_ranges(peers.len(), self.shards)
-                        .into_iter()
-                        .map(|r| {
-                            scope.spawn(move || {
-                                peers[r]
-                                    .iter()
-                                    .filter(|p| {
-                                        p.is_active()
-                                            && !consensus.is_some_and(|c| {
-                                                c.is_banned_slot(p.id.index(), round)
-                                            })
-                                            && shard::needs_with(
-                                                peers,
-                                                transfers,
-                                                seeder_bf,
-                                                seeder_online,
-                                                p.id,
-                                                SEEDER_ID,
-                                            )
-                                    })
-                                    .map(|p| p.id)
-                                    .collect()
-                            })
+        let mut candidates: Vec<PeerId> = if self.shards > 1 && self.peers.len() >= SHARD_MIN_ITEMS
+        {
+            let (peers, transfers, seeder_bf) = (&self.peers, &self.transfers, &self.seeder_bf);
+            let seeder_online = self.seeder_online;
+            let consensus = self.consensus.as_ref();
+            let round = self.round_idx;
+            let parts: Vec<Vec<PeerId>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = shard_ranges(peers.len(), self.shards)
+                    .into_iter()
+                    .map(|r| {
+                        scope.spawn(move || {
+                            peers[r]
+                                .iter()
+                                .filter(|p| {
+                                    p.is_active()
+                                        && !consensus
+                                            .is_some_and(|c| c.is_banned_slot(p.id.index(), round))
+                                        && shard::needs_with(
+                                            peers,
+                                            transfers,
+                                            seeder_bf,
+                                            seeder_online,
+                                            p.id,
+                                            SEEDER_ID,
+                                        )
+                                })
+                                .map(|p| p.id)
+                                .collect()
                         })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked"))
-                        .collect()
-                });
-                parts.concat()
-            } else {
-                self.peers
-                    .iter()
-                    .filter(|p| {
-                        p.is_active() && !self.is_banned(p.id) && self.needs(p.id, SEEDER_ID)
                     })
-                    .map(|p| p.id)
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked"))
                     .collect()
-            };
+            });
+            parts.concat()
+        } else {
+            self.peers
+                .iter()
+                .filter(|p| p.is_active() && !self.is_banned(p.id) && self.needs(p.id, SEEDER_ID))
+                .map(|p| p.id)
+                .collect()
+        };
         candidates.shuffle(&mut rng);
         if candidates.is_empty() {
             return;
@@ -2914,11 +2913,7 @@ impl Simulation {
         if f.is_finite() {
             self.fairness_stat.push(t, f);
         }
-        let compliant: Vec<&PeerState> = self
-            .peers
-            .iter()
-            .filter(|p| p.tags.compliant)
-            .collect();
+        let compliant: Vec<&PeerState> = self.peers.iter().filter(|p| p.tags.compliant).collect();
         // Denominator: the whole expected compliant population, so the
         // fraction is monotone even while arrivals are still trickling in
         // (the paper's Fig. 4c plots fractions of all 1000 users).
@@ -2967,7 +2962,10 @@ impl Simulation {
         recorder.incr("swarm.adjacency.rebuilds", self.adjacency_rebuilds);
         // Deterministic work accounting — how much of the O(N·degree)
         // round-loop scan did useful work (see `coop_telemetry::profile::work`).
-        recorder.incr(coop_telemetry::profile::work::PEERS_VISITED, self.work_visited);
+        recorder.incr(
+            coop_telemetry::profile::work::PEERS_VISITED,
+            self.work_visited,
+        );
         recorder.incr(
             coop_telemetry::profile::work::PEERS_PRODUCTIVE,
             self.work_productive,
@@ -3283,7 +3281,11 @@ mod tests {
             .build()
             .unwrap()
             .run();
-        assert_eq!(r.completed_count(), 1, "seeder alone must complete one peer");
+        assert_eq!(
+            r.completed_count(),
+            1,
+            "seeder alone must complete one peer"
+        );
     }
 
     #[test]
@@ -3324,10 +3326,10 @@ mod tests {
             config.max_rounds = 12;
             let population = flash_crowd(&config, 12, MechanismKind::Altruism, 33);
             Simulation::builder(config)
-            .population(population)
-            .build()
-            .unwrap()
-            .run()
+                .population(population)
+                .build()
+                .unwrap()
+                .run()
         };
         let rarest = run_with(crate::config::PieceStrategy::RarestFirst);
         let sequential = run_with(crate::config::PieceStrategy::Sequential);
@@ -3391,7 +3393,10 @@ mod tests {
             .unwrap()
             .run();
         // All arrivals fire at t=0 in spec order, so spec 0 is peer 0.
-        assert!(r.peers[0].completion_s.is_none(), "churned peer never completes");
+        assert!(
+            r.peers[0].completion_s.is_none(),
+            "churned peer never completes"
+        );
         assert!(!r.stalled, "live seeder keeps the swarm satisfiable");
         assert!(
             r.completed_count() >= 8,
@@ -3507,7 +3512,11 @@ mod tests {
                     .unwrap()
                     .run()
             };
-            assert_eq!(run(false), run(true), "{kind}: hot path diverged from oracle");
+            assert_eq!(
+                run(false),
+                run(true),
+                "{kind}: hot path diverged from oracle"
+            );
         }
     }
 
@@ -3523,9 +3532,21 @@ mod tests {
             }
             let schedule = FaultSchedule::from_events(
                 vec![
-                    FaultEvent { round: 2, peer: 1, kind: FaultKind::OutageStart },
-                    FaultEvent { round: 3, peer: 0, kind: FaultKind::Depart },
-                    FaultEvent { round: 6, peer: 1, kind: FaultKind::OutageEnd },
+                    FaultEvent {
+                        round: 2,
+                        peer: 1,
+                        kind: FaultKind::OutageStart,
+                    },
+                    FaultEvent {
+                        round: 3,
+                        peer: 0,
+                        kind: FaultKind::Depart,
+                    },
+                    FaultEvent {
+                        round: 6,
+                        peer: 1,
+                        kind: FaultKind::OutageEnd,
+                    },
                 ],
                 0.1,
                 53,

@@ -122,7 +122,13 @@ impl TransferTable {
     ///
     /// Panics if no transfer is in flight for the pair or if `bytes`
     /// exceeds the remaining length.
-    pub fn progress(&mut self, from: PeerId, to: PeerId, bytes: u64, round: u64) -> Option<InFlight> {
+    pub fn progress(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        bytes: u64,
+        round: u64,
+    ) -> Option<InFlight> {
         let entry = self
             .inner
             .get_mut(&(from, to))

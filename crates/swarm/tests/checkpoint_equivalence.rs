@@ -201,7 +201,8 @@ fn restore_then_finish_equals_straight_run_for_every_mechanism() {
                 .unwrap_or_else(|e| panic!("{kind:?}: restore failed: {e}"))
                 .run_traced();
             assert_eq!(
-                straight, resumed,
+                straight,
+                resumed,
                 "{kind:?}: resume from round {} diverged",
                 ckpt.round()
             );

@@ -193,7 +193,13 @@ fn same_seed_same_fingerprint() {
 fn empty_fault_schedule_matches_goldens() {
     let actual: Vec<u64> = MechanismKind::ALL
         .iter()
-        .map(|&kind| fingerprint(&scenario_with_faults(kind, 42, Some(FaultSchedule::empty()))))
+        .map(|&kind| {
+            fingerprint(&scenario_with_faults(
+                kind,
+                42,
+                Some(FaultSchedule::empty()),
+            ))
+        })
         .collect();
     assert_eq!(
         actual,

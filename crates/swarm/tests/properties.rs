@@ -1,14 +1,14 @@
 //! Property-based tests for the swarm simulator: invariants that must hold
 //! for random configurations, populations and seeds.
 
+use coop_des::Duration;
+use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::{GrantReason, MechanismKind, PeerId};
+use coop_piece::FileSpec;
 use coop_swarm::{
     flash_crowd_with, FaultEvent, FaultKind, FaultSchedule, InFlight, PeerTags, SimResult,
     Simulation, SimulationBuilder, SwarmConfig, TransferTable, SEEDER_ID,
 };
-use coop_des::Duration;
-use coop_incentives::analysis::capacity::CapacityClassMix;
-use coop_piece::FileSpec;
 use proptest::prelude::*;
 
 fn kind_strategy() -> impl Strategy<Value = MechanismKind> {

@@ -4,9 +4,7 @@
 
 use coop_incentives::MechanismKind;
 use coop_swarm::{flash_crowd, Simulation, SwarmConfig};
-use coop_telemetry::{
-    Category, MemorySink, Recorder, Sampling, TelemetryConfig, TraceEvent,
-};
+use coop_telemetry::{Category, MemorySink, Recorder, Sampling, TelemetryConfig, TraceEvent};
 
 fn run_with(recorder: Recorder) -> (coop_swarm::SimResult, coop_telemetry::TelemetryReport) {
     let config = SwarmConfig::tiny_test();

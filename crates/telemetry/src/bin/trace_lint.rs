@@ -29,11 +29,15 @@ fn lint_jsonl(path: &str, text: &str) -> Result<usize, String> {
             continue;
         }
         let doc = json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let ty = doc.get("type").and_then(Json::as_str).ok_or_else(|| {
-            format!("{path}:{}: event has no string 'type' field", lineno + 1)
-        })?;
+        let ty = doc
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{path}:{}: event has no string 'type' field", lineno + 1))?;
         let cat = doc.get("cat").and_then(Json::as_str).ok_or_else(|| {
-            format!("{path}:{}: event '{ty}' has no string 'cat' field", lineno + 1)
+            format!(
+                "{path}:{}: event '{ty}' has no string 'cat' field",
+                lineno + 1
+            )
         })?;
         if !known.contains(&cat) {
             return Err(format!(
@@ -48,8 +52,7 @@ fn lint_jsonl(path: &str, text: &str) -> Result<usize, String> {
 }
 
 fn lint_file(path: &str) -> Result<String, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
     if path.ends_with(".jsonl") {
         let events = lint_jsonl(path, &text)?;
         Ok(format!("{path}: ok ({events} events)"))

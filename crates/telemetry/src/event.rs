@@ -491,8 +491,11 @@ mod tests {
         for (i, cat) in Category::ALL.into_iter().enumerate() {
             assert_eq!(cat.index(), i);
         }
-        let seen: std::collections::BTreeSet<_> =
-            samples().iter().map(|e| e.category()).collect();
-        assert_eq!(seen.len(), Category::ALL.len(), "samples cover all categories");
+        let seen: std::collections::BTreeSet<_> = samples().iter().map(|e| e.category()).collect();
+        assert_eq!(
+            seen.len(),
+            Category::ALL.len(),
+            "samples cover all categories"
+        );
     }
 }

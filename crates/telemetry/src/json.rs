@@ -232,7 +232,10 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
@@ -475,13 +478,19 @@ mod tests {
             .uints("xs", &[1, 2, 3]);
         let text = o.finish();
         let doc = parse(&text).unwrap();
-        assert_eq!(doc.get("name").and_then(Json::as_str), Some("a \"quoted\" value"));
+        assert_eq!(
+            doc.get("name").and_then(Json::as_str),
+            Some("a \"quoted\" value")
+        );
         assert_eq!(doc.get("n").and_then(Json::as_f64), Some(42.0));
         assert_eq!(doc.get("pi").and_then(Json::as_f64), Some(3.25));
         assert_eq!(doc.get("whole").and_then(Json::as_f64), Some(4.0));
         assert_eq!(doc.get("nan"), Some(&Json::Null));
         assert_eq!(doc.get("flag"), Some(&Json::Bool(true)));
-        assert!(text.contains("\"whole\":4.0"), "integral floats keep .0: {text}");
+        assert!(
+            text.contains("\"whole\":4.0"),
+            "integral floats keep .0: {text}"
+        );
     }
 
     #[test]

@@ -53,4 +53,6 @@ pub use profile::{
     PROFILE_SCHEMA_VERSION,
 };
 pub use recorder::{Histogram, Recorder, Sampling, SpanStats, TelemetryConfig, TelemetryReport};
-pub use sink::{AtomicFile, CsvProbeSink, JsonlSink, MemorySink, Sink, StderrSink, PROBE_CSV_HEADER};
+pub use sink::{
+    AtomicFile, CsvProbeSink, JsonlSink, MemorySink, Sink, StderrSink, PROBE_CSV_HEADER,
+};

@@ -323,10 +323,7 @@ impl ProfileReport {
 
     /// The stats for `name`, if recorded.
     pub fn phase(&self, name: &str) -> Option<&PhaseStat> {
-        self.phases
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
+        self.phases.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
     /// Total nanoseconds recorded under `name` (0 when absent).
@@ -403,10 +400,7 @@ impl RunProfile {
 
     /// The stats for phase `name`, if recorded.
     pub fn phase(&self, name: &str) -> Option<&PhaseStat> {
-        self.phases
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
+        self.phases.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
     /// Fraction of [`phase::SIM_RUN`] wall time attributed to the
@@ -839,7 +833,8 @@ mod tests {
     #[test]
     fn validate_rejects_structural_problems() {
         let mut p = sample();
-        p.phases.push(("swarm.not_a_phase".into(), PhaseStat::default()));
+        p.phases
+            .push(("swarm.not_a_phase".into(), PhaseStat::default()));
         assert!(p.validate().unwrap_err().contains("taxonomy"));
 
         let mut p = sample();

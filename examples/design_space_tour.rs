@@ -35,7 +35,10 @@ fn main() {
     .expect("positive capacities");
     assert!(caps.no_dominant_user(), "paper's capacity assumption");
 
-    println!("\n== Table I / Fig. 2: idealized equilibrium (10 users, ΣU = {:.0}) ==", caps.total());
+    println!(
+        "\n== Table I / Fig. 2: idealized equilibrium (10 users, ΣU = {:.0}) ==",
+        caps.total()
+    );
     let params = EquilibriumParams::default();
     for kind in MechanismKind::ALL {
         let s = equilibrium_summary(kind, &caps, &params);

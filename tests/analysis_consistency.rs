@@ -159,7 +159,11 @@ fn epoch_open_fraction_predicts_simulated_susceptibility_ladder() {
         &OutputDir::new(&dir),
     )
     .expect("fig-epoch batch");
-    let lambda = |e: u64| r.epoch(e).predicted_open_fraction.expect("epoch rung carries λ");
+    let lambda = |e: u64| {
+        r.epoch(e)
+            .predicted_open_fraction
+            .expect("epoch rung carries λ")
+    };
     let s = |e: u64| r.epoch(e).susceptibility;
     assert!(
         lambda(1) < lambda(16) && lambda(16) < lambda(256),

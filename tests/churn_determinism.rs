@@ -35,11 +35,12 @@ fn churned_results_are_identical_across_worker_counts() {
     let sequential = Executor::sequential().run_sims(&jobs);
     let parallel = Executor::new(8).run_sims(&jobs);
     // SimResult's PartialEq compares every recorded number bit-for-bit.
-    assert_eq!(sequential, parallel, "worker count leaked into a churned run");
+    assert_eq!(
+        sequential, parallel,
+        "worker count leaked into a churned run"
+    );
     assert!(
-        sequential
-            .iter()
-            .any(|r| r.totals.fault_dropped_bytes > 0),
+        sequential.iter().any(|r| r.totals.fault_dropped_bytes > 0),
         "the stress plan actually dropped bytes"
     );
 }
@@ -124,6 +125,9 @@ fn churn_sweep_artifacts_are_byte_identical_across_worker_counts() {
         "worker count changed the artifact file set"
     );
     for (name, bytes) in &base {
-        assert_eq!(bytes, &other[name], "worker count changed the bytes of {name}");
+        assert_eq!(
+            bytes, &other[name],
+            "worker count changed the bytes of {name}"
+        );
     }
 }

@@ -60,7 +60,10 @@ fn assert_invariants(r: &SimResult, config: &SwarmConfig, label: &str) {
     }
 
     let susc = r.final_susceptibility();
-    assert!((0.0..=1.0).contains(&susc), "{label}: susceptibility {susc}");
+    assert!(
+        (0.0..=1.0).contains(&susc),
+        "{label}: susceptibility {susc}"
+    );
     assert!(
         r.totals.freerider_received_from_peers <= r.totals.freerider_received_usable,
         "{label}: peer-sourced ≤ total usable"
@@ -70,10 +73,16 @@ fn assert_invariants(r: &SimResult, config: &SwarmConfig, label: &str) {
     for series in [&r.bootstrapped_frac, &r.completed_frac] {
         let pts = series.points();
         for w in pts.windows(2) {
-            assert!(w[1].1 >= w[0].1 - 1e-12, "{label}: fraction series monotone");
+            assert!(
+                w[1].1 >= w[0].1 - 1e-12,
+                "{label}: fraction series monotone"
+            );
         }
         for &(_, v) in pts {
-            assert!((0.0..=1.0 + 1e-12).contains(&v), "{label}: fraction in range");
+            assert!(
+                (0.0..=1.0 + 1e-12).contains(&v),
+                "{label}: fraction in range"
+            );
         }
     }
 }
@@ -157,7 +166,10 @@ fn bytes_conserved_under_faults_and_reconciled_with_telemetry() {
             "{kind}: telemetry agrees with the totals ledger"
         );
         assert!(counter("swarm.fault.drops") > 0, "{kind}");
-        assert!(counter("swarm.fault.departures") > 0, "{kind}: churn departed someone");
+        assert!(
+            counter("swarm.fault.departures") > 0,
+            "{kind}: churn departed someone"
+        );
         assert!(
             counter("swarm.fault.events") >= counter("swarm.fault.departures"),
             "{kind}: every departure is a fault event"
@@ -194,7 +206,10 @@ fn epoch_boundaries_conserve_bytes_under_faults() {
         received + r.totals.fault_dropped_bytes,
         "conservation with the fault-drop term across epoch boundaries"
     );
-    assert!(r.totals.fault_dropped_bytes > 0, "a 20% loss rate drops something");
+    assert!(
+        r.totals.fault_dropped_bytes > 0,
+        "a 20% loss rate drops something"
+    );
     assert_invariants(&r, &config, "EpochSettlement+faults");
 
     let counter = |name: &str| -> u64 {
@@ -206,12 +221,18 @@ fn epoch_boundaries_conserve_bytes_under_faults() {
     };
     let settlements = counter("swarm.epoch.settlements");
     let boundaries = counter("swarm.epoch.boundaries");
-    assert!(boundaries > 1, "several epoch boundaries inside the faulted run");
+    assert!(
+        boundaries > 1,
+        "several epoch boundaries inside the faulted run"
+    );
     assert!(
         settlements >= boundaries,
         "each boundary settles at least one peer ({settlements} < {boundaries})"
     );
-    assert!(counter("swarm.fault.departures") > 0, "churn departed someone mid-epoch");
+    assert!(
+        counter("swarm.fault.departures") > 0,
+        "churn departed someone mid-epoch"
+    );
 }
 
 #[test]

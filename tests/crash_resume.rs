@@ -86,14 +86,20 @@ fn panicking_job_is_isolated_and_precisely_named() {
         run.results.iter().filter(|r| r.is_some()).count(),
         jobs.len() - 1
     );
-    assert!(run.results[failure.slot].is_none(), "failure names its slot");
+    assert!(
+        run.results[failure.slot].is_none(),
+        "failure names its slot"
+    );
 
     // The batch error renders an operator-actionable summary.
     let err = run.into_complete("fig4").unwrap_err();
     assert_eq!(err.figure, "fig4");
     assert_eq!(err.total, jobs.len());
     let text = err.to_string();
-    assert!(text.contains("BitTorrent") && text.contains("N=80"), "{text}");
+    assert!(
+        text.contains("BitTorrent") && text.contains("N=80"),
+        "{text}"
+    );
 }
 
 #[test]
@@ -103,9 +109,10 @@ fn retries_recover_flakes_without_changing_results() {
     let clean = Executor::new(2).run_sims(&jobs);
 
     // The T-Chain job panics on its first attempt only; one retry heals it.
-    let flaky = Executor::new(2)
-        .with_retries(2)
-        .with_panic_inject(inject("T-Chain", seed, Some(1)));
+    let flaky =
+        Executor::new(2)
+            .with_retries(2)
+            .with_panic_inject(inject("T-Chain", seed, Some(1)));
     let opts = TelemetryOpts {
         enabled: true,
         trace_out: None,
@@ -190,7 +197,11 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
         "a failed batch must not write partial figure artifacts"
     );
     let lines = journal_job_lines(&dir);
-    assert_eq!(lines.len(), jobs.len(), "every job journaled, even the failure");
+    assert_eq!(
+        lines.len(),
+        jobs.len(),
+        "every job journaled, even the failure"
+    );
     drop(broken);
     drop(journal);
 
@@ -243,7 +254,11 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
         &OutputDir::new(&dir),
     )
     .expect("resume after torn line completes");
-    assert_eq!(artifact_bytes(&dir), reference, "post-tear resume byte-exact");
+    assert_eq!(
+        artifact_bytes(&dir),
+        reference,
+        "post-tear resume byte-exact"
+    );
 }
 
 /// Journal replay serves a job the result stored under its fingerprint,
@@ -274,7 +289,11 @@ fn sweep_grid_jobs_have_distinct_fingerprints() {
     };
     for (grid, jobs) in grids {
         let fingerprints: HashSet<u64> = jobs.iter().map(SimJob::fingerprint).collect();
-        assert_eq!(fingerprints.len(), jobs.len(), "{grid}: fingerprints collide");
+        assert_eq!(
+            fingerprints.len(),
+            jobs.len(),
+            "{grid}: fingerprints collide"
+        );
         let fingerprints: HashSet<u64> = jobs.iter().map(|j| unlabeled(j).fingerprint()).collect();
         assert_eq!(
             fingerprints.len(),
@@ -377,7 +396,12 @@ fn fig_epoch_resumes_from_a_truncated_journal() {
     let labels = |lines: &[Json]| -> BTreeSet<String> {
         lines
             .iter()
-            .map(|l| l.get("label").and_then(Json::as_str).expect("label").to_string())
+            .map(|l| {
+                l.get("label")
+                    .and_then(Json::as_str)
+                    .expect("label")
+                    .to_string()
+            })
             .collect()
     };
     let replayed = labels(&journal_job_lines(&dir));

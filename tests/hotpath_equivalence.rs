@@ -116,9 +116,21 @@ fn run_cell(kind: MechanismKind, mode: Mode, faults: Option<FaultSchedule>) -> S
 fn fault_plan(seed: u64) -> FaultSchedule {
     FaultSchedule::from_events(
         vec![
-            FaultEvent { round: 2, peer: 1, kind: FaultKind::OutageStart },
-            FaultEvent { round: 3, peer: 0, kind: FaultKind::Depart },
-            FaultEvent { round: 6, peer: 1, kind: FaultKind::OutageEnd },
+            FaultEvent {
+                round: 2,
+                peer: 1,
+                kind: FaultKind::OutageStart,
+            },
+            FaultEvent {
+                round: 3,
+                peer: 0,
+                kind: FaultKind::Depart,
+            },
+            FaultEvent {
+                round: 6,
+                peer: 1,
+                kind: FaultKind::OutageEnd,
+            },
         ],
         0.1,
         seed,
@@ -255,7 +267,10 @@ fn consensus_three_way_agree_under_adaptive_attack() {
     // equivalence claim is vacuous.
     let summary = dirty.consensus.expect("consensus summary present");
     assert!(summary.reports > 0, "no reports were aggregated");
-    assert!(summary.disputes > 0, "the adaptive attack raised no disputes");
+    assert!(
+        summary.disputes > 0,
+        "the adaptive attack raised no disputes"
+    );
     assert_eq!(
         fingerprint_debug(&dirty),
         0x0bd0_dee6_271c_9f15,

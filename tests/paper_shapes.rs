@@ -109,7 +109,11 @@ fn fig5a_susceptibility_ranking() {
     let r = fig5::run(Scale::Quick, SEED);
     let s = |k: MechanismKind| r.get(k).susceptibility;
     assert_eq!(s(MechanismKind::Reciprocity), 0.0);
-    assert!(s(MechanismKind::TChain) < 0.05, "{}", s(MechanismKind::TChain));
+    assert!(
+        s(MechanismKind::TChain) < 0.05,
+        "{}",
+        s(MechanismKind::TChain)
+    );
     for leaky in [
         MechanismKind::Altruism,
         MechanismKind::BitTorrent,
@@ -228,7 +232,10 @@ fn zero_rate_fault_plan_is_byte_identical_to_no_plan() {
             workload: None,
         }
         .run();
-        assert_eq!(with, without, "{kind}: FaultPlan::none() must be the identity");
+        assert_eq!(
+            with, without,
+            "{kind}: FaultPlan::none() must be the identity"
+        );
     }
 }
 

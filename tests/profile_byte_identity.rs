@@ -142,9 +142,7 @@ fn fig4_artifacts_are_byte_identical_across_profile_modes() {
     assert!(full.phase(phase::EXEC_BUILD).is_some());
     assert!(full.phase(phase::BATCH_SIMULATE).is_some());
     assert!(full.work_counter(work::PEERS_VISITED) > 0);
-    assert!(
-        full.work_counter(work::PEERS_PRODUCTIVE) <= full.work_counter(work::PEERS_VISITED)
-    );
+    assert!(full.work_counter(work::PEERS_PRODUCTIVE) <= full.work_counter(work::PEERS_VISITED));
     let wasted = full.wasted_visit_ratio().expect("visits recorded");
     assert!((0.0..1.0).contains(&wasted), "{wasted}");
     assert_eq!(full.per_job.len(), 8, "one work row per mechanism");

@@ -153,7 +153,10 @@ fn fig4_artifacts_are_byte_identical_across_telemetry_modes() {
     assert_eq!(manifest.mechanisms.len(), 8);
     assert!(manifest.events_kept > 0);
     assert!(
-        manifest.counters.iter().any(|(n, v)| n == "swarm.rounds" && *v > 0),
+        manifest
+            .counters
+            .iter()
+            .any(|(n, v)| n == "swarm.rounds" && *v > 0),
         "manifest carries merged counters"
     );
     assert!(
@@ -222,10 +225,9 @@ fn replicated_fig4_is_unchanged_by_telemetry() {
     let other = artifact_bytes(&dir_on);
     assert_eq!(base, other, "telemetry changed replicated artifacts");
 
-    let manifest = RunManifest::parse(
-        &std::fs::read_to_string(dir_on.join(MANIFEST_FILE)).expect("manifest"),
-    )
-    .expect("manifest parses");
+    let manifest =
+        RunManifest::parse(&std::fs::read_to_string(dir_on.join(MANIFEST_FILE)).expect("manifest"))
+            .expect("manifest parses");
     assert_eq!(manifest.replicates, 2);
     assert_eq!(manifest.mechanisms.len(), 8, "labels deduplicated");
 }
