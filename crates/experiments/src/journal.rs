@@ -30,6 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use coop_swarm::{PeerRecord, SimResult, Totals};
+use coop_telemetry::is_staging_file;
 use coop_telemetry::json::{self, Json, ObjWriter};
 
 use coop_incentives::metrics::TimeSeries;
@@ -194,8 +195,8 @@ impl RunJournal {
     }
 
     /// Hashes and records every regular file directly inside `dir`
-    /// (except the journal itself), in name order. Returns how many were
-    /// recorded.
+    /// (except the journal itself and staging files a killed writer left
+    /// behind), in name order. Returns how many were recorded.
     ///
     /// # Errors
     ///
@@ -205,7 +206,7 @@ impl RunJournal {
             .filter_map(Result::ok)
             .filter(|e| e.file_type().map(|t| t.is_file()).unwrap_or(false))
             .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n != JOURNAL_FILE)
+            .filter(|n| n != JOURNAL_FILE && !is_staging_file(n))
             .collect();
         names.sort();
         for name in &names {
@@ -766,9 +767,11 @@ mod tests {
         let journal = RunJournal::create(&dir, &header()).unwrap();
         std::fs::write(dir.join("b.csv"), b"x,y\n1,2\n").unwrap();
         std::fs::write(dir.join("a.json"), b"{}").unwrap();
+        std::fs::write(dir.join(".b.csv.4242.tmp"), b"x,").unwrap();
         let n = journal.record_artifact_dir(&dir).unwrap();
-        assert_eq!(n, 2, "journal itself is excluded");
+        assert_eq!(n, 2, "journal and staging files are excluded");
         let text = std::fs::read_to_string(journal.path()).unwrap();
+        assert!(!text.contains(".tmp"), "staging file recorded: {text}");
         let a = text.find("a.json").unwrap();
         let b = text.find("b.csv").unwrap();
         assert!(a < b, "name order");

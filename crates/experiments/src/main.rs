@@ -167,6 +167,20 @@ fn main() -> ExitCode {
             replay.completed_count(),
             RunJournal::path_in(dir).display()
         );
+        // A run killed mid-write leaves its staging files behind; the
+        // resumed run rewrites every artifact, so they are only litter.
+        match coop_telemetry::remove_staging_files(dir) {
+            Ok(names) if !names.is_empty() => eprintln!(
+                "[resume] removed {} stale staging file(s) from {}",
+                names.len(),
+                dir.display()
+            ),
+            Ok(_) => {}
+            Err(err) => eprintln!(
+                "warning: --resume {}: could not remove staging files: {err}",
+                dir.display()
+            ),
+        }
         match RunJournal::open_append(dir) {
             Ok(j) => {
                 let j = Arc::new(j);

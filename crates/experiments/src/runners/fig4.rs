@@ -178,13 +178,15 @@ impl SimFigure {
     /// Aggregates the figure over several seeds: the full mechanism ×
     /// seed grid fans out across `executor` in one batch (replicates are
     /// just more independent jobs), traced as one batch so the manifest
-    /// and trace cover every replicate; the per-seed artifact writes then
-    /// replay sequentially in seed order, exactly as a sequential run
-    /// would have produced them.
+    /// and trace cover every replicate. Every seed's report feeds the
+    /// aggregate, but artifact names carry no seed, so only the last
+    /// seed's artifact set is written: the set a seed-by-seed write would
+    /// have left on disk.
     ///
-    /// On failure, per-seed artifacts are still written for every seed
-    /// whose jobs all succeeded (so a resume has less to redo), but the
-    /// aggregate report is withheld and `Err` names every failed cell.
+    /// On failure, the artifact set of the last seed whose jobs all
+    /// succeeded is still written (the same files a seed-by-seed write
+    /// would have left), but the aggregate report is withheld and `Err`
+    /// names every failed cell.
     ///
     /// # Errors
     ///
@@ -205,20 +207,18 @@ impl SimFigure {
         let sim_ms = sim_clock.elapsed_ms();
         let per_seed = MechanismKind::EXTENDED.len();
         if !run.failures.is_empty() {
-            for (i, &s) in seeds.iter().enumerate() {
-                let group = &run.results[i * per_seed..(i + 1) * per_seed];
-                if group.iter().all(Option::is_some) {
-                    let results: Vec<SimResult> =
-                        group.iter().map(|r| r.clone().expect("checked")).collect();
-                    write_figure_artifacts(
-                        figure,
-                        scale,
-                        s,
-                        &MechanismKind::EXTENDED,
-                        &results,
-                        out,
-                    );
-                }
+            // Artifact names carry no seed, so the last complete seed's
+            // set is what a seed-by-seed write would have left behind.
+            if let Some((i, &s)) = seeds.iter().enumerate().rev().find(|&(i, _)| {
+                run.results[i * per_seed..(i + 1) * per_seed]
+                    .iter()
+                    .all(Option::is_some)
+            }) {
+                let results: Vec<SimResult> = run.results[i * per_seed..(i + 1) * per_seed]
+                    .iter()
+                    .map(|r| r.clone().expect("checked"))
+                    .collect();
+                write_figure_artifacts(figure, scale, s, &MechanismKind::EXTENDED, &results, out);
             }
             return Err(BatchError {
                 figure: figure.to_string(),
@@ -233,18 +233,20 @@ impl SimFigure {
             .collect();
         let trace = run.trace;
         let write_clock = Stopwatch::start();
+        // Every seed contributes a report, but artifact names carry no
+        // seed: only the last seed's files would survive a seed-by-seed
+        // write, so only they are written.
+        let last = seeds.len() - 1;
         let reports: Vec<SimFigureReport> = seeds
             .iter()
             .enumerate()
             .map(|(i, &s)| {
-                write_figure_artifacts(
-                    figure,
-                    scale,
-                    s,
-                    &MechanismKind::EXTENDED,
-                    &results[i * per_seed..(i + 1) * per_seed],
-                    out,
-                )
+                let group = &results[i * per_seed..(i + 1) * per_seed];
+                if i == last {
+                    write_figure_artifacts(figure, scale, s, &MechanismKind::EXTENDED, group, out)
+                } else {
+                    figure_report(figure, scale, s, &MechanismKind::EXTENDED, group)
+                }
             })
             .collect();
         let rows = MechanismKind::EXTENDED
@@ -397,10 +399,44 @@ pub(crate) fn emit_probe_csv(figure: &str, trace: &BatchTrace, out: &OutputDir) 
     }
 }
 
-/// The sequential artifact phase of [`SimFigure::single`]: renders one figure's
-/// report and writes its CSV/JSON/SVG artifacts from precomputed results
-/// (one per mechanism, in `kinds` order — [`MechanismKind::EXTENDED`] for
-/// the figure runners, a scenario's declared list for the sweep path).
+/// One figure's report from precomputed results (one per mechanism, in
+/// `kinds` order), without writing anything.
+pub(crate) fn figure_report(
+    figure: &str,
+    scale: Scale,
+    seed: u64,
+    kinds: &[MechanismKind],
+    results: &[SimResult],
+) -> SimFigureReport {
+    assert_eq!(results.len(), kinds.len());
+    let rows = kinds
+        .iter()
+        .zip(results)
+        .map(|(&kind, result)| SimRow {
+            algorithm: kind.name().to_string(),
+            completed_fraction: result.completed_fraction(),
+            mean_completion_s: result.mean_completion_time(),
+            median_completion_s: result.completion_cdf().quantile(0.5),
+            mean_bootstrap_s: result.mean_bootstrap_time(),
+            avg_fairness: result.final_avg_fairness(),
+            fairness_f: result.final_fairness_stat(),
+            susceptibility: result.final_susceptibility(),
+            peak_susceptibility: result.peak_susceptibility(),
+        })
+        .collect();
+    SimFigureReport {
+        figure: figure.to_string(),
+        scale: scale.name().to_string(),
+        seed,
+        rows,
+    }
+}
+
+/// The sequential artifact phase of [`SimFigure::single`]: builds one
+/// figure's report ([`figure_report`]) and writes its CSV/JSON/SVG
+/// artifacts from precomputed results (one per mechanism, in `kinds`
+/// order — [`MechanismKind::EXTENDED`] for the figure runners, a
+/// scenario's declared list for the sweep path).
 pub(crate) fn write_figure_artifacts(
     figure: &str,
     scale: Scale,
@@ -432,114 +468,94 @@ pub(crate) fn write_figure_artifacts(
         "time (s)",
         "free-rider share",
     );
-    let rows = kinds
-        .iter()
-        .zip(results)
-        .map(|(&kind, result)| {
-            let slug = kind.name().to_lowercase().replace('-', "");
-            let tag = format!("{figure}_{slug}_{}", scale.name());
-            let cdf_series = result.completion_cdf().series(50);
-            let _ = out.csv(
-                &format!("{tag}_completion_cdf"),
-                &["completion_s", "fraction"],
-                &cdf_series,
-            );
-            let _ = out.csv(
-                &format!("{tag}_fairness_vs_time"),
-                &["time_s", "avg_fairness"],
-                result.fairness_avg.points(),
-            );
-            let _ = out.csv(
-                &format!("{tag}_bootstrapped_vs_time"),
-                &["time_s", "fraction_bootstrapped"],
-                result.bootstrapped_frac.points(),
-            );
-            let _ = out.csv(
-                &format!("{tag}_susceptibility_vs_time"),
-                &["time_s", "susceptibility"],
-                result.susceptibility.points(),
-            );
-            // Per-peer records (capacity vs completion scatter data).
-            let peer_rows: Vec<Vec<String>> = result
-                .peers
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.id.index().to_string(),
-                        format!("{}", p.capacity_bps),
-                        p.compliant.to_string(),
-                        format!("{}", p.arrival_s),
-                        p.bootstrap_s.map_or(String::new(), |v| format!("{v}")),
-                        p.completion_s.map_or(String::new(), |v| format!("{v}")),
-                        p.bytes_sent.to_string(),
-                        p.bytes_received_usable.to_string(),
-                        p.bytes_received_raw.to_string(),
-                    ]
-                })
-                .collect();
-            let _ = out.csv_rows(
-                &format!("{tag}_peers"),
-                &[
-                    "peer_id",
-                    "capacity_bps",
-                    "compliant",
-                    "arrival_s",
-                    "bootstrap_s",
-                    "completion_s",
-                    "bytes_sent",
-                    "bytes_received_usable",
-                    "bytes_received_raw",
-                ],
-                &peer_rows,
-            );
-            // Bandwidth attribution per mechanism component.
-            let reason_rows: Vec<Vec<String>> = coop_incentives::GrantReason::ALL
-                .iter()
-                .map(|&reason| {
-                    vec![
-                        reason.name().to_string(),
-                        result.totals.bytes_by_reason[reason.index()].to_string(),
-                        format!("{:.6}", result.reason_fraction(reason)),
-                    ]
-                })
-                .collect();
-            let _ = out.csv_rows(
-                &format!("{tag}_bandwidth_by_reason"),
-                &["reason", "bytes", "fraction_of_peer_bytes"],
-                &reason_rows,
-            );
-            panel_cdf.push_series(crate::plot::Series::new(kind.name(), cdf_series));
-            panel_fair.push_series(crate::plot::Series::new(
-                kind.name(),
-                result.fairness_avg.points().to_vec(),
-            ));
-            panel_boot.push_series(crate::plot::Series::new(
-                kind.name(),
-                result.bootstrapped_frac.points().to_vec(),
-            ));
-            panel_susc.push_series(crate::plot::Series::new(
-                kind.name(),
-                result.susceptibility.points().to_vec(),
-            ));
-            SimRow {
-                algorithm: kind.name().to_string(),
-                completed_fraction: result.completed_fraction(),
-                mean_completion_s: result.mean_completion_time(),
-                median_completion_s: result.completion_cdf().quantile(0.5),
-                mean_bootstrap_s: result.mean_bootstrap_time(),
-                avg_fairness: result.final_avg_fairness(),
-                fairness_f: result.final_fairness_stat(),
-                susceptibility: result.final_susceptibility(),
-                peak_susceptibility: result.peak_susceptibility(),
-            }
-        })
-        .collect();
-    let report = SimFigureReport {
-        figure: figure.to_string(),
-        scale: scale.name().to_string(),
-        seed,
-        rows,
-    };
+    for (&kind, result) in kinds.iter().zip(results) {
+        let slug = kind.name().to_lowercase().replace('-', "");
+        let tag = format!("{figure}_{slug}_{}", scale.name());
+        let cdf_series = result.completion_cdf().series(50);
+        let _ = out.csv(
+            &format!("{tag}_completion_cdf"),
+            &["completion_s", "fraction"],
+            &cdf_series,
+        );
+        let _ = out.csv(
+            &format!("{tag}_fairness_vs_time"),
+            &["time_s", "avg_fairness"],
+            result.fairness_avg.points(),
+        );
+        let _ = out.csv(
+            &format!("{tag}_bootstrapped_vs_time"),
+            &["time_s", "fraction_bootstrapped"],
+            result.bootstrapped_frac.points(),
+        );
+        let _ = out.csv(
+            &format!("{tag}_susceptibility_vs_time"),
+            &["time_s", "susceptibility"],
+            result.susceptibility.points(),
+        );
+        // Per-peer records (capacity vs completion scatter data).
+        let peer_rows: Vec<Vec<String>> = result
+            .peers
+            .iter()
+            .map(|p| {
+                vec![
+                    p.id.index().to_string(),
+                    format!("{}", p.capacity_bps),
+                    p.compliant.to_string(),
+                    format!("{}", p.arrival_s),
+                    p.bootstrap_s.map_or(String::new(), |v| format!("{v}")),
+                    p.completion_s.map_or(String::new(), |v| format!("{v}")),
+                    p.bytes_sent.to_string(),
+                    p.bytes_received_usable.to_string(),
+                    p.bytes_received_raw.to_string(),
+                ]
+            })
+            .collect();
+        let _ = out.csv_rows(
+            &format!("{tag}_peers"),
+            &[
+                "peer_id",
+                "capacity_bps",
+                "compliant",
+                "arrival_s",
+                "bootstrap_s",
+                "completion_s",
+                "bytes_sent",
+                "bytes_received_usable",
+                "bytes_received_raw",
+            ],
+            &peer_rows,
+        );
+        // Bandwidth attribution per mechanism component.
+        let reason_rows: Vec<Vec<String>> = coop_incentives::GrantReason::ALL
+            .iter()
+            .map(|&reason| {
+                vec![
+                    reason.name().to_string(),
+                    result.totals.bytes_by_reason[reason.index()].to_string(),
+                    format!("{:.6}", result.reason_fraction(reason)),
+                ]
+            })
+            .collect();
+        let _ = out.csv_rows(
+            &format!("{tag}_bandwidth_by_reason"),
+            &["reason", "bytes", "fraction_of_peer_bytes"],
+            &reason_rows,
+        );
+        panel_cdf.push_series(crate::plot::Series::new(kind.name(), cdf_series));
+        panel_fair.push_series(crate::plot::Series::new(
+            kind.name(),
+            result.fairness_avg.points().to_vec(),
+        ));
+        panel_boot.push_series(crate::plot::Series::new(
+            kind.name(),
+            result.bootstrapped_frac.points().to_vec(),
+        ));
+        panel_susc.push_series(crate::plot::Series::new(
+            kind.name(),
+            result.susceptibility.points().to_vec(),
+        ));
+    }
+    let report = figure_report(figure, scale, seed, kinds, results);
     let _ = out.json(&format!("{figure}_{}", scale.name()), &report);
     for (suffix, chart) in [
         ("a_completion_cdf", &panel_cdf),

@@ -9,12 +9,15 @@
 //!   `absent = ¬(have ∪ locked)` kept incrementally so the simulator's
 //!   interest tests are word-level bit operations.
 //!
-//! A fourth bitfield, `inflight`, marks the pieces already being fetched,
-//! so "does this peer need anything from that one" is a single fused
-//! word pass over `absent ∧ offer ∧ ¬inflight`.
+//! A fourth bitfield, `inflight`, marks the pieces already being fetched.
 //!
 //! All transitions go through the `acquire_usable` / `lock_piece` /
-//! `unlock_piece` / `discard_locked` methods, which maintain the caches.
+//! `unlock_piece` / `discard_locked` and `start_fetch` / `end_fetch` /
+//! `drop_fetches` methods, which maintain the caches. Every method that
+//! can change `absent`, `offer` or `inflight` also takes the simulation's
+//! [`InterestWords`] arena and updates this peer's row in the same call,
+//! so the interest test "does this peer need anything from that one"
+//! (`want ∧ offer` over the arena's words) never sees a stale row.
 
 use std::collections::BTreeSet;
 
@@ -24,6 +27,7 @@ use coop_incentives::{Mechanism, Obligation, PeerId};
 use coop_piece::Bitfield;
 
 use crate::config::PeerTags;
+use crate::soa::InterestWords;
 
 /// Why a peer is no longer active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,8 +62,9 @@ pub struct PeerState {
     absent: Bitfield,
     /// Pieces currently being downloaded (any source), to avoid duplicate
     /// fetches. At most one transfer per piece is in flight toward a
-    /// peer, so a bit per piece suffices.
-    pub inflight: Bitfield,
+    /// peer, so a bit per piece suffices. Written only through the
+    /// fetch methods, which keep the interest arena in step.
+    inflight: Bitfield,
     /// How many of the in-flight transfers toward this peer are
     /// conditional (will become obligations on delivery).
     pub inflight_conditional: usize,
@@ -157,6 +162,11 @@ impl PeerState {
         &self.absent
     }
 
+    /// Pieces currently being fetched toward this peer.
+    pub fn inflight(&self) -> &Bitfield {
+        &self.inflight
+    }
+
     /// Does this peer need piece `p`? (Absent and not already being
     /// fetched.)
     pub fn needs_piece(&self, p: u32) -> bool {
@@ -173,20 +183,29 @@ impl PeerState {
         bf
     }
 
+    /// This peer's slot in the interest arena.
+    fn slot(&self) -> u32 {
+        self.id.index()
+    }
+
     /// Marks piece `p` usable (plain delivery).
-    pub fn acquire_usable(&mut self, p: u32) {
+    pub(crate) fn acquire_usable(&mut self, p: u32, words: &mut InterestWords) {
         self.have.set(p);
         self.locked.unset(p);
         self.offer.set(p);
         self.absent.unset(p);
+        words.set_offer(self.slot(), p, true);
+        words.set_want(self.slot(), p, false);
     }
 
     /// Marks piece `p` locked (encrypted T-Chain delivery).
-    pub fn lock_piece(&mut self, p: u32) {
+    pub(crate) fn lock_piece(&mut self, p: u32, words: &mut InterestWords) {
         debug_assert!(!self.have.get(p), "locking an already-usable piece");
         self.locked.set(p);
         self.offer.set(p);
         self.absent.unset(p);
+        words.set_offer(self.slot(), p, true);
+        words.set_want(self.slot(), p, false);
     }
 
     /// Promotes a locked piece to usable (key released). Returns false if
@@ -202,7 +221,7 @@ impl PeerState {
 
     /// Discards an expired locked piece; it becomes absent (and thus
     /// re-downloadable). Returns false if the piece was not locked.
-    pub fn discard_locked(&mut self, p: u32) -> bool {
+    pub(crate) fn discard_locked(&mut self, p: u32, words: &mut InterestWords) -> bool {
         if !self.locked.get(p) {
             return false;
         }
@@ -210,8 +229,37 @@ impl PeerState {
         if !self.have.get(p) {
             self.offer.unset(p);
             self.absent.set(p);
+            words.set_offer(self.slot(), p, false);
+            words.set_want(self.slot(), p, !self.inflight.get(p));
         }
         true
+    }
+
+    /// A transfer of piece `p` toward this peer started; `conditional`
+    /// transfers become obligations on delivery.
+    pub(crate) fn start_fetch(&mut self, p: u32, conditional: bool, words: &mut InterestWords) {
+        self.inflight.set(p);
+        if conditional {
+            self.inflight_conditional += 1;
+        }
+        words.set_want(self.slot(), p, false);
+    }
+
+    /// The transfer of piece `p` toward this peer ended (delivered,
+    /// stalled, lost or dropped with its uploader).
+    pub(crate) fn end_fetch(&mut self, p: u32, conditional: bool, words: &mut InterestWords) {
+        self.inflight.unset(p);
+        if conditional {
+            self.inflight_conditional = self.inflight_conditional.saturating_sub(1);
+        }
+        words.set_want(self.slot(), p, self.absent.get(p));
+    }
+
+    /// Forgets every fetch toward this peer (departure or outage).
+    pub(crate) fn drop_fetches(&mut self, words: &mut InterestWords) {
+        self.inflight.clear();
+        self.inflight_conditional = 0;
+        words.reset_want(self.slot(), &self.absent);
     }
 
     /// True once every piece is usable.
@@ -262,8 +310,8 @@ mod tests {
     use super::*;
     use coop_incentives::{build_mechanism, MechanismKind, MechanismParams};
 
-    fn peer(num_pieces: u32) -> PeerState {
-        PeerState::new(
+    fn peer(num_pieces: u32) -> (PeerState, InterestWords) {
+        let p = PeerState::new(
             PeerId::new(0),
             1000.0,
             PeerTags::compliant(),
@@ -271,7 +319,10 @@ mod tests {
             0,
             num_pieces,
             build_mechanism(MechanismKind::Altruism, MechanismParams::default()),
-        )
+        );
+        let mut words = InterestWords::new(&Bitfield::full(num_pieces));
+        words.push(&p);
+        (p, words)
     }
 
     fn invariants(p: &PeerState) {
@@ -286,7 +337,7 @@ mod tests {
 
     #[test]
     fn fresh_peer_needs_everything() {
-        let p = peer(8);
+        let (p, _) = peer(8);
         assert!(p.is_active());
         assert!(!p.is_complete());
         assert_eq!(p.piece_count(), 0);
@@ -299,8 +350,8 @@ mod tests {
 
     #[test]
     fn lock_then_unlock_flow() {
-        let mut p = peer(8);
-        p.lock_piece(3);
+        let (mut p, mut w) = peer(8);
+        p.lock_piece(3, &mut w);
         invariants(&p);
         assert!(!p.needs_piece(3));
         assert!(p.offer().get(3));
@@ -313,37 +364,37 @@ mod tests {
 
     #[test]
     fn lock_then_discard_flow() {
-        let mut p = peer(8);
-        p.lock_piece(2);
-        assert!(p.discard_locked(2));
+        let (mut p, mut w) = peer(8);
+        p.lock_piece(2, &mut w);
+        assert!(p.discard_locked(2, &mut w));
         invariants(&p);
         assert!(p.needs_piece(2), "discarded piece becomes wanted again");
-        assert!(!p.discard_locked(2));
+        assert!(!p.discard_locked(2, &mut w));
     }
 
     #[test]
     fn discard_after_unlock_keeps_piece() {
-        let mut p = peer(8);
-        p.lock_piece(1);
+        let (mut p, mut w) = peer(8);
+        p.lock_piece(1, &mut w);
         p.unlock_piece(1);
-        assert!(!p.discard_locked(1));
+        assert!(!p.discard_locked(1, &mut w));
         assert!(p.have().get(1));
         invariants(&p);
     }
 
     #[test]
     fn inflight_pieces_not_requested_twice() {
-        let mut p = peer(8);
-        p.inflight.set(2);
+        let (mut p, mut w) = peer(8);
+        p.start_fetch(2, false, &mut w);
         assert!(!p.needs_piece(2));
         assert!(!p.wanted().get(2));
     }
 
     #[test]
     fn completion_requires_all_usable() {
-        let mut p = peer(4);
+        let (mut p, mut w) = peer(4);
         for i in 0..4 {
-            p.lock_piece(i);
+            p.lock_piece(i, &mut w);
         }
         assert!(!p.is_complete(), "locked pieces do not complete a file");
         for i in 0..4 {
@@ -355,7 +406,7 @@ mod tests {
 
     #[test]
     fn bootstrap_recorded_once() {
-        let mut p = peer(4);
+        let (mut p, _) = peer(4);
         p.record_bootstrap(SimTime::from_secs(5));
         p.record_bootstrap(SimTime::from_secs(9));
         assert_eq!(p.bootstrap_time, Some(SimTime::from_secs(5)));

@@ -26,6 +26,7 @@ use coop_piece::Bitfield;
 
 use crate::peer::PeerState;
 use crate::sim::SEEDER_ID;
+use crate::soa::{HotPeers, InterestWords};
 use crate::transfer::TransferTable;
 
 /// Below this many items a phase runs sequentially: thread spawn costs
@@ -65,8 +66,9 @@ pub(crate) fn candidates_of<'a>(adj: &'a [PeerId], adj_off: &[u32], id: u32) -> 
 }
 
 /// Can `id` currently exchange bytes? Free-function twin of
-/// `Simulation::is_online`.
-pub(crate) fn is_online_in(peers: &[PeerState], id: PeerId) -> bool {
+/// `Simulation::is_online`, read off the peer structs (the interest
+/// test's debug oracle; the hot path reads the `HotPeers` flags).
+fn is_online_in(peers: &[PeerState], id: PeerId) -> bool {
     if id == SEEDER_ID {
         return false;
     }
@@ -75,38 +77,71 @@ pub(crate) fn is_online_in(peers: &[PeerState], id: PeerId) -> bool {
         .is_some_and(|p| p.is_active() && !p.offline)
 }
 
+/// Everything the interest test reads, borrowed from the simulation.
+#[derive(Clone, Copy)]
+pub(crate) struct InterestCtx<'a> {
+    /// Online flags by slot.
+    pub hot: &'a HotPeers,
+    /// Want/offer rows by slot, plus the seeder's offer row.
+    pub words: &'a InterestWords,
+    pub transfers: &'a TransferTable,
+    pub seeder_online: bool,
+    /// The authoritative peer structs and seeder field, read only by the
+    /// debug-build oracle.
+    pub peers: &'a [PeerState],
+    pub seeder_bf: &'a Bitfield,
+}
+
 /// Does active peer `who` need at least one piece `from` can offer?
 /// The single authority on interest: `Simulation::needs` delegates here,
 /// and shard workers call it directly with borrowed arrays.
-pub(crate) fn needs_with(
-    peers: &[PeerState],
-    transfers: &TransferTable,
-    seeder_bf: &Bitfield,
-    seeder_online: bool,
-    who: PeerId,
-    from: PeerId,
-) -> bool {
-    if who == from || !is_online_in(peers, who) {
+///
+/// Online checks read the `HotPeers` flags and the bit test is
+/// `any(want[who] ∧ offer[from])` over the arena rows. The transfer
+/// table is probed only when the bit test fails: the answer is an OR of
+/// side-effect-free terms, so the order cannot be observed. Debug builds
+/// check every answer against the bitfield definition.
+pub(crate) fn needs_with(ctx: &InterestCtx<'_>, who: PeerId, from: PeerId) -> bool {
+    let answer = who != from
+        && ctx.hot.id_online(who)
+        && ((if from == SEEDER_ID {
+            ctx.seeder_online && ctx.words.wants_from_seeder(who.index())
+        } else {
+            ctx.hot.id_online(from) && ctx.words.wants_from(who.index(), from.index())
+        })
+            // A partially transferred piece keeps the pair interested;
+            // without this, the uploader would never re-select the target
+            // and the transfer could stall one piece short of completion.
+            || ctx.transfers.get(from, who).is_some());
+    debug_assert_eq!(
+        answer,
+        needs_from_bitfields(ctx, who, from),
+        "interest arena diverged from the bitfields: {who} from {from}"
+    );
+    answer
+}
+
+/// The interest test over the authoritative `PeerState` bitfields: the
+/// debug oracle [`needs_with`] is checked against.
+fn needs_from_bitfields(ctx: &InterestCtx<'_>, who: PeerId, from: PeerId) -> bool {
+    if who == from || !is_online_in(ctx.peers, who) {
         return false;
     }
-    // A partially transferred piece keeps the pair interested; without
-    // this, the uploader would never re-select the target and the
-    // transfer could stall one piece short of completion.
-    if transfers.get(from, who).is_some() {
+    if ctx.transfers.get(from, who).is_some() {
         return true;
     }
-    let w = &peers[who.index() as usize];
+    let w = &ctx.peers[who.index() as usize];
     let offer = if from == SEEDER_ID {
-        if !seeder_online {
+        if !ctx.seeder_online {
             return false;
         }
-        seeder_bf
-    } else if is_online_in(peers, from) {
-        peers[from.index() as usize].offer()
+        ctx.seeder_bf
+    } else if is_online_in(ctx.peers, from) {
+        ctx.peers[from.index() as usize].offer()
     } else {
         return false;
     };
-    w.absent().intersects_except(offer, &w.inflight)
+    w.absent().intersects_except(offer, w.inflight())
 }
 
 /// The plain-data slice of simulation state a shard worker needs to
@@ -117,9 +152,8 @@ pub(crate) struct ShardCtx<'a> {
     pub peers: &'a [PeerState],
     pub adj: &'a [PeerId],
     pub adj_off: &'a [u32],
-    pub transfers: &'a TransferTable,
-    pub seeder_bf: &'a Bitfield,
-    pub seeder_online: bool,
+    /// The interest test's inputs (the arena and the online flags).
+    pub interest: InterestCtx<'a>,
     pub round_idx: u64,
     pub trusted_reputation: bool,
     pub trusted_cache: &'a IdMap<PeerId, f64>,
@@ -133,14 +167,7 @@ pub(crate) struct ShardCtx<'a> {
 
 impl ShardCtx<'_> {
     fn needs(&self, who: PeerId, from: PeerId) -> bool {
-        needs_with(
-            self.peers,
-            self.transfers,
-            self.seeder_bf,
-            self.seeder_online,
-            who,
-            from,
-        )
+        needs_with(&self.interest, who, from)
     }
 
     fn is_active(&self, id: PeerId) -> bool {
@@ -228,7 +255,7 @@ impl SwarmView for ShardView<'_> {
     }
 
     fn uploading_to(&self, peer: PeerId) -> bool {
-        self.ctx.transfers.get(self.me, peer).is_some()
+        self.ctx.interest.transfers.get(self.me, peer).is_some()
     }
 
     fn obligation_count(&self, peer: PeerId) -> usize {

@@ -37,8 +37,8 @@ use crate::dirty::{DirtySet, VisitBits};
 use crate::faults::{FaultKind, FaultSchedule};
 use crate::peer::{Departure, PeerState};
 use crate::result::{ConsensusSummary, PeerRecord, SimResult, Totals};
-use crate::shard::{self, shard_ranges, ShardCtx, ShardView, SHARD_MIN_ITEMS};
-use crate::soa::HotPeers;
+use crate::shard::{self, shard_ranges, InterestCtx, ShardCtx, ShardView, SHARD_MIN_ITEMS};
+use crate::soa::{HotPeers, InterestWords};
 use crate::transfer::{InFlight, TransferTable};
 use crate::view_impl::SimView;
 
@@ -98,6 +98,11 @@ pub struct Simulation {
     /// Struct-of-arrays mirror of the hot per-peer fields, kept in
     /// lockstep with [`Self::peers`] (see [`HotPeers`]).
     hot: HotPeers,
+    /// Slot-indexed `want`/`offer` word rows the interest test reads,
+    /// written by every `PeerState` method that changes `absent`,
+    /// `offer` or `inflight` (see [`InterestWords`]). Not checkpointed:
+    /// [`Self::restore`] rebuilds it from the restored peers.
+    interest: InterestWords,
     /// Scratch "pieces already held or in flight" bitfield for
     /// [`Self::pick_piece`], reused across calls instead of cloning the
     /// downloader's bitfield per candidate piece selection.
@@ -105,6 +110,9 @@ pub struct Simulation {
     /// Scratch rarest-tie buffer for the indexed piece pick, reused so
     /// steady-state piece selection allocates nothing.
     scratch_ties: Vec<u32>,
+    /// Scratch target list for [`Self::drain_partials`], reused so a
+    /// drain allocates nothing.
+    scratch_targets: Vec<PeerId>,
     /// Scratch candidate pool for arrival-time neighbor selection and
     /// neighbor replenishment, filled from [`HotPeers`] flags and reused
     /// so steady-state arrivals allocate no pool.
@@ -264,12 +272,14 @@ impl Simulation {
         // arrivals within it.
         engine.schedule(rounds.start_of(1), Event::RoundTick);
         let spec_count = specs.len();
+        let seeder_bf = Bitfield::full(num_pieces);
         Simulation {
             seeds: SeedTree::new(config.seed),
             availability: AvailabilityIndex::new(num_pieces),
             transfers: TransferTable::new(),
             reputation: ReputationTable::new(),
-            seeder_bf: Bitfield::full(num_pieces),
+            interest: InterestWords::new(&seeder_bf),
+            seeder_bf,
             rounds,
             engine,
             peers: Vec::new(),
@@ -287,6 +297,7 @@ impl Simulation {
             hot: HotPeers::default(),
             scratch_held: Bitfield::new(0),
             scratch_ties: Vec::new(),
+            scratch_targets: Vec::new(),
             scratch_pool: Vec::new(),
             pending_arrivals: spec_count,
             open_active: 0,
@@ -479,14 +490,19 @@ impl Simulation {
     /// (Delegates to [`shard::needs_with`], the single authority shared
     /// with the shard workers.)
     pub fn needs(&self, who: PeerId, from: PeerId) -> bool {
-        shard::needs_with(
-            &self.peers,
-            &self.transfers,
-            &self.seeder_bf,
-            self.seeder_online,
-            who,
-            from,
-        )
+        shard::needs_with(&self.interest_ctx(), who, from)
+    }
+
+    /// The interest test's borrowed inputs.
+    fn interest_ctx(&self) -> InterestCtx<'_> {
+        InterestCtx {
+            hot: &self.hot,
+            words: &self.interest,
+            transfers: &self.transfers,
+            seeder_online: self.seeder_online,
+            peers: &self.peers,
+            seeder_bf: &self.seeder_bf,
+        }
     }
 
     /// Runs the simulation to completion (all compliant peers finished or
@@ -596,6 +612,9 @@ impl Simulation {
         self.adj_dirty = s.adj_dirty;
         self.adjacency_rebuilds = s.adjacency_rebuilds;
         self.hot = s.hot.clone();
+        // The interest arena is derived from the peers' bitfields, so it
+        // is rebuilt rather than carried in the checkpoint.
+        self.interest = InterestWords::rebuilt(&self.seeder_bf, &self.peers);
         self.pending_arrivals = s.pending_arrivals;
         self.open_active = s.open_active;
         self.compliant_completed = s.compliant_completed;
@@ -809,6 +828,7 @@ impl Simulation {
             peer.neighbors.insert(lv);
             self.peers[lv.index() as usize].neighbors.insert(id);
         }
+        self.interest.push(&peer);
         self.peers.push(peer);
         self.hot.push(&spec.tags, 0);
         self.pending_arrivals -= 1;
@@ -1006,7 +1026,7 @@ impl Simulation {
         for d in self.revisit.drain_sorted() {
             self.visit.set(d);
         }
-        // An uploader's own visit is the only place `targets_of` drains;
+        // An uploader's own visit is the only place its partials drain;
         // a peer can't gain outgoing partials without being visited, so
         // seeding them at build time is sufficient. `uploaders()` is
         // unordered — harmless, bitmap insertion commutes.
@@ -1296,6 +1316,7 @@ impl Simulation {
             }
         }
         self.work_candidate_scans += self.round_candidates(id).len() as u64;
+        let mech_t = self.profiler.start();
         let mut mech = self.peers[idx]
             .mechanism
             .take()
@@ -1309,7 +1330,9 @@ impl Simulation {
             mech.allocate(&view, budget, &mut rng)
         };
         self.peers[idx].mechanism = Some(mech);
+        self.profiler.stop(phase::SIM_MECHANISM, mech_t);
 
+        let exec_t = self.profiler.start();
         let mut exec_rng = self
             .seeds
             .subtree(0x520_0000 + self.round_idx)
@@ -1324,6 +1347,7 @@ impl Simulation {
                 self.execute_grant(id, g.to, bytes, g.reason, g.condition, now, &mut exec_rng);
             remaining -= used;
         }
+        self.profiler.stop(phase::SIM_EXECUTE, exec_t);
         let granted = budget - remaining;
         if granted > 0 && self.dirty_active() {
             // A productive visit changed this peer's own ledgers and may
@@ -1339,6 +1363,16 @@ impl Simulation {
     /// first in id order), spending up to one round's budget. Returns the
     /// bytes consumed.
     fn drain_partials(&mut self, from: PeerId, now: SimTime) -> u64 {
+        let drain_t = self.profiler.start();
+        let mut targets = std::mem::take(&mut self.scratch_targets);
+        self.transfers.targets_into(from, &mut targets);
+        if targets.is_empty() {
+            // Nothing to drain. Skipping the stream setup below is
+            // unobservable: continuations never draw from it.
+            self.scratch_targets = targets;
+            self.profiler.stop(phase::SIM_DRAIN, drain_t);
+            return 0;
+        }
         let budget = if from == SEEDER_ID {
             self.config.bytes_per_round(self.config.seeder_bps)
         } else {
@@ -1354,7 +1388,7 @@ impl Simulation {
                     from.index()
                 }),
         );
-        for to in self.transfers.targets_of(from) {
+        for &to in &targets {
             if used >= budget {
                 break;
             }
@@ -1369,6 +1403,8 @@ impl Simulation {
                 false,
             );
         }
+        self.scratch_targets = targets;
+        self.profiler.stop(phase::SIM_DRAIN, drain_t);
         used
     }
 
@@ -1410,14 +1446,8 @@ impl Simulation {
         let mut started_new = false;
         let mut effective_reason = reason;
         while left > 0 {
-            if self.transfers.get(from, to).is_some() {
-                let remaining = self
-                    .transfers
-                    .get(from, to)
-                    .expect("just checked")
-                    .remaining();
-                let step = left.min(remaining);
-                let reason = self.transfers.get(from, to).expect("just checked").reason;
+            if let Some(fl) = self.transfers.get(from, to) {
+                let (step, reason) = (left.min(fl.remaining()), fl.reason);
                 effective_reason = reason;
                 self.account_bytes(from, to, step);
                 self.totals.bytes_by_reason[reason.index()] += step;
@@ -1465,10 +1495,11 @@ impl Simulation {
             let Some((piece, len)) = picked else {
                 break;
             };
-            self.peers[to.index() as usize].inflight.set(piece);
-            if condition.is_some() {
-                self.peers[to.index() as usize].inflight_conditional += 1;
-            }
+            self.peers[to.index() as usize].start_fetch(
+                piece,
+                condition.is_some(),
+                &mut self.interest,
+            );
             started_new = true;
             effective_reason = reason;
             self.transfers.start(
@@ -1531,7 +1562,7 @@ impl Simulation {
         // selections within a round allocate nothing.
         let mut held = std::mem::replace(&mut self.scratch_held, Bitfield::new(0));
         held.copy_from(self.peer(to).offer());
-        held.union_with(&self.peer(to).inflight);
+        held.union_with(self.peer(to).inflight());
         let mut ties = std::mem::take(&mut self.scratch_ties);
         let offer = if from == SEEDER_ID {
             &self.seeder_bf
@@ -1644,18 +1675,14 @@ impl Simulation {
         // and inflight sets together, so no uploader's interest toward
         // the receiver grows.
         self.mark_revisit(to);
-        self.peers[to_idx].inflight.unset(piece);
-        if done.condition.is_some() {
-            self.peers[to_idx].inflight_conditional =
-                self.peers[to_idx].inflight_conditional.saturating_sub(1);
-        }
+        self.peers[to_idx].end_fetch(piece, done.condition.is_some(), &mut self.interest);
         self.peers[to_idx].record_bootstrap(now);
 
         match done.condition {
             Some(cond) => {
                 let r = &mut self.peers[to_idx];
                 if !r.have().get(piece) {
-                    r.lock_piece(piece);
+                    r.lock_piece(piece, &mut self.interest);
                     r.obligations.push(Obligation {
                         uploader: from,
                         reciprocate_to: cond.reciprocate_to,
@@ -1681,7 +1708,7 @@ impl Simulation {
 
     fn deliver_usable(&mut self, from: PeerId, to: PeerId, piece: u32, len: u64) {
         let r = &mut self.peers[to.index() as usize];
-        r.acquire_usable(piece);
+        r.acquire_usable(piece, &mut self.interest);
         r.bytes_received_usable += len;
         let compliant = r.tags.compliant;
         self.availability.on_piece_acquired(piece);
@@ -1790,10 +1817,7 @@ impl Simulation {
                 continue;
             }
             if let Some(p) = self.peers.get_mut(to.index() as usize) {
-                p.inflight.unset(fl.piece);
-                if fl.condition.is_some() {
-                    p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
-                }
+                p.end_fetch(fl.piece, fl.condition.is_some(), &mut self.interest);
                 // The piece is requestable again: sources regain interest
                 // in this receiver, so it must rejoin the visit set.
                 self.mark_dirty(to);
@@ -1854,7 +1878,7 @@ impl Simulation {
             let had_expired = !expired.is_empty();
             for ob in expired {
                 self.peers[pid as usize].obligations.retain(|o| o != &ob);
-                self.peers[pid as usize].discard_locked(ob.piece);
+                self.peers[pid as usize].discard_locked(ob.piece, &mut self.interest);
                 self.notify_chain_outcome(ob.uploader, id, false);
             }
             if had_expired {
@@ -1913,13 +1937,11 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(id);
         for ((_, t), fl) in dropped {
             if t != id && t != SEEDER_ID {
-                self.peers[t.index() as usize].inflight.unset(fl.piece);
-                if fl.condition.is_some() {
-                    self.peers[t.index() as usize].inflight_conditional = self.peers
-                        [t.index() as usize]
-                        .inflight_conditional
-                        .saturating_sub(1);
-                }
+                self.peers[t.index() as usize].end_fetch(
+                    fl.piece,
+                    fl.condition.is_some(),
+                    &mut self.interest,
+                );
                 // The receiver lost an inflight entry without acquiring
                 // the piece: it wants it (from other sources) again.
                 self.mark_dirty(t);
@@ -1933,8 +1955,7 @@ impl Simulation {
         }
         self.availability.remove_peer(self.peers[idx].have());
         self.peers[idx].departure = Some(why);
-        self.peers[idx].inflight.clear();
-        self.peers[idx].inflight_conditional = 0;
+        self.peers[idx].drop_fetches(&mut self.interest);
         self.hot.retire(idx);
         self.adj_dirty = true;
         let p = &self.peers[idx];
@@ -2041,11 +2062,11 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(SEEDER_ID);
         for ((_, t), fl) in dropped {
             if t != SEEDER_ID {
-                let p = &mut self.peers[t.index() as usize];
-                p.inflight.unset(fl.piece);
-                if fl.condition.is_some() {
-                    p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
-                }
+                self.peers[t.index() as usize].end_fetch(
+                    fl.piece,
+                    fl.condition.is_some(),
+                    &mut self.interest,
+                );
                 self.mark_dirty(t);
             }
         }
@@ -2060,19 +2081,18 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(id);
         for ((_, t), fl) in dropped {
             if t != id && t != SEEDER_ID {
-                let p = &mut self.peers[t.index() as usize];
-                p.inflight.unset(fl.piece);
-                if fl.condition.is_some() {
-                    p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
-                }
+                self.peers[t.index() as usize].end_fetch(
+                    fl.piece,
+                    fl.condition.is_some(),
+                    &mut self.interest,
+                );
                 self.mark_dirty(t);
             }
         }
         let idx = id.index() as usize;
         self.availability.remove_peer(self.peers[idx].have());
         self.peers[idx].offline = true;
-        self.peers[idx].inflight.clear();
-        self.peers[idx].inflight_conditional = 0;
+        self.peers[idx].drop_fetches(&mut self.interest);
         self.hot.set_offline(idx, true);
         self.adj_dirty = true;
     }
@@ -2120,10 +2140,7 @@ impl Simulation {
         // interest in this receiver.
         self.mark_dirty(to);
         let r = &mut self.peers[to_idx];
-        r.inflight.unset(done.piece);
-        if done.condition.is_some() {
-            r.inflight_conditional = r.inflight_conditional.saturating_sub(1);
-        }
+        r.end_fetch(done.piece, done.condition.is_some(), &mut self.interest);
         r.bytes_received_raw = r.bytes_received_raw.saturating_sub(done.piece_len);
         if !r.tags.compliant {
             self.totals.freerider_received_raw = self
@@ -2229,13 +2246,11 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(old);
         for ((_, t), fl) in dropped {
             if t != SEEDER_ID {
-                self.peers[t.index() as usize].inflight.unset(fl.piece);
-                if fl.condition.is_some() {
-                    self.peers[t.index() as usize].inflight_conditional = self.peers
-                        [t.index() as usize]
-                        .inflight_conditional
-                        .saturating_sub(1);
-                }
+                self.peers[t.index() as usize].end_fetch(
+                    fl.piece,
+                    fl.condition.is_some(),
+                    &mut self.interest,
+                );
                 if t != old {
                     self.mark_dirty(t);
                 }
@@ -2245,8 +2260,7 @@ impl Simulation {
         for n in neighbors {
             self.peers[n.index() as usize].neighbors.remove(&old);
         }
-        self.peers[old_idx].inflight.clear();
-        self.peers[old_idx].inflight_conditional = 0;
+        self.peers[old_idx].drop_fetches(&mut self.interest);
         self.peers[old_idx].departure = Some(Departure::Whitewashed(now));
         self.availability.remove_peer(self.peers[old_idx].have());
         self.hot.retire(old_idx);
@@ -2286,8 +2300,11 @@ impl Simulation {
             self.config.file.num_pieces(),
             mechanism,
         );
+        // The successor's row exists before its inherited pieces land, so
+        // each acquisition writes it like any other delivery.
+        self.interest.push(&peer);
         for p in &have {
-            peer.acquire_usable(*p);
+            peer.acquire_usable(*p, &mut self.interest);
             peer.bytes_inherited += self.config.file.piece_len(*p);
             self.availability.on_piece_acquired(*p);
         }
@@ -2443,40 +2460,30 @@ impl Simulation {
             return;
         }
         let mut rng = self.round_rng(1);
-        // Who still needs seeder pieces. With `--shards K` the scan fans
-        // out over contiguous peer-index ranges; concatenating the
-        // per-range hits in range order *is* id order, so the vector fed
-        // to the shuffle below is identical for any K.
-        let mut candidates: Vec<PeerId> = if self.shards > 1 && self.peers.len() >= SHARD_MIN_ITEMS
-        {
-            let (peers, transfers, seeder_bf) = (&self.peers, &self.transfers, &self.seeder_bf);
-            let seeder_online = self.seeder_online;
-            let consensus = self.consensus.as_ref();
-            let round = self.round_idx;
+        // Who still needs seeder pieces: a pass over the slot-indexed
+        // interest rows in id order. With `--shards K` the scan fans out
+        // over contiguous slot ranges; concatenating the per-range hits in
+        // range order *is* id order, so the vector fed to the shuffle
+        // below is identical for any K.
+        let ctx = self.interest_ctx();
+        let consensus = self.consensus.as_ref();
+        let round = self.round_idx;
+        let scan = |slots: std::ops::Range<usize>| -> Vec<PeerId> {
+            slots
+                .map(|i| PeerId::new(i as u32))
+                .filter(|&id| {
+                    shard::needs_with(&ctx, id, SEEDER_ID)
+                        && !consensus.is_some_and(|c| c.is_banned_slot(id.index(), round))
+                })
+                .collect()
+        };
+        let slots = self.peers.len();
+        let mut candidates: Vec<PeerId> = if self.shards > 1 && slots >= SHARD_MIN_ITEMS {
             let parts: Vec<Vec<PeerId>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_ranges(peers.len(), self.shards)
+                let scan = &scan;
+                let handles: Vec<_> = shard_ranges(slots, self.shards)
                     .into_iter()
-                    .map(|r| {
-                        scope.spawn(move || {
-                            peers[r]
-                                .iter()
-                                .filter(|p| {
-                                    p.is_active()
-                                        && !consensus
-                                            .is_some_and(|c| c.is_banned_slot(p.id.index(), round))
-                                        && shard::needs_with(
-                                            peers,
-                                            transfers,
-                                            seeder_bf,
-                                            seeder_online,
-                                            p.id,
-                                            SEEDER_ID,
-                                        )
-                                })
-                                .map(|p| p.id)
-                                .collect()
-                        })
-                    })
+                    .map(|r| scope.spawn(move || scan(r)))
                     .collect();
                 handles
                     .into_iter()
@@ -2485,16 +2492,13 @@ impl Simulation {
             });
             parts.concat()
         } else {
-            self.peers
-                .iter()
-                .filter(|p| p.is_active() && !self.is_banned(p.id) && self.needs(p.id, SEEDER_ID))
-                .map(|p| p.id)
-                .collect()
+            scan(0..slots)
         };
         candidates.shuffle(&mut rng);
         if candidates.is_empty() {
             return;
         }
+        let exec_t = self.profiler.start();
         let piece_size = self.config.file.piece_size();
         let mut remaining = budget;
         let mut i = 0usize;
@@ -2519,6 +2523,7 @@ impl Simulation {
                 stalled = 0;
             }
         }
+        self.profiler.stop(phase::SIM_EXECUTE, exec_t);
     }
 
     fn end_round_pass(&mut self) {
@@ -2794,9 +2799,7 @@ impl Simulation {
             peers: &self.peers,
             adj: &self.adj,
             adj_off: &self.adj_off,
-            transfers: &self.transfers,
-            seeder_bf: &self.seeder_bf,
-            seeder_online: self.seeder_online,
+            interest: self.interest_ctx(),
             round_idx: self.round_idx,
             trusted_reputation: self.config.trusted_reputation,
             trusted_cache: &self.trusted_cache,
@@ -2860,9 +2863,7 @@ impl Simulation {
             peers: &self.peers,
             adj: &self.adj,
             adj_off: &self.adj_off,
-            transfers: &self.transfers,
-            seeder_bf: &self.seeder_bf,
-            seeder_online: self.seeder_online,
+            interest: self.interest_ctx(),
             round_idx: self.round_idx,
             trusted_reputation: self.config.trusted_reputation,
             trusted_cache: &self.trusted_cache,
@@ -3025,7 +3026,7 @@ impl Simulation {
                 );
                 let (obligations, inflight, neighbors) = (
                     p.obligations.len() as u64,
-                    u64::from(p.inflight.count_ones()),
+                    u64::from(p.inflight().count_ones()),
                     p.neighbors.len() as u64,
                 );
                 // The interested-in-me census is an O(N) scan per peer —

@@ -15,10 +15,23 @@
 //! builds cross-check every consumer against a fresh scan of the peer
 //! structs, and the `hotpath_equivalence` battery pins result equality
 //! against the naive scans end to end.
+//!
+//! [`InterestWords`] does the same for the interest test `q(i, j)`: two
+//! word rows per slot, `want = absent ∧ ¬inflight` and
+//! `offer = have ∪ locked`, so "does `i` need a piece `j` holds" is an
+//! AND over `num_pieces.div_ceil(64)` contiguous words instead of a
+//! three-bitfield pass behind two `PeerState` pointers. The `PeerState`
+//! bitfields stay authoritative (pickers, checkpoints and results read
+//! them); the only writers of `absent`, `offer` and `inflight` are the
+//! `PeerState` methods that take the arena, so a row cannot fall out of
+//! step without a compile error, and debug builds check every answer
+//! against the bitfields.
 
 use coop_incentives::PeerId;
+use coop_piece::Bitfield;
 
 use crate::config::PeerTags;
+use crate::peer::PeerState;
 
 /// Peer slot is still participating (no departure recorded).
 const ACTIVE: u8 = 1 << 0;
@@ -149,11 +162,365 @@ impl HotPeers {
     pub(crate) fn colluder_online(&self, idx: usize) -> bool {
         self.is_online(idx) && self.flags[idx] & COLLUSION != 0
     }
+
+    /// [`Self::is_online`] for any id: false for the seeder and for ids
+    /// that were never spawned.
+    pub(crate) fn id_online(&self, id: PeerId) -> bool {
+        self.flags
+            .get(id.index() as usize)
+            .is_some_and(|&f| f & (ACTIVE | OFFLINE) == ACTIVE)
+    }
+}
+
+/// The interest rows of every peer slot, `stride` words per row, indexed
+/// by slot (`PeerId::index()`), plus the seeder's offer row.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct InterestWords {
+    /// Words per row: `num_pieces.div_ceil(64)`.
+    stride: usize,
+    /// `absent ∧ ¬inflight`: the pieces the slot would fetch.
+    want: Vec<u64>,
+    /// `have ∪ locked`: the pieces the slot can upload.
+    offer: Vec<u64>,
+    /// The seeder's offer row (its `seeder_bf` words).
+    seeder: Vec<u64>,
+}
+
+impl InterestWords {
+    /// An empty arena for a file whose seeder offers `seeder_bf`.
+    pub(crate) fn new(seeder_bf: &Bitfield) -> Self {
+        InterestWords {
+            stride: (seeder_bf.len() as usize).div_ceil(64),
+            want: Vec::new(),
+            offer: Vec::new(),
+            seeder: seeder_bf.word_iter().collect(),
+        }
+    }
+
+    /// The arena for `peers` (slot `i` = `peers[i]`), rebuilt from their
+    /// bitfields — how a restored checkpoint gets its rows back.
+    pub(crate) fn rebuilt(seeder_bf: &Bitfield, peers: &[PeerState]) -> Self {
+        let mut words = InterestWords::new(seeder_bf);
+        for p in peers {
+            words.push(p);
+        }
+        words
+    }
+
+    /// Appends `peer`'s rows. Slots are pushed in spawn order, so the new
+    /// row's slot must be `peer.id`.
+    pub(crate) fn push(&mut self, peer: &PeerState) {
+        debug_assert_eq!(
+            peer.id.index() as usize,
+            self.len(),
+            "interest rows are pushed in slot order"
+        );
+        self.want.extend(
+            peer.absent()
+                .word_iter()
+                .zip(peer.inflight().word_iter())
+                .map(|(a, x)| a & !x),
+        );
+        self.offer.extend(peer.offer().word_iter());
+    }
+
+    /// Number of slots with rows.
+    pub(crate) fn len(&self) -> usize {
+        self.want.len().checked_div(self.stride).unwrap_or(0)
+    }
+
+    fn bit(&self, slot: u32, piece: u32) -> (usize, u64) {
+        let word = slot as usize * self.stride + piece as usize / 64;
+        (word, 1u64 << (piece % 64))
+    }
+
+    /// Sets or clears `piece` in `slot`'s want row.
+    pub(crate) fn set_want(&mut self, slot: u32, piece: u32, on: bool) {
+        let (w, mask) = self.bit(slot, piece);
+        if on {
+            self.want[w] |= mask;
+        } else {
+            self.want[w] &= !mask;
+        }
+    }
+
+    /// Sets or clears `piece` in `slot`'s offer row.
+    pub(crate) fn set_offer(&mut self, slot: u32, piece: u32, on: bool) {
+        let (w, mask) = self.bit(slot, piece);
+        if on {
+            self.offer[w] |= mask;
+        } else {
+            self.offer[w] &= !mask;
+        }
+    }
+
+    /// Overwrites `slot`'s want row with `absent`'s words (nothing in
+    /// flight any more).
+    pub(crate) fn reset_want(&mut self, slot: u32, absent: &Bitfield) {
+        let start = slot as usize * self.stride;
+        for (w, a) in self.want[start..start + self.stride]
+            .iter_mut()
+            .zip(absent.word_iter())
+        {
+            *w = a;
+        }
+    }
+
+    /// `want[who] ∧ offer[from] ≠ ∅`: does slot `who` want a piece slot
+    /// `from` offers?
+    pub(crate) fn wants_from(&self, who: u32, from: u32) -> bool {
+        let s = self.stride;
+        let (w, f) = (who as usize * s, from as usize * s);
+        any_common(&self.want[w..w + s], &self.offer[f..f + s])
+    }
+
+    /// Does slot `who` want a piece the seeder offers?
+    pub(crate) fn wants_from_seeder(&self, who: u32) -> bool {
+        let w = who as usize * self.stride;
+        any_common(&self.want[w..w + self.stride], &self.seeder)
+    }
+
+    /// `slot`'s (want, offer) rows — test access.
+    #[cfg(test)]
+    fn rows(&self, slot: u32) -> (&[u64], &[u64]) {
+        let s = slot as usize * self.stride;
+        (
+            &self.want[s..s + self.stride],
+            &self.offer[s..s + self.stride],
+        )
+    }
+}
+
+fn any_common(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coop_des::SimTime;
+    use coop_incentives::{build_mechanism, GrantReason, MechanismKind, MechanismParams};
+    use proptest::prelude::*;
+
+    use crate::shard::{needs_with, InterestCtx};
+    use crate::sim::SEEDER_ID;
+    use crate::transfer::{InFlight, TransferTable};
+
+    fn peer(id: u32, num_pieces: u32) -> PeerState {
+        PeerState::new(
+            PeerId::new(id),
+            1000.0,
+            PeerTags::compliant(),
+            SimTime::ZERO,
+            0,
+            num_pieces,
+            build_mechanism(MechanismKind::Altruism, MechanismParams::default()),
+        )
+    }
+
+    /// The rows a slot must hold, recomputed from its bitfields.
+    fn expected_rows(p: &PeerState) -> (Vec<u64>, Vec<u64>) {
+        let want = p
+            .absent()
+            .word_iter()
+            .zip(p.inflight().word_iter())
+            .map(|(a, x)| a & !x)
+            .collect();
+        (want, p.offer().word_iter().collect())
+    }
+
+    fn assert_rows(words: &InterestWords, p: &PeerState, step: &str) {
+        let (want, offer) = expected_rows(p);
+        assert_eq!(
+            words.rows(p.id.index()),
+            (&want[..], &offer[..]),
+            "slot {} after {step}",
+            p.id.index()
+        );
+    }
+
+    #[test]
+    fn interest_rows_track_the_peer_lifecycle() {
+        // 70 pieces: two words per row, so the tail word is exercised.
+        let np = 70;
+        let seeder_bf = Bitfield::full(np);
+        let mut words = InterestWords::new(&seeder_bf);
+        let (mut a, mut b) = (peer(0, np), peer(1, np));
+        words.push(&a);
+        words.push(&b);
+        assert_eq!(words.len(), 2);
+        assert_rows(&words, &a, "spawn");
+        assert!(words.wants_from_seeder(0) && !words.wants_from(0, 1));
+
+        // Delivery: fetch, then acquire.
+        a.start_fetch(3, false, &mut words);
+        assert_rows(&words, &a, "fetch start");
+        a.end_fetch(3, false, &mut words);
+        a.acquire_usable(3, &mut words);
+        assert_rows(&words, &a, "delivery");
+        assert!(words.wants_from(1, 0) && !words.wants_from(0, 1));
+
+        // Lock (a conditional T-Chain delivery), then discard on expiry.
+        b.start_fetch(3, true, &mut words);
+        assert!(!words.wants_from(1, 0), "in-flight piece is not wanted");
+        b.end_fetch(3, true, &mut words);
+        b.lock_piece(3, &mut words);
+        assert_eq!(b.inflight_conditional, 0);
+        assert_rows(&words, &b, "lock");
+        assert!(!words.wants_from(1, 0));
+        assert!(b.discard_locked(3, &mut words));
+        assert_rows(&words, &b, "discard");
+        assert!(words.wants_from(1, 0), "a discarded piece is wanted again");
+
+        // Stall: the fetch ends without the piece.
+        a.start_fetch(65, false, &mut words);
+        a.end_fetch(65, false, &mut words);
+        assert_rows(&words, &a, "stall");
+
+        // Outage and departure forget every fetch.
+        a.start_fetch(10, true, &mut words);
+        a.start_fetch(66, false, &mut words);
+        assert_rows(&words, &a, "fetch start");
+        a.drop_fetches(&mut words);
+        assert_eq!(a.inflight_conditional, 0);
+        assert_rows(&words, &a, "outage");
+        b.start_fetch(12, false, &mut words);
+        b.drop_fetches(&mut words);
+        assert_rows(&words, &b, "departure");
+
+        // Whitewash: the successor's row exists before it inherits.
+        let mut c = peer(2, np);
+        words.push(&c);
+        for piece in a.have().iter_ones().collect::<Vec<_>>() {
+            c.acquire_usable(piece, &mut words);
+        }
+        assert_rows(&words, &c, "whitewash");
+        assert!(words.wants_from(1, 2) && !words.wants_from(2, 0));
+
+        // A rebuild from the bitfields reproduces every row.
+        let rebuilt = InterestWords::rebuilt(&seeder_bf, &[a, b, c]);
+        assert_eq!(rebuilt.want, words.want);
+        assert_eq!(rebuilt.offer, words.offer);
+    }
+
+    /// The per-piece interest definition `needs_with` must reproduce.
+    fn needs_per_piece(
+        peers: &[PeerState],
+        transfers: &TransferTable,
+        seeder_bf: &Bitfield,
+        who: PeerId,
+        from: PeerId,
+    ) -> bool {
+        let online = |id: PeerId| {
+            peers
+                .get(id.index() as usize)
+                .is_some_and(|p| p.is_active() && !p.offline)
+        };
+        if who == from || !online(who) {
+            return false;
+        }
+        if transfers.get(from, who).is_some() {
+            return true;
+        }
+        let offer = if from == SEEDER_ID {
+            seeder_bf
+        } else if online(from) {
+            peers[from.index() as usize].offer()
+        } else {
+            return false;
+        };
+        let w = &peers[who.index() as usize];
+        (0..seeder_bf.len()).any(|p| w.absent().get(p) && !w.inflight().get(p) && offer.get(p))
+    }
+
+    proptest! {
+        /// On random piece, fetch, outage, departure and transfer states,
+        /// the arena answer of `needs_with` equals the per-piece bitfield
+        /// definition for every ordered pair, the seeder included as a
+        /// source. (Debug builds also check it against the fused
+        /// `intersects_except` pass inside every call.)
+        #[test]
+        fn arena_needs_equals_bitfield_needs(
+            num_pieces in 1u32..140,
+            ops in proptest::collection::vec((0u8..9, 0u32..4, 0u32..140), 0..160),
+        ) {
+            let seeder_bf = Bitfield::full(num_pieces);
+            let mut words = InterestWords::new(&seeder_bf);
+            let mut hot = HotPeers::default();
+            let mut peers: Vec<PeerState> = (0..4).map(|i| peer(i, num_pieces)).collect();
+            for p in &peers {
+                words.push(p);
+                hot.push(&p.tags, 0);
+            }
+            let mut transfers = TransferTable::new();
+            for (op, slot, piece) in ops {
+                let piece = piece % num_pieces;
+                let conditional = slot % 2 == 0;
+                let p = &mut peers[slot as usize];
+                match op {
+                    0 if p.needs_piece(piece) => p.start_fetch(piece, conditional, &mut words),
+                    1 if p.inflight().get(piece) => p.end_fetch(piece, conditional, &mut words),
+                    2 => p.acquire_usable(piece, &mut words),
+                    3 if !p.have().get(piece) => p.lock_piece(piece, &mut words),
+                    4 => {
+                        p.discard_locked(piece, &mut words);
+                    }
+                    5 => {
+                        p.unlock_piece(piece);
+                    }
+                    6 => {
+                        p.offline = !p.offline;
+                        hot.set_offline(slot as usize, p.offline);
+                        p.drop_fetches(&mut words);
+                    }
+                    7 if piece % 7 == 0 => {
+                        p.departure = Some(crate::peer::Departure::Churned(SimTime::ZERO));
+                        hot.retire(slot as usize);
+                        p.drop_fetches(&mut words);
+                    }
+                    8 => {
+                        let to = PeerId::new(slot);
+                        let from = match piece % 5 {
+                            4 => SEEDER_ID,
+                            f => PeerId::new(f),
+                        };
+                        if from != to && transfers.get(from, to).is_none() {
+                            transfers.start(from, to, InFlight {
+                                piece,
+                                piece_len: 1,
+                                bytes_done: 0,
+                                condition: None,
+                                reason: GrantReason::Altruism,
+                                last_progress_round: 0,
+                            });
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            let ctx = InterestCtx {
+                hot: &hot,
+                words: &words,
+                transfers: &transfers,
+                seeder_online: true,
+                peers: &peers,
+                seeder_bf: &seeder_bf,
+            };
+            let ids: Vec<PeerId> = (0..4).map(PeerId::new).collect();
+            for &who in &ids {
+                for &from in ids.iter().chain([&SEEDER_ID]) {
+                    prop_assert_eq!(
+                        needs_with(&ctx, who, from),
+                        needs_per_piece(&peers, &transfers, &seeder_bf, who, from),
+                        "{} from {}", who, from
+                    );
+                }
+            }
+            let rebuilt = InterestWords::rebuilt(&seeder_bf, &peers);
+            prop_assert_eq!(&rebuilt.want, &words.want);
+            prop_assert_eq!(&rebuilt.offer, &words.offer);
+        }
+    }
 
     #[test]
     fn flags_track_lifecycle() {

@@ -42,7 +42,7 @@ impl InFlight {
 ///
 /// The per-uploader index may keep targets whose transfer
 /// [`Self::drain_stalled`] removed (a later completion or drop of the
-/// same pair clears them); [`Self::targets_of`] callers find no transfer
+/// same pair clears them); [`Self::targets_into`] callers find no transfer
 /// for such a target. The per-downloader index is exact.
 #[derive(Clone, Debug, Default)]
 pub struct TransferTable {
@@ -78,13 +78,14 @@ impl TransferTable {
         self.by_downloader.entry(to).or_default().push(from);
     }
 
-    /// The downloaders this uploader currently has partials toward, in id
-    /// order (deterministic).
-    pub fn targets_of(&self, from: PeerId) -> Vec<PeerId> {
-        self.by_uploader
-            .get(&from)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+    /// Replaces the contents of `out` with the downloaders this uploader
+    /// currently has partials toward, in id order (deterministic). `out`
+    /// is caller-owned, so a steady-state drain allocates nothing.
+    pub fn targets_into(&self, from: PeerId, out: &mut Vec<PeerId>) {
+        out.clear();
+        if let Some(set) = self.by_uploader.get(&from) {
+            out.extend(set.iter().copied());
+        }
     }
 
     /// All uploaders that currently have outgoing partials (unordered —
@@ -275,11 +276,15 @@ mod tests {
         let mut t = TransferTable::new();
         t.start(p(0), p(2), flight(0, 100));
         t.start(p(0), p(1), flight(1, 100));
-        assert_eq!(t.targets_of(p(0)), vec![p(1), p(2)]);
+        let mut out = vec![p(9)];
+        t.targets_into(p(0), &mut out);
+        assert_eq!(out, vec![p(1), p(2)]);
         t.progress(p(0), p(1), 100, 0);
-        assert_eq!(t.targets_of(p(0)), vec![p(2)]);
+        t.targets_into(p(0), &mut out);
+        assert_eq!(out, vec![p(2)]);
         t.drop_peer(p(2));
-        assert!(t.targets_of(p(0)).is_empty());
+        t.targets_into(p(0), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use coop_attacks::FreeRider;
 use coop_des::Duration;
 use coop_incentives::analysis::capacity::CapacityClassMix;
-use coop_incentives::MechanismKind;
+use coop_incentives::{MechanismKind, PeerId};
 use coop_swarm::{
     flash_crowd_with, CheckpointError, FaultEvent, FaultKind, FaultSchedule, PeerSpec, PeerTags,
     SimResult, Simulation, SimulationBuilder, SwarmConfig,
@@ -166,6 +166,13 @@ fn checkpointed_runs_reproduce_the_golden_fingerprints() {
     }
 }
 
+/// Pieces currently in flight toward any peer of `sim`.
+fn fetches_in_flight(sim: &Simulation) -> u32 {
+    (0..sim.peer_slots() as u32)
+        .map(|i| sim.peer(PeerId::new(i)).inflight().count_ones())
+        .sum()
+}
+
 #[test]
 fn restore_then_finish_equals_straight_run_for_every_mechanism() {
     // Work counters ride on the telemetry report, so the straight and
@@ -192,14 +199,27 @@ fn restore_then_finish_equals_straight_run_for_every_mechanism() {
             .unwrap()
             .run_checkpointed();
         assert_eq!(straight, checkpointed, "{kind:?}: cadence changed results");
-        for ckpt in [log.first().unwrap(), log.latest().unwrap()] {
-            let (resumed, resumed_report) = scenario_builder(kind, 42)
+        for (i, ckpt) in [log.first().unwrap(), log.latest().unwrap()]
+            .into_iter()
+            .enumerate()
+        {
+            let restored = scenario_builder(kind, 42)
                 .recorder(traced())
                 .build()
                 .unwrap()
                 .restore(ckpt)
-                .unwrap_or_else(|e| panic!("{kind:?}: restore failed: {e}"))
-                .run_traced();
+                .unwrap_or_else(|e| panic!("{kind:?}: restore failed: {e}"));
+            // The first checkpoint lands mid-transfer: pieces are in
+            // flight, so the restored interest rows must carry the
+            // in-flight bits, not just the held pieces.
+            if i == 0 {
+                assert!(
+                    fetches_in_flight(&restored) > 0,
+                    "{kind:?}: the round-{} checkpoint holds no transfer in flight",
+                    ckpt.round()
+                );
+            }
+            let (resumed, resumed_report) = restored.run_traced();
             assert_eq!(
                 straight,
                 resumed,

@@ -280,7 +280,7 @@ fn needs_per_piece(sim: &Simulation, who: PeerId, from: PeerId) -> bool {
     let w = sim.peer(who);
     (0..w.absent().len()).any(|p| {
         w.absent().get(p)
-            && !w.inflight.get(p)
+            && !w.inflight().get(p)
             && (from == SEEDER_ID || sim.peer(from).offer().get(p))
     })
 }
@@ -329,7 +329,7 @@ proptest! {
     /// `TransferTable` against a plain pair-list oracle under random
     /// start / progress / drain_stalled / drop_peer sequences. Lookups and
     /// lengths must match, `drop_peer` and `drain_stalled` must return
-    /// exactly the oracle's pairs in pair order, and `targets_of` must be
+    /// exactly the oracle's pairs in pair order, and `targets_into` must be
     /// ascending and equal a model of the uploader index, which keeps a
     /// target after `drain_stalled` until that pair completes or drops.
     #[test]
@@ -412,7 +412,8 @@ proptest! {
             }
             for id in 0..6 {
                 let up = PeerId::new(id);
-                let targets = table.targets_of(up);
+                let mut targets = vec![PeerId::new(99)];
+                table.targets_into(up, &mut targets);
                 prop_assert!(targets.windows(2).all(|w| w[0] < w[1]), "{:?}", targets);
                 let model: Vec<PeerId> =
                     index.get(&up).map(|s| s.iter().copied().collect()).unwrap_or_default();

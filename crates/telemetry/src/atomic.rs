@@ -7,6 +7,11 @@
 //! new file — never a truncated hybrid that would silently poison
 //! downstream plots. Append-style logs (the run journal) instead fsync
 //! after every record; this module only covers whole-file artifacts.
+//!
+//! A kill between create and rename does leave the staging file itself
+//! behind (`.NAME.PID.tmp`). [`is_staging_file`] recognises such names,
+//! so artifact hashing can skip them and a resumed run can delete them
+//! ([`remove_staging_files`]).
 
 use std::fs;
 use std::io::{self, Write};
@@ -36,7 +41,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp = parent.join(format!(".{file_name}.{}.tmp", std::process::id()));
+    let tmp = parent.join(staging_name(file_name, std::process::id()));
     let result = (|| {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
@@ -53,6 +58,42 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = fs::remove_file(&tmp);
     }
     result
+}
+
+/// The staging file name [`write_atomic`] uses for `file_name` in
+/// process `pid`.
+fn staging_name(file_name: &str, pid: u32) -> String {
+    format!(".{file_name}.{pid}.tmp")
+}
+
+/// Is `name` a [`write_atomic`] staging file (`.NAME.PID.tmp`)? Only a
+/// writer killed between create and rename leaves one behind.
+pub fn is_staging_file(name: &str) -> bool {
+    name.strip_prefix('.')
+        .and_then(|rest| rest.strip_suffix(".tmp"))
+        .and_then(|rest| rest.rsplit_once('.'))
+        .is_some_and(|(file, pid)| {
+            !file.is_empty() && !pid.is_empty() && pid.bytes().all(|b| b.is_ascii_digit())
+        })
+}
+
+/// Deletes every staging file directly inside `dir` (leftovers of killed
+/// writers), returning their names in name order.
+///
+/// # Errors
+///
+/// Returns any I/O error from the directory walk or a removal.
+pub fn remove_staging_files(dir: &Path) -> io::Result<Vec<String>> {
+    let mut names: Vec<String> = fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| is_staging_file(n))
+        .collect();
+    names.sort();
+    for name in &names {
+        fs::remove_file(dir.join(name))?;
+    }
+    Ok(names)
 }
 
 /// [`write_atomic`] for text content.
@@ -101,6 +142,29 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains("c.txt."))
             .collect();
         assert!(leftovers.is_empty(), "staging file leaked: {leftovers:?}");
+    }
+
+    #[test]
+    fn staging_names_are_recognised_and_removed() {
+        let name = staging_name("fig4_quick.json", 4242);
+        assert!(is_staging_file(&name), "{name}");
+        for plain in [
+            "fig4_quick.json",
+            ".hidden",
+            ".a.tmp",
+            ".a.x.tmp",
+            "a.1.tmp",
+            "..1.tmp",
+        ] {
+            assert!(!is_staging_file(plain), "{plain}");
+        }
+        let dir = scratch("staging");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(&name), b"torn").unwrap();
+        fs::write(dir.join("keep.csv"), b"x").unwrap();
+        assert_eq!(remove_staging_files(&dir).unwrap(), vec![name.clone()]);
+        assert!(!dir.join(&name).exists());
+        assert!(dir.join("keep.csv").exists());
     }
 
     #[test]

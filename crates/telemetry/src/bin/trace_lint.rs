@@ -10,8 +10,10 @@
 //! as a JSON object carrying string `type` and `cat` fields, with `cat`
 //! one of the known categories. An argument whose file name ends in
 //! `profile.json` must decode as a [`coop_telemetry::RunProfile`] and
-//! pass its structural validation (schema version, taxonomy phase names,
-//! histogram/duration consistency, `productive <= visited`). Any other
+//! pass its structural validation (schema version, taxonomy phase names
+//! including nested ones such as `sim.drain`, `sim.mechanism` and
+//! `sim.execute`, histogram/duration consistency,
+//! `productive <= visited`). Any other
 //! argument must decode as a full [`coop_telemetry::RunManifest`]. Exit
 //! status is 0 when every file is clean; any problem prints a diagnostic
 //! to stderr and exits 1. CI runs this against the smoke runs' outputs.
@@ -143,12 +145,23 @@ mod tests {
         use coop_telemetry::{PhaseStat, RunProfile};
         let mut stat = PhaseStat::default();
         stat.observe_ns(1000);
+        // The allocate sub-phases are taxonomy members too.
+        let phases = [
+            phase::SIM_RUN,
+            phase::SIM_ALLOCATE,
+            phase::SIM_DRAIN,
+            phase::SIM_MECHANISM,
+            phase::SIM_EXECUTE,
+        ];
         let profile = RunProfile {
             artifact: "fig4".into(),
             scale: "quick".into(),
             jobs: 1,
             profiled_jobs: 1,
-            phases: vec![(phase::SIM_RUN.to_string(), stat)],
+            phases: phases
+                .iter()
+                .map(|p| (p.to_string(), stat.clone()))
+                .collect(),
             work: vec![],
             per_job: vec![],
         };

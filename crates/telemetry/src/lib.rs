@@ -45,7 +45,7 @@ pub mod profile;
 pub mod recorder;
 pub mod sink;
 
-pub use atomic::{write_atomic, write_atomic_str};
+pub use atomic::{is_staging_file, remove_staging_files, write_atomic, write_atomic_str};
 pub use event::{Category, TraceEvent};
 pub use manifest::{fingerprint_debug, Fnv, PhaseTiming, RunManifest, MANIFEST_FILE};
 pub use profile::{

@@ -54,6 +54,17 @@ pub mod phase {
     /// Choke/regrant allocation: seeder allocation plus the per-peer
     /// allocate-and-execute loop (piece selection happens inside).
     pub const SIM_ALLOCATE: &str = "sim.allocate";
+    /// Draining an uploader's partial transfers before it allocates
+    /// (peers and the seeder). Nested inside [`SIM_ALLOCATE`], so it is
+    /// *not* part of [`ATTRIBUTED`].
+    pub const SIM_DRAIN: &str = "sim.drain";
+    /// A peer mechanism's own `allocate` call. Nested inside
+    /// [`SIM_ALLOCATE`], so it is *not* part of [`ATTRIBUTED`].
+    pub const SIM_MECHANISM: &str = "sim.mechanism";
+    /// Executing the grants an allocation returned (peers and the
+    /// seeder; piece selection happens inside). Nested inside
+    /// [`SIM_ALLOCATE`], so it is *not* part of [`ATTRIBUTED`].
+    pub const SIM_EXECUTE: &str = "sim.execute";
     /// Piece selection alone. Nested inside [`SIM_ALLOCATE`] and
     /// [`SIM_SETTLE`], so it is *not* part of [`ATTRIBUTED`].
     pub const SIM_PIECE_PICK: &str = "sim.piece_pick";
@@ -118,6 +129,9 @@ pub mod phase {
         SIM_IDENTITY,
         SIM_ADJACENCY,
         SIM_ALLOCATE,
+        SIM_DRAIN,
+        SIM_MECHANISM,
+        SIM_EXECUTE,
         SIM_PIECE_PICK,
         SIM_DIRTY_SCAN,
         SIM_SHARD_MERGE,

@@ -144,6 +144,42 @@ fn watchdog_converts_hangs_into_timeout_failures() {
     assert!(run.results[0].is_none());
 }
 
+/// A kill between `write_atomic`'s create and rename leaves a
+/// `.NAME.PID.tmp` staging file next to the artifacts. A resumed run must
+/// delete it and must not record it as an artifact, or `diff -r` against
+/// an uninterrupted run shows it.
+#[test]
+fn resume_deletes_stale_staging_files() {
+    let dir = scratch("staging");
+    let cli = |mode: &str| {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_coop-experiments"))
+            .args([
+                "fig4", "--scale", "quick", "--seed", "73", "--jobs", "2", mode,
+            ])
+            .arg(&dir)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("run the CLI");
+        assert!(status.success(), "fig4 {mode} failed: {status}");
+    };
+    cli("--out-dir");
+    let staging = dir.join(".fig4_quick.json.4242.tmp");
+    std::fs::write(&staging, b"{\"torn\":").expect("plant staging file");
+    cli("--resume");
+    assert!(!staging.exists(), "resume left the staging file behind");
+    let journal = std::fs::read_to_string(RunJournal::path_in(&dir)).expect("read journal");
+    let artifacts: Vec<&str> = journal
+        .lines()
+        .filter(|l| l.contains("\"type\":\"artifact\""))
+        .collect();
+    assert!(!artifacts.is_empty(), "resume records the artifact hashes");
+    assert!(
+        artifacts.iter().all(|l| !l.contains(".tmp")),
+        "staging file recorded as an artifact: {artifacts:?}"
+    );
+}
+
 #[test]
 fn killed_run_resumes_to_byte_identical_artifacts() {
     let seed = 71;
