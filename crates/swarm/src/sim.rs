@@ -1675,7 +1675,7 @@ impl Simulation {
         // and inflight sets together, so no uploader's interest toward
         // the receiver grows.
         self.mark_revisit(to);
-        self.peers[to_idx].end_fetch(piece, done.condition.is_some(), &mut self.interest);
+        self.end_fetch(to, &done);
         self.peers[to_idx].record_bootstrap(now);
 
         match done.condition {
@@ -1719,6 +1719,15 @@ impl Simulation {
                 self.totals.freerider_received_from_peers += len;
             }
         }
+    }
+
+    /// The transfer `fl` toward `to` ended, delivered or not.
+    fn end_fetch(&mut self, to: PeerId, fl: &InFlight) {
+        self.peers[to.index() as usize].end_fetch(
+            fl.piece,
+            fl.condition.is_some(),
+            &mut self.interest,
+        );
     }
 
     /// The sender just completed an upload to `target`; release the key for
@@ -1937,11 +1946,7 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(id);
         for ((_, t), fl) in dropped {
             if t != id && t != SEEDER_ID {
-                self.peers[t.index() as usize].end_fetch(
-                    fl.piece,
-                    fl.condition.is_some(),
-                    &mut self.interest,
-                );
+                self.end_fetch(t, &fl);
                 // The receiver lost an inflight entry without acquiring
                 // the piece: it wants it (from other sources) again.
                 self.mark_dirty(t);
@@ -2062,11 +2067,7 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(SEEDER_ID);
         for ((_, t), fl) in dropped {
             if t != SEEDER_ID {
-                self.peers[t.index() as usize].end_fetch(
-                    fl.piece,
-                    fl.condition.is_some(),
-                    &mut self.interest,
-                );
+                self.end_fetch(t, &fl);
                 self.mark_dirty(t);
             }
         }
@@ -2081,11 +2082,7 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(id);
         for ((_, t), fl) in dropped {
             if t != id && t != SEEDER_ID {
-                self.peers[t.index() as usize].end_fetch(
-                    fl.piece,
-                    fl.condition.is_some(),
-                    &mut self.interest,
-                );
+                self.end_fetch(t, &fl);
                 self.mark_dirty(t);
             }
         }
@@ -2139,8 +2136,8 @@ impl Simulation {
         // The piece stays absent and leaves inflight: sources regain
         // interest in this receiver.
         self.mark_dirty(to);
+        self.end_fetch(to, &done);
         let r = &mut self.peers[to_idx];
-        r.end_fetch(done.piece, done.condition.is_some(), &mut self.interest);
         r.bytes_received_raw = r.bytes_received_raw.saturating_sub(done.piece_len);
         if !r.tags.compliant {
             self.totals.freerider_received_raw = self
@@ -2246,11 +2243,7 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(old);
         for ((_, t), fl) in dropped {
             if t != SEEDER_ID {
-                self.peers[t.index() as usize].end_fetch(
-                    fl.piece,
-                    fl.condition.is_some(),
-                    &mut self.interest,
-                );
+                self.end_fetch(t, &fl);
                 if t != old {
                     self.mark_dirty(t);
                 }
