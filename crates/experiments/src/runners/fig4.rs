@@ -233,9 +233,6 @@ impl SimFigure {
             .collect();
         let trace = run.trace;
         let write_clock = Stopwatch::start();
-        // Every seed contributes a report, but artifact names carry no
-        // seed: only the last seed's files would survive a seed-by-seed
-        // write, so only they are written.
         let last = seeds.len() - 1;
         let reports: Vec<SimFigureReport> = seeds
             .iter()

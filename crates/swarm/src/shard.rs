@@ -102,23 +102,29 @@ pub(crate) struct InterestCtx<'a> {
 /// side-effect-free terms, so the order cannot be observed. Debug builds
 /// check every answer against the bitfield definition.
 pub(crate) fn needs_with(ctx: &InterestCtx<'_>, who: PeerId, from: PeerId) -> bool {
-    let answer = who != from
-        && ctx.hot.id_online(who)
-        && ((if from == SEEDER_ID {
-            ctx.seeder_online && ctx.words.wants_from_seeder(who.index())
-        } else {
-            ctx.hot.id_online(from) && ctx.words.wants_from(who.index(), from.index())
-        })
-            // A partially transferred piece keeps the pair interested;
-            // without this, the uploader would never re-select the target
-            // and the transfer could stall one piece short of completion.
-            || ctx.transfers.get(from, who).is_some());
+    let answer = needs_from_words(ctx, who, from);
     debug_assert_eq!(
         answer,
         needs_from_bitfields(ctx, who, from),
         "interest arena diverged from the bitfields: {who} from {from}"
     );
     answer
+}
+
+/// The interest test over the arena rows and the `HotPeers` flags.
+fn needs_from_words(ctx: &InterestCtx<'_>, who: PeerId, from: PeerId) -> bool {
+    if who == from || !ctx.hot.id_online(who) {
+        return false;
+    }
+    let bits = if from == SEEDER_ID {
+        ctx.seeder_online && ctx.words.wants_from_seeder(who.index())
+    } else {
+        ctx.hot.id_online(from) && ctx.words.wants_from(who.index(), from.index())
+    };
+    // A partially transferred piece keeps the pair interested; without
+    // this, the uploader would never re-select the target and the
+    // transfer could stall one piece short of completion.
+    bits || ctx.transfers.get(from, who).is_some()
 }
 
 /// The interest test over the authoritative `PeerState` bitfields: the

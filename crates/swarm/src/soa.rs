@@ -229,6 +229,13 @@ impl InterestWords {
         self.want.len().checked_div(self.stride).unwrap_or(0)
     }
 
+    /// The word range of `slot`'s row.
+    fn row(&self, slot: u32) -> std::ops::Range<usize> {
+        let start = slot as usize * self.stride;
+        start..start + self.stride
+    }
+
+    /// The word index and mask of `piece` in `slot`'s row.
     fn bit(&self, slot: u32, piece: u32) -> (usize, u64) {
         let word = slot as usize * self.stride + piece as usize / 64;
         (word, 1u64 << (piece % 64))
@@ -237,31 +244,20 @@ impl InterestWords {
     /// Sets or clears `piece` in `slot`'s want row.
     pub(crate) fn set_want(&mut self, slot: u32, piece: u32, on: bool) {
         let (w, mask) = self.bit(slot, piece);
-        if on {
-            self.want[w] |= mask;
-        } else {
-            self.want[w] &= !mask;
-        }
+        set_bit(&mut self.want[w], mask, on);
     }
 
     /// Sets or clears `piece` in `slot`'s offer row.
     pub(crate) fn set_offer(&mut self, slot: u32, piece: u32, on: bool) {
         let (w, mask) = self.bit(slot, piece);
-        if on {
-            self.offer[w] |= mask;
-        } else {
-            self.offer[w] &= !mask;
-        }
+        set_bit(&mut self.offer[w], mask, on);
     }
 
     /// Overwrites `slot`'s want row with `absent`'s words (nothing in
     /// flight any more).
     pub(crate) fn reset_want(&mut self, slot: u32, absent: &Bitfield) {
-        let start = slot as usize * self.stride;
-        for (w, a) in self.want[start..start + self.stride]
-            .iter_mut()
-            .zip(absent.word_iter())
-        {
+        let row = self.row(slot);
+        for (w, a) in self.want[row].iter_mut().zip(absent.word_iter()) {
             *w = a;
         }
     }
@@ -269,25 +265,26 @@ impl InterestWords {
     /// `want[who] ∧ offer[from] ≠ ∅`: does slot `who` want a piece slot
     /// `from` offers?
     pub(crate) fn wants_from(&self, who: u32, from: u32) -> bool {
-        let s = self.stride;
-        let (w, f) = (who as usize * s, from as usize * s);
-        any_common(&self.want[w..w + s], &self.offer[f..f + s])
+        any_common(&self.want[self.row(who)], &self.offer[self.row(from)])
     }
 
     /// Does slot `who` want a piece the seeder offers?
     pub(crate) fn wants_from_seeder(&self, who: u32) -> bool {
-        let w = who as usize * self.stride;
-        any_common(&self.want[w..w + self.stride], &self.seeder)
+        any_common(&self.want[self.row(who)], &self.seeder)
     }
 
     /// `slot`'s (want, offer) rows — test access.
     #[cfg(test)]
     fn rows(&self, slot: u32) -> (&[u64], &[u64]) {
-        let s = slot as usize * self.stride;
-        (
-            &self.want[s..s + self.stride],
-            &self.offer[s..s + self.stride],
-        )
+        (&self.want[self.row(slot)], &self.offer[self.row(slot)])
+    }
+}
+
+fn set_bit(word: &mut u64, mask: u64, on: bool) {
+    if on {
+        *word |= mask;
+    } else {
+        *word &= !mask;
     }
 }
 
