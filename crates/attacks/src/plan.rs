@@ -3,7 +3,6 @@
 use coop_incentives::MechanismKind;
 use coop_swarm::{PeerSpec, PeerTags};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::FreeRider;
@@ -188,7 +187,7 @@ pub fn apply_attack(population: &mut [PeerSpec], plan: &AttackPlan, seed: u64) -
     let count = (n as f64 * plan.fraction()).round() as usize;
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xA77AC4);
-    order.shuffle(&mut rng);
+    coop_des::rng::shuffle_prefix(&mut order, &mut rng, count);
     let roles = plan.adaptive_roles();
     for (j, &i) in order.iter().take(count).enumerate() {
         let spec = &mut population[i];

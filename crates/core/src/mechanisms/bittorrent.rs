@@ -14,7 +14,6 @@
 //! contributor idles — which is exactly why BitTorrent bootstraps a flash
 //! crowd slowly (Table II).
 
-use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::hash::IdMap;
@@ -94,8 +93,9 @@ impl BitTorrent {
                 .copied()
                 .filter(|p| !self.unchoked.contains(p))
                 .collect();
-            fill.shuffle(rng);
-            fill.truncate(self.params.n_bt - self.unchoked.len());
+            let free = self.params.n_bt - self.unchoked.len();
+            coop_des::rng::shuffle_prefix(&mut fill, rng, free);
+            fill.truncate(free);
             self.unchoked.extend(fill);
         }
         self.last_eval = Some(view.round());

@@ -29,7 +29,6 @@
 
 use std::collections::HashMap;
 
-use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams};
@@ -105,7 +104,7 @@ impl TChain {
                     && (view.peer_needs_from(k, view.me()) || view.peer_needs_from(k, j))
             })
             .collect();
-        third.shuffle(rng);
+        coop_des::rng::shuffle_prefix(&mut third, rng, 1);
         third.first().copied()
     }
 }

@@ -30,8 +30,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use coop_swarm::{PeerRecord, SimResult, Totals};
-use coop_telemetry::is_staging_file;
 use coop_telemetry::json::{self, Json, ObjWriter};
+use coop_telemetry::{is_staging_file, MANIFEST_FILE, PROFILE_FILE};
 
 use coop_incentives::metrics::TimeSeries;
 use coop_incentives::PeerId;
@@ -194,9 +194,11 @@ impl RunJournal {
         self.append_line(&o.finish())
     }
 
-    /// Hashes and records every regular file directly inside `dir`
-    /// (except the journal itself and staging files a killed writer left
-    /// behind), in name order. Returns how many were recorded.
+    /// Hashes and records every regular file directly inside `dir`, in
+    /// name order. Returns how many were recorded. Skipped: the journal
+    /// itself, staging files a killed writer left behind, and the
+    /// `manifest.json` and `profile.json` observation outputs, whose
+    /// wall-clock readings differ on every run of the same command.
     ///
     /// # Errors
     ///
@@ -206,7 +208,10 @@ impl RunJournal {
             .filter_map(Result::ok)
             .filter(|e| e.file_type().map(|t| t.is_file()).unwrap_or(false))
             .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n != JOURNAL_FILE && !is_staging_file(n))
+            .filter(|n| {
+                ![JOURNAL_FILE, MANIFEST_FILE, PROFILE_FILE].contains(&n.as_str())
+                    && !is_staging_file(n)
+            })
             .collect();
         names.sort();
         for name in &names {
@@ -768,10 +773,15 @@ mod tests {
         std::fs::write(dir.join("b.csv"), b"x,y\n1,2\n").unwrap();
         std::fs::write(dir.join("a.json"), b"{}").unwrap();
         std::fs::write(dir.join(".b.csv.4242.tmp"), b"x,").unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), b"{\"wall_s\":1}").unwrap();
+        std::fs::write(dir.join(PROFILE_FILE), b"{\"wall_s\":2}").unwrap();
         let n = journal.record_artifact_dir(&dir).unwrap();
-        assert_eq!(n, 2, "journal and staging files are excluded");
+        assert_eq!(n, 2, "journal, staging and observation files are excluded");
         let text = std::fs::read_to_string(journal.path()).unwrap();
         assert!(!text.contains(".tmp"), "staging file recorded: {text}");
+        for skipped in [MANIFEST_FILE, PROFILE_FILE] {
+            assert!(!text.contains(skipped), "{skipped} recorded: {text}");
+        }
         let a = text.find("a.json").unwrap();
         let b = text.find("b.csv").unwrap();
         assert!(a < b, "name order");

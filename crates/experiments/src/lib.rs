@@ -28,6 +28,7 @@
 //!
 //! ```
 //! use coop_experiments::{runners::table2, Scale};
+//! # let _scratch = coop_experiments::ScopedOutputDir::temp("doc-table2");
 //! let report = table2::run(Scale::Quick, 42);
 //! assert!(report.render().contains("Altruism"));
 //! ```
@@ -48,7 +49,7 @@ pub mod telemetry;
 
 pub use exec::{BatchError, Executor, FailureKind, JobFailure, PanicInject, SimJob};
 pub use journal::{JournalReplay, RunJournal};
-pub use output::{write_csv, write_json, OutputDir};
+pub use output::{write_csv, write_json, OutputDir, ScopedOutputDir};
 pub use scale::Scale;
 pub use scenario::{
     load_pack, Arrival, ArtifactStyle, AttackMode, JobLabel, MixSpec, Scenario, ScenarioError,

@@ -329,6 +329,9 @@ mod tests {
 
     #[test]
     fn susceptibility_grows_with_freerider_fraction_for_altruism() {
+        let _out = crate::ScopedOutputDir::temp(
+            "ablations-susceptibility_grows_with_freerider_fraction_for_altruism",
+        );
         let r = run(Scale::Quick, 51);
         let s: Vec<f64> = r
             .altruism_fraction_sweep
@@ -342,6 +345,8 @@ mod tests {
 
     #[test]
     fn tchain_stays_resistant_across_fractions() {
+        let _out =
+            crate::ScopedOutputDir::temp("ablations-tchain_stays_resistant_across_fractions");
         let r = run(Scale::Quick, 52);
         for p in &r.tchain_fraction_sweep {
             // Collusion scales as m(m−1)/(N(N−1)); even at 40% attackers
@@ -357,6 +362,9 @@ mod tests {
 
     #[test]
     fn false_praise_beats_simple_freeriding_against_reputation() {
+        let _out = crate::ScopedOutputDir::temp(
+            "ablations-false_praise_beats_simple_freeriding_against_reputation",
+        );
         let r = run(Scale::Quick, 53);
         let simple = r.reputation_false_praise[0].susceptibility;
         let praise = r.reputation_false_praise[1].susceptibility;
@@ -368,6 +376,7 @@ mod tests {
 
     #[test]
     fn render_covers_all_sections() {
+        let _out = crate::ScopedOutputDir::temp("ablations-render_covers_all_sections");
         let text = run(Scale::Quick, 54).render();
         for tag in [
             "Ablation A",
@@ -384,6 +393,8 @@ mod tests {
 
     #[test]
     fn staggered_arrivals_complete_and_bootstrap() {
+        let _out =
+            crate::ScopedOutputDir::temp("ablations-staggered_arrivals_complete_and_bootstrap");
         let r = run(Scale::Quick, 56);
         for p in &r.arrival_model_sweep {
             assert!(
@@ -401,6 +412,9 @@ mod tests {
 
     #[test]
     fn all_piece_strategies_complete_but_rarest_first_is_competitive() {
+        let _out = crate::ScopedOutputDir::temp(
+            "ablations-all_piece_strategies_complete_but_rarest_first_is_competitive",
+        );
         let r = run(Scale::Quick, 55);
         let rarest = r.piece_strategy_sweep[0].mean_completion_s.unwrap();
         for p in &r.piece_strategy_sweep {

@@ -287,6 +287,9 @@ mod tests {
 
     #[test]
     fn propshare_without_optimism_degenerates_like_reciprocity() {
+        let _out = crate::ScopedOutputDir::temp(
+            "extensions-propshare_without_optimism_degenerates_like_reciprocity",
+        );
         // PropShare's auction admits only past contributors; remove the
         // optimistic share (α = 0) and nobody can ever make the first
         // move — the system collapses toward pure reciprocity, which is
@@ -313,6 +316,9 @@ mod tests {
 
     #[test]
     fn bittyrant_leaks_less_peer_bandwidth_than_stock() {
+        let _out = crate::ScopedOutputDir::temp(
+            "extensions-bittyrant_leaks_less_peer_bandwidth_than_stock",
+        );
         // No deliberate altruism: the strategic client stops funding
         // non-reciprocators, so free-riders capture a smaller share of
         // peer upload bandwidth than under the altruism-carrying stock
@@ -330,6 +336,8 @@ mod tests {
 
     #[test]
     fn all_variants_complete_without_attackers() {
+        let _out =
+            crate::ScopedOutputDir::temp("extensions-all_variants_complete_without_attackers");
         let r = run(Scale::Quick, 62);
         for variant in ["BitTorrent", "PropShare", "BitTyrant"] {
             assert!(
@@ -343,6 +351,7 @@ mod tests {
 
     #[test]
     fn eigentrust_blunts_false_praise() {
+        let _out = crate::ScopedOutputDir::temp("extensions-eigentrust_blunts_false_praise");
         let r = run(Scale::Quick, 63);
         let basic = &r.trust[0];
         let trusted = &r.trust[1];
@@ -359,6 +368,7 @@ mod tests {
 
     #[test]
     fn render_covers_both_sections() {
+        let _out = crate::ScopedOutputDir::temp("extensions-render_covers_both_sections");
         let text = run(Scale::Quick, 64).render();
         assert!(text.contains("PropShare"));
         assert!(text.contains("eigentrust"));

@@ -190,6 +190,8 @@ mod tests {
 
     #[test]
     fn classification_is_complete_and_mostly_agrees() {
+        let _out =
+            crate::ScopedOutputDir::temp("fig1-classification_is_complete_and_mostly_agrees");
         let r = run(Scale::Quick, 91);
         assert_eq!(r.rows.len(), 6);
         for row in &r.rows {
@@ -206,6 +208,7 @@ mod tests {
 
     #[test]
     fn hybrids_show_two_classes() {
+        let _out = crate::ScopedOutputDir::temp("fig1-hybrids_show_two_classes");
         let r = run(Scale::Quick, 92);
         let tc = r
             .rows
@@ -217,6 +220,7 @@ mod tests {
 
     #[test]
     fn render_marks_agreement() {
+        let _out = crate::ScopedOutputDir::temp("fig1-render_marks_agreement");
         let text = run(Scale::Quick, 93).render();
         assert!(text.contains('✓'));
         assert!(text.contains("agreement"));

@@ -123,6 +123,7 @@ mod tests {
 
     #[test]
     fn corollary1_ordering_holds() {
+        let _out = crate::ScopedOutputDir::temp("fig2-corollary1_ordering_holds");
         let r = run(Scale::Quick, 11);
         // T-Chain and FairTorrent achieve optimal fairness.
         assert_eq!(r.get(MechanismKind::TChain).fairness_f, 0.0);
@@ -157,6 +158,7 @@ mod tests {
 
     #[test]
     fn render_is_complete() {
+        let _out = crate::ScopedOutputDir::temp("fig2-render_is_complete");
         let text = run(Scale::Quick, 1).render();
         assert!(text.contains("T-Chain"));
         assert!(text.contains("eff rank"));

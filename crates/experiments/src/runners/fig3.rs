@@ -159,6 +159,7 @@ mod tests {
 
     #[test]
     fn corollary2_ranking_at_every_size() {
+        let _out = crate::ScopedOutputDir::temp("fig3-corollary2_ranking_at_every_size");
         let r = run(Scale::Quick, 0);
         for point in &r.exchange {
             let p = |k: MechanismKind| {
@@ -172,6 +173,7 @@ mod tests {
 
     #[test]
     fn tchain_approaches_altruism_as_n_grows() {
+        let _out = crate::ScopedOutputDir::temp("fig3-tchain_approaches_altruism_as_n_grows");
         let r = run(Scale::Quick, 0);
         let gap_at = |i: usize| {
             let p = &r.exchange[i].probabilities;
@@ -191,6 +193,7 @@ mod tests {
 
     #[test]
     fn prop3_degrades_with_skew() {
+        let _out = crate::ScopedOutputDir::temp("fig3-prop3_degrades_with_skew");
         let r = run(Scale::Quick, 0);
         let first = &r.reputation_skew[0];
         let last = r.reputation_skew.last().unwrap();
@@ -201,6 +204,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_panels() {
+        let _out = crate::ScopedOutputDir::temp("fig3-render_mentions_both_panels");
         let text = run(Scale::Quick, 0).render();
         assert!(text.contains("panel A"));
         assert!(text.contains("panel B"));

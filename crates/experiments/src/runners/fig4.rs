@@ -710,6 +710,7 @@ mod tests {
 
     #[test]
     fn fig4_shapes_match_paper() {
+        let _out = crate::ScopedOutputDir::temp("fig4-fig4_shapes_match_paper");
         let r = run(Scale::Quick, 21);
         // (a) Altruism is the most efficient; reciprocity never completes.
         let alt_ct = r.get(MechanismKind::Altruism).mean_completion_s.unwrap();
@@ -744,6 +745,7 @@ mod tests {
 
     #[test]
     fn replicated_run_aggregates_and_orders() {
+        let _out = crate::ScopedOutputDir::temp("fig4-replicated_run_aggregates_and_orders");
         let (r, _) = try_run_replicated(
             Scale::Quick,
             &[71, 72],
@@ -768,6 +770,7 @@ mod tests {
 
     #[test]
     fn report_render_lists_all_algorithms() {
+        let _out = crate::ScopedOutputDir::temp("fig4-report_render_lists_all_algorithms");
         let r = run(Scale::Quick, 22);
         let text = r.render();
         for kind in MechanismKind::ALL {

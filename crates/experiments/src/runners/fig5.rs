@@ -64,6 +64,7 @@ mod tests {
 
     #[test]
     fn fig5_susceptibility_ordering() {
+        let _out = crate::ScopedOutputDir::temp("fig5-fig5_susceptibility_ordering");
         let r = run(Scale::Quick, 31);
         let s = |k: MechanismKind| r.get(k).susceptibility;
         // Reciprocity and T-Chain are (almost) immune.
@@ -96,6 +97,7 @@ mod tests {
 
     #[test]
     fn fig5_tchain_stays_fair_and_efficient() {
+        let _out = crate::ScopedOutputDir::temp("fig5-fig5_tchain_stays_fair_and_efficient");
         let r = run(Scale::Quick, 32);
         let tc = r.get(MechanismKind::TChain);
         assert!(tc.completed_fraction > 0.9);
@@ -107,6 +109,7 @@ mod tests {
 
     #[test]
     fn compliant_peers_still_complete() {
+        let _out = crate::ScopedOutputDir::temp("fig5-compliant_peers_still_complete");
         let r = run(Scale::Quick, 33);
         for kind in [
             MechanismKind::TChain,

@@ -62,6 +62,7 @@ mod tests {
 
     #[test]
     fn large_view_increases_susceptibility() {
+        let _out = crate::ScopedOutputDir::temp("fig6-large_view_increases_susceptibility");
         let seed = 41;
         let base = fig5::run(Scale::Quick, seed);
         let lv = run(Scale::Quick, seed);
@@ -93,6 +94,7 @@ mod tests {
 
     #[test]
     fn tchain_remains_near_immune_under_large_view() {
+        let _out = crate::ScopedOutputDir::temp("fig6-tchain_remains_near_immune_under_large_view");
         let r = run(Scale::Quick, 42);
         assert!(
             r.get(MechanismKind::TChain).susceptibility < 0.06,
@@ -104,6 +106,9 @@ mod tests {
 
     #[test]
     fn tchain_beats_bittorrent_on_fairness_under_large_view() {
+        let _out = crate::ScopedOutputDir::temp(
+            "fig6-tchain_beats_bittorrent_on_fairness_under_large_view",
+        );
         // The paper's Fig. 6 observation: with the large-view exploit,
         // T-Chain is visibly more fair (and efficient) than BitTorrent.
         let r = run(Scale::Quick, 43);

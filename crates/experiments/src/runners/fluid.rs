@@ -129,6 +129,7 @@ mod tests {
 
     #[test]
     fn fluid_and_simulator_agree_on_the_extremes() {
+        let _out = crate::ScopedOutputDir::temp("fluid-fluid_and_simulator_agree_on_the_extremes");
         let r = run(Scale::Quick, 81);
         // Reciprocity: η = 0, both sides say "never" within horizon.
         let rec = r.get(MechanismKind::Reciprocity);
@@ -145,6 +146,7 @@ mod tests {
 
     #[test]
     fn fluid_drain_ordering_matches_eta_ordering() {
+        let _out = crate::ScopedOutputDir::temp("fluid-fluid_drain_ordering_matches_eta_ordering");
         let r = run(Scale::Quick, 82);
         let drain = |k: MechanismKind| r.get(k).fluid_drain_s.unwrap_or(f64::INFINITY);
         assert!(drain(MechanismKind::Altruism) <= drain(MechanismKind::TChain) + 1e-9);
@@ -161,6 +163,7 @@ mod tests {
 
     #[test]
     fn render_contains_eta_column() {
+        let _out = crate::ScopedOutputDir::temp("fluid-render_contains_eta_column");
         let text = run(Scale::Quick, 83).render();
         assert!(text.contains("η"));
         assert!(text.contains("Reciprocity"));

@@ -398,6 +398,9 @@ mod tests {
 
     #[test]
     fn churn_pack_baseline_matches_fig4_and_churn_degrades_completion() {
+        let _out = crate::ScopedOutputDir::temp(
+            "sweep-churn_pack_baseline_matches_fig4_and_churn_degrades_completion",
+        );
         let dir = tmp_out("churn");
         let pack = load_pack("fig4-churn").unwrap();
         let rates: Vec<f64> = pack.scenarios.iter().map(|s| s.faults.churn_rate).collect();

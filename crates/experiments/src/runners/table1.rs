@@ -179,6 +179,7 @@ mod tests {
 
     #[test]
     fn quick_report_has_expected_shape() {
+        let _out = crate::ScopedOutputDir::temp("table1-quick_report_has_expected_shape");
         let report = run(Scale::Quick, 7);
         assert_eq!(report.rows.len(), 6);
         let get = |name: &str| {
@@ -228,6 +229,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_algorithms() {
+        let _out = crate::ScopedOutputDir::temp("table1-render_contains_all_algorithms");
         let report = run(Scale::Quick, 3);
         let text = report.render();
         for kind in MechanismKind::ALL {

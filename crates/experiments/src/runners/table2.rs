@@ -152,6 +152,7 @@ mod tests {
 
     #[test]
     fn reproduces_paper_example_column() {
+        let _out = crate::ScopedOutputDir::temp("table2-reproduces_paper_example_column");
         let r = run(Scale::Quick, 0);
         for row in &r.rows {
             assert!(
@@ -166,6 +167,7 @@ mod tests {
 
     #[test]
     fn expected_times_order_as_prop4() {
+        let _out = crate::ScopedOutputDir::temp("table2-expected_times_order_as_prop4");
         let r = run(Scale::Default, 0);
         let e = |k| r.get(k).expected_bootstrap_rounds;
         assert!(e(MechanismKind::Altruism) <= e(MechanismKind::TChain));
@@ -176,6 +178,7 @@ mod tests {
 
     #[test]
     fn scaled_probabilities_are_valid() {
+        let _out = crate::ScopedOutputDir::temp("table2-scaled_probabilities_are_valid");
         for scale in [Scale::Quick, Scale::Default] {
             let r = run(scale, 0);
             for row in &r.rows {
@@ -187,6 +190,7 @@ mod tests {
 
     #[test]
     fn render_includes_percentages() {
+        let _out = crate::ScopedOutputDir::temp("table2-render_includes_percentages");
         let text = run(Scale::Quick, 0).render();
         assert!(text.contains('%'));
         assert!(text.contains("91.8%"), "altruism example column: {text}");

@@ -126,6 +126,7 @@ mod tests {
 
     #[test]
     fn table3_orderings() {
+        let _out = crate::ScopedOutputDir::temp("table3-table3_orderings");
         let r = run(Scale::Quick, 5);
         assert_eq!(r.get(MechanismKind::Reciprocity).exploitable_bps, 0.0);
         assert_eq!(r.get(MechanismKind::TChain).exploitable_bps, 0.0);
@@ -141,6 +142,7 @@ mod tests {
 
     #[test]
     fn collusion_column_matches_paper() {
+        let _out = crate::ScopedOutputDir::temp("table3-collusion_column_matches_paper");
         let r = run(Scale::Default, 5);
         assert_eq!(
             r.get(MechanismKind::Reciprocity).collusion_probability,
@@ -160,6 +162,7 @@ mod tests {
 
     #[test]
     fn render_contains_bound() {
+        let _out = crate::ScopedOutputDir::temp("table3-render_contains_bound");
         let text = run(Scale::Quick, 1).render();
         assert!(text.contains("deficit bound"));
         assert!(text.contains("always succeeds"));

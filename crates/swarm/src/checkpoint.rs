@@ -4,13 +4,14 @@
 //! [`Simulation`](crate::Simulation) taken at a round boundary: every
 //! peer's deep-cloned state (bitfields, ledgers, obligations and the
 //! boxed mechanism via `Mechanism::clone_box`), the transfer table, the
-//! reputation state, the fault-schedule cursor, the SoA hot mirror and
-//! CSR adjacency, all result accumulators, the DES engine's pending
-//! event queue *with its FIFO sequence counter*
-//! ([`EngineSnapshot`](coop_des::EngineSnapshot)), and the seed tree's
-//! stream state ([`SeedTree::export`](coop_des::rng::SeedTree::export) —
-//! positionless, so the root seed plus the restored round index pins
-//! every RNG stream).
+//! reputation state, the fault-schedule cursor, the CSR adjacency, all
+//! result accumulators, the DES engine's pending event queue *with its
+//! FIFO sequence counter* ([`EngineSnapshot`](coop_des::EngineSnapshot)),
+//! and the seed tree's stream state
+//! ([`SeedTree::export`](coop_des::rng::SeedTree::export) — positionless,
+//! so the root seed plus the restored round index pins every RNG stream).
+//! The SoA mirrors (hot flags, active lists, degrees, interest rows) are
+//! derived from the peer structs and rebuilt on restore.
 //!
 //! The contract — pinned by `crates/swarm/tests/checkpoint_equivalence.rs`
 //! for all six mechanisms — is exact: build a fresh simulation from the
@@ -33,7 +34,6 @@ use coop_piece::{AvailabilityIndex, Bitfield};
 use crate::peer::PeerState;
 use crate::result::Totals;
 use crate::sim::Event;
-use crate::soa::HotPeers;
 use crate::transfer::TransferTable;
 use crate::SwarmConfig;
 
@@ -97,7 +97,6 @@ pub(crate) struct CheckpointState {
     pub(crate) adj_off: Vec<u32>,
     pub(crate) adj_dirty: bool,
     pub(crate) adjacency_rebuilds: u64,
-    pub(crate) hot: HotPeers,
     pub(crate) pending_arrivals: usize,
     pub(crate) open_active: usize,
     pub(crate) compliant_completed: usize,

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use coop_des::rng::SeedTree;
+use coop_des::rng::{self, SeedTree};
 use coop_des::{Engine, RoundDriver, SimTime};
 use coop_incentives::hash::IdMap;
 use coop_incentives::ledger::{ReportedReputation, ReputationTable};
@@ -27,7 +27,6 @@ use coop_telemetry::{
     Category, Histogram, PhaseToken, ProfileReport, Profiler, Recorder, Sampling, TelemetryConfig,
     TelemetryReport, TraceEvent,
 };
-use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::checkpoint::{CheckpointError, CheckpointLog, CheckpointState, SimCheckpoint};
@@ -471,14 +470,15 @@ impl Simulation {
     }
 
     /// The active peer ids in ascending order and the large-view ones
-    /// among them, read off the packed peer flags exactly as arrival-time
+    /// among them, read off the [`HotPeers`] lists exactly as arrival-time
     /// neighbor selection reads them. Exposed so the property battery can
-    /// check the flags against the peer structs at any restored state.
+    /// check the lists against the peer structs at any restored state.
     #[doc(hidden)]
     pub fn active_pool(&self) -> (Vec<PeerId>, Vec<PeerId>) {
-        let mut active = Vec::new();
-        let large_view = self.hot.fill_active_ids(&mut active);
-        (active, large_view)
+        (
+            self.hot.active_ids().to_vec(),
+            self.hot.large_view_ids().to_vec(),
+        )
     }
 
     /// Is a transfer currently in flight from `from` to `to`?
@@ -611,9 +611,10 @@ impl Simulation {
         self.adj_off = s.adj_off.clone();
         self.adj_dirty = s.adj_dirty;
         self.adjacency_rebuilds = s.adjacency_rebuilds;
-        self.hot = s.hot.clone();
-        // The interest arena is derived from the peers' bitfields, so it
-        // is rebuilt rather than carried in the checkpoint.
+        // The hot mirror and the interest arena are derived from the peer
+        // structs, so they are rebuilt rather than carried in the
+        // checkpoint.
+        self.hot = HotPeers::rebuilt(&self.peers);
         self.interest = InterestWords::rebuilt(&self.seeder_bf, &self.peers);
         self.pending_arrivals = s.pending_arrivals;
         self.open_active = s.open_active;
@@ -668,6 +669,11 @@ impl Simulation {
         let round = self.round_idx;
         self.recorder.incr("swarm.checkpoints", 1);
         self.recorder.emit_with(|| TraceEvent::Checkpoint { round });
+        debug_assert_eq!(
+            HotPeers::rebuilt(&self.peers),
+            self.hot,
+            "SoA mirror diverged from the peer structs it is rebuilt from"
+        );
         let state = CheckpointState {
             config: self.config.clone(),
             engine: eng.snapshot(),
@@ -687,7 +693,6 @@ impl Simulation {
             adj_off: self.adj_off.clone(),
             adj_dirty: self.adj_dirty,
             adjacency_rebuilds: self.adjacency_rebuilds,
-            hot: self.hot.clone(),
             pending_arrivals: self.pending_arrivals,
             open_active: self.open_active,
             compliant_completed: self.compliant_completed,
@@ -820,17 +825,18 @@ impl Simulation {
         }
         let (neighbors, large_viewers) = self.choose_neighbors(id, spec.tags.large_view);
         for &n in &neighbors {
-            self.peers[n.index() as usize].neighbors.insert(id);
+            self.insert_neighbor(n, id);
         }
         peer.neighbors = neighbors;
         // Existing large-view peers connect to every newcomer.
         for lv in large_viewers {
             peer.neighbors.insert(lv);
-            self.peers[lv.index() as usize].neighbors.insert(id);
+            self.insert_neighbor(lv, id);
         }
         self.interest.push(&peer);
+        let degree = peer.neighbors.len() as u32;
         self.peers.push(peer);
-        self.hot.push(&spec.tags, 0);
+        self.hot.push(&spec.tags, 0, degree);
         self.pending_arrivals -= 1;
         if spec.tags.compliant || spec.tags.whitewash_interval.is_some() {
             self.open_active += 1;
@@ -844,12 +850,12 @@ impl Simulation {
     /// Picks the initial neighbors of newcomer `me` (not yet in
     /// [`Self::peers`]): every active, unbanned peer for a large view,
     /// otherwise the first `neighbor_degree` of that pool after one
-    /// shuffle on `me`'s own `0xA771` stream. The pool comes from one pass
-    /// over the [`HotPeers`] flags in ascending id order, so the shuffle
+    /// shuffle on `me`'s own `0xA771` stream. The pool is a copy of the
+    /// [`HotPeers`] active list, in ascending id order, so the shuffle
     /// consumes exactly the draws a scan of the peer structs would feed
-    /// it. The same pass yields the active large-view peers, returned
-    /// second; they are taken before the ban filter because they connect
-    /// to every newcomer, banned or not.
+    /// it. The active large-view peers are returned second; they are
+    /// taken before the ban filter because they connect to every
+    /// newcomer, banned or not.
     fn choose_neighbors(
         &mut self,
         me: PeerId,
@@ -861,7 +867,9 @@ impl Simulation {
             "newcomer already spawned"
         );
         let mut pool = std::mem::take(&mut self.scratch_pool);
-        let large_viewers = self.hot.fill_active_ids(&mut pool);
+        pool.clear();
+        pool.extend_from_slice(self.hot.active_ids());
+        let large_viewers = self.hot.large_view_ids().to_vec();
         debug_assert_eq!(
             large_viewers,
             self.peers
@@ -882,12 +890,10 @@ impl Simulation {
         let chosen = if large_view {
             pool.iter().copied().collect()
         } else {
+            let degree = self.config.neighbor_degree;
             let mut rng = self.seeds.subtree(0xA771).rng(u64::from(me.index()));
-            pool.shuffle(&mut rng);
-            pool.iter()
-                .take(self.config.neighbor_degree)
-                .copied()
-                .collect()
+            rng::shuffle_prefix(&mut pool, &mut rng, degree);
+            pool.iter().take(degree).copied().collect()
         };
         self.scratch_pool = pool;
         (chosen, large_viewers)
@@ -1088,10 +1094,7 @@ impl Simulation {
             );
             order
         };
-        {
-            let mut rng = self.round_rng(0);
-            order.shuffle(&mut rng);
-        }
+        rng::shuffle(&mut order, &mut self.round_rng(0));
         self.recorder
             .observe("swarm.round.active_set", order.len() as u64);
         // The dirty filter is evaluated per-visit against the *live* visit
@@ -1954,9 +1957,7 @@ impl Simulation {
         }
         let neighbors: Vec<PeerId> = self.peers[idx].neighbors.iter().copied().collect();
         for n in neighbors {
-            if let Some(p) = self.peers.get_mut(n.index() as usize) {
-                p.neighbors.remove(&id);
-            }
+            self.remove_neighbor(n, id);
         }
         self.availability.remove_peer(self.peers[idx].have());
         self.peers[idx].departure = Some(why);
@@ -2251,7 +2252,7 @@ impl Simulation {
         }
         let neighbors: Vec<PeerId> = self.peers[old_idx].neighbors.iter().copied().collect();
         for n in neighbors {
-            self.peers[n.index() as usize].neighbors.remove(&old);
+            self.remove_neighbor(n, old);
         }
         self.peers[old_idx].drop_fetches(&mut self.interest);
         self.peers[old_idx].departure = Some(Departure::Whitewashed(now));
@@ -2308,11 +2309,12 @@ impl Simulation {
         // existing large viewers.
         let (neighbors, _) = self.choose_neighbors(new_id, tags.large_view);
         for &n in &neighbors {
-            self.peers[n.index() as usize].neighbors.insert(new_id);
+            self.insert_neighbor(n, new_id);
         }
         peer.neighbors = neighbors;
+        let degree = peer.neighbors.len() as u32;
         self.peers.push(peer);
-        self.hot.push(&tags, have.len() as u32);
+        self.hot.push(&tags, have.len() as u32, degree);
         if tags.compliant || tags.whitewash_interval.is_some() {
             self.open_active += 1;
         }
@@ -2379,27 +2381,47 @@ impl Simulation {
         // An active peer's neighbor set only ever holds live identities
         // (edges are symmetric and pruned eagerly on departure; outages
         // keep the identity alive), so `neighbors.len()` *is* the live
-        // count — no per-neighbor liveness probe needed on the fast path.
-        let needy: Vec<u32> = self
-            .peers
-            .iter()
-            .filter(|p| {
-                if !p.is_active() {
-                    return false;
-                }
-                if self.naive_hotpath {
-                    p.neighbors.iter().filter(|&&n| self.is_active(n)).count() < min_degree
-                } else {
-                    debug_assert_eq!(
-                        p.neighbors.iter().filter(|&&n| self.is_active(n)).count(),
-                        p.neighbors.len(),
-                        "an active peer's neighbor set held a departed identity"
-                    );
-                    p.neighbors.len() < min_degree
-                }
-            })
-            .map(|p| p.id.index())
-            .collect();
+        // count — no per-neighbor liveness probe needed on the fast path,
+        // and its [`HotPeers`] degree mirror spares the peer structs.
+        let needy: Vec<u32> = if self.naive_hotpath {
+            self.peers
+                .iter()
+                .filter(|p| {
+                    p.is_active()
+                        && p.neighbors.iter().filter(|&&n| self.is_active(n)).count() < min_degree
+                })
+                .map(|p| p.id.index())
+                .collect()
+        } else {
+            let needy: Vec<u32> = self
+                .hot
+                .active_ids()
+                .iter()
+                .map(|id| id.index())
+                .filter(|&i| (self.hot.degree(i as usize) as usize) < min_degree)
+                .collect();
+            debug_assert_eq!(
+                needy,
+                self.peers
+                    .iter()
+                    .filter(|p| {
+                        debug_assert!(
+                            !p.is_active() || p.neighbors.iter().all(|&n| self.is_active(n)),
+                            "an active peer's neighbor set held a departed identity"
+                        );
+                        debug_assert_eq!(
+                            self.hot.degree(p.id.index() as usize) as usize,
+                            p.neighbors.len(),
+                            "SoA degree diverged from the neighbor set"
+                        );
+                        p.is_active() && p.neighbors.len() < min_degree
+                    })
+                    .map(|p| p.id.index())
+                    .collect::<Vec<u32>>(),
+                "SoA needy list diverged from the peer scan"
+            );
+            needy
+        };
         if needy.is_empty() {
             return;
         }
@@ -2408,27 +2430,24 @@ impl Simulation {
         for pid in needy {
             let id = PeerId::new(pid);
             let mine = &self.peers[pid as usize].neighbors;
-            self.hot.fill_active_ids(&mut pool);
+            pool.clear();
+            pool.extend_from_slice(self.hot.active_ids());
             pool.retain(|&n| n != id && !self.is_banned(n) && !mine.contains(&n));
             debug_assert_eq!(
                 pool,
                 self.scan_pool(id, mine),
                 "SoA replenish pool diverged from the peer scan"
             );
-            pool.shuffle(&mut rng);
             let have = if self.naive_hotpath {
-                self.peers[pid as usize]
-                    .neighbors
-                    .iter()
-                    .filter(|&&n| self.is_active(n))
-                    .count()
+                mine.iter().filter(|&&n| self.is_active(n)).count()
             } else {
-                self.peers[pid as usize].neighbors.len()
+                mine.len()
             };
             let want = self.config.neighbor_degree.saturating_sub(have);
+            rng::shuffle_prefix(&mut pool, &mut rng, want);
             for &n in pool.iter().take(want) {
-                self.peers[pid as usize].neighbors.insert(n);
-                self.peers[n.index() as usize].neighbors.insert(id);
+                self.insert_neighbor(id, n);
+                self.insert_neighbor(n, id);
                 self.adj_dirty = true;
                 // A fresh edge adds a member to both endpoints' candidate
                 // rows; revisit both — the edge is the only change, so
@@ -2438,6 +2457,26 @@ impl Simulation {
             }
         }
         self.scratch_pool = pool;
+    }
+
+    /// Adds `id` to `at`'s neighbor set, keeping the [`HotPeers`] degree
+    /// mirror in step.
+    fn insert_neighbor(&mut self, at: PeerId, id: PeerId) {
+        let i = at.index() as usize;
+        if self.peers[i].neighbors.insert(id) {
+            self.hot.add_degree(i, true);
+        }
+    }
+
+    /// Removes `id` from `at`'s neighbor set, if `at` is a peer slot,
+    /// keeping the [`HotPeers`] degree mirror in step.
+    fn remove_neighbor(&mut self, at: PeerId, id: PeerId) {
+        let i = at.index() as usize;
+        if let Some(p) = self.peers.get_mut(i) {
+            if p.neighbors.remove(&id) {
+                self.hot.add_degree(i, false);
+            }
+        }
     }
 
     fn seeder_allocate(&mut self, now: SimTime) {
@@ -2487,7 +2526,7 @@ impl Simulation {
         } else {
             scan(0..slots)
         };
-        candidates.shuffle(&mut rng);
+        rng::shuffle(&mut candidates, &mut rng);
         if candidates.is_empty() {
             return;
         }
@@ -3022,19 +3061,19 @@ impl Simulation {
                     u64::from(p.inflight().count_ones()),
                     p.neighbors.len() as u64,
                 );
-                // The interested-in-me census is an O(N) scan per peer —
-                // O(N²) over the dump. Built inside the closure so peers
-                // the Final sampling rate drops never pay for it.
+                // The interest census reads the neighbor set only: O(degree)
+                // per peer. Built inside the closure so peers the Final
+                // sampling rate drops never pay for it.
                 recorder.emit_sampled(Category::Final, || TraceEvent::PeerAtEnd {
                     peer,
                     have,
                     locked,
                     obligations,
                     inflight,
-                    interested_in_me: self
-                        .peers
+                    interested_neighbors: p
+                        .neighbors
                         .iter()
-                        .filter(|q| q.is_active() && q.id != p.id && self.needs(q.id, p.id))
+                        .filter(|&&q| self.needs(q, p.id))
                         .count() as u64,
                     neighbors,
                 });

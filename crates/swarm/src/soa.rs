@@ -8,13 +8,18 @@
 //! peer once bitfields, ledgers and neighbor sets are counted. At fig4
 //! scale that turns every pass into a cache-miss walk. [`HotPeers`] packs
 //! the scanned bits into contiguous arrays indexed by peer slot so the
-//! per-round passes read cache-dense memory.
+//! per-round passes read cache-dense memory. It also keeps the active
+//! slots as an ascending id list, so an arrival copies its candidate pool
+//! instead of scanning every slot, and each slot's neighbor count, so the
+//! replenish pass finds under-connected peers without the peer structs.
 //!
 //! The arrays are written in lockstep with the authoritative `PeerState`
-//! mutations (spawn, depart, outage start/end, piece acquisition); debug
-//! builds cross-check every consumer against a fresh scan of the peer
-//! structs, and the `hotpath_equivalence` battery pins result equality
-//! against the naive scans end to end.
+//! mutations (spawn, depart, outage start/end, piece acquisition, edge
+//! insertion and removal); debug builds cross-check every consumer
+//! against a fresh scan of the peer structs and the whole mirror against
+//! [`HotPeers::rebuilt`] at every checkpoint capture, and the
+//! `hotpath_equivalence` battery pins result equality against the naive
+//! scans end to end.
 //!
 //! [`InterestWords`] does the same for the interest test `q(i, j)`: two
 //! word rows per slot, `want = absent ∧ ¬inflight` and
@@ -46,24 +51,35 @@ const COLLUSION: u8 = 1 << 3;
 /// granted toward a non-neighbor, so candidate-side dirtiness alone would
 /// miss them); this bit keeps that check off the full `PeerState` structs.
 const OBLIGED: u8 = 1 << 4;
-/// Peer connects to the whole swarm (`tags.large_view` set).
-const LARGE_VIEW: u8 = 1 << 5;
 
 /// Hot per-peer round state in struct-of-arrays layout, indexed by peer
-/// slot (`PeerId::index()`).
-#[derive(Clone, Debug, Default)]
+/// slot (`PeerId::index()`), plus the active slots as an ascending id
+/// list.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct HotPeers {
     /// Packed status bits; see the flag constants above.
     flags: Vec<u8>,
     /// Number of usable pieces (`have.count_ones()` kept incrementally;
     /// `have` bits are never cleared, so increments suffice).
     have_count: Vec<u32>,
+    /// `PeerState::neighbors.len()`, kept in lockstep by the simulation's
+    /// edge helpers, so the replenish pass finds needy peers without
+    /// touching the peer structs.
+    degree: Vec<u32>,
+    /// Every active slot, ascending: the arrival-time candidate pool.
+    /// Spawns append (a new slot is the largest id); a departure removes
+    /// its slot by binary search.
+    active: Vec<PeerId>,
+    /// The active large-view slots, ascending (usually empty).
+    large_view: Vec<PeerId>,
 }
 
 impl HotPeers {
-    /// Registers a freshly spawned peer slot. `have_count` is nonzero
-    /// only for whitewash successors, which inherit pieces at birth.
-    pub(crate) fn push(&mut self, tags: &PeerTags, have_count: u32) {
+    /// Registers a freshly spawned peer slot with `degree` neighbors.
+    /// `have_count` is nonzero only for whitewash successors, which
+    /// inherit pieces at birth.
+    pub(crate) fn push(&mut self, tags: &PeerTags, have_count: u32, degree: u32) {
+        let id = PeerId::new(self.flags.len() as u32);
         let mut f = ACTIVE;
         if tags.whitewash_interval.is_some() {
             f |= WHITEWASH;
@@ -72,10 +88,27 @@ impl HotPeers {
             f |= COLLUSION;
         }
         if tags.large_view {
-            f |= LARGE_VIEW;
+            self.large_view.push(id);
         }
         self.flags.push(f);
         self.have_count.push(have_count);
+        self.degree.push(degree);
+        self.active.push(id);
+    }
+
+    /// The mirror of `peers` (slot `i` = `peers[i]`), rebuilt from the
+    /// peer structs — how a restored checkpoint gets it back.
+    pub(crate) fn rebuilt(peers: &[PeerState]) -> Self {
+        let mut hot = HotPeers::default();
+        for (i, p) in peers.iter().enumerate() {
+            hot.push(&p.tags, p.have().count_ones(), p.neighbors.len() as u32);
+            hot.set_offline(i, p.offline);
+            hot.set_obliged(i, !p.obligations.is_empty());
+            if !p.is_active() {
+                hot.retire(i);
+            }
+        }
+        hot
     }
 
     /// Number of peer slots tracked (always `peers.len()`).
@@ -83,9 +116,30 @@ impl HotPeers {
         self.flags.len()
     }
 
-    /// Marks a slot departed (any departure kind).
+    /// Marks a slot departed (any departure kind) and drops it from the
+    /// active lists.
     pub(crate) fn retire(&mut self, idx: usize) {
         self.flags[idx] &= !ACTIVE;
+        let id = PeerId::new(idx as u32);
+        for list in [&mut self.active, &mut self.large_view] {
+            if let Ok(pos) = list.binary_search(&id) {
+                list.remove(pos);
+            }
+        }
+    }
+
+    /// Neighbor count of the slot (`PeerState::neighbors.len()`).
+    pub(crate) fn degree(&self, idx: usize) -> u32 {
+        self.degree[idx]
+    }
+
+    /// Records one neighbor gained (`true`) or lost (`false`).
+    pub(crate) fn add_degree(&mut self, idx: usize, gained: bool) {
+        if gained {
+            self.degree[idx] += 1;
+        } else {
+            self.degree[idx] -= 1;
+        }
     }
 
     /// Sets or clears the outage bit.
@@ -132,25 +186,15 @@ impl HotPeers {
         self.flags[idx] & OBLIGED != 0
     }
 
-    /// Replaces the contents of `out` with the ids of every active slot in
-    /// ascending id order — the candidate pool arrival-time neighbor
-    /// selection shuffles — and returns the large-view slots among them
-    /// (usually none, so no allocation). One pass over the packed flags
-    /// instead of the peer structs; `out` is caller-owned so steady-state
-    /// arrivals reuse one buffer.
-    pub(crate) fn fill_active_ids(&self, out: &mut Vec<PeerId>) -> Vec<PeerId> {
-        out.clear();
-        let mut large_view = Vec::new();
-        for (i, &f) in self.flags.iter().enumerate() {
-            if f & ACTIVE != 0 {
-                let id = PeerId::new(i as u32);
-                out.push(id);
-                if f & LARGE_VIEW != 0 {
-                    large_view.push(id);
-                }
-            }
-        }
-        large_view
+    /// Every active slot in ascending id order — the candidate pool
+    /// arrival-time neighbor selection shuffles.
+    pub(crate) fn active_ids(&self) -> &[PeerId] {
+        &self.active
+    }
+
+    /// The active large-view slots in ascending id order.
+    pub(crate) fn large_view_ids(&self) -> &[PeerId] {
+        &self.large_view
     }
 
     /// Online slot that whitewashes its identity.
@@ -447,7 +491,7 @@ mod tests {
             let mut peers: Vec<PeerState> = (0..4).map(|i| peer(i, num_pieces)).collect();
             for p in &peers {
                 words.push(p);
-                hot.push(&p.tags, 0);
+                hot.push(&p.tags, 0, 0);
             }
             let mut transfers = TransferTable::new();
             for (op, slot, piece) in ops {
@@ -522,12 +566,12 @@ mod tests {
     #[test]
     fn flags_track_lifecycle() {
         let mut hot = HotPeers::default();
-        hot.push(&PeerTags::compliant(), 0);
+        hot.push(&PeerTags::compliant(), 0, 0);
         let ww = PeerTags {
             whitewash_interval: Some(4),
             ..PeerTags::compliant()
         };
-        hot.push(&ww, 3);
+        hot.push(&ww, 3, 0);
         assert_eq!(hot.len(), 2);
         assert!(hot.is_active(0) && hot.is_online(0));
         assert!(!hot.whitewash_online(0) && !hot.colluder_online(0));
@@ -551,24 +595,115 @@ mod tests {
             ..PeerTags::compliant()
         };
         for tags in [PeerTags::compliant(), lv, lv, PeerTags::compliant()] {
-            hot.push(&tags, 0);
+            hot.push(&tags, 0, 0);
         }
         hot.retire(2);
         hot.set_offline(1, true);
-        let mut ids = vec![PeerId::new(99)];
-        let large_view = hot.fill_active_ids(&mut ids);
-        assert_eq!(ids, [0, 1, 3].map(PeerId::new), "outages stay in the pool");
         assert_eq!(
-            large_view,
+            hot.active_ids(),
+            [0, 1, 3].map(PeerId::new),
+            "outages stay in the pool"
+        );
+        assert_eq!(
+            hot.large_view_ids(),
             [PeerId::new(1)],
             "departed large viewers drop out"
         );
     }
 
+    /// Links `a` and `b` the way the simulation's edge helpers do: both
+    /// neighbor sets and both degree mirrors.
+    fn link(peers: &mut [PeerState], hot: &mut HotPeers, a: usize, b: usize) {
+        for (x, y) in [(a, b), (b, a)] {
+            let id = peers[y].id;
+            if peers[x].neighbors.insert(id) {
+                hot.add_degree(x, true);
+            }
+        }
+    }
+
+    /// Departs slot `d`: out of its neighbors' sets and the active list.
+    fn depart(peers: &mut [PeerState], hot: &mut HotPeers, d: usize) {
+        let id = peers[d].id;
+        for n in peers[d].neighbors.clone() {
+            if peers[n.index() as usize].neighbors.remove(&id) {
+                hot.add_degree(n.index() as usize, false);
+            }
+        }
+        peers[d].departure = Some(crate::peer::Departure::Churned(SimTime::ZERO));
+        hot.retire(d);
+    }
+
+    #[test]
+    fn active_list_and_degrees_track_spawn_departure_successor_and_restore() {
+        let mut peers: Vec<PeerState> = Vec::new();
+        let mut hot = HotPeers::default();
+        let check = |peers: &[PeerState], hot: &HotPeers, step: &str| {
+            let active: Vec<PeerId> = peers
+                .iter()
+                .filter(|p| p.is_active())
+                .map(|p| p.id)
+                .collect();
+            assert_eq!(hot.active_ids(), &active[..], "active list after {step}");
+            for p in peers {
+                assert_eq!(
+                    hot.degree(p.id.index() as usize) as usize,
+                    p.neighbors.len(),
+                    "degree of slot {} after {step}",
+                    p.id.index()
+                );
+            }
+            assert_eq!(&HotPeers::rebuilt(peers), hot, "restore after {step}");
+        };
+        // Spawn five peers in a ring.
+        for i in 0..5 {
+            peers.push(peer(i, 8));
+            hot.push(&peers[i as usize].tags, 0, 0);
+            if i > 0 {
+                link(&mut peers, &mut hot, i as usize - 1, i as usize);
+            }
+        }
+        link(&mut peers, &mut hot, 4, 0);
+        check(&peers, &hot, "spawn");
+        // A newcomer joins with degree 2, then its partners learn of it.
+        let mut newcomer = peer(5, 8);
+        newcomer.neighbors.extend([PeerId::new(1), PeerId::new(3)]);
+        peers.push(newcomer);
+        hot.push(&peers[5].tags, 0, 2);
+        for n in [1, 3] {
+            peers[n].neighbors.insert(PeerId::new(5));
+            hot.add_degree(n, true);
+        }
+        check(&peers, &hot, "newcomer");
+        // Departures from the middle and the ends of the list.
+        depart(&mut peers, &mut hot, 2);
+        depart(&mut peers, &mut hot, 0);
+        check(&peers, &hot, "departure");
+        // Whitewash: slot 3 retires and a successor with its pieces and a
+        // fresh neighbor joins at the end.
+        depart(&mut peers, &mut hot, 3);
+        let mut successor = peer(6, 8);
+        let mut words = InterestWords::new(&Bitfield::full(8));
+        for p in &peers {
+            words.push(p);
+        }
+        words.push(&successor);
+        successor.acquire_usable(4, &mut words);
+        peers.push(successor);
+        hot.push(&peers[6].tags, 1, 0);
+        link(&mut peers, &mut hot, 6, 1);
+        check(&peers, &hot, "whitewash successor");
+        assert_eq!(hot.active_ids(), [1, 4, 5, 6].map(PeerId::new));
+        // Outages survive the rebuild too.
+        peers[4].offline = true;
+        hot.set_offline(4, true);
+        check(&peers, &hot, "outage");
+    }
+
     #[test]
     fn obliged_bit_toggles_independently() {
         let mut hot = HotPeers::default();
-        hot.push(&PeerTags::compliant(), 0);
+        hot.push(&PeerTags::compliant(), 0, 0);
         assert!(!hot.is_obliged(0));
         hot.set_obliged(0, true);
         assert!(hot.is_obliged(0) && hot.is_online(0));

@@ -237,6 +237,41 @@ fn restore_then_finish_equals_straight_run_for_every_mechanism() {
 }
 
 #[test]
+fn restore_during_the_flash_crowd_equals_straight_run() {
+    // The first checkpoint lands while arrivals are still pending, so the
+    // restored run draws the remaining newcomers' neighbors from a
+    // rebuilt active list and replenishes from rebuilt degree counts.
+    // Both must match what the straight run held at that round.
+    let population = 14;
+    for &kind in &MechanismKind::ALL {
+        let straight = scenario_builder(kind, 42).build().unwrap().run();
+        let (_, _, log) = scenario_builder(kind, 42)
+            .checkpoint_every(1)
+            .build()
+            .unwrap()
+            .run_checkpointed();
+        let ckpt = log.first().unwrap();
+        let restored = scenario_builder(kind, 42)
+            .build()
+            .unwrap()
+            .restore(ckpt)
+            .unwrap_or_else(|e| panic!("{kind:?}: restore failed: {e}"));
+        let spawned = restored.peer_slots();
+        assert!(
+            spawned > 1 && spawned < population,
+            "{kind:?}: round-{} checkpoint has {spawned} of {population} peers spawned",
+            ckpt.round()
+        );
+        assert_eq!(
+            straight,
+            restored.run(),
+            "{kind:?}: resume from round {} diverged",
+            ckpt.round()
+        );
+    }
+}
+
+#[test]
 fn restore_across_a_fault_boundary() {
     let faults = FaultSchedule::from_events(
         vec![

@@ -128,7 +128,7 @@ mod tests {
                 locked: 0,
                 obligations: 0,
                 inflight: 0,
-                interested_in_me: 0,
+                interested_neighbors: 0,
                 neighbors: 4
             }
             .to_jsonl()

@@ -150,8 +150,8 @@ pub enum TraceEvent {
         obligations: u64,
         /// Pieces currently in flight toward this peer.
         inflight: u64,
-        /// Active peers that need something this peer offers.
-        interested_in_me: u64,
+        /// Neighbors that need something this peer offers.
+        interested_neighbors: u64,
         /// Neighbor-set size.
         neighbors: u64,
     },
@@ -317,7 +317,7 @@ impl TraceEvent {
                 locked,
                 obligations,
                 inflight,
-                interested_in_me,
+                interested_neighbors,
                 neighbors,
             } => {
                 o.str("type", "peer_at_end")
@@ -327,7 +327,7 @@ impl TraceEvent {
                     .uint("locked", *locked)
                     .uint("obligations", *obligations)
                     .uint("inflight", *inflight)
-                    .uint("interested_in_me", *interested_in_me)
+                    .uint("interested_neighbors", *interested_neighbors)
                     .uint("neighbors", *neighbors);
             }
             TraceEvent::EngineStats {
@@ -440,7 +440,7 @@ mod tests {
                 locked: 1,
                 obligations: 2,
                 inflight: 0,
-                interested_in_me: 4,
+                interested_neighbors: 4,
                 neighbors: 8,
             },
             TraceEvent::EngineStats {

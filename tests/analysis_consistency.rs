@@ -4,7 +4,7 @@
 
 use coop_des::rng::SeedTree;
 use coop_experiments::runners::{fig4, table2};
-use coop_experiments::Scale;
+use coop_experiments::{Scale, ScopedOutputDir};
 use coop_incentives::analysis::bootstrap::{bootstrap_probability, BootstrapParams};
 use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::analysis::equilibrium::{
@@ -110,6 +110,7 @@ fn table2_probabilities_monotone_in_z_and_k() {
 
 #[test]
 fn analytic_bootstrap_ranking_predicts_simulated_ranking() {
+    let _out = ScopedOutputDir::temp("analytic_bootstrap_ranking_predicts_simulated_ranking");
     // Table II's analytic ranking (altruism fastest … reciprocity slowest)
     // must agree with the simulated mean bootstrap times on the extremes.
     let analytic = table2::run(Scale::Quick, 9);
@@ -193,6 +194,7 @@ fn epoch_open_fraction_predicts_simulated_susceptibility_ladder() {
 
 #[test]
 fn fig2_predicts_fig4_fairness_extremes() {
+    let _out = ScopedOutputDir::temp("fig2_predicts_fig4_fairness_extremes");
     // The idealized model says T-Chain/FairTorrent are the fairest and
     // altruism the least fair; the simulation must agree.
     let sim = fig4::run(Scale::Quick, 13);

@@ -5,14 +5,15 @@ use coop_experiments::journal::fnv1a;
 use coop_experiments::runners::{
     ablations, fig4, fig4_scale, fig5, fig6, fig_consensus, fig_epoch,
 };
-use coop_experiments::{BatchError, Executor, OutputDir, Scale, TelemetryOpts};
+use coop_experiments::{BatchError, Executor, OutputDir, Scale, ScopedOutputDir, TelemetryOpts};
 use coop_incentives::MechanismKind;
 use std::path::Path;
 
 #[test]
 fn fig4_writes_csv_json_and_svg_artifacts() {
+    let out = ScopedOutputDir::temp("fig4_writes_csv_json_and_svg_artifacts");
     let _ = fig4::run(Scale::Quick, 7);
-    let dir = Path::new("target/experiments");
+    let dir = out.path();
     let expectations = [
         "fig4_altruism_quick_completion_cdf.csv",
         "fig4_altruism_quick_fairness_vs_time.csv",
@@ -42,8 +43,9 @@ fn fig4_writes_csv_json_and_svg_artifacts() {
 
 #[test]
 fn peer_records_csv_is_well_formed() {
+    let out = ScopedOutputDir::temp("peer_records_csv_is_well_formed");
     let _ = fig4::run(Scale::Quick, 8);
-    let path = Path::new("target/experiments/fig4_bittorrent_quick_peers.csv");
+    let path = out.path().join("fig4_bittorrent_quick_peers.csv");
     let text = std::fs::read_to_string(path).unwrap();
     let mut lines = text.lines();
     let header = lines.next().unwrap();
@@ -95,6 +97,7 @@ fn files_hash(dir: &Path, keep: fn(&str) -> bool) -> (usize, u64) {
 /// file moved and why.
 #[test]
 fn figure_artifact_bytes_are_pinned() {
+    let _out = ScopedOutputDir::temp("figure_artifact_bytes_are_pinned");
     type Run = fn(&Executor, &TelemetryOpts, &OutputDir) -> Result<(), BatchError>;
     type Keep = fn(&str) -> bool;
     const SEEDS: [u64; 2] = [42, 43];

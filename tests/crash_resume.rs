@@ -148,6 +148,16 @@ fn watchdog_converts_hangs_into_timeout_failures() {
 /// `.NAME.PID.tmp` staging file next to the artifacts. A resumed run must
 /// delete it and must not record it as an artifact, or `diff -r` against
 /// an uninterrupted run shows it.
+/// The `"type":"artifact"` lines of `dir`'s journal.
+fn artifact_records(dir: &Path) -> Vec<String> {
+    std::fs::read_to_string(RunJournal::path_in(dir))
+        .expect("read journal")
+        .lines()
+        .filter(|l| l.contains("\"type\":\"artifact\""))
+        .map(str::to_string)
+        .collect()
+}
+
 #[test]
 fn resume_deletes_stale_staging_files() {
     let dir = scratch("staging");
@@ -168,16 +178,52 @@ fn resume_deletes_stale_staging_files() {
     std::fs::write(&staging, b"{\"torn\":").expect("plant staging file");
     cli("--resume");
     assert!(!staging.exists(), "resume left the staging file behind");
-    let journal = std::fs::read_to_string(RunJournal::path_in(&dir)).expect("read journal");
-    let artifacts: Vec<&str> = journal
-        .lines()
-        .filter(|l| l.contains("\"type\":\"artifact\""))
-        .collect();
+    let artifacts = artifact_records(&dir);
     assert!(!artifacts.is_empty(), "resume records the artifact hashes");
     assert!(
         artifacts.iter().all(|l| !l.contains(".tmp")),
         "staging file recorded as an artifact: {artifacts:?}"
     );
+}
+
+#[test]
+fn profiled_runs_of_one_command_record_identical_artifacts() {
+    // `manifest.json` and `profile.json` carry wall-clock readings, so
+    // they are not artifacts: two runs of one command must agree on
+    // every artifact record.
+    let run = |tag: &str| {
+        let dir = scratch(tag);
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_coop-experiments"))
+            .args([
+                "fig4",
+                "--scale",
+                "quick",
+                "--seed",
+                "75",
+                "--jobs",
+                "2",
+                "--profile",
+                "--out-dir",
+            ])
+            .arg(&dir)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("run the CLI");
+        assert!(status.success(), "fig4 --profile failed: {status}");
+        for observed in ["manifest.json", "profile.json"] {
+            assert!(dir.join(observed).exists(), "{observed} not written");
+        }
+        artifact_records(&dir)
+    };
+    let (a, b) = (run("profiled-a"), run("profiled-b"));
+    assert!(!a.is_empty(), "no artifact records");
+    assert!(
+        a.iter()
+            .all(|l| !l.contains("manifest.json") && !l.contains("profile.json")),
+        "observation output recorded as an artifact: {a:?}"
+    );
+    assert_eq!(a, b, "artifact records differ between identical runs");
 }
 
 #[test]

@@ -81,7 +81,8 @@ fn different_seeds_differ() {
 #[test]
 fn analysis_is_pure() {
     use coop_experiments::runners::table3;
-    use coop_experiments::Scale;
+    use coop_experiments::{Scale, ScopedOutputDir};
+    let _out = ScopedOutputDir::temp("analysis_is_pure");
     let a = table3::run(Scale::Quick, 5);
     let b = table3::run(Scale::Quick, 5);
     assert_eq!(a.pi_ir, b.pi_ir);

@@ -4,7 +4,7 @@
 
 use coop_attacks::AttackPlan;
 use coop_experiments::runners::{fig4, fig5, fig6, table2};
-use coop_experiments::{Scale, SimJob};
+use coop_experiments::{Scale, ScopedOutputDir, SimJob};
 use coop_faults::FaultPlan;
 use coop_incentives::MechanismKind;
 use coop_swarm::SimResult;
@@ -32,6 +32,7 @@ fn churned(kind: MechanismKind, plan: Option<AttackPlan>, faults: FaultPlan) -> 
 
 #[test]
 fn fig4a_altruism_most_efficient_reciprocity_never_finishes() {
+    let _out = ScopedOutputDir::temp("fig4a_altruism_most_efficient_reciprocity_never_finishes");
     let r = fig4::run(Scale::Quick, SEED);
     let alt = r.get(MechanismKind::Altruism);
     assert!(alt.completed_fraction > 0.95);
@@ -53,6 +54,7 @@ fn fig4a_altruism_most_efficient_reciprocity_never_finishes() {
 
 #[test]
 fn fig4a_hybrids_show_comparable_efficiency() {
+    let _out = ScopedOutputDir::temp("fig4a_hybrids_show_comparable_efficiency");
     // "T-Chain, BitTorrent, and FairTorrent show comparable efficiency."
     let r = fig4::run(Scale::Quick, SEED);
     let cts: Vec<f64> = [
@@ -73,6 +75,7 @@ fn fig4a_hybrids_show_comparable_efficiency() {
 
 #[test]
 fn fig4b_tchain_and_fairtorrent_most_fair() {
+    let _out = ScopedOutputDir::temp("fig4b_tchain_and_fairtorrent_most_fair");
     let r = fig4::run(Scale::Quick, SEED);
     let f = |k: MechanismKind| r.get(k).fairness_f;
     for fair in [MechanismKind::TChain, MechanismKind::FairTorrent] {
@@ -94,6 +97,7 @@ fn fig4b_tchain_and_fairtorrent_most_fair() {
 
 #[test]
 fn fig4c_bootstrap_ordering() {
+    let _out = ScopedOutputDir::temp("fig4c_bootstrap_ordering");
     // Altruism fastest; reputation and reciprocity the laggards
     // (Prop. 4 / Table II).
     let r = fig4::run(Scale::Quick, SEED);
@@ -106,6 +110,7 @@ fn fig4c_bootstrap_ordering() {
 
 #[test]
 fn fig5a_susceptibility_ranking() {
+    let _out = ScopedOutputDir::temp("fig5a_susceptibility_ranking");
     let r = fig5::run(Scale::Quick, SEED);
     let s = |k: MechanismKind| r.get(k).susceptibility;
     assert_eq!(s(MechanismKind::Reciprocity), 0.0);
@@ -133,6 +138,7 @@ fn fig5a_susceptibility_ranking() {
 
 #[test]
 fn fig5_tchain_keeps_efficiency_and_fairness_under_attack() {
+    let _out = ScopedOutputDir::temp("fig5_tchain_keeps_efficiency_and_fairness_under_attack");
     let clean = fig4::run(Scale::Quick, SEED);
     let attacked = fig5::run(Scale::Quick, SEED);
     let tc_clean = clean.get(MechanismKind::TChain);
@@ -150,6 +156,7 @@ fn fig5_tchain_keeps_efficiency_and_fairness_under_attack() {
 
 #[test]
 fn fig6_large_view_amplifies_leakage_but_not_for_tchain() {
+    let _out = ScopedOutputDir::temp("fig6_large_view_amplifies_leakage_but_not_for_tchain");
     let base = fig5::run(Scale::Quick, SEED);
     let lv = fig6::run(Scale::Quick, SEED);
     // T-Chain stays near-immune.
@@ -345,6 +352,7 @@ fn epoch_limit_infinite_cadence_is_altruism_shaped() {
 
 #[test]
 fn table2_example_column_matches_paper_via_harness() {
+    let _out = ScopedOutputDir::temp("table2_example_column_matches_paper_via_harness");
     let r = table2::run(Scale::Quick, SEED);
     for row in &r.rows {
         assert!(
