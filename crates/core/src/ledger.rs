@@ -68,6 +68,13 @@ impl ContributionLedger {
         self.received_last_round = std::mem::take(&mut self.received_this_round);
     }
 
+    /// Does either receipt window (this round's or last round's) hold an
+    /// entry? When it does not, [`Self::end_round`] changes nothing, so a
+    /// round loop may skip the roll.
+    pub fn has_windowed_receipts(&self) -> bool {
+        !self.received_this_round.is_empty() || !self.received_last_round.is_empty()
+    }
+
     /// Total bytes ever sent to `to`.
     pub fn sent_to(&self, to: PeerId) -> u64 {
         self.sent.get(&to).copied().unwrap_or(0)
@@ -515,6 +522,32 @@ mod tests {
         assert_eq!(l.received_last_round(p(1)), 7);
         l.end_round();
         assert_eq!(l.received_last_round(p(1)), 0);
+    }
+
+    #[test]
+    fn last_round_window_empties_one_roll_after_the_last_receipt() {
+        let mut l = ContributionLedger::new();
+        assert!(!l.has_windowed_receipts());
+        l.record_received(p(1), 7);
+        assert!(l.has_windowed_receipts());
+        l.end_round();
+        l.record_received(p(2), 3);
+        l.end_round();
+        // The last receipt was one roll ago: only p(2) is in the window.
+        assert_eq!(l.received_last_round(p(1)), 0);
+        assert_eq!(l.received_last_round(p(2)), 3);
+        assert!(l.has_windowed_receipts());
+        l.end_round();
+        assert_eq!(l.received_last_round(p(2)), 0);
+        assert!(l.top_contributors_last_round().is_empty());
+        assert!(
+            !l.has_windowed_receipts(),
+            "both windows empty after the roll"
+        );
+        // Further rolls are no-ops; totals are untouched.
+        l.end_round();
+        assert!(!l.has_windowed_receipts());
+        assert_eq!(l.total_received(), 10);
     }
 
     #[test]

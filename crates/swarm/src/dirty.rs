@@ -4,15 +4,15 @@
 //! round even when most of them provably have nothing to do. The round
 //! loop instead records which peers' allocation-relevant state changed
 //! since the current visit set was built, in two [`DirtySet`]s — one per
-//! mark grade — and visits only those peers (plus, for one grade, their
-//! CSR-adjacent candidates).
+//! mark grade — and visits only those peers (plus, for one grade, the
+//! members of their candidate rows).
 //!
 //! # Two mark grades
 //!
 //! * **Neighborhood mark** (`mark_dirty`): a candidate's interest
 //!   *toward* the peer can have grown — its `absent ∖ inflight` grew, or
 //!   its candidate edges reappeared. The peer is visited next round and
-//!   the visit-set build CSR-expands it to its adjacency row, which
+//!   the visit-set build expands it to its candidate row, which
 //!   (edges being symmetric) is exactly the set of uploaders that may
 //!   now serve it.
 //! * **Revisit mark** (`mark_revisit`): only the peer's own allocation
@@ -28,7 +28,7 @@
 //!
 //! The dirty-set loop is the only production round loop. Each round it
 //! visits a peer when the peer's live visit bit is set — the bit covers
-//! neighborhood-marked peers and their CSR-adjacent candidates,
+//! neighborhood-marked peers and their candidate-row members,
 //! revisit-marked peers, uploaders with outgoing partial transfers at
 //! round start, and peers marked earlier in the same round — or when the
 //! peer has outstanding obligations. Every other online peer is skipped,
@@ -157,7 +157,7 @@ impl DirtySet {
 
 /// A plain grow-on-demand bitmap over peer slots: the *live* visit set
 /// for the round in progress. Rebuilt from the two [`DirtySet`]s (the
-/// neighborhood set with CSR expansion, the revisit set without) plus
+/// neighborhood set with candidate-row expansion, the revisit set without) plus
 /// uploaders with outgoing partials at the top of each allocation phase,
 /// and updated mid-round by both mark grades so a peer whose offer grows
 /// during the loop is still visited later in the same round's shuffled

@@ -19,8 +19,6 @@
 //! so the interest test "does this peer need anything from that one"
 //! (`want ∧ offer` over the arena's words) never sees a stale row.
 
-use std::collections::BTreeSet;
-
 use coop_des::SimTime;
 use coop_incentives::ledger::{ContributionLedger, DeficitLedger};
 use coop_incentives::{Mechanism, Obligation, PeerId};
@@ -77,8 +75,6 @@ pub struct PeerState {
     /// The allocation policy. Taken out during allocation to satisfy the
     /// borrow checker; always restored before the round ends.
     pub mechanism: Option<Box<dyn Mechanism>>,
-    /// Connected neighbors (ordered for determinism).
-    pub neighbors: BTreeSet<PeerId>,
     /// When this peer got its first piece (locked or usable), if ever.
     pub bootstrap_time: Option<SimTime>,
     /// Set when the peer departs.
@@ -126,7 +122,6 @@ impl PeerState {
             deficits: DeficitLedger::new(),
             obligations: Vec::new(),
             mechanism: Some(mechanism),
-            neighbors: BTreeSet::new(),
             bootstrap_time: None,
             departure: None,
             offline: false,

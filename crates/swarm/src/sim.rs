@@ -8,8 +8,6 @@
 //! (whitewashing, collusion rings, large-view neighbor sets) are driven by
 //! [`PeerTags`](crate::PeerTags).
 
-use std::collections::BTreeSet;
-
 use coop_des::rng::{self, SeedTree};
 use coop_des::{Engine, RoundDriver, SimTime};
 use coop_incentives::hash::IdMap;
@@ -37,12 +35,18 @@ use crate::faults::{FaultKind, FaultSchedule};
 use crate::peer::{Departure, PeerState};
 use crate::result::{ConsensusSummary, PeerRecord, SimResult, Totals};
 use crate::shard::{self, shard_ranges, InterestCtx, ShardCtx, ShardView, SHARD_MIN_ITEMS};
-use crate::soa::{HotPeers, InterestWords};
+use crate::soa::{Adjacency, HotPeers, InterestWords};
 use crate::transfer::{InFlight, TransferTable};
 use crate::view_impl::SimView;
 
 /// The reserved id of the seeder (not a peer slot).
 pub const SEEDER_ID: PeerId = PeerId::new(u32::MAX);
+
+/// The ban test by slot during `round` that candidate rows are filtered
+/// with (nobody is banned without a consensus population).
+fn banned_at(consensus: Option<&ConsensusState>, round: u64) -> impl Fn(u32) -> bool + '_ {
+    move |slot| consensus.is_some_and(|c| c.is_banned_slot(slot, round))
+}
 
 /// Does this mechanism settle at the end of the round after which
 /// `finished_rounds` rounds have completed? Per-transfer mechanisms never
@@ -81,19 +85,19 @@ pub struct Simulation {
     reports: ReportedReputation,
     pretrusted: Vec<PeerId>,
     trusted_cache: IdMap<PeerId, f64>,
-    /// Flat CSR-style active-neighbor adjacency: peer `i`'s candidate
-    /// list is `adj[adj_off[i]..adj_off[i+1]]`. Rebuilt by
-    /// [`Self::refresh_candidates`] only when [`Self::adj_dirty`] says a
-    /// membership or status change invalidated it, and borrowed by every
-    /// [`SimView`] between rebuilds.
-    adj: Vec<PeerId>,
-    /// `peers.len() + 1` offsets into [`Self::adj`].
-    adj_off: Vec<u32>,
-    /// Set by every mutation that can change candidate lists (spawns,
-    /// departures, outages, neighbor replenishment); cleared on rebuild.
-    adj_dirty: bool,
-    /// How many adjacency rebuilds actually ran (telemetry).
+    /// Every slot's sorted neighbor row and its candidate row (see
+    /// [`Adjacency`]). Edge edits and status changes name the rows they
+    /// invalidate; [`Self::refresh_candidates`] re-filters those, and
+    /// every [`SimView`] borrows the candidate rows between refreshes.
+    adjacency: Adjacency,
+    /// How many refreshes re-filtered candidate rows (telemetry).
     adjacency_rebuilds: u64,
+    /// The active slots whose contribution ledger holds receipts in this
+    /// round's or last round's window: the only ledgers whose round roll
+    /// does anything. A slot joins on its window's first receipt and
+    /// leaves once a roll empties both windows. Derived from the ledgers,
+    /// so [`Self::restore`] rebuilds it.
+    ledger_windows: Vec<u32>,
     /// Struct-of-arrays mirror of the hot per-peer fields, kept in
     /// lockstep with [`Self::peers`] (see [`HotPeers`]).
     hot: HotPeers,
@@ -137,14 +141,14 @@ pub struct Simulation {
     /// Neighborhood marks: peers toward which a candidate's interest can
     /// have grown since the current visit set was built (arrivals,
     /// stalls, discards, drops, outage ends, bans). Visited together with
-    /// their CSR-adjacent candidates.
+    /// their candidate-row members.
     dirty: DirtySet,
     /// Revisit marks: peers whose own allocation inputs changed (ledger
     /// steps, deliveries, new edges, settlements) but toward which no
-    /// candidate's interest grew. Visited alone, with no CSR expansion.
+    /// candidate's interest grew. Visited alone, with no expansion.
     revisit: DirtySet,
     /// The live visit bitmap for the round in progress: dirty ∪
-    /// CSR-neighbors(dirty) ∪ revisit ∪ uploaders-with-partials at round
+    /// candidates(dirty) ∪ revisit ∪ uploaders-with-partials at round
     /// start, plus mid-round marks.
     visit: VisitBits,
     /// Fresh availability histogram rebuilds performed by naive-mode
@@ -289,10 +293,9 @@ impl Simulation {
             reports: ReportedReputation::new(),
             pretrusted: Vec::new(),
             trusted_cache: IdMap::default(),
-            adj: Vec::new(),
-            adj_off: Vec::new(),
-            adj_dirty: true,
+            adjacency: Adjacency::default(),
             adjacency_rebuilds: 0,
+            ledger_windows: Vec::new(),
             hot: HotPeers::default(),
             scratch_held: Bitfield::new(0),
             scratch_ties: Vec::new(),
@@ -360,7 +363,7 @@ impl Simulation {
 
     /// Neighborhood mark: a candidate's interest *toward* this peer can
     /// have grown (its `absent ∖ inflight` grew, or its candidate edges
-    /// reappeared), so the peer and — via CSR expansion at the next
+    /// reappeared), so the peer and — via candidate-row expansion at the next
     /// visit-set build — every candidate that may now serve it are
     /// visited next round. Because a change during the allocation loop
     /// can matter to a later-in-order peer *this* round, the peer's live
@@ -374,7 +377,7 @@ impl Simulation {
 
     /// Revisit mark: only this peer's own allocation inputs changed (its
     /// ledger, offer, candidate row or balances), so it alone is visited
-    /// next round — no CSR expansion — and its live visit bit is set for
+    /// next round — no expansion — and its live visit bit is set for
     /// the rest of this round. Never called with the seeder.
     fn mark_revisit(&mut self, id: PeerId) {
         debug_assert_ne!(id, SEEDER_ID, "the seeder is not a peer slot");
@@ -607,15 +610,20 @@ impl Simulation {
         self.reports = s.reports.clone();
         self.pretrusted = s.pretrusted.clone();
         self.trusted_cache = s.trusted_cache.clone();
-        self.adj = s.adj.clone();
-        self.adj_off = s.adj_off.clone();
-        self.adj_dirty = s.adj_dirty;
         self.adjacency_rebuilds = s.adjacency_rebuilds;
-        // The hot mirror and the interest arena are derived from the peer
-        // structs, so they are rebuilt rather than carried in the
+        // The hot mirror, the interest arena, the candidate rows and the
+        // ledger-window list are derived from the peer structs and the
+        // neighbor rows, so they are rebuilt rather than carried in the
         // checkpoint.
         self.hot = HotPeers::rebuilt(&self.peers);
         self.interest = InterestWords::rebuilt(&self.seeder_bf, &self.peers);
+        self.adjacency = Adjacency::restored(
+            s.neighbor_rows.clone(),
+            s.adjacency_pending,
+            &self.hot,
+            banned_at(s.consensus.as_ref(), self.round_idx),
+        );
+        self.ledger_windows = self.scan_ledger_windows();
         self.pending_arrivals = s.pending_arrivals;
         self.open_active = s.open_active;
         self.compliant_completed = s.compliant_completed;
@@ -674,6 +682,17 @@ impl Simulation {
             self.hot,
             "SoA mirror diverged from the peer structs it is rebuilt from"
         );
+        #[cfg(debug_assertions)]
+        {
+            self.assert_adjacency_consistent();
+            let mut windows = self.ledger_windows.clone();
+            windows.sort_unstable();
+            assert_eq!(
+                windows,
+                self.scan_ledger_windows(),
+                "ledger-window list diverged from the ledgers it is rebuilt from"
+            );
+        }
         let state = CheckpointState {
             config: self.config.clone(),
             engine: eng.snapshot(),
@@ -689,9 +708,8 @@ impl Simulation {
             reports: self.reports.clone(),
             pretrusted: self.pretrusted.clone(),
             trusted_cache: self.trusted_cache.clone(),
-            adj: self.adj.clone(),
-            adj_off: self.adj_off.clone(),
-            adj_dirty: self.adj_dirty,
+            neighbor_rows: self.adjacency.rows().to_vec(),
+            adjacency_pending: self.adjacency.pending(),
             adjacency_rebuilds: self.adjacency_rebuilds,
             pending_arrivals: self.pending_arrivals,
             open_active: self.open_active,
@@ -806,7 +824,7 @@ impl Simulation {
                 self.consensus = Some(ConsensusState::new(policy));
             }
         }
-        let mut peer = PeerState::new(
+        let peer = PeerState::new(
             id,
             spec.capacity_bps,
             spec.tags,
@@ -823,44 +841,39 @@ impl Simulation {
         if spec.tags.compliant && self.pretrusted.len() < self.config.pretrusted_count {
             self.pretrusted.push(id);
         }
-        let (neighbors, large_viewers) = self.choose_neighbors(id, spec.tags.large_view);
-        for &n in &neighbors {
-            self.insert_neighbor(n, id);
-        }
-        peer.neighbors = neighbors;
+        let (mut row, large_viewers) = self.choose_neighbors(id, spec.tags.large_view);
         // Existing large-view peers connect to every newcomer.
-        for lv in large_viewers {
-            peer.neighbors.insert(lv);
-            self.insert_neighbor(lv, id);
+        if !large_viewers.is_empty() {
+            row.extend_from_slice(&large_viewers);
+            row.sort_unstable();
+            row.dedup();
+        }
+        for &n in &row {
+            self.adjacency.insert(n.index(), id);
         }
         self.interest.push(&peer);
-        let degree = peer.neighbors.len() as u32;
         self.peers.push(peer);
-        self.hot.push(&spec.tags, 0, degree);
+        self.hot.push(&spec.tags, 0);
+        self.adjacency.push(row);
         self.pending_arrivals -= 1;
         if spec.tags.compliant || spec.tags.whitewash_interval.is_some() {
             self.open_active += 1;
         }
-        self.adj_dirty = true;
-        // CSR expansion of this mark covers the newcomer's edge partners,
+        // Expansion of this mark covers the newcomer's edge partners,
         // whose interest in (and from) it just appeared.
         self.mark_dirty(id);
     }
 
     /// Picks the initial neighbors of newcomer `me` (not yet in
-    /// [`Self::peers`]): every active, unbanned peer for a large view,
-    /// otherwise the first `neighbor_degree` of that pool after one
-    /// shuffle on `me`'s own `0xA771` stream. The pool is a copy of the
-    /// [`HotPeers`] active list, in ascending id order, so the shuffle
-    /// consumes exactly the draws a scan of the peer structs would feed
-    /// it. The active large-view peers are returned second; they are
-    /// taken before the ban filter because they connect to every
+    /// [`Self::peers`]), ascending: every active, unbanned peer for a
+    /// large view, otherwise the first `neighbor_degree` of that pool
+    /// after one shuffle on `me`'s own `0xA771` stream. The pool is a
+    /// copy of the [`HotPeers`] active list, in ascending id order, so
+    /// the shuffle consumes exactly the draws a scan of the peer structs
+    /// would feed it. The active large-view peers are returned second;
+    /// they are taken before the ban filter because they connect to every
     /// newcomer, banned or not.
-    fn choose_neighbors(
-        &mut self,
-        me: PeerId,
-        large_view: bool,
-    ) -> (BTreeSet<PeerId>, Vec<PeerId>) {
+    fn choose_neighbors(&mut self, me: PeerId, large_view: bool) -> (Vec<PeerId>, Vec<PeerId>) {
         debug_assert_eq!(
             me.index() as usize,
             self.peers.len(),
@@ -884,29 +897,34 @@ impl Simulation {
         }
         debug_assert_eq!(
             pool,
-            self.scan_pool(me, &BTreeSet::new()),
+            self.scan_pool(me, &[]),
             "SoA neighbor pool diverged from the peer scan"
         );
         let chosen = if large_view {
-            pool.iter().copied().collect()
+            pool.clone()
         } else {
             let degree = self.config.neighbor_degree;
             let mut rng = self.seeds.subtree(0xA771).rng(u64::from(me.index()));
             rng::shuffle_prefix(&mut pool, &mut rng, degree);
-            pool.iter().take(degree).copied().collect()
+            let mut chosen = pool[..degree.min(pool.len())].to_vec();
+            chosen.sort_unstable();
+            chosen
         };
         self.scratch_pool = pool;
         (chosen, large_viewers)
     }
 
     /// The pre-SoA candidate pool: active, unbanned peers other than `me`
-    /// and outside `exclude`, by a scan of the peer structs. Debug builds
-    /// check every [`HotPeers`]-built pool against it.
-    fn scan_pool(&self, me: PeerId, exclude: &BTreeSet<PeerId>) -> Vec<PeerId> {
+    /// and outside the ascending `exclude`, by a scan of the peer structs.
+    /// Debug builds check every [`HotPeers`]-built pool against it.
+    fn scan_pool(&self, me: PeerId, exclude: &[PeerId]) -> Vec<PeerId> {
         self.peers
             .iter()
             .filter(|p| {
-                p.is_active() && p.id != me && !self.is_banned(p.id) && !exclude.contains(&p.id)
+                p.is_active()
+                    && p.id != me
+                    && !self.is_banned(p.id)
+                    && exclude.binary_search(&p.id).is_err()
             })
             .map(|p| p.id)
             .collect()
@@ -923,61 +941,48 @@ impl Simulation {
     /// change in the passes *bracketing* those phases (whitewashing,
     /// replenishment, departures), so within each phase every [`SimView`]
     /// can borrow the same precomputed slice instead of re-filtering the
-    /// neighbor set on each query. Unlike the old per-round rebuild, the
-    /// flat adjacency is only reconstructed when [`Self::adj_dirty`] says a
-    /// membership or status mutation actually invalidated it — quiet
-    /// rounds skip the rebuild entirely.
+    /// neighbor row on each query. Only the rows named since the last
+    /// refresh are re-filtered, against the current round's ban state
+    /// (see [`Adjacency`]); quiet rounds re-filter nothing. The naive
+    /// oracle re-filters every row at every refresh.
     fn refresh_candidates(&mut self) {
-        if self.naive_hotpath || self.adj_dirty || self.adj_off.len() != self.peers.len() + 1 {
-            self.rebuild_adjacency();
+        let banned = banned_at(self.consensus.as_ref(), self.round_idx);
+        let refreshed = if self.naive_hotpath {
+            self.adjacency.refresh_all(&self.hot, banned);
+            true
+        } else {
+            self.adjacency.refresh(&self.hot, banned)
+        };
+        if refreshed {
+            self.adjacency_rebuilds += 1;
+            #[cfg(debug_assertions)]
+            self.assert_adjacency_consistent();
         }
     }
 
-    /// Rebuilds the flat CSR adjacency from scratch. Lists are in
-    /// `BTreeSet` iteration order, identical to the old per-peer vectors.
-    fn rebuild_adjacency(&mut self) {
-        self.adjacency_rebuilds += 1;
-        self.adj_dirty = false;
-        let round = self.round_idx;
-        let consensus = self.consensus.as_ref();
-        let banned = |id: PeerId| consensus.is_some_and(|c| c.is_banned_slot(id.index(), round));
-        let (peers, adj, off) = (&self.peers, &mut self.adj, &mut self.adj_off);
-        adj.clear();
-        off.clear();
-        off.reserve(peers.len() + 1);
-        off.push(0);
-        for p in peers {
-            // Banned peers are evicted from the candidate graph in both
-            // directions: they serve no one and no one serves them.
-            if p.is_active() && !p.offline && !banned(p.id) {
-                adj.extend(p.neighbors.iter().copied().filter(|&n| {
-                    n == SEEDER_ID
-                        || (peers
-                            .get(n.index() as usize)
-                            .is_some_and(|q| q.is_active() && !q.offline)
-                            && !banned(n))
-                }));
-            }
-            off.push(adj.len() as u32);
-        }
+    /// Debug oracle: every candidate row not awaiting a refresh equals a
+    /// full recompute from the neighbor rows under the current round's
+    /// ban state.
+    #[cfg(debug_assertions)]
+    fn assert_adjacency_consistent(&self) {
+        self.adjacency.assert_consistent(
+            &self.hot,
+            banned_at(self.consensus.as_ref(), self.round_idx),
+        );
     }
 
     /// This round's active neighbors of `id`, as maintained by
     /// [`Self::refresh_candidates`].
     pub(crate) fn round_candidates(&self, id: PeerId) -> &[PeerId] {
-        let i = id.index() as usize;
-        match (self.adj_off.get(i), self.adj_off.get(i + 1)) {
-            (Some(&a), Some(&b)) => &self.adj[a as usize..b as usize],
-            _ => &[],
-        }
+        self.adjacency.candidates(id.index())
     }
 
     /// Rebuilds the live visit bitmap for this round: the drained dirty
-    /// (neighborhood) set, its CSR-adjacent candidates (a neighborhood
+    /// (neighborhood) set, its candidate-row members (a neighborhood
     /// mark can re-interest exactly its adjacency row — edges are
     /// symmetric), the drained revisit set without expansion, and every
     /// uploader with an outgoing partial transfer (it must drain
-    /// regardless of interest). With `--shards K` the CSR expansion fans
+    /// regardless of interest). With `--shards K` the expansion fans
     /// out over contiguous ranges of the *sorted* dirty ids onto scoped
     /// threads whose per-thread bitmaps are OR-merged — a commutative
     /// reduction, so the result is identical for any K.
@@ -987,7 +992,7 @@ impl Simulation {
         let dirty = self.dirty.drain_sorted();
         if self.shards > 1 && dirty.len() >= SHARD_MIN_ITEMS {
             let ranges = shard_ranges(dirty.len(), self.shards);
-            let (adj, adj_off) = (&self.adj, &self.adj_off);
+            let (adjacency, slots) = (&self.adjacency, self.peers.len());
             let partials: Vec<VisitBits> = std::thread::scope(|scope| {
                 let handles: Vec<_> = ranges
                     .into_iter()
@@ -995,10 +1000,10 @@ impl Simulation {
                         let chunk = &dirty[r];
                         scope.spawn(move || {
                             let mut bits = VisitBits::default();
-                            bits.clear(adj_off.len().saturating_sub(1));
+                            bits.clear(slots);
                             for &d in chunk {
                                 bits.set(d);
-                                for &nb in shard::candidates_of(adj, adj_off, d) {
+                                for &nb in adjacency.candidates(d) {
                                     if nb != SEEDER_ID {
                                         bits.set(nb.index());
                                     }
@@ -1019,10 +1024,10 @@ impl Simulation {
             }
             self.profiler.stop(phase::SIM_SHARD_MERGE, merge_t);
         } else {
-            let (adj, adj_off, visit) = (&self.adj, &self.adj_off, &mut self.visit);
+            let (adjacency, visit) = (&self.adjacency, &mut self.visit);
             for &d in &dirty {
                 visit.set(d);
-                for &nb in shard::candidates_of(adj, adj_off, d) {
+                for &nb in adjacency.candidates(d) {
                     if nb != SEEDER_ID {
                         visit.set(nb.index());
                     }
@@ -1660,6 +1665,9 @@ impl Simulation {
         }
         let r = &mut self.peers[to.index() as usize];
         r.bytes_received_raw += bytes;
+        if !r.ledger.has_windowed_receipts() {
+            self.ledger_windows.push(to.index());
+        }
         r.ledger.record_received(from, bytes);
         if from != SEEDER_ID {
             r.deficits.on_received(from, bytes);
@@ -1955,15 +1963,11 @@ impl Simulation {
                 self.mark_dirty(t);
             }
         }
-        let neighbors: Vec<PeerId> = self.peers[idx].neighbors.iter().copied().collect();
-        for n in neighbors {
-            self.remove_neighbor(n, id);
-        }
+        self.detach(id);
         self.availability.remove_peer(self.peers[idx].have());
         self.peers[idx].departure = Some(why);
         self.peers[idx].drop_fetches(&mut self.interest);
         self.hot.retire(idx);
-        self.adj_dirty = true;
         let p = &self.peers[idx];
         if p.tags.compliant || p.tags.whitewash_interval.is_some() {
             self.open_active -= 1;
@@ -2092,7 +2096,7 @@ impl Simulation {
         self.peers[idx].offline = true;
         self.peers[idx].drop_fetches(&mut self.interest);
         self.hot.set_offline(idx, true);
-        self.adj_dirty = true;
+        self.adjacency.touch_neighborhood(id.index());
     }
 
     /// Brings a suspended peer back: its pieces re-enter the availability
@@ -2102,14 +2106,14 @@ impl Simulation {
         let idx = id.index() as usize;
         self.peers[idx].offline = false;
         // Back online: both its own wants and its candidates' interest in
-        // it resume — CSR expansion of this mark covers the candidates.
+        // it resume — expansion of this mark covers the candidates.
         self.mark_dirty(id);
         let have: Vec<u32> = self.peers[idx].have().iter_ones().collect();
         for p in have {
             self.availability.on_piece_acquired(p);
         }
         self.hot.set_offline(idx, false);
-        self.adj_dirty = true;
+        self.adjacency.touch_neighborhood(id.index());
     }
 
     /// Telemetry for one applied fault (no-op when the recorder is off).
@@ -2250,15 +2254,11 @@ impl Simulation {
                 }
             }
         }
-        let neighbors: Vec<PeerId> = self.peers[old_idx].neighbors.iter().copied().collect();
-        for n in neighbors {
-            self.remove_neighbor(n, old);
-        }
+        self.detach(old);
         self.peers[old_idx].drop_fetches(&mut self.interest);
         self.peers[old_idx].departure = Some(Departure::Whitewashed(now));
         self.availability.remove_peer(self.peers[old_idx].have());
         self.hot.retire(old_idx);
-        self.adj_dirty = true;
         {
             let p = &self.peers[old_idx];
             if p.tags.compliant || p.tags.whitewash_interval.is_some() {
@@ -2307,18 +2307,16 @@ impl Simulation {
         }
         // Unlike a fresh arrival, a successor is not joined by the
         // existing large viewers.
-        let (neighbors, _) = self.choose_neighbors(new_id, tags.large_view);
-        for &n in &neighbors {
-            self.insert_neighbor(n, new_id);
+        let (row, _) = self.choose_neighbors(new_id, tags.large_view);
+        for &n in &row {
+            self.adjacency.insert(n.index(), new_id);
         }
-        peer.neighbors = neighbors;
-        let degree = peer.neighbors.len() as u32;
         self.peers.push(peer);
-        self.hot.push(&tags, have.len() as u32, degree);
+        self.hot.push(&tags, have.len() as u32);
+        self.adjacency.push(row);
         if tags.compliant || tags.whitewash_interval.is_some() {
             self.open_active += 1;
         }
-        self.adj_dirty = true;
         self.mark_dirty(new_id);
     }
 
@@ -2378,17 +2376,22 @@ impl Simulation {
 
     fn replenish_neighbors(&mut self) {
         let min_degree = (self.config.neighbor_degree / 2).max(1);
-        // An active peer's neighbor set only ever holds live identities
+        // An active peer's neighbor row only ever holds live identities
         // (edges are symmetric and pruned eagerly on departure; outages
-        // keep the identity alive), so `neighbors.len()` *is* the live
-        // count — no per-neighbor liveness probe needed on the fast path,
-        // and its [`HotPeers`] degree mirror spares the peer structs.
+        // keep the identity alive), so the row length *is* the live
+        // count — no per-neighbor liveness probe needed on the fast path.
         let needy: Vec<u32> = if self.naive_hotpath {
             self.peers
                 .iter()
                 .filter(|p| {
                     p.is_active()
-                        && p.neighbors.iter().filter(|&&n| self.is_active(n)).count() < min_degree
+                        && self
+                            .adjacency
+                            .row(p.id.index())
+                            .iter()
+                            .filter(|&&n| self.is_active(n))
+                            .count()
+                            < min_degree
                 })
                 .map(|p| p.id.index())
                 .collect()
@@ -2398,7 +2401,7 @@ impl Simulation {
                 .active_ids()
                 .iter()
                 .map(|id| id.index())
-                .filter(|&i| (self.hot.degree(i as usize) as usize) < min_degree)
+                .filter(|&i| self.adjacency.degree(i) < min_degree)
                 .collect();
             debug_assert_eq!(
                 needy,
@@ -2406,15 +2409,15 @@ impl Simulation {
                     .iter()
                     .filter(|p| {
                         debug_assert!(
-                            !p.is_active() || p.neighbors.iter().all(|&n| self.is_active(n)),
-                            "an active peer's neighbor set held a departed identity"
+                            !p.is_active()
+                                || self
+                                    .adjacency
+                                    .row(p.id.index())
+                                    .iter()
+                                    .all(|&n| self.is_active(n)),
+                            "an active peer's neighbor row held a departed identity"
                         );
-                        debug_assert_eq!(
-                            self.hot.degree(p.id.index() as usize) as usize,
-                            p.neighbors.len(),
-                            "SoA degree diverged from the neighbor set"
-                        );
-                        p.is_active() && p.neighbors.len() < min_degree
+                        p.is_active() && self.adjacency.degree(p.id.index()) < min_degree
                     })
                     .map(|p| p.id.index())
                     .collect::<Vec<u32>>(),
@@ -2429,10 +2432,18 @@ impl Simulation {
         let mut pool = std::mem::take(&mut self.scratch_pool);
         for pid in needy {
             let id = PeerId::new(pid);
-            let mine = &self.peers[pid as usize].neighbors;
+            let mine = self.adjacency.row(pid);
             pool.clear();
             pool.extend_from_slice(self.hot.active_ids());
-            pool.retain(|&n| n != id && !self.is_banned(n) && !mine.contains(&n));
+            // Both lists ascend, so one merge walk drops the peer's own
+            // neighbors.
+            let mut next = 0;
+            pool.retain(|&n| {
+                while mine.get(next).is_some_and(|&m| m < n) {
+                    next += 1;
+                }
+                n != id && !self.is_banned(n) && mine.get(next) != Some(&n)
+            });
             debug_assert_eq!(
                 pool,
                 self.scan_pool(id, mine),
@@ -2446,9 +2457,8 @@ impl Simulation {
             let want = self.config.neighbor_degree.saturating_sub(have);
             rng::shuffle_prefix(&mut pool, &mut rng, want);
             for &n in pool.iter().take(want) {
-                self.insert_neighbor(id, n);
-                self.insert_neighbor(n, id);
-                self.adj_dirty = true;
+                self.adjacency.insert(pid, n);
+                self.adjacency.insert(n.index(), id);
                 // A fresh edge adds a member to both endpoints' candidate
                 // rows; revisit both — the edge is the only change, so
                 // neither endpoint's other candidates need a visit.
@@ -2459,23 +2469,11 @@ impl Simulation {
         self.scratch_pool = pool;
     }
 
-    /// Adds `id` to `at`'s neighbor set, keeping the [`HotPeers`] degree
-    /// mirror in step.
-    fn insert_neighbor(&mut self, at: PeerId, id: PeerId) {
-        let i = at.index() as usize;
-        if self.peers[i].neighbors.insert(id) {
-            self.hot.add_degree(i, true);
-        }
-    }
-
-    /// Removes `id` from `at`'s neighbor set, if `at` is a peer slot,
-    /// keeping the [`HotPeers`] degree mirror in step.
-    fn remove_neighbor(&mut self, at: PeerId, id: PeerId) {
-        let i = at.index() as usize;
-        if let Some(p) = self.peers.get_mut(i) {
-            if p.neighbors.remove(&id) {
-                self.hot.add_degree(i, false);
-            }
+    /// Detaches departing identity `id` from the graph: empties its row
+    /// and removes it from each former neighbor's row.
+    fn detach(&mut self, id: PeerId) {
+        for n in self.adjacency.take_row(id.index()) {
+            self.adjacency.remove(n.index(), id);
         }
     }
 
@@ -2733,16 +2731,17 @@ impl Simulation {
             // neighbor only gains or loses one row member, so it is
             // revisited alone — expanding it would visit two hops out
             // for nothing.
-            self.adj_dirty = true;
+            self.adjacency.touch_neighborhood(peer);
             if self.dirty_active() {
                 self.mark_dirty(PeerId::new(peer));
-                let neighbors: Vec<PeerId> = self.peers[peer as usize]
-                    .neighbors
+                let online: Vec<PeerId> = self
+                    .adjacency
+                    .row(peer)
                     .iter()
                     .copied()
-                    .filter(|&n| n != SEEDER_ID && self.is_online(n))
+                    .filter(|&n| self.is_online(n))
                     .collect();
-                for n in neighbors {
+                for n in online {
                     self.mark_revisit(n);
                 }
             }
@@ -2764,13 +2763,39 @@ impl Simulation {
     /// only place per-transfer (`SettleCadence::PerTransfer`) mechanism
     /// inputs move — reciprocity credits, FairTorrent deficits, and
     /// BitTorrent rate windows all settle through these two entry points,
-    /// never inside the mechanisms themselves.
+    /// never inside the mechanisms themselves. A roll of a ledger with
+    /// both windows empty is a no-op, so only the slots on
+    /// [`Self::ledger_windows`] are rolled; the naive oracle rolls every
+    /// active ledger.
     fn settle_round_boundary(&mut self) {
-        for p in &mut self.peers {
-            if p.is_active() {
+        let (peers, hot) = (&mut self.peers, &self.hot);
+        if self.naive_hotpath {
+            for p in peers.iter_mut().filter(|p| p.is_active()) {
                 p.ledger.end_round();
             }
+            self.ledger_windows.retain(|&slot| {
+                hot.is_active(slot as usize) && peers[slot as usize].ledger.has_windowed_receipts()
+            });
+        } else {
+            self.ledger_windows.retain(|&slot| {
+                if !hot.is_active(slot as usize) {
+                    return false;
+                }
+                let ledger = &mut peers[slot as usize].ledger;
+                ledger.end_round();
+                ledger.has_windowed_receipts()
+            });
         }
+    }
+
+    /// The active slots whose ledgers hold windowed receipts, ascending:
+    /// what [`Self::ledger_windows`] is rebuilt from.
+    fn scan_ledger_windows(&self) -> Vec<u32> {
+        self.peers
+            .iter()
+            .filter(|p| p.is_active() && p.ledger.has_windowed_receipts())
+            .map(|p| p.id.index())
+            .collect()
     }
 
     /// The epoch-boundary settlement pass: invokes
@@ -2829,8 +2854,7 @@ impl Simulation {
             .collect();
         let ctx = ShardCtx {
             peers: &self.peers,
-            adj: &self.adj,
-            adj_off: &self.adj_off,
+            adjacency: &self.adjacency,
             interest: self.interest_ctx(),
             round_idx: self.round_idx,
             trusted_reputation: self.config.trusted_reputation,
@@ -2893,8 +2917,7 @@ impl Simulation {
             .collect();
         let ctx = ShardCtx {
             peers: &self.peers,
-            adj: &self.adj,
-            adj_off: &self.adj_off,
+            adjacency: &self.adjacency,
             interest: self.interest_ctx(),
             round_idx: self.round_idx,
             trusted_reputation: self.config.trusted_reputation,
@@ -3056,12 +3079,13 @@ impl Simulation {
                     u64::from(p.have().count_ones()),
                     u64::from(p.locked().count_ones()),
                 );
+                let row = self.adjacency.row(p.id.index());
                 let (obligations, inflight, neighbors) = (
                     p.obligations.len() as u64,
                     u64::from(p.inflight().count_ones()),
-                    p.neighbors.len() as u64,
+                    row.len() as u64,
                 );
-                // The interest census reads the neighbor set only: O(degree)
+                // The interest census reads the neighbor row only: O(degree)
                 // per peer. Built inside the closure so peers the Final
                 // sampling rate drops never pay for it.
                 recorder.emit_sampled(Category::Final, || TraceEvent::PeerAtEnd {
@@ -3070,11 +3094,8 @@ impl Simulation {
                     locked,
                     obligations,
                     inflight,
-                    interested_neighbors: p
-                        .neighbors
-                        .iter()
-                        .filter(|&&q| self.needs(q, p.id))
-                        .count() as u64,
+                    interested_neighbors: row.iter().filter(|&&q| self.needs(q, p.id)).count()
+                        as u64,
                     neighbors,
                 });
             }

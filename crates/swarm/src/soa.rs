@@ -5,17 +5,16 @@
 //! pools) touch only a few bits of state per peer, but the naive scans
 //! stride over the full
 //! [`PeerState`](crate::peer::PeerState) structs — hundreds of bytes per
-//! peer once bitfields, ledgers and neighbor sets are counted. At fig4
+//! peer once bitfields and ledgers are counted. At fig4
 //! scale that turns every pass into a cache-miss walk. [`HotPeers`] packs
 //! the scanned bits into contiguous arrays indexed by peer slot so the
 //! per-round passes read cache-dense memory. It also keeps the active
 //! slots as an ascending id list, so an arrival copies its candidate pool
-//! instead of scanning every slot, and each slot's neighbor count, so the
-//! replenish pass finds under-connected peers without the peer structs.
+//! instead of scanning every slot.
 //!
 //! The arrays are written in lockstep with the authoritative `PeerState`
-//! mutations (spawn, depart, outage start/end, piece acquisition, edge
-//! insertion and removal); debug builds cross-check every consumer
+//! mutations (spawn, depart, outage start/end, piece acquisition); debug
+//! builds cross-check every consumer
 //! against a fresh scan of the peer structs and the whole mirror against
 //! [`HotPeers::rebuilt`] at every checkpoint capture, and the
 //! `hotpath_equivalence` battery pins result equality against the naive
@@ -31,6 +30,12 @@
 //! `PeerState` methods that take the arena, so a row cannot fall out of
 //! step without a compile error, and debug builds check every answer
 //! against the bitfields.
+//!
+//! [`Adjacency`] holds the neighbor graph itself: each slot's sorted
+//! neighbor row (primary state, checkpointed; its length is the degree)
+//! and a derived candidate row, the neighbors the allocation views serve.
+//! Every edge edit and status change names the slots whose candidate rows
+//! it invalidates, and a refresh re-filters only those rows.
 
 use coop_incentives::PeerId;
 use coop_piece::Bitfield;
@@ -62,10 +67,6 @@ pub(crate) struct HotPeers {
     /// Number of usable pieces (`have.count_ones()` kept incrementally;
     /// `have` bits are never cleared, so increments suffice).
     have_count: Vec<u32>,
-    /// `PeerState::neighbors.len()`, kept in lockstep by the simulation's
-    /// edge helpers, so the replenish pass finds needy peers without
-    /// touching the peer structs.
-    degree: Vec<u32>,
     /// Every active slot, ascending: the arrival-time candidate pool.
     /// Spawns append (a new slot is the largest id); a departure removes
     /// its slot by binary search.
@@ -75,10 +76,9 @@ pub(crate) struct HotPeers {
 }
 
 impl HotPeers {
-    /// Registers a freshly spawned peer slot with `degree` neighbors.
-    /// `have_count` is nonzero only for whitewash successors, which
-    /// inherit pieces at birth.
-    pub(crate) fn push(&mut self, tags: &PeerTags, have_count: u32, degree: u32) {
+    /// Registers a freshly spawned peer slot. `have_count` is nonzero
+    /// only for whitewash successors, which inherit pieces at birth.
+    pub(crate) fn push(&mut self, tags: &PeerTags, have_count: u32) {
         let id = PeerId::new(self.flags.len() as u32);
         let mut f = ACTIVE;
         if tags.whitewash_interval.is_some() {
@@ -92,7 +92,6 @@ impl HotPeers {
         }
         self.flags.push(f);
         self.have_count.push(have_count);
-        self.degree.push(degree);
         self.active.push(id);
     }
 
@@ -101,7 +100,7 @@ impl HotPeers {
     pub(crate) fn rebuilt(peers: &[PeerState]) -> Self {
         let mut hot = HotPeers::default();
         for (i, p) in peers.iter().enumerate() {
-            hot.push(&p.tags, p.have().count_ones(), p.neighbors.len() as u32);
+            hot.push(&p.tags, p.have().count_ones());
             hot.set_offline(i, p.offline);
             hot.set_obliged(i, !p.obligations.is_empty());
             if !p.is_active() {
@@ -125,20 +124,6 @@ impl HotPeers {
             if let Ok(pos) = list.binary_search(&id) {
                 list.remove(pos);
             }
-        }
-    }
-
-    /// Neighbor count of the slot (`PeerState::neighbors.len()`).
-    pub(crate) fn degree(&self, idx: usize) -> u32 {
-        self.degree[idx]
-    }
-
-    /// Records one neighbor gained (`true`) or lost (`false`).
-    pub(crate) fn add_degree(&mut self, idx: usize, gained: bool) {
-        if gained {
-            self.degree[idx] += 1;
-        } else {
-            self.degree[idx] -= 1;
         }
     }
 
@@ -213,6 +198,307 @@ impl HotPeers {
         self.flags
             .get(id.index() as usize)
             .is_some_and(|&f| f & (ACTIVE | OFFLINE) == ACTIVE)
+    }
+}
+
+/// The neighbor graph, indexed by peer slot: each slot's sorted neighbor
+/// row and the candidate row derived from it.
+///
+/// A neighbor row is primary state (checkpoints carry it) and its length
+/// is the slot's degree. Edges are symmetric and pruned eagerly when an
+/// identity departs, whose own row is then emptied, so an active slot's
+/// row holds live peer slots only (never the seeder).
+///
+/// A candidate row is what the allocation views serve as `neighbors()`:
+/// the row's members that are online and not banned, ascending, or
+/// nothing when the slot itself is offline, departed or banned. It is
+/// derived. Every edge edit names its endpoint ([`Self::insert`],
+/// [`Self::remove`]), every status change of a slot (spawn, departure,
+/// outage start or end, ban transition) names the slot and its
+/// neighbors ([`Self::touch_neighborhood`]), and [`Self::refresh`]
+/// re-filters only the named rows. Until then every candidate row keeps
+/// the value of the refresh that last filtered it, so the views between
+/// two refreshes read one consistent snapshot.
+///
+/// A row named only by appends (a newcomer holds the largest slot, so
+/// joining it to a row is an append) kept its filtered prefix and the
+/// status of every member in it; its refresh filters just the appended
+/// tail. Any other naming re-filters the whole row.
+#[derive(Clone, Debug)]
+pub(crate) struct Adjacency {
+    /// Each slot's neighbors, ascending.
+    rows: Vec<Vec<PeerId>>,
+    /// Each slot's candidate row as of the refresh that last filtered it.
+    candidates: Vec<Vec<PeerId>>,
+    /// Each slot's neighbor-row length at that refresh.
+    filtered_len: Vec<u32>,
+    /// The slots named since the last refresh, each once.
+    stale: Vec<u32>,
+    /// How each slot was named since the last refresh.
+    grade: Vec<Stale>,
+    /// Some slot was named since the last refresh (true before the first
+    /// one): the next refresh re-filters, and counts as a rebuild.
+    pending: bool,
+}
+
+/// How far a candidate row is out of date.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Stale {
+    /// Current.
+    No,
+    /// The neighbor row only gained members at its end.
+    Appended,
+    /// Anything else: the whole row is re-filtered.
+    Full,
+}
+
+impl Default for Adjacency {
+    fn default() -> Self {
+        Adjacency {
+            rows: Vec::new(),
+            candidates: Vec::new(),
+            filtered_len: Vec::new(),
+            stale: Vec::new(),
+            grade: Vec::new(),
+            pending: true,
+        }
+    }
+}
+
+impl Adjacency {
+    /// The store for the neighbor rows `rows` (slot `i` = `rows[i]`),
+    /// every candidate row filtered afresh — how a restored checkpoint
+    /// gets them back. `pending` is the captured run's flag, so the
+    /// restored run counts the same rebuilds.
+    pub(crate) fn restored(
+        rows: Vec<Vec<PeerId>>,
+        pending: bool,
+        hot: &HotPeers,
+        banned: impl Fn(u32) -> bool,
+    ) -> Self {
+        let mut adj = Adjacency {
+            candidates: vec![Vec::new(); rows.len()],
+            filtered_len: vec![0; rows.len()],
+            grade: vec![Stale::No; rows.len()],
+            rows,
+            ..Adjacency::default()
+        };
+        adj.refresh_all(hot, banned);
+        adj.pending = pending;
+        adj
+    }
+
+    /// Adds the next slot with the neighbor row `row` (strictly
+    /// ascending). Its candidate row is filtered at the next refresh.
+    pub(crate) fn push(&mut self, row: Vec<PeerId>) {
+        debug_assert!(
+            row.windows(2).all(|w| w[0] < w[1]),
+            "neighbor rows are strictly ascending"
+        );
+        let slot = self.rows.len() as u32;
+        self.rows.push(row);
+        self.candidates.push(Vec::new());
+        self.filtered_len.push(0);
+        self.grade.push(Stale::No);
+        self.touch(slot);
+    }
+
+    /// Every slot's neighbor row (what a checkpoint carries).
+    pub(crate) fn rows(&self) -> &[Vec<PeerId>] {
+        &self.rows
+    }
+
+    /// Has some slot been named since the last refresh?
+    pub(crate) fn pending(&self) -> bool {
+        self.pending
+    }
+
+    /// `slot`'s neighbors, ascending.
+    pub(crate) fn row(&self, slot: u32) -> &[PeerId] {
+        &self.rows[slot as usize]
+    }
+
+    /// `slot`'s neighbor count.
+    pub(crate) fn degree(&self, slot: u32) -> usize {
+        self.rows[slot as usize].len()
+    }
+
+    /// `slot`'s candidate row as of the last refresh; empty for a slot
+    /// that was never filtered.
+    pub(crate) fn candidates(&self, slot: u32) -> &[PeerId] {
+        self.candidates
+            .get(slot as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Adds `id` to `at`'s row and names `at`; false if it was there
+    /// already.
+    pub(crate) fn insert(&mut self, at: u32, id: PeerId) -> bool {
+        let row = &mut self.rows[at as usize];
+        let grade = match row.last() {
+            Some(&last) if last >= id => match row.binary_search(&id) {
+                Ok(_) => return false,
+                Err(pos) => {
+                    row.insert(pos, id);
+                    Stale::Full
+                }
+            },
+            _ => {
+                row.push(id);
+                Stale::Appended
+            }
+        };
+        self.name(at, grade);
+        true
+    }
+
+    /// Removes `id` from `at`'s row, if `at` is a slot, and names `at`;
+    /// false if it was not there.
+    pub(crate) fn remove(&mut self, at: u32, id: PeerId) -> bool {
+        let Some(row) = self.rows.get_mut(at as usize) else {
+            return false;
+        };
+        let Ok(pos) = row.binary_search(&id) else {
+            return false;
+        };
+        row.remove(pos);
+        self.touch(at);
+        true
+    }
+
+    /// Empties `slot`'s row (a departing identity) and returns it. The
+    /// caller then removes the slot from each former neighbor's row,
+    /// which names those slots.
+    pub(crate) fn take_row(&mut self, slot: u32) -> Vec<PeerId> {
+        self.touch(slot);
+        std::mem::take(&mut self.rows[slot as usize])
+    }
+
+    /// Names `slot`: its whole candidate row is re-filtered at the next
+    /// refresh.
+    pub(crate) fn touch(&mut self, slot: u32) {
+        self.name(slot, Stale::Full);
+    }
+
+    /// Names `slot` and every neighbor: `slot`'s liveness or ban state
+    /// changed, which moves it in or out of each neighbor's candidate
+    /// row.
+    pub(crate) fn touch_neighborhood(&mut self, slot: u32) {
+        self.touch(slot);
+        for &n in &self.rows[slot as usize] {
+            mark(&mut self.stale, &mut self.grade, n.index(), Stale::Full);
+        }
+    }
+
+    fn name(&mut self, slot: u32, grade: Stale) {
+        self.pending = true;
+        mark(&mut self.stale, &mut self.grade, slot, grade);
+    }
+
+    /// Re-filters the candidate row of every slot named since the last
+    /// refresh, against `hot`'s liveness flags and `banned` (the current
+    /// round's ban state by slot). Returns whether any slot was named.
+    pub(crate) fn refresh(&mut self, hot: &HotPeers, banned: impl Fn(u32) -> bool) -> bool {
+        if !std::mem::take(&mut self.pending) {
+            return false;
+        }
+        // Slot order keeps the walk over the rows monotone; the rows are
+        // independent, so the order is free.
+        self.stale.sort_unstable();
+        for slot in self.stale.drain(..) {
+            let i = slot as usize;
+            let (out, row) = (&mut self.candidates[i], &self.rows[i]);
+            match std::mem::replace(&mut self.grade[i], Stale::No) {
+                Stale::Appended => {
+                    // The slot's own status is unchanged, so its
+                    // candidate row is empty exactly when it was.
+                    if eligible(slot, hot, &banned) {
+                        let tail = &row[self.filtered_len[i] as usize..];
+                        out.extend(
+                            tail.iter()
+                                .copied()
+                                .filter(|&n| eligible(n.index(), hot, &banned)),
+                        );
+                    }
+                }
+                _ => filter_row(out, row, slot, hot, &banned),
+            }
+            self.filtered_len[i] = row.len() as u32;
+        }
+        true
+    }
+
+    /// Re-filters every candidate row, named or not: the naive oracle's
+    /// refresh and a restored run's first fill.
+    pub(crate) fn refresh_all(&mut self, hot: &HotPeers, banned: impl Fn(u32) -> bool) {
+        for (i, (out, row)) in self.candidates.iter_mut().zip(&self.rows).enumerate() {
+            filter_row(out, row, i as u32, hot, &banned);
+            self.filtered_len[i] = row.len() as u32;
+        }
+        self.stale.clear();
+        self.grade.fill(Stale::No);
+        self.pending = false;
+    }
+
+    /// Panics unless every candidate row that no slot named since the
+    /// last refresh equals a fresh filter of its neighbor row (debug
+    /// builds call it after each refresh that re-filtered and at every
+    /// checkpoint capture).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_consistent(&self, hot: &HotPeers, banned: impl Fn(u32) -> bool) {
+        let mut fresh = Vec::new();
+        for (i, row) in self.rows.iter().enumerate() {
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]),
+                "neighbor row of slot {i} is not strictly ascending"
+            );
+            if self.grade[i] != Stale::No {
+                continue;
+            }
+            filter_row(&mut fresh, row, i as u32, hot, &banned);
+            assert_eq!(
+                self.candidates[i], fresh,
+                "patched candidate row of slot {i} diverged from a full recompute"
+            );
+        }
+    }
+}
+
+/// Raises `slot`'s staleness to at least `grade`, listing it once.
+fn mark(stale: &mut Vec<u32>, grades: &mut [Stale], slot: u32, grade: Stale) {
+    let g = &mut grades[slot as usize];
+    if *g == Stale::No {
+        stale.push(slot);
+    }
+    *g = (*g).max(grade);
+}
+
+/// Can slot `slot` appear in (and own) a candidate row?
+fn eligible(slot: u32, hot: &HotPeers, banned: &impl Fn(u32) -> bool) -> bool {
+    hot.is_online(slot as usize) && !banned(slot)
+}
+
+/// Writes `slot`'s candidate row: the members of its neighbor row `row`
+/// that are online and not banned, if `slot` itself is. A departed slot's
+/// storage is released.
+fn filter_row(
+    out: &mut Vec<PeerId>,
+    row: &[PeerId],
+    slot: u32,
+    hot: &HotPeers,
+    banned: &impl Fn(u32) -> bool,
+) {
+    if !hot.is_active(slot as usize) {
+        *out = Vec::new();
+        return;
+    }
+    out.clear();
+    if eligible(slot, hot, banned) {
+        out.extend(
+            row.iter()
+                .copied()
+                .filter(|&n| eligible(n.index(), hot, banned)),
+        );
     }
 }
 
@@ -491,7 +777,7 @@ mod tests {
             let mut peers: Vec<PeerState> = (0..4).map(|i| peer(i, num_pieces)).collect();
             for p in &peers {
                 words.push(p);
-                hot.push(&p.tags, 0, 0);
+                hot.push(&p.tags, 0);
             }
             let mut transfers = TransferTable::new();
             for (op, slot, piece) in ops {
@@ -566,12 +852,12 @@ mod tests {
     #[test]
     fn flags_track_lifecycle() {
         let mut hot = HotPeers::default();
-        hot.push(&PeerTags::compliant(), 0, 0);
+        hot.push(&PeerTags::compliant(), 0);
         let ww = PeerTags {
             whitewash_interval: Some(4),
             ..PeerTags::compliant()
         };
-        hot.push(&ww, 3, 0);
+        hot.push(&ww, 3);
         assert_eq!(hot.len(), 2);
         assert!(hot.is_active(0) && hot.is_online(0));
         assert!(!hot.whitewash_online(0) && !hot.colluder_online(0));
@@ -595,7 +881,7 @@ mod tests {
             ..PeerTags::compliant()
         };
         for tags in [PeerTags::compliant(), lv, lv, PeerTags::compliant()] {
-            hot.push(&tags, 0, 0);
+            hot.push(&tags, 0);
         }
         hot.retire(2);
         hot.set_offline(1, true);
@@ -611,99 +897,309 @@ mod tests {
         );
     }
 
-    /// Links `a` and `b` the way the simulation's edge helpers do: both
-    /// neighbor sets and both degree mirrors.
-    fn link(peers: &mut [PeerState], hot: &mut HotPeers, a: usize, b: usize) {
-        for (x, y) in [(a, b), (b, a)] {
-            let id = peers[y].id;
-            if peers[x].neighbors.insert(id) {
-                hot.add_degree(x, true);
-            }
-        }
+    /// A miniature swarm for the adjacency tests: peer structs, their hot
+    /// mirror and row store, an independent edge model (`BTreeSet` per
+    /// slot), and the consensus ban table (`banned_until`, permanent
+    /// bans) at the current round. Every mutation names rows exactly as
+    /// the simulation's sites do.
+    struct World {
+        peers: Vec<PeerState>,
+        hot: HotPeers,
+        words: InterestWords,
+        adj: Adjacency,
+        model: Vec<std::collections::BTreeSet<PeerId>>,
+        banned_until: Vec<u64>,
+        perm_banned: Vec<bool>,
+        round: u64,
     }
 
-    /// Departs slot `d`: out of its neighbors' sets and the active list.
-    fn depart(peers: &mut [PeerState], hot: &mut HotPeers, d: usize) {
-        let id = peers[d].id;
-        for n in peers[d].neighbors.clone() {
-            if peers[n.index() as usize].neighbors.remove(&id) {
-                hot.add_degree(n.index() as usize, false);
+    impl World {
+        fn new() -> Self {
+            World {
+                peers: Vec::new(),
+                hot: HotPeers::default(),
+                words: InterestWords::new(&Bitfield::full(8)),
+                adj: Adjacency::default(),
+                model: Vec::new(),
+                banned_until: Vec::new(),
+                perm_banned: Vec::new(),
+                round: 0,
             }
         }
-        peers[d].departure = Some(crate::peer::Departure::Churned(SimTime::ZERO));
-        hot.retire(d);
-    }
 
-    #[test]
-    fn active_list_and_degrees_track_spawn_departure_successor_and_restore() {
-        let mut peers: Vec<PeerState> = Vec::new();
-        let mut hot = HotPeers::default();
-        let check = |peers: &[PeerState], hot: &HotPeers, step: &str| {
-            let active: Vec<PeerId> = peers
+        fn banned(&self, slot: u32) -> bool {
+            let i = slot as usize;
+            self.perm_banned[i] || self.round < self.banned_until[i]
+        }
+
+        fn active(&self) -> Vec<u32> {
+            self.hot.active_ids().iter().map(|id| id.index()).collect()
+        }
+
+        /// Spawns the next slot joined to `neighbors` (active slots),
+        /// with `have_count` inherited pieces; returns its slot.
+        fn spawn(&mut self, neighbors: &[u32], have_count: u32) -> u32 {
+            let slot = self.peers.len() as u32;
+            let id = PeerId::new(slot);
+            let mut row: Vec<PeerId> = neighbors.iter().map(|&n| PeerId::new(n)).collect();
+            row.sort_unstable();
+            row.dedup();
+            for &n in &row {
+                assert!(self.adj.insert(n.index(), id), "a newcomer's id is new");
+                self.model[n.index() as usize].insert(id);
+            }
+            let mut newcomer = peer(slot, 8);
+            self.words.push(&newcomer);
+            for piece in 0..have_count {
+                newcomer.acquire_usable(piece, &mut self.words);
+            }
+            self.peers.push(newcomer);
+            self.hot.push(&self.peers[slot as usize].tags, have_count);
+            self.model.push(row.iter().copied().collect());
+            self.adj.push(row);
+            self.banned_until.push(0);
+            self.perm_banned.push(false);
+            slot
+        }
+
+        fn link(&mut self, a: u32, b: u32) {
+            for (x, y) in [(a, b), (b, a)] {
+                let inserted = self.adj.insert(x, PeerId::new(y));
+                assert_eq!(inserted, self.model[x as usize].insert(PeerId::new(y)));
+            }
+        }
+
+        fn unlink(&mut self, a: u32, b: u32) {
+            for (x, y) in [(a, b), (b, a)] {
+                let removed = self.adj.remove(x, PeerId::new(y));
+                assert_eq!(removed, self.model[x as usize].remove(&PeerId::new(y)));
+            }
+        }
+
+        fn depart(&mut self, d: u32) {
+            let id = PeerId::new(d);
+            for n in self.adj.take_row(d) {
+                assert!(self.adj.remove(n.index(), id), "edges are symmetric");
+            }
+            for n in std::mem::take(&mut self.model[d as usize]) {
+                self.model[n.index() as usize].remove(&id);
+            }
+            self.peers[d as usize].departure = Some(crate::peer::Departure::Churned(SimTime::ZERO));
+            self.hot.retire(d as usize);
+        }
+
+        fn set_offline(&mut self, slot: u32, offline: bool) {
+            self.peers[slot as usize].offline = offline;
+            self.hot.set_offline(slot as usize, offline);
+            self.adj.touch_neighborhood(slot);
+        }
+
+        /// A consensus threshold crossing at the current round: a
+        /// temporary ban of `rounds` rounds, or a permanent one.
+        fn ban(&mut self, slot: u32, rounds: Option<u64>) {
+            match rounds {
+                Some(k) => self.banned_until[slot as usize] = self.round + 1 + k,
+                None => self.perm_banned[slot as usize] = true,
+            }
+            self.adj.touch_neighborhood(slot);
+        }
+
+        /// Closes the round: temporary bans that expire at the next
+        /// round re-admit their (active) peers, as the consensus pass's
+        /// unban transitions do.
+        fn end_round(&mut self) {
+            for slot in 0..self.peers.len() as u32 {
+                let i = slot as usize;
+                if !self.perm_banned[i]
+                    && self.banned_until[i] == self.round + 1
+                    && self.hot.is_active(i)
+                {
+                    self.adj.touch_neighborhood(slot);
+                }
+            }
+            self.round += 1;
+        }
+
+        fn refresh(&mut self) -> bool {
+            let (until, perm, round) = (&self.banned_until, &self.perm_banned, self.round);
+            self.adj
+                .refresh(&self.hot, |s| perm[s as usize] || round < until[s as usize])
+        }
+
+        /// The candidate row of `slot` recomputed from the edge model and
+        /// the peer structs.
+        fn expected_candidates(&self, slot: u32) -> Vec<PeerId> {
+            let eligible = |s: u32| {
+                let p = &self.peers[s as usize];
+                p.is_active() && !p.offline && !self.banned(s)
+            };
+            if !eligible(slot) {
+                return Vec::new();
+            }
+            self.model[slot as usize]
+                .iter()
+                .copied()
+                .filter(|n| eligible(n.index()))
+                .collect()
+        }
+
+        /// Refreshes, then checks every row against the model, every
+        /// candidate row against a full recompute, and a restore from
+        /// the neighbor rows against the patched store.
+        fn check(&mut self, step: &str) {
+            self.refresh();
+            for slot in 0..self.peers.len() as u32 {
+                let row: Vec<PeerId> = self.model[slot as usize].iter().copied().collect();
+                assert_eq!(self.adj.row(slot), &row[..], "row of {slot} after {step}");
+                assert_eq!(
+                    self.adj.degree(slot),
+                    row.len(),
+                    "degree of {slot} after {step}"
+                );
+                assert_eq!(
+                    self.adj.candidates(slot),
+                    &self.expected_candidates(slot)[..],
+                    "candidates of {slot} after {step}"
+                );
+            }
+            let (until, perm, round) = (&self.banned_until, &self.perm_banned, self.round);
+            let banned = |s: u32| perm[s as usize] || round < until[s as usize];
+            self.adj.assert_consistent(&self.hot, banned);
+            let restored = Adjacency::restored(self.adj.rows().to_vec(), false, &self.hot, banned);
+            for slot in 0..self.peers.len() as u32 {
+                assert_eq!(
+                    restored.candidates(slot),
+                    self.adj.candidates(slot),
+                    "restored candidates of {slot} after {step}"
+                );
+            }
+            let active: Vec<PeerId> = self
+                .peers
                 .iter()
                 .filter(|p| p.is_active())
                 .map(|p| p.id)
                 .collect();
-            assert_eq!(hot.active_ids(), &active[..], "active list after {step}");
-            for p in peers {
-                assert_eq!(
-                    hot.degree(p.id.index() as usize) as usize,
-                    p.neighbors.len(),
-                    "degree of slot {} after {step}",
-                    p.id.index()
-                );
-            }
-            assert_eq!(&HotPeers::rebuilt(peers), hot, "restore after {step}");
-        };
+            assert_eq!(
+                self.hot.active_ids(),
+                &active[..],
+                "active list after {step}"
+            );
+            assert_eq!(
+                &HotPeers::rebuilt(&self.peers),
+                &self.hot,
+                "restore after {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn active_list_and_degrees_track_spawn_departure_successor_and_restore() {
+        let mut w = World::new();
         // Spawn five peers in a ring.
         for i in 0..5 {
-            peers.push(peer(i, 8));
-            hot.push(&peers[i as usize].tags, 0, 0);
+            let slot = w.spawn(&[], 0);
             if i > 0 {
-                link(&mut peers, &mut hot, i as usize - 1, i as usize);
+                w.link(slot - 1, slot);
             }
         }
-        link(&mut peers, &mut hot, 4, 0);
-        check(&peers, &hot, "spawn");
-        // A newcomer joins with degree 2, then its partners learn of it.
-        let mut newcomer = peer(5, 8);
-        newcomer.neighbors.extend([PeerId::new(1), PeerId::new(3)]);
-        peers.push(newcomer);
-        hot.push(&peers[5].tags, 0, 2);
-        for n in [1, 3] {
-            peers[n].neighbors.insert(PeerId::new(5));
-            hot.add_degree(n, true);
-        }
-        check(&peers, &hot, "newcomer");
+        w.link(4, 0);
+        w.check("spawn");
+        // A newcomer joins with degree 2: an append to both partners' rows.
+        w.spawn(&[3, 1], 0);
+        assert_eq!(w.adj.row(1), [0, 2, 5].map(PeerId::new));
+        w.check("newcomer");
         // Departures from the middle and the ends of the list.
-        depart(&mut peers, &mut hot, 2);
-        depart(&mut peers, &mut hot, 0);
-        check(&peers, &hot, "departure");
+        w.depart(2);
+        w.depart(0);
+        assert!(w.adj.row(0).is_empty(), "a departed row is emptied");
+        w.check("departure");
         // Whitewash: slot 3 retires and a successor with its pieces and a
         // fresh neighbor joins at the end.
-        depart(&mut peers, &mut hot, 3);
-        let mut successor = peer(6, 8);
-        let mut words = InterestWords::new(&Bitfield::full(8));
-        for p in &peers {
-            words.push(p);
+        w.depart(3);
+        let successor = w.spawn(&[], 1);
+        w.link(successor, 1);
+        w.check("whitewash successor");
+        assert_eq!(w.hot.active_ids(), [1, 4, 5, 6].map(PeerId::new));
+        // An outage empties the peer's own row and drops it from its
+        // neighbors' rows; its edges stay.
+        w.set_offline(1, true);
+        w.check("outage");
+        assert!(w.adj.candidates(1).is_empty() && w.adj.degree(1) == 2);
+        assert_eq!(w.adj.candidates(6), &[] as &[PeerId]);
+        w.set_offline(1, false);
+        w.check("outage end");
+        // A two-round temporary ban evicts the peer both ways until its
+        // unban transition.
+        w.ban(5, Some(2));
+        w.check("ban");
+        assert!(w.adj.candidates(5).is_empty());
+        assert_eq!(w.adj.candidates(1), [PeerId::new(6)]);
+        for r in 0..3 {
+            w.end_round();
+            w.check("ban round");
+            assert_eq!(w.adj.candidates(5).is_empty(), r < 2, "round {r}");
         }
-        words.push(&successor);
-        successor.acquire_usable(4, &mut words);
-        peers.push(successor);
-        hot.push(&peers[6].tags, 1, 0);
-        link(&mut peers, &mut hot, 6, 1);
-        check(&peers, &hot, "whitewash successor");
-        assert_eq!(hot.active_ids(), [1, 4, 5, 6].map(PeerId::new));
-        // Outages survive the rebuild too.
-        peers[4].offline = true;
-        hot.set_offline(4, true);
-        check(&peers, &hot, "outage");
+        // Edge removal names both endpoints.
+        w.unlink(1, 6);
+        w.check("unlink");
+        assert!(w.adj.candidates(6).is_empty());
+        w.ban(6, None);
+        w.check("permanent ban");
+        // A quiet refresh re-filters nothing.
+        assert!(!w.refresh());
+    }
+
+    proptest! {
+        /// Random sequences of spawns, departures, edge edits, outages,
+        /// temporary and permanent bans, round ends and whitewash
+        /// successors: after every refresh the patched candidate rows
+        /// equal a full recompute, each row equals an independent edge
+        /// model (so the degree is its length), and a restore from the
+        /// rows reproduces the store.
+        #[test]
+        fn patched_rows_equal_a_full_recompute(
+            ops in proptest::collection::vec((0u8..10, 0u32..64, 0u32..64), 1..120),
+        ) {
+            let mut w = World::new();
+            for (step, (op, a, b)) in ops.into_iter().enumerate() {
+                let active = w.active();
+                let pick = |k: u32| (!active.is_empty()).then(|| active[k as usize % active.len()]);
+                match (op, pick(a), pick(b)) {
+                    (0 | 1, _, _) => {
+                        // Join up to three distinct active peers.
+                        let partners: Vec<u32> = (0..a % 4).filter_map(|k| pick(b + k * 5)).collect();
+                        w.spawn(&partners, 0);
+                    }
+                    (2, Some(x), _) => w.depart(x),
+                    (3, Some(x), Some(y)) if x != y => w.link(x, y),
+                    (4, Some(x), Some(y)) => w.unlink(x, y),
+                    (5, Some(x), _) => {
+                        let offline = !w.peers[x as usize].offline;
+                        w.set_offline(x, offline);
+                    }
+                    (6, Some(x), _) => w.ban(x, Some(u64::from(b % 3))),
+                    (7, Some(x), _) if b % 4 == 0 => w.ban(x, None),
+                    (8, _, _) => w.end_round(),
+                    (9, Some(x), _) => {
+                        // Whitewash: retire `x`, join a successor.
+                        w.depart(x);
+                        let partners: Vec<u32> = w.active().into_iter().take(2).collect();
+                        w.spawn(&partners, 1);
+                    }
+                    _ => {}
+                }
+                if step % 3 == 0 {
+                    w.check(&format!("step {step}"));
+                }
+            }
+            w.check("the last step");
+        }
     }
 
     #[test]
     fn obliged_bit_toggles_independently() {
         let mut hot = HotPeers::default();
-        hot.push(&PeerTags::compliant(), 0, 0);
+        hot.push(&PeerTags::compliant(), 0);
         assert!(!hot.is_obliged(0));
         hot.set_obliged(0, true);
         assert!(hot.is_obliged(0) && hot.is_online(0));

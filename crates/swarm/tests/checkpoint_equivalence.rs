@@ -9,9 +9,13 @@
 //! The scenario deliberately reuses the golden battery's mixed
 //! population (large-view, whitewashing, and colluding free-riders) so
 //! the snapshot covers attack state, and one case checkpoints across a
-//! fault-schedule boundary to cover the fault cursor.
+//! fault-schedule boundary to cover the fault cursor. Two cases restore
+//! where the derived adjacency state matters most: mid flash crowd, and
+//! right after a consensus ban. A restore rebuilds the candidate rows
+//! and the ledger-window list, so those runs must also reproduce the
+//! straight run's visit work and adjacency rebuild count.
 
-use coop_attacks::FreeRider;
+use coop_attacks::{apply_attack, AttackPlan, FreeRider};
 use coop_des::Duration;
 use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::{MechanismKind, PeerId};
@@ -20,7 +24,7 @@ use coop_swarm::{
     SimResult, Simulation, SimulationBuilder, SwarmConfig,
 };
 use coop_telemetry::profile::work;
-use coop_telemetry::{Recorder, TelemetryConfig, TelemetryReport};
+use coop_telemetry::{Category, Recorder, TelemetryConfig, TelemetryReport, TraceEvent};
 
 /// FNV-1a accumulator, identical to `golden_equivalence.rs`.
 struct Fnv(u64);
@@ -180,7 +184,6 @@ fn restore_then_finish_equals_straight_run_for_every_mechanism() {
     // checkpoint keeps both mark grades apart: a dropped revisit set
     // drifts results, one folded into the CSR-expanded dirty set
     // visits more peers.
-    let traced = || Recorder::enabled(TelemetryConfig::default());
     let work_of = |report: &TelemetryReport| {
         (
             report.counter(work::PEERS_VISITED),
@@ -236,15 +239,37 @@ fn restore_then_finish_equals_straight_run_for_every_mechanism() {
     }
 }
 
+/// A recorder that keeps every counter and event.
+fn traced() -> Recorder {
+    Recorder::enabled(TelemetryConfig::default())
+}
+
+/// What a restored run must reproduce beyond its results: the visit
+/// sets' work (built from the rebuilt candidate rows) and the number of
+/// refreshes that re-filtered candidate rows.
+fn adjacency_work(report: &TelemetryReport) -> [u64; 3] {
+    [
+        report.counter(work::PEERS_VISITED),
+        report.counter(work::CANDIDATE_SCANS),
+        report.counter("swarm.adjacency.rebuilds"),
+    ]
+}
+
 #[test]
 fn restore_during_the_flash_crowd_equals_straight_run() {
     // The first checkpoint lands while arrivals are still pending, so the
     // restored run draws the remaining newcomers' neighbors from a
-    // rebuilt active list and replenishes from rebuilt degree counts.
-    // Both must match what the straight run held at that round.
+    // rebuilt active list, replenishes from the checkpointed neighbor
+    // rows, serves rebuilt candidate rows and rolls the ledgers on a
+    // rebuilt window list. All must match what the straight run held at
+    // that round.
     let population = 14;
     for &kind in &MechanismKind::ALL {
-        let straight = scenario_builder(kind, 42).build().unwrap().run();
+        let (straight, straight_report) = scenario_builder(kind, 42)
+            .recorder(traced())
+            .build()
+            .unwrap()
+            .run_traced();
         let (_, _, log) = scenario_builder(kind, 42)
             .checkpoint_every(1)
             .build()
@@ -252,6 +277,7 @@ fn restore_during_the_flash_crowd_equals_straight_run() {
             .run_checkpointed();
         let ckpt = log.first().unwrap();
         let restored = scenario_builder(kind, 42)
+            .recorder(traced())
             .build()
             .unwrap()
             .restore(ckpt)
@@ -262,13 +288,102 @@ fn restore_during_the_flash_crowd_equals_straight_run() {
             "{kind:?}: round-{} checkpoint has {spawned} of {population} peers spawned",
             ckpt.round()
         );
+        let (resumed, resumed_report) = restored.run_traced();
         assert_eq!(
             straight,
-            restored.run(),
+            resumed,
             "{kind:?}: resume from round {} diverged",
             ckpt.round()
         );
+        assert_eq!(
+            adjacency_work(&straight_report),
+            adjacency_work(&resumed_report),
+            "{kind:?}: resume from round {} changed (peers_visited, candidate_scans, rebuilds)",
+            ckpt.round()
+        );
     }
+}
+
+/// The golden battery's consensus cell: a consensus-reputation crowd
+/// under the combined adaptive attack plus one large-view whitewashing
+/// free-rider (see `golden_equivalence.rs`).
+fn consensus_builder(seed: u64) -> SimulationBuilder {
+    let kind = MechanismKind::ConsensusReputation;
+    let mut config = SwarmConfig::tiny_test();
+    config.seed = seed;
+    config.neighbor_degree = 4;
+    config.max_rounds = 60;
+    let mut pop: Vec<PeerSpec> = flash_crowd_with(
+        &config,
+        30,
+        kind,
+        seed,
+        &CapacityClassMix::paper_default(),
+        Duration::from_secs(20),
+    );
+    apply_attack(&mut pop, &AttackPlan::adaptive_mix(0.2), seed);
+    let spec = pop
+        .iter_mut()
+        .filter(|s| s.tags.compliant)
+        .min_by_key(|s| s.arrival)
+        .expect("the attack leaves compliant peers");
+    spec.tags = PeerTags {
+        compliant: false,
+        large_view: true,
+        whitewash_interval: Some(5),
+        ..PeerTags::compliant()
+    };
+    spec.mechanism = Box::new(move || Box::new(FreeRider::new(kind)));
+    Simulation::builder(config).population(pop)
+}
+
+#[test]
+fn restore_right_after_a_consensus_ban_equals_straight_run() {
+    // Checkpoint at the boundary that closes the round of the first ban:
+    // the ban has named the banned peer's rows but no refresh has
+    // re-filtered them yet. The restored run's rebuilt candidate rows
+    // must evict the peer exactly as the straight run's next refresh
+    // does.
+    let (straight, straight_report) = consensus_builder(42)
+        .recorder(traced())
+        .build()
+        .unwrap()
+        .run_traced();
+    let first_ban = straight_report
+        .events_in(Category::Consensus)
+        .find_map(|e| match e {
+            TraceEvent::ConsensusBan { round, kind, .. } if *kind != "unban" => Some(*round),
+            _ => None,
+        })
+        .expect("the cell must ban someone");
+    let (checkpointed, _report, log) = consensus_builder(42)
+        .checkpoint_every(first_ban + 1)
+        .build()
+        .unwrap()
+        .run_checkpointed();
+    assert_eq!(straight, checkpointed, "checkpoint cadence changed results");
+    let ckpt = log.first().unwrap();
+    assert_eq!(
+        ckpt.round(),
+        first_ban + 1,
+        "checkpoint right after the ban"
+    );
+    let (resumed, resumed_report) = consensus_builder(42)
+        .recorder(traced())
+        .build()
+        .unwrap()
+        .restore(ckpt)
+        .unwrap()
+        .run_traced();
+    assert_eq!(
+        straight, resumed,
+        "resume after the round-{first_ban} ban diverged"
+    );
+    assert_eq!(
+        adjacency_work(&straight_report),
+        adjacency_work(&resumed_report),
+        "resume after the round-{first_ban} ban changed (peers_visited, candidate_scans, rebuilds)"
+    );
 }
 
 #[test]

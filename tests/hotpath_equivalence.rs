@@ -313,7 +313,7 @@ fn consensus_dirty_loop_does_strictly_less_visiting() {
 
 /// Exact dirty-loop `swarm.work.peers_visited` of this file's seed-42
 /// visit-count cells. A re-widened mark (a revisit site demoted back to a
-/// CSR-expanded neighborhood mark) raises these; an unsound narrowing
+/// row-expanded neighborhood mark) raises these; an unsound narrowing
 /// breaks the naive equality first.
 const RECIPROCITY_DIRTY_VISITS: u64 = 4_704;
 const CONSENSUS_DIRTY_VISITS: u64 = 19_172;

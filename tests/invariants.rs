@@ -13,9 +13,9 @@
 //!
 //! The file is deliberately tiny (16 pieces) and the round count capped so
 //! the 5000-peer cells stay affordable in debug builds; the point is the
-//! population size, which is what exercises the SoA arrays, the CSR
-//! adjacency, and the incremental index under churn-driven membership
-//! change.
+//! population size, which is what exercises the SoA arrays, the patched
+//! neighbor and candidate rows, the ledger-window list, and the
+//! incremental index under churn-driven membership change.
 
 use coop_des::Duration;
 use coop_faults::FaultPlan;
