@@ -100,9 +100,6 @@ mod tests {
             fn ledger(&self) -> &coop_incentives::ledger::ContributionLedger {
                 unreachable!("free-rider never consults the ledger")
             }
-            fn deficits(&self) -> &coop_incentives::ledger::DeficitLedger {
-                unreachable!("free-rider never consults deficits")
-            }
             fn obligations(&self) -> &[coop_incentives::Obligation] {
                 &[]
             }

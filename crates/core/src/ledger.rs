@@ -3,8 +3,10 @@
 //! * [`ContributionLedger`] — per-neighbor bytes sent/received, with a
 //!   last-round window (BitTorrent's tit-for-tat ranks last-round
 //!   contributors; pure reciprocity tracks outstanding credit).
-//! * [`DeficitLedger`] — FairTorrent's signed per-neighbor deficit counters
-//!   (bytes sent minus bytes received).
+//!   FairTorrent's deficits (bytes sent minus bytes received) are derived
+//!   from its rows.
+//! * [`DeficitLedger`] — standalone signed deficit counters, for views
+//!   built outside the simulator.
 //! * [`ReputationTable`] — the global reputation store: total bytes each
 //!   peer has uploaded to anyone, as assumed by the paper's reputation
 //!   algorithm ("the probability of uploading to another user is
@@ -16,7 +18,15 @@ use rand::RngCore;
 use crate::hash::IdMap;
 use crate::PeerId;
 
-/// Per-neighbor contribution accounting for one peer.
+/// Per-neighbor contribution accounting for one peer: one row per
+/// counterpart holding the bytes sent to it and received from it, plus a
+/// short list of the counterparts with receipts in this round's or last
+/// round's window.
+///
+/// A send touches one row; a receipt touches one row and one window
+/// entry. The window roll ([`Self::end_round`]) visits only the window
+/// list and allocates nothing. FairTorrent's deficit is derived from the
+/// row ([`Self::deficit`]).
 ///
 /// # Example
 ///
@@ -29,18 +39,41 @@ use crate::PeerId;
 /// l.record_received(p, 100);
 /// l.record_sent(p, 40);
 /// assert_eq!(l.credit(p), 60); // they gave us 60 bytes more than we returned
+/// assert_eq!(l.deficit(p), -60); // FairTorrent: we owe them 60 bytes
 /// l.end_round();
 /// assert_eq!(l.received_last_round(p), 100);
 /// assert_eq!(l.received_this_round(p), 0);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ContributionLedger {
-    sent: IdMap<PeerId, u64>,
-    received: IdMap<PeerId, u64>,
-    received_this_round: IdMap<PeerId, u64>,
-    received_last_round: IdMap<PeerId, u64>,
+    /// Every counterpart, ascending; `rows[i]` belongs to `peers[i]`.
+    peers: Vec<PeerId>,
+    rows: Vec<Totals>,
+    /// The counterparts with a receipt in this round's or last round's
+    /// window, ascending: a handful of entries, contiguous, so window
+    /// reads and the roll never touch the per-counterpart rows.
+    windowed: Vec<Window>,
     total_sent: u64,
     total_received: u64,
+}
+
+/// Bytes ever sent to and received from one counterpart.
+#[derive(Clone, Copy, Debug, Default)]
+struct Totals {
+    sent: u64,
+    received: u64,
+}
+
+/// One counterpart's receipts in this round's and last round's window.
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    peer: PeerId,
+    /// A receipt landed in this round's window (possibly of zero bytes).
+    in_this: bool,
+    /// A receipt landed in last round's window.
+    in_last: bool,
+    this_round: u64,
+    last_round: u64,
 }
 
 impl ContributionLedger {
@@ -49,51 +82,99 @@ impl ContributionLedger {
         Self::default()
     }
 
+    /// The totals of `peer`, if it has a row.
+    fn row(&self, peer: PeerId) -> Option<&Totals> {
+        let i = self.peers.binary_search(&peer).ok()?;
+        Some(&self.rows[i])
+    }
+
+    /// The totals of `peer`, inserted (all zero) on first contact.
+    fn row_mut(&mut self, peer: PeerId) -> &mut Totals {
+        let i = match self.peers.binary_search(&peer) {
+            Ok(i) => i,
+            Err(i) => {
+                self.peers.insert(i, peer);
+                self.rows.insert(i, Totals::default());
+                i
+            }
+        };
+        &mut self.rows[i]
+    }
+
+    /// The window entry of `peer`, if it holds a windowed receipt.
+    fn window(&self, peer: PeerId) -> Option<&Window> {
+        let w = self.windowed.binary_search_by_key(&peer, |w| w.peer).ok()?;
+        Some(&self.windowed[w])
+    }
+
     /// Records bytes we uploaded to `to`.
     pub fn record_sent(&mut self, to: PeerId, bytes: u64) {
-        *self.sent.entry(to).or_insert(0) += bytes;
+        self.row_mut(to).sent += bytes;
         self.total_sent += bytes;
     }
 
     /// Records bytes we received from `from`.
     pub fn record_received(&mut self, from: PeerId, bytes: u64) {
-        *self.received.entry(from).or_insert(0) += bytes;
-        *self.received_this_round.entry(from).or_insert(0) += bytes;
+        self.row_mut(from).received += bytes;
+        let w = match self.windowed.binary_search_by_key(&from, |w| w.peer) {
+            Ok(w) => w,
+            Err(w) => {
+                self.windowed.insert(
+                    w,
+                    Window {
+                        peer: from,
+                        in_this: false,
+                        in_last: false,
+                        this_round: 0,
+                        last_round: 0,
+                    },
+                );
+                w
+            }
+        };
+        let window = &mut self.windowed[w];
+        window.in_this = true;
+        window.this_round += bytes;
         self.total_received += bytes;
     }
 
     /// Rolls the per-round window: this round's receipts become "last
-    /// round" and the current window resets.
+    /// round" and the current window resets. Only the windowed entries
+    /// are visited, and nothing is allocated.
     pub fn end_round(&mut self) {
-        self.received_last_round = std::mem::take(&mut self.received_this_round);
+        self.windowed.retain_mut(|w| {
+            w.last_round = std::mem::take(&mut w.this_round);
+            w.in_last = std::mem::take(&mut w.in_this);
+            w.in_last
+        });
     }
 
     /// Does either receipt window (this round's or last round's) hold an
     /// entry? When it does not, [`Self::end_round`] changes nothing, so a
     /// round loop may skip the roll.
     pub fn has_windowed_receipts(&self) -> bool {
-        !self.received_this_round.is_empty() || !self.received_last_round.is_empty()
+        !self.windowed.is_empty()
     }
 
     /// Total bytes ever sent to `to`.
     pub fn sent_to(&self, to: PeerId) -> u64 {
-        self.sent.get(&to).copied().unwrap_or(0)
+        self.row(to).map_or(0, |r| r.sent)
     }
 
     /// Total bytes ever received from `from`.
     pub fn received_from(&self, from: PeerId) -> u64 {
-        self.received.get(&from).copied().unwrap_or(0)
+        self.row(from).map_or(0, |r| r.received)
     }
 
     /// Bytes received from `from` in the previous round (tit-for-tat
     /// ranking input).
     pub fn received_last_round(&self, from: PeerId) -> u64 {
-        self.received_last_round.get(&from).copied().unwrap_or(0)
+        self.window(from).map_or(0, |w| w.last_round)
     }
 
     /// Bytes received from `from` so far in the current round.
     pub fn received_this_round(&self, from: PeerId) -> u64 {
-        self.received_this_round.get(&from).copied().unwrap_or(0)
+        self.window(from).map_or(0, |w| w.this_round)
     }
 
     /// Outstanding reciprocity credit toward `peer`: bytes they sent us
@@ -101,7 +182,17 @@ impl ContributionLedger {
     ///
     /// Pure reciprocity uploads only against positive credit.
     pub fn credit(&self, peer: PeerId) -> u64 {
-        self.received_from(peer).saturating_sub(self.sent_to(peer))
+        self.row(peer)
+            .map_or(0, |r| r.received.saturating_sub(r.sent))
+    }
+
+    /// FairTorrent's deficit toward `peer`: bytes sent to it minus bytes
+    /// received from it (zero if never interacted). FairTorrent uploads
+    /// to the interested neighbor with the *lowest* deficit; a negative
+    /// deficit means we owe that neighbor data.
+    pub fn deficit(&self, peer: PeerId) -> i64 {
+        self.row(peer)
+            .map_or(0, |r| r.sent as i64 - r.received as i64)
     }
 
     /// Total bytes ever sent to anyone.
@@ -118,30 +209,34 @@ impl ContributionLedger {
     /// contribution descending (ties broken by peer id for determinism).
     pub fn top_contributors_last_round(&self) -> Vec<(PeerId, u64)> {
         let mut v: Vec<(PeerId, u64)> = self
-            .received_last_round
+            .windowed
             .iter()
-            .filter(|(_, &b)| b > 0)
-            .map(|(&p, &b)| (p, b))
+            .filter(|w| w.last_round > 0)
+            .map(|w| (w.peer, w.last_round))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
     /// Forgets all state about `peer` (used when a neighbor departs or
-    /// whitewashes its identity).
+    /// whitewashes its identity). Its row is zeroed in place, which reads
+    /// exactly like a missing row, and its window entry is dropped.
     pub fn forget(&mut self, peer: PeerId) {
-        self.sent.remove(&peer);
-        self.received.remove(&peer);
-        self.received_this_round.remove(&peer);
-        self.received_last_round.remove(&peer);
+        if let Ok(i) = self.peers.binary_search(&peer) {
+            self.rows[i] = Totals::default();
+        }
+        self.windowed.retain(|w| w.peer != peer);
     }
 }
 
-/// FairTorrent's per-neighbor deficit counters.
+/// Standalone signed per-neighbor deficit counters.
 ///
-/// `deficit(p) = bytes sent to p − bytes received from p`. FairTorrent
-/// always uploads to the interested neighbor with the *lowest* deficit;
-/// a negative deficit means we owe that neighbor data.
+/// `deficit(p) = bytes sent to p − bytes received from p`, the quantity
+/// FairTorrent ranks by. The simulator derives it from each peer's
+/// [`ContributionLedger`] ([`ContributionLedger::deficit`]) and FairTorrent
+/// reads it there; this type serves views built outside the simulator
+/// that keep deficits apart from their contribution ledger (see
+/// [`SwarmView::deficits`](crate::SwarmView::deficits)).
 ///
 /// # Example
 ///
@@ -162,6 +257,11 @@ pub struct DeficitLedger {
 }
 
 impl DeficitLedger {
+    /// The empty ledger, as a constant.
+    pub const EMPTY: DeficitLedger = DeficitLedger {
+        deficits: IdMap::with_hasher(crate::hash::BuildIdHasher::new()),
+    };
+
     /// Creates an empty ledger (all deficits implicitly zero).
     pub fn new() -> Self {
         Self::default()
@@ -569,6 +669,124 @@ mod tests {
         l.forget(p(1));
         assert_eq!(l.received_from(p(1)), 0);
         assert_eq!(l.received_last_round(p(1)), 0);
+    }
+
+    /// The contribution ledger before it kept one row per counterpart:
+    /// four maps, a window roll that moves this round's map into last
+    /// round's, and FairTorrent's deficits in a [`DeficitLedger`] of their
+    /// own (written for every counterpart here; the simulator skipped the
+    /// seeder, which FairTorrent never ranks). The oracle of
+    /// `rows_match_the_four_map_ledger`.
+    #[derive(Default)]
+    struct FourMapLedger {
+        sent: std::collections::HashMap<PeerId, u64>,
+        received: std::collections::HashMap<PeerId, u64>,
+        this_round: std::collections::HashMap<PeerId, u64>,
+        last_round: std::collections::HashMap<PeerId, u64>,
+        deficits: DeficitLedger,
+    }
+
+    impl FourMapLedger {
+        fn record_sent(&mut self, to: PeerId, bytes: u64) {
+            *self.sent.entry(to).or_insert(0) += bytes;
+            self.deficits.on_sent(to, bytes);
+        }
+
+        fn record_received(&mut self, from: PeerId, bytes: u64) {
+            *self.received.entry(from).or_insert(0) += bytes;
+            *self.this_round.entry(from).or_insert(0) += bytes;
+            self.deficits.on_received(from, bytes);
+        }
+
+        fn end_round(&mut self) {
+            self.last_round = std::mem::take(&mut self.this_round);
+        }
+
+        fn forget(&mut self, peer: PeerId) {
+            self.sent.remove(&peer);
+            self.received.remove(&peer);
+            self.this_round.remove(&peer);
+            self.last_round.remove(&peer);
+            self.deficits.forget(peer);
+        }
+    }
+
+    /// One ledger operation: `(op, peer, bytes)`, with peers from a small
+    /// range so rows are shared and zero-byte receipts can occur.
+    fn ledger_op() -> impl proptest::strategy::Strategy<Value = (u8, u32, u64)> {
+        (0u8..10, 0u32..8, 0u64..50)
+    }
+
+    proptest::proptest! {
+        /// Every query of the row ledger equals the four-map ledger's under
+        /// random sends, receipts (zero-byte ones included), rolls and
+        /// forgets: totals, credit, deficit, both windows,
+        /// `has_windowed_receipts` and the last-round ranking.
+        #[test]
+        fn rows_match_the_four_map_ledger(
+            ops in proptest::collection::vec(ledger_op(), 0..150),
+        ) {
+            let mut rows = ContributionLedger::new();
+            let mut maps = FourMapLedger::default();
+            let (mut total_sent, mut total_received) = (0, 0);
+            for &(op, peer, bytes) in &ops {
+                let peer = p(peer);
+                match op {
+                    0..=2 => {
+                        rows.record_sent(peer, bytes);
+                        maps.record_sent(peer, bytes);
+                        total_sent += bytes;
+                    }
+                    3..=6 => {
+                        rows.record_received(peer, bytes);
+                        maps.record_received(peer, bytes);
+                        total_received += bytes;
+                    }
+                    7..=8 => {
+                        rows.end_round();
+                        maps.end_round();
+                    }
+                    _ => {
+                        rows.forget(peer);
+                        maps.forget(peer);
+                    }
+                }
+                let get = |m: &std::collections::HashMap<PeerId, u64>, q| {
+                    m.get(&q).copied().unwrap_or(0)
+                };
+                for q in (0..8).map(p) {
+                    proptest::prop_assert_eq!(rows.sent_to(q), get(&maps.sent, q));
+                    proptest::prop_assert_eq!(rows.received_from(q), get(&maps.received, q));
+                    proptest::prop_assert_eq!(
+                        rows.credit(q),
+                        get(&maps.received, q).saturating_sub(get(&maps.sent, q))
+                    );
+                    proptest::prop_assert_eq!(rows.deficit(q), maps.deficits.deficit(q));
+                    proptest::prop_assert_eq!(
+                        rows.received_this_round(q),
+                        get(&maps.this_round, q)
+                    );
+                    proptest::prop_assert_eq!(
+                        rows.received_last_round(q),
+                        get(&maps.last_round, q)
+                    );
+                }
+                proptest::prop_assert_eq!(
+                    rows.has_windowed_receipts(),
+                    !maps.this_round.is_empty() || !maps.last_round.is_empty()
+                );
+                let mut ranking: Vec<(PeerId, u64)> = maps
+                    .last_round
+                    .iter()
+                    .filter(|(_, &b)| b > 0)
+                    .map(|(&q, &b)| (q, b))
+                    .collect();
+                ranking.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                proptest::prop_assert_eq!(rows.top_contributors_last_round(), ranking);
+                proptest::prop_assert_eq!(rows.total_sent(), total_sent);
+                proptest::prop_assert_eq!(rows.total_received(), total_received);
+            }
+        }
     }
 
     #[test]

@@ -314,8 +314,18 @@ pub trait Mechanism: std::fmt::Debug + Send + Sync {
         false
     }
 
-    /// Hook called at the end of every round (after transfers execute).
+    /// Hook called at the end of every round (after transfers execute),
+    /// for mechanisms that declare one ([`Self::has_round_end_hook`]).
     fn on_round_end(&mut self, _view: &dyn SwarmView) {}
+
+    /// True when [`on_round_end`](Self::on_round_end) does anything. A
+    /// mechanism that overrides the hook must override this to return
+    /// `true`: the round loop skips the end-of-round hook pass when no
+    /// mechanism in the run declares a hook. The default is `false`,
+    /// matching the empty default hook.
+    fn has_round_end_hook(&self) -> bool {
+        false
+    }
 
     /// The mechanism's settlement cadence. [`SettleCadence::PerTransfer`]
     /// (the default) means every ledger update settles in place and the

@@ -111,9 +111,14 @@ impl Mechanism for BitTorrent {
         MechanismKind::BitTorrent
     }
 
+    fn has_round_end_hook(&self) -> bool {
+        true
+    }
+
     fn on_round_end(&mut self, view: &dyn SwarmView) {
+        let ledger = view.ledger();
         for &p in view.neighbors() {
-            let recv = view.ledger().received_this_round(p) as f64;
+            let recv = ledger.received_this_round(p) as f64;
             let rate = self.rates.entry(p).or_insert(0.0);
             *rate = (1.0 - RATE_ALPHA) * *rate + RATE_ALPHA * recv;
         }

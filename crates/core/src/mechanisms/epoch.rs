@@ -281,6 +281,10 @@ impl Mechanism for EpochSettlement {
         grants
     }
 
+    fn has_round_end_hook(&self) -> bool {
+        true
+    }
+
     fn on_round_end(&mut self, view: &dyn SwarmView) {
         // Shares must accrue on the round cadence, not the visit cadence.
         // The dirty-set round loop legitimately skips quiet uploaders,

@@ -71,6 +71,10 @@ impl Mechanism for PropShare {
         MechanismKind::BitTorrent
     }
 
+    fn has_round_end_hook(&self) -> bool {
+        true
+    }
+
     fn on_round_end(&mut self, view: &dyn SwarmView) {
         for &p in view.neighbors() {
             let recv = view.ledger().received_this_round(p) as f64;
@@ -180,6 +184,10 @@ impl Mechanism for BitTyrant {
 
     fn kind(&self) -> MechanismKind {
         MechanismKind::BitTorrent
+    }
+
+    fn has_round_end_hook(&self) -> bool {
+        true
     }
 
     fn on_round_end(&mut self, view: &dyn SwarmView) {

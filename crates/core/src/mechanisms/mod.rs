@@ -111,6 +111,32 @@ impl StickyTarget {
 mod tests {
     use super::*;
 
+    /// The round loop skips the end-of-round hook pass when no mechanism
+    /// declares a hook, so every mechanism whose hook changes its state
+    /// must declare it.
+    #[test]
+    fn state_changing_round_end_hooks_are_declared() {
+        use crate::view::fake::FakeView;
+        use crate::{build_mechanism, Mechanism, MechanismKind, MechanismParams};
+        let mut view = FakeView::mutual(&[1, 2, 3]);
+        view.ledger.record_received(PeerId::new(1), 700);
+        view.ledger.record_received(PeerId::new(2), 300);
+        let params = MechanismParams::default();
+        let mut mechs: Vec<Box<dyn Mechanism>> = MechanismKind::EXTENDED
+            .iter()
+            .map(|&k| build_mechanism(k, params))
+            .collect();
+        mechs.push(Box::new(extensions::PropShare::new(params)));
+        mechs.push(Box::new(extensions::BitTyrant::new(params)));
+        for mut m in mechs {
+            let before = format!("{m:?}");
+            m.on_round_end(&view);
+            if format!("{m:?}") != before {
+                assert!(m.has_round_end_hook(), "{before} hides its hook");
+            }
+        }
+    }
+
     #[test]
     fn sticky_target_stays_until_piece_done() {
         let mut st = StickyTarget::new();

@@ -69,11 +69,18 @@ pub trait SwarmView {
     /// reputation table — possibly inflated by colluders).
     fn reputation(&self, peer: PeerId) -> f64;
 
-    /// My contribution ledger.
+    /// My contribution ledger. FairTorrent's deficits are derived from
+    /// it ([`ContributionLedger::deficit`]).
     fn ledger(&self) -> &ContributionLedger;
 
-    /// My FairTorrent deficit ledger.
-    fn deficits(&self) -> &DeficitLedger;
+    /// A separately kept deficit ledger. No built-in mechanism reads it
+    /// (FairTorrent reads [`ContributionLedger::deficit`]); the provided
+    /// method returns an empty ledger, and views that keep their own may
+    /// still return it.
+    fn deficits(&self) -> &DeficitLedger {
+        static EMPTY: DeficitLedger = DeficitLedger::EMPTY;
+        &EMPTY
+    }
 
     /// My outstanding T-Chain obligations (pieces I hold locked).
     fn obligations(&self) -> &[Obligation];
@@ -112,7 +119,6 @@ pub(crate) mod fake {
         pub piece_counts: HashMap<PeerId, u32>,
         pub reputations: HashMap<PeerId, f64>,
         pub ledger: ContributionLedger,
-        pub deficits: DeficitLedger,
         pub obligations: Vec<Obligation>,
         pub piece_size: u64,
     }
@@ -170,9 +176,6 @@ pub(crate) mod fake {
         }
         fn ledger(&self) -> &ContributionLedger {
             &self.ledger
-        }
-        fn deficits(&self) -> &DeficitLedger {
-            &self.deficits
         }
         fn obligations(&self) -> &[Obligation] {
             &self.obligations

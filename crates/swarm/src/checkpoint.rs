@@ -12,8 +12,9 @@
 //! ([`SeedTree::export`](coop_des::rng::SeedTree::export) — positionless,
 //! so the root seed plus the restored round index pins every RNG stream).
 //! The SoA mirrors (hot flags, active lists, interest rows), the
-//! candidate rows and the ledger-window list are derived from the peer
-//! structs and the neighbor rows, and rebuilt on restore.
+//! candidate rows, the ledger-window list and the compliant bootstrap
+//! counters are derived from the peer structs and the neighbor rows, and
+//! rebuilt on restore.
 //!
 //! The contract — pinned by `crates/swarm/tests/checkpoint_equivalence.rs`
 //! for all six mechanisms — is exact: build a fresh simulation from the

@@ -58,7 +58,7 @@
 //! | Grade | Site (`coop-swarm::sim`) | Why |
 //! |---|---|---|
 //! | revisit | `allocate_and_execute` own re-marks (budget drained, interested stateful peer, productive visit) | only the peer's own state changed |
-//! | revisit | `account_bytes` (receiver) | only the receiver's ledger and deficits changed |
+//! | revisit | `account_bytes` (receiver) | only the receiver's ledger changed |
 //! | revisit | `deliver` (receiver) | `absent` and `inflight` shrink together |
 //! | revisit | `replenish_neighbors` (both endpoints) | each endpoint's row gains the other |
 //! | revisit | consensus transition, each online neighbor | a neighbor gains or loses one row member; expanding it would visit two hops out |

@@ -62,4 +62,4 @@ pub use dirty::{DirtySet, VisitBits};
 pub use faults::{FaultEvent, FaultKind, FaultPatch, FaultSchedule};
 pub use result::{ConsensusSummary, PeerRecord, SimResult, Totals};
 pub use sim::{Simulation, SEEDER_ID};
-pub use transfer::{InFlight, TransferTable};
+pub use transfer::{Advance, InFlight, TransferTable};

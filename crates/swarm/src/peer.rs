@@ -20,7 +20,7 @@
 //! (`want ∧ offer` over the arena's words) never sees a stale row.
 
 use coop_des::SimTime;
-use coop_incentives::ledger::{ContributionLedger, DeficitLedger};
+use coop_incentives::ledger::ContributionLedger;
 use coop_incentives::{Mechanism, Obligation, PeerId};
 use coop_piece::Bitfield;
 
@@ -66,10 +66,9 @@ pub struct PeerState {
     /// How many of the in-flight transfers toward this peer are
     /// conditional (will become obligations on delivery).
     pub inflight_conditional: usize,
-    /// Contribution accounting.
+    /// Contribution accounting (FairTorrent's deficits are derived from
+    /// it).
     pub ledger: ContributionLedger,
-    /// FairTorrent deficits.
-    pub deficits: DeficitLedger,
     /// Outstanding obligations (pieces this peer holds locked).
     pub obligations: Vec<Obligation>,
     /// The allocation policy. Taken out during allocation to satisfy the
@@ -119,7 +118,6 @@ impl PeerState {
             inflight: Bitfield::new(num_pieces),
             inflight_conditional: 0,
             ledger: ContributionLedger::new(),
-            deficits: DeficitLedger::new(),
             obligations: Vec::new(),
             mechanism: Some(mechanism),
             bootstrap_time: None,
@@ -267,11 +265,14 @@ impl PeerState {
         self.have.count_ones()
     }
 
-    /// Marks the first-piece bootstrap instant if not already recorded.
-    pub fn record_bootstrap(&mut self, now: SimTime) {
-        if self.bootstrap_time.is_none() {
+    /// Marks the first-piece bootstrap instant if not already recorded;
+    /// returns true when this call recorded it.
+    pub fn record_bootstrap(&mut self, now: SimTime) -> bool {
+        let first = self.bootstrap_time.is_none();
+        if first {
             self.bootstrap_time = Some(now);
         }
+        first
     }
 
     /// Folds each possession bitfield into its interval-run representation

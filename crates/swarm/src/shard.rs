@@ -20,7 +20,7 @@
 use std::ops::Range;
 
 use coop_incentives::hash::IdMap;
-use coop_incentives::ledger::{ContributionLedger, DeficitLedger, ReputationTable};
+use coop_incentives::ledger::{ContributionLedger, ReputationTable};
 use coop_incentives::{Obligation, PeerId, SwarmView};
 use coop_piece::Bitfield;
 
@@ -238,10 +238,6 @@ impl SwarmView for ShardView<'_> {
 
     fn ledger(&self) -> &ContributionLedger {
         &self.my_state().ledger
-    }
-
-    fn deficits(&self) -> &DeficitLedger {
-        &self.my_state().deficits
     }
 
     fn obligations(&self) -> &[Obligation] {

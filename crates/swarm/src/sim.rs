@@ -36,7 +36,7 @@ use crate::peer::{Departure, PeerState};
 use crate::result::{ConsensusSummary, PeerRecord, SimResult, Totals};
 use crate::shard::{self, shard_ranges, InterestCtx, ShardCtx, ShardView, SHARD_MIN_ITEMS};
 use crate::soa::{Adjacency, HotPeers, InterestWords};
-use crate::transfer::{InFlight, TransferTable};
+use crate::transfer::{Advance, InFlight, TransferTable};
 use crate::view_impl::SimView;
 
 /// The reserved id of the seeder (not a peer slot).
@@ -128,6 +128,12 @@ pub struct Simulation {
     /// Compliant peers that departed via completion (replaces the
     /// seeder-exit pass's per-round population scan).
     compliant_completed: usize,
+    /// Compliant identities spawned so far, and those of them that got a
+    /// first piece: with `compliant_completed`, the sampled fractions'
+    /// running counts. Derived from the peers, so [`Self::restore`]
+    /// recounts them.
+    compliant_slots: usize,
+    compliant_bootstrapped: usize,
     /// Run every hot-path consumer through the pre-index scans (fresh
     /// per-probe availability histograms, per-round candidate rebuilds,
     /// per-bit rarest-first picks, full peer-struct membership scans).
@@ -176,6 +182,10 @@ pub struct Simulation {
     /// — the one-branch per-round gate that keeps the epoch-settlement
     /// pass free for the six per-transfer mechanisms.
     has_epoch_cadence: bool,
+    /// True once any spawned mechanism declared an end-of-round hook
+    /// ([`Mechanism::has_round_end_hook`]); without one the indexed loop
+    /// skips the hook pass.
+    has_round_end_hooks: bool,
     /// Per-peer `on_epoch_close` invocations
     /// (`swarm.epoch.settlements`).
     epoch_settlements: u64,
@@ -304,6 +314,8 @@ impl Simulation {
             pending_arrivals: spec_count,
             open_active: 0,
             compliant_completed: 0,
+            compliant_slots: 0,
+            compliant_bootstrapped: 0,
             naive_hotpath: false,
             shards: 1,
             dirty: DirtySet::new(),
@@ -316,6 +328,7 @@ impl Simulation {
             work_productive: 0,
             work_candidate_scans: 0,
             has_epoch_cadence: false,
+            has_round_end_hooks: false,
             epoch_settlements: 0,
             epoch_boundaries: 0,
             consensus: None,
@@ -640,13 +653,17 @@ impl Simulation {
         self.epoch_settlements = s.epoch_settlements;
         self.epoch_boundaries = s.epoch_boundaries;
         self.consensus = s.consensus.clone();
-        // Derived gate: recomputed from the restored peers (future
-        // arrivals re-set it through `spawn_peer` as usual).
-        self.has_epoch_cadence = self.peers.iter().any(|p| {
-            p.mechanism
-                .as_ref()
-                .is_some_and(|m| matches!(m.settle_cadence(), SettleCadence::Epoch(_)))
-        });
+        // Derived gates and counts: recomputed from the restored peers
+        // (future arrivals update them through `spawn_peer` as usual).
+        let declares = |f: fn(&dyn Mechanism) -> bool| {
+            self.peers
+                .iter()
+                .any(|p| p.mechanism.as_deref().is_some_and(f))
+        };
+        self.has_epoch_cadence =
+            declares(|m| matches!(m.settle_cadence(), SettleCadence::Epoch(_)));
+        self.has_round_end_hooks = declares(|m| m.has_round_end_hook());
+        (self.compliant_slots, self.compliant_bootstrapped, _) = self.scan_compliant_counts();
         self.probe_prev_bytes = s.probe_prev_bytes;
         self.faults = s.faults.clone();
         self.fault_cursor = s.fault_cursor;
@@ -819,6 +836,7 @@ impl Simulation {
         if matches!(mechanism.settle_cadence(), SettleCadence::Epoch(_)) {
             self.has_epoch_cadence = true;
         }
+        self.has_round_end_hooks |= mechanism.has_round_end_hook();
         if let Some(policy) = mechanism.consensus_policy() {
             if self.consensus.is_none() {
                 self.consensus = Some(ConsensusState::new(policy));
@@ -856,6 +874,7 @@ impl Simulation {
         self.hot.push(&spec.tags, 0);
         self.adjacency.push(row);
         self.pending_arrivals -= 1;
+        self.compliant_slots += usize::from(spec.tags.compliant);
         if spec.tags.compliant || spec.tags.whitewash_interval.is_some() {
             self.open_active += 1;
         }
@@ -1161,22 +1180,9 @@ impl Simulation {
     fn round_probe(&mut self, now: SimTime) {
         let round = self.round_idx;
         let sim_s = now.as_secs_f64();
-        let mut active = 0u64;
-        let mut bootstrapped = 0u64;
-        let mut completed = 0u64;
-        for p in &self.peers {
-            if p.is_active() {
-                active += 1;
-            }
-            if p.tags.compliant {
-                if p.bootstrap_time.is_some() {
-                    bootstrapped += 1;
-                }
-                if matches!(p.departure, Some(Departure::Completed(_))) {
-                    completed += 1;
-                }
-            }
-        }
+        let active = self.hot.active_ids().len() as u64;
+        let (_, bootstrapped, completed) = self.compliant_counts();
+        let (bootstrapped, completed) = (bootstrapped as u64, completed as u64);
         let inflight = self.transfers.len() as u64;
         let bytes_by_reason_delta: Vec<u64> = self
             .totals
@@ -1446,7 +1452,8 @@ impl Simulation {
         rng: &mut dyn RngCore,
         start_new: bool,
     ) -> u64 {
-        if to == from || to == SEEDER_ID || !self.is_online(to) {
+        // `id_online` is `is_online` read off the packed flags.
+        if to == from || !self.hot.id_online(to) {
             return 0;
         }
         let mut left = bytes;
@@ -1454,12 +1461,15 @@ impl Simulation {
         let mut started_new = false;
         let mut effective_reason = reason;
         while left > 0 {
-            if let Some(fl) = self.transfers.get(from, to) {
-                let (step, reason) = (left.min(fl.remaining()), fl.reason);
+            // One row lookup moves the bytes; the accounting reads no
+            // transfer, so it may follow the step.
+            if let Some(Advance { step, reason, done }) =
+                self.transfers.advance(from, to, left, self.round_idx)
+            {
                 effective_reason = reason;
                 self.account_bytes(from, to, step);
                 self.totals.bytes_by_reason[reason.index()] += step;
-                if let Some(done) = self.transfers.progress(from, to, step, self.round_idx) {
+                if let Some(done) = done {
                     // Per-link message loss: a pure hash of (loss_seed,
                     // link, piece, round) — a no-op single branch when the
                     // schedule carries no loss probability.
@@ -1626,13 +1636,10 @@ impl Simulation {
         }
         if from == SEEDER_ID {
             self.totals.uploaded_seeder += bytes;
+        } else if self.peers[from.index() as usize].tags.compliant {
+            self.totals.uploaded_compliant += bytes;
         } else {
-            let s = &mut self.peers[from.index() as usize];
-            if s.tags.compliant {
-                self.totals.uploaded_compliant += bytes;
-            } else {
-                self.totals.uploaded_freeriders += bytes;
-            }
+            self.totals.uploaded_freeriders += bytes;
         }
         if !self.peers[to.index() as usize].tags.compliant {
             self.totals.freerider_received_raw += bytes;
@@ -1642,7 +1649,8 @@ impl Simulation {
 
     /// The per-transfer settlement entry point: the *only* place moved
     /// bytes enter the mechanism-visible ledgers (contribution ledgers,
-    /// FairTorrent deficits, reputation tables, reported receipts).
+    /// which FairTorrent's deficits derive from, reputation tables,
+    /// reported receipts).
     /// Mechanisms declaring [`SettleCadence::PerTransfer`] read these
     /// inputs directly; [`SettleCadence::Epoch`] mechanisms additionally
     /// fold them into balances at [`Self::epoch_close_pass`] boundaries.
@@ -1654,7 +1662,6 @@ impl Simulation {
             let s = &mut self.peers[from.index() as usize];
             s.bytes_sent += bytes;
             s.ledger.record_sent(to, bytes);
-            s.deficits.on_sent(to, bytes);
             self.reputation.credit_upload(from, bytes);
             if self.config.trusted_reputation {
                 self.reports.record(to, from, bytes);
@@ -1669,9 +1676,6 @@ impl Simulation {
             self.ledger_windows.push(to.index());
         }
         r.ledger.record_received(from, bytes);
-        if from != SEEDER_ID {
-            r.deficits.on_received(from, bytes);
-        }
     }
 
     fn deliver(&mut self, from: PeerId, to: PeerId, done: InFlight, now: SimTime) {
@@ -1687,7 +1691,7 @@ impl Simulation {
         // the receiver grows.
         self.mark_revisit(to);
         self.end_fetch(to, &done);
-        self.peers[to_idx].record_bootstrap(now);
+        self.record_bootstrap(to_idx, now);
 
         match done.condition {
             Some(cond) => {
@@ -1714,6 +1718,15 @@ impl Simulation {
         // obligations toward `to` (T-Chain reciprocation — key release).
         if from != SEEDER_ID {
             self.fulfill_obligation(from, to);
+        }
+    }
+
+    /// Records slot `idx`'s first piece, if this is it, and counts a
+    /// compliant peer's bootstrap.
+    fn record_bootstrap(&mut self, idx: usize, now: SimTime) {
+        let p = &mut self.peers[idx];
+        if p.record_bootstrap(now) && p.tags.compliant {
+            self.compliant_bootstrapped += 1;
         }
     }
 
@@ -2052,17 +2065,7 @@ impl Simulation {
             .seeder_failure_round
             .is_some_and(|r| self.round_idx >= r);
         let exited = self.faults.seeder_exit_fraction.is_some_and(|f| {
-            debug_assert_eq!(
-                self.compliant_completed,
-                self.peers
-                    .iter()
-                    .filter(|p| {
-                        p.tags.compliant && matches!(p.departure, Some(Departure::Completed(_)))
-                    })
-                    .count(),
-                "completion counter diverged from the departure scan"
-            );
-            let done = self.compliant_completed;
+            let (_, _, done) = self.compliant_counts();
             done > 0 && done as f64 >= f * self.expected_compliant as f64
         });
         if !(failed || exited) {
@@ -2302,9 +2305,7 @@ impl Simulation {
             peer.bytes_inherited += self.config.file.piece_len(*p);
             self.availability.on_piece_acquired(*p);
         }
-        if !have.is_empty() {
-            peer.record_bootstrap(now);
-        }
+        let bootstrapped = !have.is_empty() && peer.record_bootstrap(now);
         // Unlike a fresh arrival, a successor is not joined by the
         // existing large viewers.
         let (row, _) = self.choose_neighbors(new_id, tags.large_view);
@@ -2314,6 +2315,8 @@ impl Simulation {
         self.peers.push(peer);
         self.hot.push(&tags, have.len() as u32);
         self.adjacency.push(row);
+        self.compliant_slots += usize::from(tags.compliant);
+        self.compliant_bootstrapped += usize::from(tags.compliant && bootstrapped);
         if tags.compliant || tags.whitewash_interval.is_some() {
             self.open_active += 1;
         }
@@ -2561,50 +2564,31 @@ impl Simulation {
         // refresh the candidate lists the end-of-round views will serve.
         self.refresh_candidates();
         // Mechanism end-of-round hooks run first so they can observe this
-        // round's receipts before the ledger window rolls.
-        let ids: Vec<u32> = if self.naive_hotpath {
-            self.peers
-                .iter()
-                .filter(|p| p.is_active())
-                .map(|p| p.id.index())
-                .collect()
-        } else {
-            let ids: Vec<u32> = (0..self.hot.len())
-                .filter(|&i| self.hot.is_active(i))
-                .map(|i| i as u32)
-                .collect();
-            debug_assert_eq!(
-                ids,
+        // round's receipts before the ledger window rolls. A mechanism
+        // that declares no hook keeps the trait's empty one, so the
+        // indexed loop skips the pass when no mechanism in the run
+        // declares one; the naive oracle always runs it.
+        let hooks = self.naive_hotpath || self.has_round_end_hooks;
+        if hooks || self.has_epoch_cadence {
+            let ids: Vec<u32> = if self.naive_hotpath {
                 self.peers
                     .iter()
                     .filter(|p| p.is_active())
                     .map(|p| p.id.index())
-                    .collect::<Vec<u32>>(),
-                "SoA end-of-round id scan diverged from the peer scan"
-            );
-            ids
-        };
-        if self.shards > 1 && ids.len() >= SHARD_MIN_ITEMS {
-            self.end_round_hooks_sharded(&ids);
-        } else {
-            for &pid in &ids {
-                let idx = pid as usize;
-                let Some(mut mech) = self.peers[idx].mechanism.take() else {
-                    continue;
-                };
-                {
-                    let view = SimView::new(&*self, PeerId::new(pid));
-                    mech.on_round_end(&view);
-                }
-                self.peers[idx].mechanism = Some(mech);
+                    .collect()
+            } else {
+                self.hot.active_ids().iter().map(|id| id.index()).collect()
+            };
+            if hooks {
+                self.end_round_hooks(&ids);
             }
-        }
-        // Epoch-cadence settlement runs after the round-end hooks (same
-        // receipts visible) and before the ledger window rolls below. The
-        // gate is one branch, so the six per-transfer mechanisms pay
-        // nothing for the pass.
-        if self.has_epoch_cadence {
-            self.epoch_close_pass(&ids);
+            // Epoch-cadence settlement runs after the round-end hooks
+            // (same receipts visible) and before the ledger window rolls
+            // below. The gate is one branch, so the six per-transfer
+            // mechanisms pay nothing for the pass.
+            if self.has_epoch_cadence {
+                self.epoch_close_pass(&ids);
+            }
         }
         // Consensus report aggregation closes the round for
         // consensus-reputation populations (one branch otherwise).
@@ -2612,6 +2596,26 @@ impl Simulation {
             self.consensus_pass();
         }
         self.settle_round_boundary();
+    }
+
+    /// Calls every listed peer's [`Mechanism::on_round_end`], in `ids`
+    /// order or sharded (see [`Self::end_round_hooks_sharded`]).
+    fn end_round_hooks(&mut self, ids: &[u32]) {
+        if self.shards > 1 && ids.len() >= SHARD_MIN_ITEMS {
+            self.end_round_hooks_sharded(ids);
+            return;
+        }
+        for &pid in ids {
+            let idx = pid as usize;
+            let Some(mut mech) = self.peers[idx].mechanism.take() else {
+                continue;
+            };
+            {
+                let view = SimView::new(&*self, PeerId::new(pid));
+                mech.on_round_end(&view);
+            }
+            self.peers[idx].mechanism = Some(mech);
+        }
     }
 
     /// The end-of-round consensus pass (see [`crate::consensus`]): builds
@@ -2954,12 +2958,51 @@ impl Simulation {
         self.profiler.stop(phase::SIM_SHARD_MERGE, merge_t);
     }
 
+    /// The compliant identities spawned so far, those of them that got a
+    /// first piece and those that completed: running counters on the
+    /// indexed path (debug builds check them against
+    /// [`Self::scan_compliant_counts`]), the scan itself for the naive
+    /// oracle.
+    fn compliant_counts(&self) -> (usize, usize, usize) {
+        if self.naive_hotpath {
+            return self.scan_compliant_counts();
+        }
+        let counts = (
+            self.compliant_slots,
+            self.compliant_bootstrapped,
+            self.compliant_completed,
+        );
+        debug_assert_eq!(
+            counts,
+            self.scan_compliant_counts(),
+            "compliant counters diverged from the peer scan"
+        );
+        counts
+    }
+
+    /// [`Self::compliant_counts`] by a walk over every peer struct.
+    fn scan_compliant_counts(&self) -> (usize, usize, usize) {
+        let compliant = self.peers.iter().filter(|p| p.tags.compliant);
+        compliant.fold((0, 0, 0), |(n, boot, done), p| {
+            (
+                n + 1,
+                boot + usize::from(p.bootstrap_time.is_some()),
+                done + usize::from(matches!(p.departure, Some(Departure::Completed(_)))),
+            )
+        })
+    }
+
     fn sample_metrics(&mut self, now: SimTime) {
         let t = now.as_secs_f64();
+        // The active compliant peers in ascending id order, as a scan of
+        // every peer struct would list them (so the float sums below are
+        // the same).
         let active_pairs: Vec<(f64, f64)> = self
-            .peers
+            .hot
+            .active_ids()
             .iter()
-            .filter(|p| p.is_active() && p.tags.compliant)
+            .map(|id| &self.peers[id.index() as usize])
+            .filter(|p| p.tags.compliant)
             .map(|p| (p.bytes_sent as f64, p.bytes_received_usable as f64))
             .collect();
         if let Some(avg) = coop_incentives::metrics::avg_fairness_ratio(&active_pairs) {
@@ -2969,22 +3012,14 @@ impl Simulation {
         if f.is_finite() {
             self.fairness_stat.push(t, f);
         }
-        let compliant: Vec<&PeerState> = self.peers.iter().filter(|p| p.tags.compliant).collect();
+        let (compliant, boot, done) = self.compliant_counts();
         // Denominator: the whole expected compliant population, so the
         // fraction is monotone even while arrivals are still trickling in
         // (the paper's Fig. 4c plots fractions of all 1000 users).
-        let total = self.expected_compliant.max(compliant.len()) as f64;
+        let total = self.expected_compliant.max(compliant) as f64;
         if total > 0.0 {
-            let boot = compliant
-                .iter()
-                .filter(|p| p.bootstrap_time.is_some())
-                .count() as f64;
-            let done = compliant
-                .iter()
-                .filter(|p| matches!(p.departure, Some(Departure::Completed(_))))
-                .count() as f64;
-            self.bootstrapped_frac.push(t, boot / total);
-            self.completed_frac.push(t, done / total);
+            self.bootstrapped_frac.push(t, boot as f64 / total);
+            self.completed_frac.push(t, done as f64 / total);
         }
         // Susceptibility samples below a small denominator floor are
         // noise (a handful of early pieces), not a bandwidth share.
@@ -3058,7 +3093,7 @@ impl Simulation {
             });
             // End-of-run state dumps (the structured successor of the old
             // COOP_SWARM_DEBUG eprintln blocks).
-            for (&(from, to), fl) in self.transfers.iter() {
+            for ((from, to), fl) in self.transfers.iter() {
                 let from_active = from == SEEDER_ID || self.is_active(from);
                 let (piece, bytes_done, piece_len) = (fl.piece, fl.bytes_done, fl.piece_len);
                 let (reason, conditional) = (fl.reason.name(), fl.condition.is_some());

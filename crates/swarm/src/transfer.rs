@@ -5,9 +5,6 @@
 //! reached. One transfer is in flight per (uploader, downloader) pair at a
 //! time, mirroring a single pipelined request.
 
-use std::collections::BTreeSet;
-
-use coop_incentives::hash::IdMap;
 use coop_incentives::{GrantReason, PeerId, ReciprocationCondition};
 
 /// A partially transferred piece.
@@ -35,20 +32,82 @@ impl InFlight {
     }
 }
 
-/// All in-flight transfers, keyed by (uploader, downloader), with a
-/// per-uploader index so a peer can cheaply enumerate its outgoing
-/// partials and a per-downloader index so a departure touches only the
-/// transfers involving the departing peer.
+/// One slot of an uploader's row: a target and the transfer in flight
+/// toward it, or `None` for a stale target [`TransferTable::drain_stalled`]
+/// left behind.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    to: PeerId,
+    flight: Option<InFlight>,
+}
+
+/// One uploader's targets, ascending.
+#[derive(Clone, Debug, Default)]
+struct Row {
+    entries: Vec<Entry>,
+    /// Entries that hold a transfer.
+    live: u32,
+    /// On [`TransferTable::listed`].
+    listed: bool,
+    /// On [`TransferTable::busy`].
+    busy: bool,
+}
+
+impl Row {
+    fn find(&self, to: PeerId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&to, |e| e.to)
+    }
+}
+
+/// The outcome of one [`TransferTable::advance`] step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Advance {
+    /// Bytes moved: the requested maximum or the piece's remainder,
+    /// whichever is smaller.
+    pub step: u64,
+    /// Mechanism component that started the transfer.
+    pub reason: GrantReason,
+    /// The transfer, when this step completed its piece (it has then left
+    /// the table).
+    pub done: Option<InFlight>,
+}
+
+/// The row index of a peer id: the seeder (`u32::MAX`) is lane 0 and peer
+/// slot `i` is lane `i + 1`, so every uploader, the seeder included, has
+/// a row of its own.
+fn lane(id: PeerId) -> usize {
+    id.index().wrapping_add(1) as usize
+}
+
+/// The peer id of a lane ([`lane`] inverted).
+fn lane_id(lane: usize) -> PeerId {
+    PeerId::new((lane as u32).wrapping_sub(1))
+}
+
+/// All in-flight transfers, in one row per uploader indexed by peer slot
+/// (the seeder has its own row) and sorted by target, plus a source list
+/// per downloader so a departure touches only the transfers involving the
+/// departing peer. Both are sized lazily, to the largest slot that has
+/// uploaded or downloaded.
 ///
-/// The per-uploader index may keep targets whose transfer
-/// [`Self::drain_stalled`] removed (a later completion or drop of the
-/// same pair clears them); [`Self::targets_into`] callers find no transfer
-/// for such a target. The per-downloader index is exact.
+/// A row may keep targets whose transfer [`Self::drain_stalled`] removed
+/// (a later completion or drop of the same pair clears them);
+/// [`Self::targets_into`] and [`Self::uploaders`] still report them, and
+/// callers find no transfer for such a target. The source lists are
+/// exact.
 #[derive(Clone, Debug, Default)]
 pub struct TransferTable {
-    inner: IdMap<(PeerId, PeerId), InFlight>,
-    by_uploader: IdMap<PeerId, BTreeSet<PeerId>>,
-    by_downloader: IdMap<PeerId, Vec<PeerId>>,
+    rows: Vec<Row>,
+    /// By downloader lane: the uploaders with a transfer toward it.
+    sources: Vec<Vec<PeerId>>,
+    /// Every uploader whose row holds an entry, perhaps with uploaders
+    /// whose row has since emptied (dropped by [`Self::drain_stalled`]).
+    listed: Vec<PeerId>,
+    /// Every uploader with a transfer in flight, perhaps with uploaders
+    /// whose transfers have since ended (dropped by
+    /// [`Self::drain_stalled`]).
+    busy: Vec<PeerId>,
+    len: usize,
 }
 
 impl TransferTable {
@@ -59,61 +118,91 @@ impl TransferTable {
 
     /// The transfer currently in flight from `from` to `to`, if any.
     pub fn get(&self, from: PeerId, to: PeerId) -> Option<&InFlight> {
-        self.inner.get(&(from, to))
+        let row = self.rows.get(lane(from))?;
+        row.entries[row.find(to).ok()?].flight.as_ref()
     }
 
-    /// Starts a transfer; replaces any previous entry for the pair.
+    /// Starts a transfer.
     ///
     /// # Panics
     ///
     /// Panics if a transfer is already in flight for the pair (callers
     /// must finish or abort it first).
     pub fn start(&mut self, from: PeerId, to: PeerId, inflight: InFlight) {
-        let prev = self.inner.insert((from, to), inflight);
-        assert!(
-            prev.is_none(),
-            "transfer already in flight from {from} to {to}"
-        );
-        self.by_uploader.entry(from).or_default().insert(to);
-        self.by_downloader.entry(to).or_default().push(from);
+        let l = lane(from);
+        if self.rows.len() <= l {
+            self.rows.resize_with(l + 1, Row::default);
+        }
+        let row = &mut self.rows[l];
+        match row.find(to) {
+            Ok(i) => {
+                let slot = &mut row.entries[i].flight;
+                assert!(
+                    slot.is_none(),
+                    "transfer already in flight from {from} to {to}"
+                );
+                *slot = Some(inflight);
+            }
+            Err(i) => row.entries.insert(
+                i,
+                Entry {
+                    to,
+                    flight: Some(inflight),
+                },
+            ),
+        }
+        row.live += 1;
+        if !row.listed {
+            row.listed = true;
+            self.listed.push(from);
+        }
+        if !row.busy {
+            row.busy = true;
+            self.busy.push(from);
+        }
+        let d = lane(to);
+        if self.sources.len() <= d {
+            self.sources.resize_with(d + 1, Vec::new);
+        }
+        self.sources[d].push(from);
+        self.len += 1;
     }
 
-    /// Replaces the contents of `out` with the downloaders this uploader
-    /// currently has partials toward, in id order (deterministic). `out`
-    /// is caller-owned, so a steady-state drain allocates nothing.
+    /// Replaces the contents of `out` with the targets of this uploader's
+    /// row, in id order (deterministic). `out` is caller-owned, so a
+    /// steady-state drain allocates nothing.
     pub fn targets_into(&self, from: PeerId, out: &mut Vec<PeerId>) {
         out.clear();
-        if let Some(set) = self.by_uploader.get(&from) {
-            out.extend(set.iter().copied());
+        if let Some(row) = self.rows.get(lane(from)) {
+            out.extend(row.entries.iter().map(|e| e.to));
         }
     }
 
-    /// All uploaders that currently have outgoing partials (unordered —
-    /// callers wanting determinism must sort or treat the set as a set).
+    /// All uploaders whose row holds a target (unordered — callers wanting
+    /// determinism must sort or treat the set as a set).
     pub fn uploaders(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.by_uploader.keys().copied()
+        self.listed
+            .iter()
+            .copied()
+            .filter(|&up| !self.rows[lane(up)].entries.is_empty())
     }
 
-    /// Removes the pair from both indexes (its transfer left `inner`).
-    fn unindex(&mut self, from: PeerId, to: PeerId) {
-        if let Some(set) = self.by_uploader.get_mut(&from) {
-            set.remove(&to);
-            if set.is_empty() {
-                self.by_uploader.remove(&from);
-            }
-        }
-        self.unindex_downloader(from, to);
-    }
-
-    fn unindex_downloader(&mut self, from: PeerId, to: PeerId) {
-        if let Some(sources) = self.by_downloader.get_mut(&to) {
-            if let Some(i) = sources.iter().position(|&f| f == from) {
-                sources.swap_remove(i);
-            }
-            if sources.is_empty() {
-                self.by_downloader.remove(&to);
-            }
-        }
+    /// Moves up to `max` bytes of the transfer from `from` to `to`,
+    /// stamping `round` as its last progress, with one row lookup. Returns
+    /// `None` when no transfer is in flight for the pair; otherwise the
+    /// bytes moved, the transfer's reason and, when the piece finished,
+    /// the transfer (removed from the table).
+    pub fn advance(&mut self, from: PeerId, to: PeerId, max: u64, round: u64) -> Option<Advance> {
+        let l = lane(from);
+        let row = self.rows.get_mut(l)?;
+        let i = row.find(to).ok()?;
+        let fl = row.entries[i].flight.as_mut()?;
+        let step = max.min(fl.remaining());
+        fl.bytes_done += step;
+        fl.last_progress_round = round;
+        let reason = fl.reason;
+        let done = (fl.bytes_done == fl.piece_len).then(|| self.complete(l, i));
+        Some(Advance { step, reason, done })
     }
 
     /// Adds `bytes` of progress; returns the completed transfer when the
@@ -130,89 +219,121 @@ impl TransferTable {
         bytes: u64,
         round: u64,
     ) -> Option<InFlight> {
-        let entry = self
-            .inner
-            .get_mut(&(from, to))
-            .unwrap_or_else(|| panic!("no transfer in flight from {from} to {to}"));
+        let remaining = self
+            .get(from, to)
+            .unwrap_or_else(|| panic!("no transfer in flight from {from} to {to}"))
+            .remaining();
         assert!(
-            bytes <= entry.remaining(),
-            "progress {bytes} exceeds remaining {}",
-            entry.remaining()
+            bytes <= remaining,
+            "progress {bytes} exceeds remaining {remaining}"
         );
-        entry.bytes_done += bytes;
-        entry.last_progress_round = round;
-        if entry.bytes_done == entry.piece_len {
-            let done = self.inner.remove(&(from, to));
-            self.unindex(from, to);
-            done
-        } else {
-            None
-        }
+        self.advance(from, to, bytes, round)
+            .expect("transfer just found")
+            .done
+    }
+
+    /// Removes entry `i` of lane `l`'s row (which holds a transfer) and
+    /// its source-list entry, returning the transfer.
+    fn complete(&mut self, l: usize, i: usize) -> InFlight {
+        let row = &mut self.rows[l];
+        let Entry { to, flight } = row.entries.remove(i);
+        row.live -= 1;
+        unlist_source(&mut self.sources[lane(to)], lane_id(l));
+        self.len -= 1;
+        flight.expect("completed entry holds a transfer")
     }
 
     /// Removes and returns every transfer whose last progress is older
     /// than `before` (stalled requests a real client would re-issue), in
-    /// pair order. The uploader's index keeps the drained target (see the
-    /// type docs).
+    /// pair order. Each drained target stays in its uploader's row (see
+    /// the type docs). Visits only the uploaders with a transfer in
+    /// flight.
     pub fn drain_stalled(&mut self, before: u64) -> Vec<((PeerId, PeerId), InFlight)> {
-        let mut keys: Vec<(PeerId, PeerId)> = self
-            .inner
-            .iter()
-            .filter(|(_, fl)| fl.last_progress_round < before)
-            .map(|(&k, _)| k)
-            .collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|(from, to)| {
-                self.unindex_downloader(from, to);
-                let fl = self.inner.remove(&(from, to)).expect("key just listed");
-                ((from, to), fl)
-            })
-            .collect()
+        let mut out = Vec::new();
+        let (rows, sources, len) = (&mut self.rows, &mut self.sources, &mut self.len);
+        self.busy.retain(|&up| {
+            let row = &mut rows[lane(up)];
+            if row.live > 0 {
+                for e in &mut row.entries {
+                    if e.flight.is_some_and(|fl| fl.last_progress_round < before) {
+                        let fl = e.flight.take().expect("just checked");
+                        unlist_source(&mut sources[lane(e.to)], up);
+                        row.live -= 1;
+                        *len -= 1;
+                        out.push(((up, e.to), fl));
+                    }
+                }
+            }
+            row.busy = row.live > 0;
+            row.busy
+        });
+        self.listed.retain(|&up| {
+            let row = &mut rows[lane(up)];
+            row.listed = !row.entries.is_empty();
+            row.listed
+        });
+        out.sort_unstable_by_key(|&(pair, _)| pair);
+        out
     }
 
     /// Drops every transfer involving `peer` (departure/whitewash),
     /// returning the dropped entries as `((from, to), transfer)` pairs in
-    /// pair order. Only `peer`'s own index entries are visited.
+    /// pair order. Only `peer`'s own row and source list are visited;
+    /// stale targets in `peer`'s row stay.
     pub fn drop_peer(&mut self, peer: PeerId) -> Vec<((PeerId, PeerId), InFlight)> {
-        let mut keys: Vec<(PeerId, PeerId)> = self
-            .by_uploader
-            .get(&peer)
-            .into_iter()
-            .flatten()
-            .map(|&to| (peer, to))
-            .chain(
-                self.by_downloader
-                    .get(&peer)
-                    .into_iter()
-                    .flatten()
-                    .map(|&from| (from, peer)),
-            )
-            .filter(|k| self.inner.contains_key(k))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.into_iter()
-            .map(|k| {
-                self.unindex(k.0, k.1);
-                (k, self.inner.remove(&k).expect("key just listed"))
-            })
-            .collect()
+        let mut out = Vec::new();
+        if let Some(row) = self.rows.get_mut(lane(peer)) {
+            let sources = &mut self.sources;
+            row.entries.retain(|e| match e.flight {
+                Some(fl) => {
+                    unlist_source(&mut sources[lane(e.to)], peer);
+                    out.push(((peer, e.to), fl));
+                    false
+                }
+                None => true,
+            });
+            row.live = 0;
+        }
+        if let Some(from_list) = self.sources.get_mut(lane(peer)) {
+            for from in std::mem::take(from_list) {
+                let row = &mut self.rows[lane(from)];
+                let i = row.find(peer).expect("source lists name live rows");
+                let Entry { flight, .. } = row.entries.remove(i);
+                row.live -= 1;
+                out.push(((from, peer), flight.expect("source lists are exact")));
+            }
+        }
+        self.len -= out.len();
+        out.sort_unstable_by_key(|&(pair, _)| pair);
+        out
     }
 
-    /// Iterates over all in-flight transfers.
-    pub fn iter(&self) -> impl Iterator<Item = (&(PeerId, PeerId), &InFlight)> {
-        self.inner.iter()
+    /// Iterates over all in-flight transfers in pair order.
+    pub fn iter(&self) -> impl Iterator<Item = ((PeerId, PeerId), &InFlight)> {
+        let peers = self.rows.iter().enumerate().skip(1);
+        let seeder = self.rows.iter().enumerate().take(1);
+        peers.chain(seeder).flat_map(|(l, row)| {
+            row.entries
+                .iter()
+                .filter_map(move |e| Some(((lane_id(l), e.to), e.flight.as_ref()?)))
+        })
     }
 
     /// Number of in-flight transfers.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.len
     }
 
     /// Returns true when nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.len == 0
+    }
+}
+
+/// Removes `from` from one downloader's source list.
+fn unlist_source(list: &mut Vec<PeerId>, from: PeerId) {
+    if let Some(i) = list.iter().position(|&f| f == from) {
+        list.swap_remove(i);
     }
 }
 
@@ -297,6 +418,73 @@ mod tests {
         assert_eq!(stalled.len(), 1);
         assert_eq!(stalled[0].0, (p(0), p(1)));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn advance_moves_at_most_the_remainder() {
+        let mut t = TransferTable::new();
+        assert_eq!(t.advance(p(0), p(1), 50, 0), None, "no transfer yet");
+        t.start(p(0), p(1), flight(3, 100));
+        let a = t.advance(p(0), p(1), 60, 4).expect("in flight");
+        assert_eq!(
+            (a.step, a.reason, a.done),
+            (60, GrantReason::Altruism, None)
+        );
+        let fl = t.get(p(0), p(1)).unwrap();
+        assert_eq!((fl.bytes_done, fl.last_progress_round), (60, 4));
+        let a = t.advance(p(0), p(1), 500, 5).expect("in flight");
+        assert_eq!(a.step, 40, "clamped to the remainder");
+        assert_eq!(a.done.map(|d| (d.piece, d.bytes_done)), Some((3, 100)));
+        assert!(t.is_empty());
+        assert_eq!(t.advance(p(0), p(1), 1, 6), None);
+    }
+
+    #[test]
+    fn seeder_has_a_row_of_its_own() {
+        let seeder = PeerId::new(u32::MAX);
+        let mut t = TransferTable::new();
+        t.start(seeder, p(2), flight(0, 100));
+        t.start(p(2), p(0), flight(1, 100));
+        t.start(seeder, p(0), flight(2, 100));
+        let mut out = Vec::new();
+        t.targets_into(seeder, &mut out);
+        assert_eq!(out, vec![p(0), p(2)]);
+        let mut ups: Vec<PeerId> = t.uploaders().collect();
+        ups.sort();
+        assert_eq!(ups, vec![p(2), seeder]);
+        let pairs: Vec<(PeerId, PeerId)> = t.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            pairs,
+            vec![(p(2), p(0)), (seeder, p(0)), (seeder, p(2))],
+            "pair order puts the seeder's row last"
+        );
+        let dropped: Vec<_> = t.drop_peer(p(0)).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(dropped, vec![(p(2), p(0)), (seeder, p(0))]);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn stalled_targets_stay_listed_until_the_pair_ends() {
+        let mut t = TransferTable::new();
+        t.start(p(0), p(1), flight(0, 100));
+        t.start(p(0), p(2), flight(1, 100));
+        t.progress(p(0), p(2), 10, 9);
+        assert_eq!(t.drain_stalled(5).len(), 1);
+        let mut out = Vec::new();
+        t.targets_into(p(0), &mut out);
+        assert_eq!(out, vec![p(1), p(2)], "the stalled target stays");
+        assert!(t.get(p(0), p(1)).is_none());
+        // A departure of the stale target's uploader keeps the entry too.
+        t.drain_stalled(10);
+        assert!(t.is_empty());
+        assert!(t.drop_peer(p(0)).is_empty());
+        assert_eq!(t.uploaders().collect::<Vec<_>>(), vec![p(0)]);
+        // Restarting the pair reuses the entry; completing it clears it.
+        t.start(p(0), p(1), flight(2, 100));
+        assert_eq!(t.len(), 1);
+        t.progress(p(0), p(1), 100, 11);
+        t.targets_into(p(0), &mut out);
+        assert_eq!(out, vec![p(2)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The production [`SwarmView`] handed to mechanisms during allocation.
 
-use coop_incentives::ledger::{ContributionLedger, DeficitLedger};
+use coop_incentives::ledger::ContributionLedger;
 use coop_incentives::{Obligation, PeerId, SwarmView};
 
 use crate::sim::Simulation;
@@ -62,10 +62,6 @@ impl SwarmView for SimView<'_> {
 
     fn ledger(&self) -> &ContributionLedger {
         &self.my_state().ledger
-    }
-
-    fn deficits(&self) -> &DeficitLedger {
-        &self.my_state().deficits
     }
 
     fn obligations(&self) -> &[Obligation] {

@@ -286,9 +286,18 @@ fn needs_per_piece(sim: &Simulation, who: PeerId, from: PeerId) -> bool {
 }
 
 /// One `TransferTable` operation: `(op, a, b, x)` with peers drawn from a
-/// small id range so pairs collide often.
+/// small id range so pairs collide often; id 6 stands for the seeder.
 fn transfer_op() -> impl Strategy<Value = (u8, u32, u32, u64)> {
-    (0u8..8, 0u32..6, 0u32..6, 1u64..120)
+    (0u8..9, 0u32..7, 0u32..7, 1u64..120)
+}
+
+/// The peer id a [`transfer_op`] id names.
+fn op_peer(i: u32) -> PeerId {
+    if i == 6 {
+        SEEDER_ID
+    } else {
+        PeerId::new(i)
+    }
 }
 
 proptest! {
@@ -326,11 +335,13 @@ proptest! {
         }
     }
 
-    /// `TransferTable` against a plain pair-list oracle under random
-    /// start / progress / drain_stalled / drop_peer sequences. Lookups and
-    /// lengths must match, `drop_peer` and `drain_stalled` must return
-    /// exactly the oracle's pairs in pair order, and `targets_into` must be
-    /// ascending and equal a model of the uploader index, which keeps a
+    /// `TransferTable` (one row per uploader, the seeder's included)
+    /// against a `BTreeMap` pair model under random start / progress /
+    /// advance / drain_stalled / drop_peer sequences. Lookups, lengths and
+    /// pair-ordered iteration must match, `advance` must move the
+    /// model's clamped step, `drop_peer` and `drain_stalled` must return
+    /// exactly the model's pairs in pair order, and `targets_into` must be
+    /// ascending and equal a model of the uploader rows, which keep a
     /// target after `drain_stalled` until that pair completes or drops.
     #[test]
     fn transfer_table_matches_pair_list_oracle(
@@ -345,83 +356,94 @@ proptest! {
             reason: GrantReason::Altruism,
             last_progress_round: round,
         };
+        let ids: Vec<PeerId> = (0..7).map(op_peer).collect();
         let mut table = TransferTable::new();
-        let mut oracle: Vec<((PeerId, PeerId), InFlight)> = Vec::new();
-        let mut index: BTreeMap<PeerId, BTreeSet<PeerId>> = BTreeMap::new();
-        let unindex = |index: &mut BTreeMap<PeerId, BTreeSet<PeerId>>, (f, t): (PeerId, PeerId)| {
-            if let Some(set) = index.get_mut(&f) {
+        let mut model: BTreeMap<(PeerId, PeerId), InFlight> = BTreeMap::new();
+        let mut rows: BTreeMap<PeerId, BTreeSet<PeerId>> = BTreeMap::new();
+        let unlist = |rows: &mut BTreeMap<PeerId, BTreeSet<PeerId>>, (f, t): (PeerId, PeerId)| {
+            if let Some(set) = rows.get_mut(&f) {
                 set.remove(&t);
                 if set.is_empty() {
-                    index.remove(&f);
+                    rows.remove(&f);
                 }
             }
         };
         for (round, &(op, a, b, x)) in ops.iter().enumerate() {
             let round = round as u64;
-            let (a, b) = (PeerId::new(a), PeerId::new(b));
-            let pos = oracle.iter().position(|(k, _)| *k == (a, b));
+            let (a, b) = (op_peer(a), op_peer(b));
+            let live = model.contains_key(&(a, b));
             match op {
-                0..=2 if a != b && pos.is_none() => {
+                0..=2 if a != b && !live => {
                     table.start(a, b, flight(x as u32, round));
-                    oracle.push(((a, b), flight(x as u32, round)));
-                    index.entry(a).or_default().insert(b);
+                    model.insert((a, b), flight(x as u32, round));
+                    rows.entry(a).or_default().insert(b);
                 }
-                3..=4 if pos.is_some() => {
-                    let i = pos.unwrap();
-                    let bytes = x.min(oracle[i].1.remaining());
-                    let done = table.progress(a, b, bytes, round);
-                    oracle[i].1.bytes_done += bytes;
-                    oracle[i].1.last_progress_round = round;
-                    if oracle[i].1.remaining() == 0 {
-                        let (k, fl) = oracle.remove(i);
-                        prop_assert_eq!(done, Some(fl));
-                        unindex(&mut index, k);
+                3..=4 if live => {
+                    let fl = model.get_mut(&(a, b)).unwrap();
+                    let step = x.min(fl.remaining());
+                    fl.bytes_done += step;
+                    fl.last_progress_round = round;
+                    let done = (fl.remaining() == 0).then_some(*fl);
+                    if done.is_some() {
+                        model.remove(&(a, b));
+                        unlist(&mut rows, (a, b));
+                    }
+                    if op == 3 {
+                        prop_assert_eq!(table.progress(a, b, step, round), done);
                     } else {
-                        prop_assert_eq!(done, None);
+                        let got = table.advance(a, b, x, round).expect("pair in flight");
+                        prop_assert_eq!(
+                            (got.step, got.reason, got.done),
+                            (step, GrantReason::Altruism, done)
+                        );
                     }
                 }
+                4 | 8 if !live => prop_assert_eq!(table.advance(a, b, x, round), None),
                 5 => {
                     let before = round.saturating_sub(x % 8);
-                    let mut want: Vec<_> = oracle
+                    let want: Vec<_> = model
                         .iter()
                         .filter(|(_, fl)| fl.last_progress_round < before)
-                        .copied()
+                        .map(|(&k, &fl)| (k, fl))
                         .collect();
-                    want.sort_by_key(|(k, _)| *k);
-                    oracle.retain(|(_, fl)| fl.last_progress_round >= before);
+                    model.retain(|_, fl| fl.last_progress_round >= before);
                     prop_assert_eq!(table.drain_stalled(before), want);
                 }
                 6..=7 => {
-                    let mut want: Vec<_> = oracle
+                    let want: Vec<_> = model
                         .iter()
                         .filter(|((f, t), _)| *f == a || *t == a)
-                        .copied()
+                        .map(|(&k, &fl)| (k, fl))
                         .collect();
-                    want.sort_by_key(|(k, _)| *k);
-                    oracle.retain(|((f, t), _)| *f != a && *t != a);
+                    model.retain(|(f, t), _| *f != a && *t != a);
                     for &(k, _) in &want {
-                        unindex(&mut index, k);
+                        unlist(&mut rows, k);
                     }
                     prop_assert_eq!(table.drop_peer(a), want);
                 }
                 _ => {}
             }
-            prop_assert_eq!(table.len(), oracle.len());
-            for &((f, t), fl) in &oracle {
-                prop_assert_eq!(table.get(f, t), Some(&fl));
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.is_empty(), model.is_empty());
+            for &f in &ids {
+                for &t in &ids {
+                    prop_assert_eq!(table.get(f, t), model.get(&(f, t)));
+                }
             }
-            for id in 0..6 {
-                let up = PeerId::new(id);
+            let listed: Vec<_> = table.iter().map(|(k, &fl)| (k, fl)).collect();
+            let expected: Vec<_> = model.iter().map(|(&k, &fl)| (k, fl)).collect();
+            prop_assert_eq!(listed, expected);
+            for &up in &ids {
                 let mut targets = vec![PeerId::new(99)];
                 table.targets_into(up, &mut targets);
                 prop_assert!(targets.windows(2).all(|w| w[0] < w[1]), "{:?}", targets);
-                let model: Vec<PeerId> =
-                    index.get(&up).map(|s| s.iter().copied().collect()).unwrap_or_default();
-                prop_assert_eq!(targets, model);
+                let row: Vec<PeerId> =
+                    rows.get(&up).map(|s| s.iter().copied().collect()).unwrap_or_default();
+                prop_assert_eq!(targets, row);
             }
             let mut uploaders: Vec<PeerId> = table.uploaders().collect();
             uploaders.sort();
-            prop_assert_eq!(uploaders, index.keys().copied().collect::<Vec<_>>());
+            prop_assert_eq!(uploaders, rows.keys().copied().collect::<Vec<_>>());
         }
     }
 }

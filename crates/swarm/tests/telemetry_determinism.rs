@@ -104,3 +104,28 @@ fn sinks_stream_during_the_run() {
         coop_telemetry::json::parse(&line).expect("sink events render valid JSONL");
     }
 }
+
+#[test]
+fn inflight_at_end_events_come_in_pair_order() {
+    let mut config = SwarmConfig::tiny_test();
+    config.max_rounds = 4;
+    let population = flash_crowd(&config, 24, MechanismKind::BitTorrent, 5);
+    let (_, report) = Simulation::builder(config)
+        .population(population)
+        .recorder(Recorder::enabled(TelemetryConfig::default()))
+        .build()
+        .expect("valid setup")
+        .run_traced();
+    let pairs: Vec<(u32, u32)> = report
+        .events_in(Category::Final)
+        .filter_map(|e| match e {
+            TraceEvent::InflightAtEnd { from, to, .. } => Some((*from, *to)),
+            _ => None,
+        })
+        .collect();
+    assert!(pairs.len() > 1, "the run ends with transfers in flight");
+    assert!(
+        pairs.windows(2).all(|w| w[0] < w[1]),
+        "InflightAtEnd events out of pair order: {pairs:?}"
+    );
+}
