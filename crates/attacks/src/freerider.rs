@@ -1,6 +1,6 @@
 //! The free-riding client.
 
-use coop_incentives::{Grant, Mechanism, MechanismKind, SwarmView};
+use coop_incentives::{AllocScratch, Grant, Mechanism, MechanismKind, SwarmView};
 use rand::RngCore;
 
 /// A client that participates in the swarm protocol but never uploads.
@@ -41,13 +41,14 @@ impl Mechanism for FreeRider {
         self.mimics
     }
 
-    fn allocate(
+    fn allocate_into(
         &mut self,
         _view: &dyn SwarmView,
         _budget: u64,
         _rng: &mut dyn RngCore,
-    ) -> Vec<Grant> {
-        Vec::new()
+        _scratch: &mut AllocScratch,
+        _out: &mut Vec<Grant>,
+    ) {
     }
 
     // Always returns nothing and touches nothing: the dirty-set round
@@ -61,61 +62,98 @@ impl Mechanism for FreeRider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coop_incentives::ledger::ContributionLedger;
+    use coop_incentives::{AllocScratch, Obligation, PeerId};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    /// A minimal view double: every neighbor is interested in everything,
+    /// and the ledger must never be consulted.
+    struct NullView {
+        neighbors: Vec<PeerId>,
+    }
+
+    impl SwarmView for NullView {
+        fn me(&self) -> PeerId {
+            PeerId::new(0)
+        }
+        fn round(&self) -> u64 {
+            0
+        }
+        fn neighbors(&self) -> &[PeerId] {
+            &self.neighbors
+        }
+        fn peer_needs_from_me(&self, _: PeerId) -> bool {
+            true
+        }
+        fn i_need_from(&self, _: PeerId) -> bool {
+            true
+        }
+        fn peer_needs_from(&self, _: PeerId, _: PeerId) -> bool {
+            true
+        }
+        fn piece_count(&self, _: PeerId) -> u32 {
+            0
+        }
+        fn reputation(&self, _: PeerId) -> f64 {
+            0.0
+        }
+        fn ledger(&self) -> &ContributionLedger {
+            unreachable!("free-rider never consults the ledger")
+        }
+        fn obligations(&self) -> &[Obligation] {
+            &[]
+        }
+        fn uploading_to(&self, _: PeerId) -> bool {
+            false
+        }
+        fn obligation_count(&self, _: PeerId) -> usize {
+            0
+        }
+        fn piece_size(&self) -> u64 {
+            1000
+        }
+    }
 
     #[test]
     fn never_uploads() {
-        // A minimal inline view double: the free-rider must return no
-        // grants regardless of budget.
-        struct NullView;
-        impl SwarmView for NullView {
-            fn me(&self) -> coop_incentives::PeerId {
-                coop_incentives::PeerId::new(0)
-            }
-            fn round(&self) -> u64 {
-                0
-            }
-            fn neighbors(&self) -> &[coop_incentives::PeerId] {
-                const NEIGHBORS: [coop_incentives::PeerId; 1] = [coop_incentives::PeerId::new(1)];
-                &NEIGHBORS
-            }
-            fn peer_needs_from_me(&self, _: coop_incentives::PeerId) -> bool {
-                true
-            }
-            fn i_need_from(&self, _: coop_incentives::PeerId) -> bool {
-                true
-            }
-            fn peer_needs_from(
-                &self,
-                _: coop_incentives::PeerId,
-                _: coop_incentives::PeerId,
-            ) -> bool {
-                true
-            }
-            fn piece_count(&self, _: coop_incentives::PeerId) -> u32 {
-                0
-            }
-            fn reputation(&self, _: coop_incentives::PeerId) -> f64 {
-                0.0
-            }
-            fn ledger(&self) -> &coop_incentives::ledger::ContributionLedger {
-                unreachable!("free-rider never consults the ledger")
-            }
-            fn obligations(&self) -> &[coop_incentives::Obligation] {
-                &[]
-            }
-            fn uploading_to(&self, _: coop_incentives::PeerId) -> bool {
-                false
-            }
-            fn obligation_count(&self, _: coop_incentives::PeerId) -> usize {
-                0
-            }
-            fn piece_size(&self) -> u64 {
-                1000
-            }
-        }
+        // The free-rider must return no grants regardless of budget.
+        let view = NullView {
+            neighbors: vec![PeerId::new(1)],
+        };
         let mut fr = FreeRider::new(MechanismKind::TChain);
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        assert!(fr.allocate(&NullView, 1_000_000, &mut rng).is_empty());
+        assert!(fr.allocate(&view, 1_000_000, &mut rng).is_empty());
+    }
+
+    proptest! {
+        /// Equivalence with the pre-`allocate_into` body, which returned
+        /// `Vec::new()`: whatever the budget and neighborhood, the kernel
+        /// appends nothing to the caller's buffer and draws nothing.
+        #[test]
+        fn allocate_into_matches_the_empty_oracle(
+            budget in 0u64..10_000_000,
+            degree in 0u32..40,
+            seed in any::<u64>(),
+            kind in 0usize..6,
+        ) {
+            let view = NullView {
+                neighbors: (1..=degree).map(PeerId::new).collect(),
+            };
+            let mut fr = FreeRider::new(MechanismKind::ALL[kind]);
+            let (mut rng, mut untouched) =
+                (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            let sentinel = coop_incentives::Grant::new(
+                PeerId::new(7),
+                1,
+                coop_incentives::GrantReason::Seeding,
+            );
+            let mut out = vec![sentinel];
+            fr.allocate_into(&view, budget, &mut rng, &mut AllocScratch::default(), &mut out);
+            prop_assert_eq!(out, vec![sentinel]);
+            prop_assert_eq!(rng.next_u64(), untouched.next_u64());
+        }
     }
 
     #[test]

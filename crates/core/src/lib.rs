@@ -60,7 +60,7 @@ mod view;
 pub use class::{ExpectedPerformance, MechanismClass, MechanismKind, Rating};
 pub use ids::PeerId;
 pub use mechanism::{
-    build_mechanism, ConsensusPolicy, Grant, GrantReason, Mechanism, MechanismParams,
+    build_mechanism, AllocScratch, ConsensusPolicy, Grant, GrantReason, Mechanism, MechanismParams,
     ReciprocationCondition, SettleCadence,
 };
-pub use view::{Obligation, SwarmView};
+pub use view::{collect_interested, Obligation, SwarmView};

@@ -2,7 +2,7 @@
 
 use rand::RngCore;
 
-use crate::view::SwarmView;
+use crate::view::{Obligation, SwarmView};
 use crate::{MechanismKind, PeerId};
 
 /// Why an upload grant was made — used by the simulator's accounting and by
@@ -284,20 +284,85 @@ pub enum SettleCadence {
     Epoch(u64),
 }
 
+/// Working buffers lent to [`Mechanism::allocate_into`].
+///
+/// The simulator owns one set and lends it to every allocation, so a
+/// steady-state call allocates nothing. Scratch is not state: every
+/// built-in mechanism clears a buffer before it reads it, nothing
+/// survives from one call to the next, and checkpoints do not carry it.
+#[derive(Debug, Default)]
+pub struct AllocScratch {
+    /// Interested neighbors, when the view does not serve its own list.
+    pub(crate) interested: Vec<PeerId>,
+    /// A filtered candidate list (T-Chain's seeding candidates,
+    /// BitTorrent's random fill and live unchoke set).
+    pub(crate) peers: Vec<PeerId>,
+    /// T-Chain's reciprocation-target candidates.
+    pub(crate) third: Vec<PeerId>,
+    /// `StickyTarget` output: `(target, bytes)` chunks.
+    pub(crate) chunks: Vec<(PeerId, u64)>,
+    /// FairTorrent's shadowed deficit per candidate position.
+    pub(crate) levels: Vec<i64>,
+    /// FairTorrent's lowest-deficit candidate positions.
+    pub(crate) lowest: Vec<u32>,
+    /// Reputation sampling weights per candidate position.
+    pub(crate) weights: Vec<f64>,
+    /// `(peer, rate)` rows: BitTorrent's ranking, PropShare's bids.
+    pub(crate) ranked: Vec<(PeerId, f64)>,
+    /// BitTyrant's `(peer, return on investment, required upload)` rows.
+    pub(crate) roi: Vec<(PeerId, f64, f64)>,
+    /// `(peer, bytes)` service order: reciprocity credit, reward balances.
+    pub(crate) balances: Vec<(PeerId, u64)>,
+    /// T-Chain's obligations, oldest first.
+    pub(crate) obligations: Vec<Obligation>,
+}
+
 /// An incentive mechanism: the per-round upload-allocation policy of one
 /// peer (Section III-A of the paper).
 ///
-/// Each round the simulator calls [`Mechanism::allocate`] with the peer's
-/// remaining upload budget in bytes; the mechanism returns grants whose
-/// total must not exceed the budget (the simulator clamps regardless).
+/// Each round the simulator calls [`Mechanism::allocate_into`] with the
+/// peer's remaining upload budget in bytes; the mechanism appends grants
+/// whose total must not exceed the budget (the simulator clamps
+/// regardless).
 pub trait Mechanism: std::fmt::Debug + Send + Sync {
     /// Which of the six algorithms this is.
     fn kind(&self) -> MechanismKind;
 
-    /// Decides this round's upload grants.
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant>;
+    /// Decides this round's upload grants and appends them to `out`.
+    ///
+    /// The caller clears `out`; the mechanism only appends. `scratch` is
+    /// working memory with no meaning between calls. The RNG draws are
+    /// those of [`allocate`](Self::allocate) on the same inputs: the two
+    /// are one decision.
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    );
 
-    /// True when [`allocate`](Self::allocate) is a pure function of the
+    /// Decides this round's upload grants into a fresh vector:
+    /// [`allocate_into`](Self::allocate_into) for callers that keep no
+    /// buffers (tests, one-off probes, micro-benchmarks). The scratch is
+    /// one set per thread, so a micro-benchmark of this wrapper times the
+    /// kernel and one grant vector, not the growth of fresh buffers.
+    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
+        thread_local! {
+            static SCRATCH: std::cell::RefCell<AllocScratch> = Default::default();
+        }
+        let mut out = Vec::new();
+        SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+            Ok(mut scratch) => self.allocate_into(view, budget, rng, &mut scratch, &mut out),
+            // A mechanism that calls `allocate` from inside its own
+            // allocation gets fresh scratch for the inner call.
+            Err(_) => self.allocate_into(view, budget, rng, &mut AllocScratch::default(), &mut out),
+        });
+        out
+    }
+
+    /// True when [`allocate_into`](Self::allocate_into) is a pure function of the
     /// view and budget: no internal counters or sticky targets mutated
     /// across calls, no RNG draws, no dependence on the round number. For
     /// such mechanisms an unproductive call repeats verbatim until one of

@@ -9,8 +9,8 @@
 
 use rand::RngCore;
 
-use crate::mechanism::{Grant, GrantReason, Mechanism};
-use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
+use crate::mechanism::{AllocScratch, Grant, GrantReason, Mechanism};
+use crate::mechanisms::{pick_random, push_chunks, StickyTarget};
 use crate::view::SwarmView;
 use crate::MechanismKind;
 
@@ -45,18 +45,27 @@ impl Mechanism for Altruism {
         MechanismKind::Altruism
     }
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
-        let candidates = interested_neighbors(view);
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
+        let candidates = view.interested_neighbors(&mut scratch.interested);
         if candidates.is_empty() {
-            return Vec::new();
+            return;
         }
-        self.sticky
-            .allocate(budget, view.piece_size(), &candidates, rng, |c, rng| {
-                pick_random(c, rng)
-            })
-            .into_iter()
-            .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Altruism))
-            .collect()
+        self.sticky.allocate(
+            budget,
+            view.piece_size(),
+            candidates,
+            rng,
+            pick_random,
+            &mut scratch.chunks,
+        );
+        push_chunks(&scratch.chunks, GrantReason::Altruism, out);
     }
 }
 

@@ -17,8 +17,8 @@
 use rand::RngCore;
 
 use crate::hash::IdMap;
-use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams};
-use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
+use crate::mechanism::{AllocScratch, Grant, GrantReason, Mechanism, MechanismParams};
+use crate::mechanisms::{pick_random, push_chunks, StickyTarget};
 use crate::view::SwarmView;
 use crate::MechanismKind;
 
@@ -63,40 +63,48 @@ impl BitTorrent {
         }
     }
 
+    /// Re-ranks the unchoke set over `candidates`. `ranked` and `fill`
+    /// are scratch.
     fn reevaluate(
         &mut self,
         view: &dyn SwarmView,
         candidates: &[crate::PeerId],
         rng: &mut dyn RngCore,
+        ranked: &mut Vec<(crate::PeerId, f64)>,
+        fill: &mut Vec<crate::PeerId>,
     ) {
-        let mut ranked: Vec<(crate::PeerId, f64)> = candidates
-            .iter()
-            .map(|&p| (p, self.rates.get(&p).copied().unwrap_or(0.0)))
-            .filter(|&(_, r)| r > 0.0)
-            .collect();
-        ranked.sort_by(|a, b| {
+        ranked.clear();
+        ranked.extend(
+            candidates
+                .iter()
+                .map(|&p| (p, self.rates.get(&p).copied().unwrap_or(0.0)))
+                .filter(|&(_, r)| r > 0.0),
+        );
+        // Ids are distinct, so the order is total and an unstable sort is
+        // exact.
+        ranked.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .expect("rates are finite")
                 .then(a.0.cmp(&b.0))
         });
-        self.unchoked = ranked
-            .into_iter()
-            .map(|(p, _)| p)
-            .take(self.params.n_bt)
-            .collect();
+        self.unchoked.clear();
+        self.unchoked
+            .extend(ranked.iter().map(|&(p, _)| p).take(self.params.n_bt));
         // Free slots (ties all at zero — e.g. right after a flash crowd)
         // are filled with random interested neighbors, as a real client's
         // unchoke algorithm does when rates cannot break ties.
         if self.unchoked.len() < self.params.n_bt {
-            let mut fill: Vec<crate::PeerId> = candidates
-                .iter()
-                .copied()
-                .filter(|p| !self.unchoked.contains(p))
-                .collect();
+            fill.clear();
+            fill.extend(
+                candidates
+                    .iter()
+                    .copied()
+                    .filter(|p| !self.unchoked.contains(p)),
+            );
             let free = self.params.n_bt - self.unchoked.len();
-            coop_des::rng::shuffle_prefix(&mut fill, rng, free);
+            coop_des::rng::shuffle_prefix(fill, rng, free);
             fill.truncate(free);
-            self.unchoked.extend(fill);
+            self.unchoked.extend_from_slice(fill);
         }
         self.last_eval = Some(view.round());
     }
@@ -124,15 +132,20 @@ impl Mechanism for BitTorrent {
         }
     }
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
-        let candidates = interested_neighbors(view);
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
+        let candidates = view.interested_neighbors(&mut scratch.interested);
         if candidates.is_empty() {
-            return Vec::new();
+            return;
         }
         let altruism_budget = (budget as f64 * self.params.alpha_bt).round() as u64;
         let tft_budget = budget - altruism_budget.min(budget);
-
-        let mut grants = Vec::new();
 
         // Tit-for-tat: up to n_BT top contributors by smoothed download
         // rate that still need something from us, each receiving an equal
@@ -142,18 +155,26 @@ impl Mechanism for BitTorrent {
             Some(t) => view.round() >= t + UNCHOKE_PERIOD,
         };
         if due {
-            self.reevaluate(view, &candidates, rng);
+            self.reevaluate(
+                view,
+                candidates,
+                rng,
+                &mut scratch.ranked,
+                &mut scratch.peers,
+            );
         }
-        let unchoked: Vec<crate::PeerId> = self
-            .unchoked
-            .iter()
-            .copied()
-            .filter(|p| candidates.contains(p))
-            .collect();
+        let unchoked = &mut scratch.peers;
+        unchoked.clear();
+        unchoked.extend(
+            self.unchoked
+                .iter()
+                .copied()
+                .filter(|p| candidates.contains(p)),
+        );
         if !unchoked.is_empty() && tft_budget > 0 {
             let share = tft_budget / unchoked.len() as u64;
             let mut leftover = tft_budget - share * unchoked.len() as u64;
-            for p in unchoked {
+            for &p in unchoked.iter() {
                 let extra = if leftover > 0 {
                     leftover -= 1;
                     1
@@ -161,7 +182,7 @@ impl Mechanism for BitTorrent {
                     0
                 };
                 if share + extra > 0 {
-                    grants.push(Grant::new(p, share + extra, GrantReason::TitForTat));
+                    out.push(Grant::new(p, share + extra, GrantReason::TitForTat));
                 }
             }
         }
@@ -171,20 +192,16 @@ impl Mechanism for BitTorrent {
         // probability"), sticking with the target until a full piece has
         // been granted so sub-piece budgets do not scatter.
         if altruism_budget > 0 {
-            grants.extend(
-                self.optimistic
-                    .allocate(
-                        altruism_budget,
-                        view.piece_size(),
-                        &candidates,
-                        rng,
-                        |c, rng| pick_random(c, rng),
-                    )
-                    .into_iter()
-                    .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::OptimisticUnchoke)),
+            self.optimistic.allocate(
+                altruism_budget,
+                view.piece_size(),
+                candidates,
+                rng,
+                pick_random,
+                &mut scratch.chunks,
             );
+            push_chunks(&scratch.chunks, GrantReason::OptimisticUnchoke, out);
         }
-        grants
     }
 }
 

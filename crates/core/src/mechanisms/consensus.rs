@@ -24,10 +24,10 @@
 
 use rand::RngCore;
 
-use crate::mechanism::{ConsensusPolicy, Grant, GrantReason, Mechanism, MechanismParams};
-use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
+use crate::mechanism::{AllocScratch, ConsensusPolicy, Grant, Mechanism, MechanismParams};
+use crate::mechanisms::ReputationShares;
 use crate::view::SwarmView;
-use crate::{MechanismKind, PeerId};
+use crate::MechanismKind;
 
 /// The consensus-reputation mechanism.
 ///
@@ -43,8 +43,7 @@ use crate::{MechanismKind, PeerId};
 #[derive(Clone, Copy, Debug)]
 pub struct ConsensusReputation {
     params: MechanismParams,
-    weighted: StickyTarget,
-    altruistic: StickyTarget,
+    shares: ReputationShares,
 }
 
 impl ConsensusReputation {
@@ -53,34 +52,8 @@ impl ConsensusReputation {
     pub fn new(params: MechanismParams) -> Self {
         ConsensusReputation {
             params,
-            weighted: StickyTarget::new(),
-            altruistic: StickyTarget::new(),
+            shares: ReputationShares::default(),
         }
-    }
-
-    fn sample_by_score(
-        view: &dyn SwarmView,
-        candidates: &[PeerId],
-        rng: &mut dyn RngCore,
-    ) -> Option<PeerId> {
-        let weights: Vec<f64> = candidates.iter().map(|&p| view.reputation(p)).collect();
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut x = rand::Rng::gen_range(rng, 0.0..total);
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                return Some(candidates[i]);
-            }
-            x -= w;
-        }
-        candidates
-            .iter()
-            .zip(&weights)
-            .rev()
-            .find(|(_, &w)| w > 0.0)
-            .map(|(&p, _)| p)
     }
 }
 
@@ -97,47 +70,21 @@ impl Mechanism for ConsensusReputation {
         Some(ConsensusPolicy::from_params(&self.params))
     }
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
-        // Banned peers never appear among the candidates: the swarm evicts
-        // them from the adjacency before allocation runs.
-        let candidates = interested_neighbors(view);
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let altruism_budget = (budget as f64 * self.params.alpha_r).round() as u64;
-        let score_budget = budget - altruism_budget.min(budget);
-
-        let mut grants = Vec::new();
-        // Consensus-score-weighted share. Scores start at zero for
-        // everyone (no pre-trusted root), so this share idles at system
-        // start until confirmed transfers seed the table.
-        grants.extend(
-            self.weighted
-                .allocate(
-                    score_budget,
-                    view.piece_size(),
-                    &candidates,
-                    rng,
-                    |c, rng| Self::sample_by_score(view, c, rng),
-                )
-                .into_iter()
-                .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Reputation)),
-        );
-        // Altruistic bootstrap share: uniformly random interested
-        // neighbor, zero-score newcomers included.
-        grants.extend(
-            self.altruistic
-                .allocate(
-                    altruism_budget,
-                    view.piece_size(),
-                    &candidates,
-                    rng,
-                    |c, rng| pick_random(c, rng),
-                )
-                .into_iter()
-                .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Altruism)),
-        );
-        grants
+    // Banned peers never appear among the candidates: the swarm evicts
+    // them from the adjacency before allocation runs. The view's
+    // reputation is the consensus score, which starts at zero for
+    // everyone (no pre-trusted root), so the weighted share idles at
+    // system start until confirmed transfers seed the table.
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
+        self.shares
+            .allocate(self.params.alpha_r, view, budget, rng, scratch, out);
     }
 }
 
@@ -145,6 +92,7 @@ impl Mechanism for ConsensusReputation {
 mod tests {
     use super::*;
     use crate::view::fake::FakeView;
+    use crate::{GrantReason, PeerId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

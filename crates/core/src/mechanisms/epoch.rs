@@ -29,12 +29,12 @@
 //! at the balance boundary, which makes the fast accounting *exactly*
 //! equal to a naive per-epoch reference ledger (pinned by a proptest).
 
-use std::collections::BTreeMap;
-
 use rand::RngCore;
 
-use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams, SettleCadence};
-use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
+use crate::mechanism::{
+    AllocScratch, Grant, GrantReason, Mechanism, MechanismParams, SettleCadence,
+};
+use crate::mechanisms::{pick_random, push_chunks, StickyTarget};
 use crate::view::SwarmView;
 use crate::{MechanismKind, PeerId};
 
@@ -84,8 +84,8 @@ pub struct RewardPool {
     acc: u128,
     /// Sum of all live participants' shares.
     total_shares: u64,
-    /// Participant snapshots, keyed by peer for deterministic iteration.
-    entries: BTreeMap<PeerId, PoolEntry>,
+    /// Participant snapshots as `(peer, entry)` rows, ascending by peer.
+    rows: Vec<(PeerId, PoolEntry)>,
 }
 
 impl RewardPool {
@@ -94,16 +94,35 @@ impl RewardPool {
         RewardPool::default()
     }
 
+    /// The entry of `peer`, if it participates.
+    fn entry(&self, peer: PeerId) -> Option<&PoolEntry> {
+        let i = self.rows.binary_search_by_key(&peer, |&(p, _)| p).ok()?;
+        Some(&self.rows[i].1)
+    }
+
+    /// The entry of `peer`, inserted (all zero) on first contact.
+    fn entry_mut(&mut self, peer: PeerId) -> &mut PoolEntry {
+        let i = match self.rows.binary_search_by_key(&peer, |&(p, _)| p) {
+            Ok(i) => i,
+            Err(i) => {
+                self.rows.insert(i, (peer, PoolEntry::default()));
+                i
+            }
+        };
+        &mut self.rows[i].1
+    }
+
     /// Adds `bytes` shares for `peer` (a contribution accrual), first
     /// realizing any rewards the old share count earned.
     pub fn accrue(&mut self, peer: PeerId, bytes: u64) {
         if bytes == 0 {
             return;
         }
-        let entry = self.entries.entry(peer).or_default();
-        entry.realized_fp = entry.earned_fp(self.acc);
+        let acc = self.acc;
+        let entry = self.entry_mut(peer);
+        entry.realized_fp = entry.earned_fp(acc);
         entry.shares += bytes;
-        entry.debt = entry.shares as u128 * self.acc;
+        entry.debt = entry.shares as u128 * acc;
         self.total_shares += bytes;
     }
 
@@ -121,7 +140,7 @@ impl RewardPool {
     /// The spendable byte balance of `peer`: floored earned rewards
     /// minus what has already been spent.
     pub fn balance(&self, peer: PeerId) -> u64 {
-        self.entries.get(&peer).map_or(0, |e| {
+        self.entry(peer).map_or(0, |e| {
             ((e.earned_fp(self.acc) / SCALE) as u64).saturating_sub(e.spent)
         })
     }
@@ -131,9 +150,10 @@ impl RewardPool {
         if bytes == 0 {
             return;
         }
-        let entry = self.entries.entry(peer).or_default();
+        let acc = self.acc;
+        let entry = self.entry_mut(peer);
         debug_assert!(
-            entry.spent + bytes <= (entry.earned_fp(self.acc) / SCALE) as u64,
+            entry.spent + bytes <= (entry.earned_fp(acc) / SCALE) as u64,
             "spend exceeds balance"
         );
         entry.spent += bytes;
@@ -143,16 +163,17 @@ impl RewardPool {
     /// unspent balance and withdrawing its shares from future epochs.
     /// Returns the forfeited byte balance.
     pub fn remove(&mut self, peer: PeerId) -> u64 {
-        let Some(entry) = self.entries.remove(&peer) else {
+        let Ok(i) = self.rows.binary_search_by_key(&peer, |&(p, _)| p) else {
             return 0;
         };
+        let (_, entry) = self.rows.remove(i);
         self.total_shares -= entry.shares;
         ((entry.earned_fp(self.acc) / SCALE) as u64).saturating_sub(entry.spent)
     }
 
     /// Current shares of `peer`.
     pub fn shares(&self, peer: PeerId) -> u64 {
-        self.entries.get(&peer).map_or(0, |e| e.shares)
+        self.entry(peer).map_or(0, |e| e.shares)
     }
 
     /// Sum of all live shares.
@@ -160,18 +181,20 @@ impl RewardPool {
         self.total_shares
     }
 
-    /// Participants holding a positive spendable balance, largest balance
-    /// first (ties broken by peer id) — the service order for
-    /// reward-backed uploads.
-    pub fn creditors(&self) -> Vec<(PeerId, u64)> {
-        let mut out: Vec<(PeerId, u64)> = self
-            .entries
-            .keys()
-            .map(|&p| (p, self.balance(p)))
-            .filter(|&(_, b)| b > 0)
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+    /// Fills `out` (cleared first) with the peers of `among` holding a
+    /// positive spendable balance, largest balance first (ties broken by
+    /// peer id) — the service order for reward-backed uploads. `among`
+    /// must not repeat a peer.
+    pub fn creditors_into(&self, among: &[PeerId], out: &mut Vec<(PeerId, u64)>) {
+        out.clear();
+        out.extend(
+            among
+                .iter()
+                .map(|&p| (p, self.balance(p)))
+                .filter(|&(_, b)| b > 0),
+        );
+        // Distinct peers make the order total: an unstable sort is exact.
+        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 }
 
@@ -242,43 +265,48 @@ impl Mechanism for EpochSettlement {
         SettleCadence::Epoch(self.epoch_rounds)
     }
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
         self.sync_shares(view);
-        let candidates = interested_neighbors(view);
+        let candidates = view.interested_neighbors(&mut scratch.interested);
         if candidates.is_empty() {
-            return Vec::new();
+            return;
         }
-        let mut grants: Vec<Grant> = Vec::new();
         let mut remaining = budget;
-        // Reward-backed uploads: service settled balances, largest first.
-        // Balances only move at epoch boundaries (and by spending here),
-        // so the order is stable within an epoch — effectively sticky.
-        for (to, balance) in self.pool.creditors() {
+        // Reward-backed uploads: service settled balances of interested
+        // neighbors, largest first. Balances only move at epoch
+        // boundaries (and by spending here), so the order is stable
+        // within an epoch — effectively sticky.
+        self.pool.creditors_into(candidates, &mut scratch.balances);
+        for &(to, balance) in &scratch.balances {
             if remaining == 0 {
                 break;
-            }
-            if !candidates.contains(&to) {
-                continue;
             }
             let bytes = remaining.min(balance);
             self.pool.spend(to, bytes);
             remaining -= bytes;
-            grants.push(Grant::new(to, bytes, GrantReason::Reputation));
+            out.push(Grant::new(to, bytes, GrantReason::Reputation));
         }
         // Altruistic fallback: inside an open epoch (or before anyone has
         // settled a balance) spare capacity serves random interested
         // neighbors — the bootstrap channel, and the exploitable surface.
         if remaining > 0 {
-            grants.extend(
-                self.sticky
-                    .allocate(remaining, view.piece_size(), &candidates, rng, |c, rng| {
-                        pick_random(c, rng)
-                    })
-                    .into_iter()
-                    .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Altruism)),
+            self.sticky.allocate(
+                remaining,
+                view.piece_size(),
+                candidates,
+                rng,
+                pick_random,
+                &mut scratch.chunks,
             );
+            push_chunks(&scratch.chunks, GrantReason::Altruism, out);
         }
-        grants
     }
 
     fn has_round_end_hook(&self) -> bool {
@@ -319,6 +347,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(42)
@@ -409,10 +438,12 @@ mod tests {
         pool.accrue(pid(1), 100);
         pool.accrue(pid(2), 200);
         pool.close_epoch(4000);
-        let creditors = pool.creditors();
-        assert_eq!(creditors[0], (pid(2), 2000));
-        assert_eq!(creditors[1], (pid(1), 1000));
-        assert_eq!(creditors[2], (pid(3), 1000));
+        let mut creditors = Vec::new();
+        pool.creditors_into(&[pid(1), pid(2), pid(3), pid(4)], &mut creditors);
+        assert_eq!(creditors, [(pid(2), 2000), (pid(1), 1000), (pid(3), 1000)]);
+        // Peers outside `among` are not listed.
+        pool.creditors_into(&[pid(3)], &mut creditors);
+        assert_eq!(creditors, [(pid(3), 1000)]);
     }
 
     // -- The O(1) scheme versus a naive O(N·epochs) reference ledger ----
@@ -493,6 +524,7 @@ mod tests {
             let mut pool = RewardPool::new();
             let mut naive = NaiveLedger::default();
             let peers: Vec<PeerId> = (0..8).map(pid).collect();
+            let mut creditors = Vec::new();
             for op in ops {
                 match op {
                     Op::Accrue { peer, bytes } => {
@@ -522,6 +554,16 @@ mod tests {
                         "peer {:?} diverged", p
                     );
                 }
+                // The service order: positive balances, largest first,
+                // ties by id.
+                let mut expected: Vec<(PeerId, u64)> = peers
+                    .iter()
+                    .map(|&p| (p, naive.balance(p)))
+                    .filter(|&(_, b)| b > 0)
+                    .collect();
+                expected.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                pool.creditors_into(&peers, &mut creditors);
+                prop_assert_eq!(&creditors, &expected);
             }
         }
     }

@@ -21,12 +21,11 @@
 //! protocol); the experiment harness compares them against stock
 //! BitTorrent in `ablations`.
 
-use std::collections::HashMap;
-
 use rand::RngCore;
 
-use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams};
-use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
+use crate::hash::IdMap;
+use crate::mechanism::{AllocScratch, Grant, GrantReason, Mechanism, MechanismParams};
+use crate::mechanisms::{pick_random, push_chunks, StickyTarget};
 use crate::view::SwarmView;
 use crate::{MechanismKind, PeerId};
 
@@ -47,7 +46,7 @@ const RATE_ALPHA: f64 = 0.3;
 #[derive(Clone, Debug)]
 pub struct PropShare {
     params: MechanismParams,
-    rates: HashMap<PeerId, f64>,
+    rates: IdMap<PeerId, f64>,
     optimistic: StickyTarget,
 }
 
@@ -56,7 +55,7 @@ impl PropShare {
     pub fn new(params: MechanismParams) -> Self {
         PropShare {
             params,
-            rates: HashMap::new(),
+            rates: IdMap::default(),
             optimistic: StickyTarget::new(),
         }
     }
@@ -83,23 +82,28 @@ impl Mechanism for PropShare {
         }
     }
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
-        let candidates = interested_neighbors(view);
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
+        let candidates = view.interested_neighbors(&mut scratch.interested);
         if candidates.is_empty() {
-            return Vec::new();
+            return;
         }
         let altruism_budget = (budget as f64 * self.params.alpha_bt).round() as u64;
         let prop_budget = budget - altruism_budget.min(budget);
 
-        let mut grants = Vec::new();
         // Proportional division among contributing, interested neighbors.
-        let contributors: Vec<(PeerId, f64)> = candidates
-            .iter()
-            .filter_map(|&p| {
-                let r = self.rates.get(&p).copied().unwrap_or(0.0);
-                (r > 0.0).then_some((p, r))
-            })
-            .collect();
+        let contributors = &mut scratch.ranked;
+        contributors.clear();
+        contributors.extend(candidates.iter().filter_map(|&p| {
+            let r = self.rates.get(&p).copied().unwrap_or(0.0);
+            (r > 0.0).then_some((p, r))
+        }));
         let total_rate: f64 = contributors.iter().map(|&(_, r)| r).sum();
         if total_rate > 0.0 && prop_budget > 0 {
             let mut assigned = 0u64;
@@ -111,26 +115,22 @@ impl Mechanism for PropShare {
                 };
                 assigned += bytes;
                 if bytes > 0 {
-                    grants.push(Grant::new(p, bytes, GrantReason::TitForTat));
+                    out.push(Grant::new(p, bytes, GrantReason::TitForTat));
                 }
             }
         }
         // The optimistic share discovers new contributors.
         if altruism_budget > 0 {
-            grants.extend(
-                self.optimistic
-                    .allocate(
-                        altruism_budget,
-                        view.piece_size(),
-                        &candidates,
-                        rng,
-                        |c, rng| pick_random(c, rng),
-                    )
-                    .into_iter()
-                    .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::OptimisticUnchoke)),
+            self.optimistic.allocate(
+                altruism_budget,
+                view.piece_size(),
+                candidates,
+                rng,
+                pick_random,
+                &mut scratch.chunks,
             );
+            push_chunks(&scratch.chunks, GrantReason::OptimisticUnchoke, out);
         }
-        grants
     }
 }
 
@@ -159,9 +159,9 @@ struct TyrantEstimate {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BitTyrant {
-    estimates: HashMap<PeerId, TyrantEstimate>,
+    estimates: IdMap<PeerId, TyrantEstimate>,
     /// What we funded each neighbor last round (to judge reciprocation).
-    funded_last_round: HashMap<PeerId, u64>,
+    funded_last_round: IdMap<PeerId, u64>,
     default_required: f64,
 }
 
@@ -170,8 +170,8 @@ impl BitTyrant {
     /// BitTyrant ignores `α_BT` (it runs no optimistic unchoking).
     pub fn new(_params: MechanismParams) -> Self {
         BitTyrant {
-            estimates: HashMap::new(),
-            funded_last_round: HashMap::new(),
+            estimates: IdMap::default(),
+            funded_last_round: IdMap::default(),
             default_required: 0.0,
         }
     }
@@ -223,24 +223,32 @@ impl Mechanism for BitTyrant {
         self.funded_last_round.clear();
     }
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
-        let candidates = interested_neighbors(view);
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        _rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
+        let candidates = view.interested_neighbors(&mut scratch.interested);
         if candidates.is_empty() {
-            return Vec::new();
+            return;
         }
         let piece = view.piece_size() as f64;
         // Rank by return-on-investment; unknown neighbors get an
         // exploratory default (otherwise nobody would ever be funded).
-        let mut ranked: Vec<(PeerId, f64, f64)> = candidates
-            .iter()
-            .map(|&p| {
-                let e = self.estimates.get(&p);
-                let ret = e.map_or(piece * 0.5, |e| e.expected_return.max(piece * 0.05));
-                let req = e.map_or(piece, |e| e.required_upload).max(1.0);
-                (p, ret / req, req)
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
+        let ranked = &mut scratch.roi;
+        ranked.clear();
+        ranked.extend(candidates.iter().map(|&p| {
+            let e = self.estimates.get(&p);
+            let ret = e.map_or(piece * 0.5, |e| e.expected_return.max(piece * 0.05));
+            let req = e.map_or(piece, |e| e.required_upload).max(1.0);
+            (p, ret / req, req)
+        }));
+        // Ids are distinct, so the order is total and an unstable sort is
+        // exact.
+        ranked.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .expect("finite ROI")
                 .then(a.0.cmp(&b.0))
@@ -249,12 +257,11 @@ impl Mechanism for BitTyrant {
         // below the cutoff (serial non-reciprocators) get at most one
         // capped exploration grant per round — the tyrant does not keep
         // paying bad investments, and never pays them more than a piece.
-        let _ = rng;
+        // No randomness: the RNG is never drawn.
         const ROI_CUTOFF: f64 = 0.25;
-        let mut grants = Vec::new();
         let mut remaining = budget;
         let mut explored = false;
-        for (p, roi, req) in ranked {
+        for &(p, roi, req) in ranked.iter() {
             if remaining == 0 {
                 break;
             }
@@ -271,9 +278,8 @@ impl Mechanism for BitTyrant {
             }
             remaining -= bytes;
             self.funded_last_round.insert(p, bytes);
-            grants.push(Grant::new(p, bytes, GrantReason::TitForTat));
+            out.push(Grant::new(p, bytes, GrantReason::TitForTat));
         }
-        grants
     }
 }
 

@@ -14,15 +14,13 @@
 //! FairTorrent bootstrap almost as fast as altruism (Table II) — and also
 //! what free-riders with fresh identities exploit (whitewashing).
 
-use std::collections::HashMap;
-
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
-use crate::mechanism::{Grant, GrantReason, Mechanism};
-use crate::mechanisms::{interested_neighbors, StickyTarget};
+use crate::mechanism::{AllocScratch, Grant, GrantReason, Mechanism};
+use crate::mechanisms::{push_chunks, StickyTarget};
 use crate::view::SwarmView;
-use crate::{MechanismKind, PeerId};
+use crate::MechanismKind;
 
 /// The FairTorrent mechanism (lowest-deficit-first uploads).
 ///
@@ -62,40 +60,51 @@ impl Mechanism for FairTorrent {
     // here; epoch-settled inputs go through the
     // `on_epoch_close` cadence hook instead.
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
-        let candidates = interested_neighbors(view);
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
+        let candidates = view.interested_neighbors(&mut scratch.interested);
         if candidates.is_empty() {
-            return Vec::new();
+            return;
         }
         // Each piece goes to the interested neighbor with the lowest
         // deficit at the moment the piece is chosen; the target then stays
         // fixed until the full piece has been granted (deficits move
         // byte-by-byte, and re-deciding every round would scatter partial
-        // transfers). A local shadow makes pieces granted earlier in the
-        // same call shift later choices.
-        let mut planned: HashMap<PeerId, i64> = HashMap::new();
+        // transfers). `levels[i]` shadows the deficit of `candidates[i]`:
+        // read from the ledger once, on the first pick, then raised by a
+        // piece per pick, so pieces granted earlier in the same call shift
+        // later choices. The tie list holds candidate positions in
+        // candidate order, so the draw picks from a list of the same
+        // length as a list of peers would be.
         let ledger = view.ledger();
         let piece = view.piece_size();
-        let chunks = self
-            .sticky
-            .allocate(budget, piece, &candidates, rng, |c, rng| {
-                let min = c
-                    .iter()
-                    .map(|&p| ledger.deficit(p) + planned.get(&p).copied().unwrap_or(0))
-                    .min()?;
-                let lowest: Vec<PeerId> = c
-                    .iter()
-                    .copied()
-                    .filter(|&p| ledger.deficit(p) + planned.get(&p).copied().unwrap_or(0) == min)
-                    .collect();
-                let to = *lowest.choose(rng)?;
-                *planned.entry(to).or_insert(0) += piece as i64;
-                Some(to)
-            });
-        chunks
-            .into_iter()
-            .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Deficit))
-            .collect()
+        let (levels, lowest) = (&mut scratch.levels, &mut scratch.lowest);
+        levels.clear();
+        self.sticky.allocate(
+            budget,
+            piece,
+            candidates,
+            rng,
+            |c, rng| {
+                if levels.is_empty() {
+                    levels.extend(c.iter().map(|&p| ledger.deficit(p)));
+                }
+                let min = *levels.iter().min()?;
+                lowest.clear();
+                lowest.extend((0..levels.len() as u32).filter(|&i| levels[i as usize] == min));
+                let at = *lowest.choose(rng)? as usize;
+                levels[at] += piece as i64;
+                Some(c[at])
+            },
+            &mut scratch.chunks,
+        );
+        push_chunks(&scratch.chunks, GrantReason::Deficit, out);
     }
 }
 
@@ -103,6 +112,7 @@ impl Mechanism for FairTorrent {
 mod tests {
     use super::*;
     use crate::view::fake::FakeView;
+    use crate::PeerId;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::HashSet;

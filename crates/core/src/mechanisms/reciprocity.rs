@@ -9,7 +9,7 @@
 
 use rand::RngCore;
 
-use crate::mechanism::{Grant, GrantReason, Mechanism};
+use crate::mechanism::{AllocScratch, Grant, GrantReason, Mechanism};
 use crate::view::SwarmView;
 use crate::MechanismKind;
 
@@ -60,32 +60,36 @@ impl Mechanism for Reciprocity {
         true
     }
 
-    fn allocate(
+    fn allocate_into(
         &mut self,
         view: &dyn SwarmView,
         budget: u64,
         _rng: &mut dyn RngCore,
-    ) -> Vec<Grant> {
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
         // Upload only against positive credit, preferring the neighbor with
         // the most unreturned contribution. With nobody willing to initiate,
         // credit stays zero forever and this returns nothing — the paper's
         // "no upload can be initiated because a reciprocal download is not
         // guaranteed".
         let ledger = view.ledger();
-        let mut creditors: Vec<(u64, crate::PeerId)> = view
-            .neighbors()
-            .iter()
-            .copied()
-            .filter(|&p| view.peer_needs_from_me(p))
-            .map(|p| (ledger.credit(p), p))
-            .filter(|&(c, _)| c > 0)
-            .collect();
-        // Most generous creditor first; deterministic tie-break by id.
-        creditors.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let candidates = view.interested_neighbors(&mut scratch.interested);
+        let creditors = &mut scratch.balances;
+        creditors.clear();
+        creditors.extend(
+            candidates
+                .iter()
+                .map(|&p| (p, ledger.credit(p)))
+                .filter(|&(_, c)| c > 0),
+        );
+        // Most generous creditor first; deterministic tie-break by id
+        // (ids are distinct, so the order is total and an unstable sort
+        // is exact).
+        creditors.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
-        let mut grants = Vec::new();
         let mut remaining = budget;
-        for (credit, peer) in creditors {
+        for &(peer, credit) in creditors.iter() {
             if remaining == 0 {
                 break;
             }
@@ -94,9 +98,8 @@ impl Mechanism for Reciprocity {
                 continue;
             }
             remaining -= bytes;
-            grants.push(Grant::new(peer, bytes, GrantReason::Reciprocity));
+            out.push(Grant::new(peer, bytes, GrantReason::Reciprocity));
         }
-        grants
     }
 }
 

@@ -17,10 +17,10 @@
 
 use rand::RngCore;
 
-use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams};
-use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
+use crate::mechanism::{AllocScratch, Grant, Mechanism, MechanismParams};
+use crate::mechanisms::ReputationShares;
 use crate::view::SwarmView;
-use crate::{MechanismKind, PeerId};
+use crate::MechanismKind;
 
 /// The reputation mechanism (EigenTrust-style, probabilistic).
 ///
@@ -35,8 +35,7 @@ use crate::{MechanismKind, PeerId};
 #[derive(Clone, Copy, Debug)]
 pub struct Reputation {
     params: MechanismParams,
-    weighted: StickyTarget,
-    altruistic: StickyTarget,
+    shares: ReputationShares,
 }
 
 impl Reputation {
@@ -44,34 +43,8 @@ impl Reputation {
     pub fn new(params: MechanismParams) -> Self {
         Reputation {
             params,
-            weighted: StickyTarget::new(),
-            altruistic: StickyTarget::new(),
+            shares: ReputationShares::default(),
         }
-    }
-
-    fn sample_by_reputation(
-        view: &dyn SwarmView,
-        candidates: &[PeerId],
-        rng: &mut dyn RngCore,
-    ) -> Option<PeerId> {
-        let weights: Vec<f64> = candidates.iter().map(|&p| view.reputation(p)).collect();
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut x = rand::Rng::gen_range(rng, 0.0..total);
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                return Some(candidates[i]);
-            }
-            x -= w;
-        }
-        candidates
-            .iter()
-            .zip(&weights)
-            .rev()
-            .find(|(_, &w)| w > 0.0)
-            .map(|(&p, _)| p)
     }
 }
 
@@ -84,46 +57,20 @@ impl Mechanism for Reputation {
         MechanismKind::Reputation
     }
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
-        let candidates = interested_neighbors(view);
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let altruism_budget = (budget as f64 * self.params.alpha_r).round() as u64;
-        let reputation_budget = budget - altruism_budget.min(budget);
-
-        let mut grants = Vec::new();
-        // Reputation-weighted share. When nobody has any reputation yet
-        // (system start) this share of bandwidth idles, matching the
-        // bootstrapping weakness the paper attributes to reputation
-        // systems.
-        grants.extend(
-            self.weighted
-                .allocate(
-                    reputation_budget,
-                    view.piece_size(),
-                    &candidates,
-                    rng,
-                    |c, rng| Self::sample_by_reputation(view, c, rng),
-                )
-                .into_iter()
-                .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Reputation)),
-        );
-        // Altruistic bootstrap share: uniformly random interested neighbor,
-        // newcomers included.
-        grants.extend(
-            self.altruistic
-                .allocate(
-                    altruism_budget,
-                    view.piece_size(),
-                    &candidates,
-                    rng,
-                    |c, rng| pick_random(c, rng),
-                )
-                .into_iter()
-                .map(|(to, bytes)| Grant::new(to, bytes, GrantReason::Altruism)),
-        );
-        grants
+    // The reputation-weighted share idles when nobody has any reputation
+    // yet (system start), matching the bootstrapping weakness the paper
+    // attributes to reputation systems; the altruistic share reaches
+    // newcomers.
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
+        self.shares
+            .allocate(self.params.alpha_r, view, budget, rng, scratch, out);
     }
 }
 
@@ -131,6 +78,7 @@ impl Mechanism for Reputation {
 mod tests {
     use super::*;
     use crate::view::fake::FakeView;
+    use crate::{GrantReason, PeerId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::HashMap;

@@ -27,12 +27,10 @@
 //! reciprocity); otherwise a third peer `k` that needs a piece `j` holds
 //! (indirect reciprocity), matching Eq. (6)'s two terms.
 
-use std::collections::HashMap;
-
 use rand::RngCore;
 
-use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams};
-use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
+use crate::mechanism::{AllocScratch, Grant, GrantReason, Mechanism, MechanismParams};
+use crate::mechanisms::{pick_random, StickyTarget};
 use crate::view::SwarmView;
 use crate::{MechanismKind, PeerId};
 
@@ -50,11 +48,12 @@ use crate::{MechanismKind, PeerId};
 pub struct TChain {
     params: MechanismParams,
     seeding: StickyTarget,
-    /// Per-neighbor chain history: (honored, defaulted) counts. This is
-    /// T-Chain's reputation component — uploaders stop initiating chains
-    /// toward peers that repeatedly let obligations expire (free-riders),
-    /// while honest-but-slow peers keep a positive record.
-    history: HashMap<PeerId, (u32, u32)>,
+    /// Per-neighbor chain history: `(peer, (honored, defaulted))` rows,
+    /// ascending by peer. This is T-Chain's reputation component —
+    /// uploaders stop initiating chains toward peers that repeatedly let
+    /// obligations expire (free-riders), while honest-but-slow peers keep
+    /// a positive record.
+    history: Vec<(PeerId, (u32, u32))>,
 }
 
 impl TChain {
@@ -63,13 +62,16 @@ impl TChain {
         TChain {
             params,
             seeding: StickyTarget::new(),
-            history: HashMap::new(),
+            history: Vec::new(),
         }
     }
 
     /// Is `peer` a known chain defector (defaults dominate honors)?
     fn is_defector(&self, peer: PeerId) -> bool {
-        let (honored, defaulted) = self.history.get(&peer).copied().unwrap_or((0, 0));
+        let (honored, defaulted) = self
+            .history
+            .binary_search_by_key(&peer, |&(p, _)| p)
+            .map_or((0, 0), |i| self.history[i].1);
         defaulted >= 2 && defaulted > 2 * honored
     }
 
@@ -86,25 +88,23 @@ impl TChain {
     /// that piece onward, which is how T-Chain bootstraps newcomers that
     /// hold nothing else ("newcomers can receive a piece from one user and
     /// reciprocate by uploading the received piece to another user").
+    /// `third` is scratch.
     fn reciprocation_target(
         view: &dyn SwarmView,
         j: PeerId,
         rng: &mut dyn RngCore,
+        third: &mut Vec<PeerId>,
     ) -> Option<PeerId> {
         if view.i_need_from(j) {
             return Some(view.me());
         }
-        let mut third: Vec<PeerId> = view
-            .neighbors()
-            .iter()
-            .copied()
-            .filter(|&k| {
-                k != j
-                    && k != view.me()
-                    && (view.peer_needs_from(k, view.me()) || view.peer_needs_from(k, j))
-            })
-            .collect();
-        coop_des::rng::shuffle_prefix(&mut third, rng, 1);
+        third.clear();
+        third.extend(view.neighbors().iter().copied().filter(|&k| {
+            k != j
+                && k != view.me()
+                && (view.peer_needs_from(k, view.me()) || view.peer_needs_from(k, j))
+        }));
+        coop_des::rng::shuffle_prefix(third, rng, 1);
         third.first().copied()
     }
 }
@@ -119,7 +119,14 @@ impl Mechanism for TChain {
     }
 
     fn on_chain_outcome(&mut self, receiver: PeerId, honored: bool) {
-        let entry = self.history.entry(receiver).or_insert((0, 0));
+        let i = match self.history.binary_search_by_key(&receiver, |&(p, _)| p) {
+            Ok(i) => i,
+            Err(i) => {
+                self.history.insert(i, (receiver, (0, 0)));
+                i
+            }
+        };
+        let entry = &mut self.history[i].1;
         if honored {
             entry.0 += 1;
         } else {
@@ -127,19 +134,28 @@ impl Mechanism for TChain {
         }
     }
 
-    fn allocate(&mut self, view: &dyn SwarmView, budget: u64, rng: &mut dyn RngCore) -> Vec<Grant> {
+    fn allocate_into(
+        &mut self,
+        view: &dyn SwarmView,
+        budget: u64,
+        rng: &mut dyn RngCore,
+        scratch: &mut AllocScratch,
+        out: &mut Vec<Grant>,
+    ) {
         let piece = view.piece_size();
         let mut remaining = budget;
-        let mut grants = Vec::new();
 
         // 1. Fulfil outstanding obligations, oldest first: upload one piece
         //    to each designated target that still wants something from us.
         //    These uploads are themselves conditional (the chain continues)
         //    unless they target the original uploader (direct reciprocity
         //    completes the pairwise exchange, no further condition needed).
-        let mut obligations: Vec<_> = view.obligations().to_vec();
+        //    The sort is stable: obligations of one round keep their order.
+        let obligations = &mut scratch.obligations;
+        obligations.clear();
+        obligations.extend_from_slice(view.obligations());
         obligations.sort_by_key(|o| o.created_round);
-        for ob in obligations {
+        for ob in obligations.iter() {
             if remaining == 0 {
                 break;
             }
@@ -152,14 +168,15 @@ impl Mechanism for TChain {
             // reciprocations, or its locked pieces expire unfulfilled.
             let bytes = remaining.min(piece);
             if target == ob.uploader {
-                grants.push(Grant::new(target, bytes, GrantReason::Obligation));
+                out.push(Grant::new(target, bytes, GrantReason::Obligation));
             } else {
                 // The forwarded piece is itself encrypted; the third peer
                 // must reciprocate onward. We (the forwarder) hold the key
                 // obligation chain's next link, so reciprocation comes back
                 // to us if we still need pieces, else to another peer.
-                let next = Self::reciprocation_target(view, target, rng).unwrap_or(view.me());
-                grants.push(Grant::conditional(
+                let next = Self::reciprocation_target(view, target, rng, &mut scratch.third)
+                    .unwrap_or(view.me());
+                out.push(Grant::conditional(
                     target,
                     bytes,
                     GrantReason::Obligation,
@@ -172,30 +189,33 @@ impl Mechanism for TChain {
         // 2. Opportunistic seeding with the rest of the budget. Skip
         //    targets whose reciprocation backlog is already deep: feeding
         //    them further only produces expired (wasted) encrypted pieces.
-        let candidates: Vec<PeerId> = interested_neighbors(view)
-            .into_iter()
-            .filter(|&p| {
-                (view.obligation_count(p) < self.params.tchain_max_backlog || view.uploading_to(p))
-                    && !self.is_defector(p)
-            })
-            .collect();
+        let interested = view.interested_neighbors(&mut scratch.interested);
+        let candidates = &mut scratch.peers;
+        candidates.clear();
+        candidates.extend(interested.iter().copied().filter(|&p| {
+            (view.obligation_count(p) < self.params.tchain_max_backlog || view.uploading_to(p))
+                && !self.is_defector(p)
+        }));
         if candidates.is_empty() {
-            return grants;
+            return;
         }
-        for (to, bytes) in self
-            .seeding
-            .allocate(remaining, piece, &candidates, rng, |c, rng| {
-                pick_random(c, rng)
-            })
-        {
-            match Self::reciprocation_target(view, to, rng) {
+        self.seeding.allocate(
+            remaining,
+            piece,
+            candidates,
+            rng,
+            pick_random,
+            &mut scratch.chunks,
+        );
+        for &(to, bytes) in &scratch.chunks {
+            match Self::reciprocation_target(view, to, rng, &mut scratch.third) {
                 Some(target) => {
                     let reason = if target == view.me() {
                         GrantReason::Reciprocity
                     } else {
                         GrantReason::IndirectReciprocity
                     };
-                    grants.push(Grant::conditional(to, bytes, reason, target));
+                    out.push(Grant::conditional(to, bytes, reason, target));
                 }
                 // Nobody in the swarm needs anything `to` has (including
                 // us): an exchange with `to` cannot be reciprocated, so we
@@ -203,7 +223,6 @@ impl Mechanism for TChain {
                 None => continue,
             }
         }
-        grants
     }
 }
 

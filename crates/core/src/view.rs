@@ -52,6 +52,18 @@ pub trait SwarmView {
     /// BitTorrent terms; the event with probability `q(peer, me)`.)
     fn peer_needs_from_me(&self, peer: PeerId) -> bool;
 
+    /// The neighbors that need at least one piece I can offer, in
+    /// [`neighbors`](Self::neighbors) order: the candidates of any upload.
+    ///
+    /// The provided method filters the neighbors through
+    /// [`peer_needs_from_me`](Self::peer_needs_from_me) into `buf`
+    /// ([`collect_interested`]). A view that already holds the list may
+    /// return it instead and leave `buf` alone; the simulator builds it
+    /// once per visit, for its skip test and the mechanism alike.
+    fn interested_neighbors<'a>(&'a self, buf: &'a mut Vec<PeerId>) -> &'a [PeerId] {
+        collect_interested(self, buf)
+    }
+
     /// Do I need at least one piece `peer` holds?
     fn i_need_from(&self, peer: PeerId) -> bool;
 
@@ -99,6 +111,23 @@ pub trait SwarmView {
 
     /// The nominal piece size in bytes (allocation quantum).
     fn piece_size(&self) -> u64;
+}
+
+/// Clears `buf`, fills it with `view`'s neighbors that need a piece from
+/// the querying peer, in neighbor order, and returns it: the provided
+/// [`SwarmView::interested_neighbors`].
+pub fn collect_interested<'a, V: SwarmView + ?Sized>(
+    view: &V,
+    buf: &'a mut Vec<PeerId>,
+) -> &'a [PeerId] {
+    buf.clear();
+    buf.extend(
+        view.neighbors()
+            .iter()
+            .copied()
+            .filter(|&p| view.peer_needs_from_me(p)),
+    );
+    buf
 }
 
 #[cfg(test)]

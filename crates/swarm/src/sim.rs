@@ -14,7 +14,8 @@ use coop_incentives::hash::IdMap;
 use coop_incentives::ledger::{ReportedReputation, ReputationTable};
 use coop_incentives::metrics::TimeSeries;
 use coop_incentives::{
-    GrantReason, Mechanism, Obligation, PeerId, ReciprocationCondition, SettleCadence,
+    AllocScratch, Grant, GrantReason, Mechanism, Obligation, PeerId, ReciprocationCondition,
+    SettleCadence,
 };
 use coop_piece::{
     AvailabilityIndex, Bitfield, PiecePicker, PieceSelection, RandomFirstPicker, RarestFirstPicker,
@@ -116,6 +117,15 @@ pub struct Simulation {
     /// Scratch target list for [`Self::drain_partials`], reused so a
     /// drain allocates nothing.
     scratch_targets: Vec<PeerId>,
+    /// The visiting peer's interested candidates, collected once per
+    /// visit ([`Self::collect_interested`]) for the skip test and served
+    /// to its mechanism through [`SimView::serving`].
+    scratch_interested: Vec<PeerId>,
+    /// The grant buffer every [`Mechanism::allocate_into`] call appends
+    /// to, and the working memory lent to it. Neither is state: both are
+    /// cleared before use and not checkpointed.
+    scratch_grants: Vec<Grant>,
+    scratch_alloc: AllocScratch,
     /// Scratch candidate pool for arrival-time neighbor selection and
     /// neighbor replenishment, filled from [`HotPeers`] flags and reused
     /// so steady-state arrivals allocate no pool.
@@ -310,6 +320,9 @@ impl Simulation {
             scratch_held: Bitfield::new(0),
             scratch_ties: Vec::new(),
             scratch_targets: Vec::new(),
+            scratch_interested: Vec::new(),
+            scratch_grants: Vec::new(),
+            scratch_alloc: AllocScratch::default(),
             scratch_pool: Vec::new(),
             pending_arrivals: spec_count,
             open_active: 0,
@@ -1234,12 +1247,13 @@ impl Simulation {
 
     /// The debug-build skip-contract oracle: runs a skipped peer's
     /// allocation on a clone of its mechanism, at the moment of the skip,
-    /// with a draw-counting RNG, and asserts it would have granted
-    /// nothing and drawn nothing. The round loop samples a fixed
-    /// deterministic eighth of its skips; the clone keeps the real
-    /// mechanism, the seed tree and every artifact untouched. Banned and
-    /// zero-budget peers are skipped by `allocate_and_execute` itself, so
-    /// they are not checked.
+    /// through the visit's own path — [`Mechanism::allocate_into`] on a
+    /// view serving [`Self::collect_interested`]'s list — with a
+    /// draw-counting RNG, and asserts it would have granted nothing and
+    /// drawn nothing. The round loop samples a fixed deterministic eighth
+    /// of its skips; the clone keeps the real mechanism, the seed tree and
+    /// every artifact untouched. Banned and zero-budget peers are skipped
+    /// by `allocate_and_execute` itself, so they are not checked.
     #[cfg(debug_assertions)]
     fn assert_skip_is_noop(&self, id: PeerId) {
         let idx = id.index() as usize;
@@ -1252,8 +1266,17 @@ impl Simulation {
             .as_ref()
             .expect("mechanism present outside allocation")
             .clone_box();
+        let mut interested = Vec::new();
+        self.collect_interested(id, &mut interested);
         let mut rng = crate::dirty::DrawCounter::default();
-        let grants = probe.allocate(&SimView::new(self, id), budget, &mut rng);
+        let mut grants = Vec::new();
+        probe.allocate_into(
+            &SimView::serving(self, id, &interested),
+            budget,
+            &mut rng,
+            &mut AllocScratch::default(),
+            &mut grants,
+        );
         debug_assert!(
             grants.is_empty() && rng.draws == 0,
             "skip contract violated at round {}: skipped peer {} would grant {} time(s) and draw {} value(s)",
@@ -1261,6 +1284,19 @@ impl Simulation {
             id.index(),
             grants.len(),
             rng.draws
+        );
+    }
+
+    /// Clears `out` and fills it with `id`'s candidates that need a piece
+    /// from it, in candidate-row order: the list a visit's skip test reads
+    /// and its mechanism is served.
+    fn collect_interested(&self, id: PeerId, out: &mut Vec<PeerId>) {
+        out.clear();
+        out.extend(
+            self.round_candidates(id)
+                .iter()
+                .copied()
+                .filter(|&c| self.needs(c, id)),
         );
     }
 
@@ -1300,6 +1336,8 @@ impl Simulation {
             }
             return drained;
         }
+        let mut interested = std::mem::take(&mut self.scratch_interested);
+        self.collect_interested(id, &mut interested);
         if self.dirty_active() {
             // The skip test, evaluated at visit time: a peer with no
             // interested candidate and no pending obligations is exactly
@@ -1308,8 +1346,7 @@ impl Simulation {
             // unobservable. Obliged-only peers are re-visited through the
             // live obliged flag instead (obligations can be granted
             // toward non-neighbors, so interest does not cover them).
-            let interested = self.round_candidates(id).iter().any(|&c| self.needs(c, id));
-            if interested {
+            if !interested.is_empty() {
                 // Stateful mechanisms may decide differently next round
                 // on identical inputs (unchoke rotations, sticky
                 // targets), so interest alone re-marks them. A
@@ -1326,6 +1363,7 @@ impl Simulation {
                     self.mark_revisit(id);
                 }
             } else if self.peers[idx].obligations.is_empty() {
+                self.scratch_interested = interested;
                 return drained;
             }
         }
@@ -1335,15 +1373,20 @@ impl Simulation {
             .mechanism
             .take()
             .expect("mechanism present outside allocation");
-        let grants = {
-            let view = SimView::new(&*self, id);
+        let mut scratch = std::mem::take(&mut self.scratch_alloc);
+        let mut grants = std::mem::take(&mut self.scratch_grants);
+        grants.clear();
+        {
+            let view = SimView::serving(&*self, id, &interested);
             let mut rng = self
                 .seeds
                 .subtree(0x520_0000 + self.round_idx)
                 .rng(2 + 2 * u64::from(id.index()));
-            mech.allocate(&view, budget, &mut rng)
-        };
+            mech.allocate_into(&view, budget, &mut rng, &mut scratch, &mut grants);
+        }
         self.peers[idx].mechanism = Some(mech);
+        self.scratch_alloc = scratch;
+        self.scratch_interested = interested;
         self.profiler.stop(phase::SIM_MECHANISM, mech_t);
 
         let exec_t = self.profiler.start();
@@ -1352,7 +1395,7 @@ impl Simulation {
             .subtree(0x520_0000 + self.round_idx)
             .rng(3 + 2 * u64::from(id.index()));
         let mut remaining = budget;
-        for g in grants {
+        for g in &grants {
             if remaining == 0 {
                 break;
             }
@@ -1361,6 +1404,7 @@ impl Simulation {
                 self.execute_grant(id, g.to, bytes, g.reason, g.condition, now, &mut exec_rng);
             remaining -= used;
         }
+        self.scratch_grants = grants;
         self.profiler.stop(phase::SIM_EXECUTE, exec_t);
         let granted = budget - remaining;
         if granted > 0 && self.dirty_active() {
@@ -3308,13 +3352,14 @@ mod tests {
             fn clone_box(&self) -> Box<dyn coop_incentives::Mechanism> {
                 Box::new(self.clone())
             }
-            fn allocate(
+            fn allocate_into(
                 &mut self,
                 _view: &dyn coop_incentives::SwarmView,
                 _budget: u64,
                 _rng: &mut dyn rand::RngCore,
-            ) -> Vec<coop_incentives::Grant> {
-                Vec::new()
+                _scratch: &mut coop_incentives::AllocScratch,
+                _out: &mut Vec<coop_incentives::Grant>,
+            ) {
             }
         }
         for spec in population.iter_mut().take(2) {

@@ -1,7 +1,7 @@
 //! The production [`SwarmView`] handed to mechanisms during allocation.
 
 use coop_incentives::ledger::ContributionLedger;
-use coop_incentives::{Obligation, PeerId, SwarmView};
+use coop_incentives::{collect_interested, Obligation, PeerId, SwarmView};
 
 use crate::sim::Simulation;
 
@@ -9,11 +9,29 @@ use crate::sim::Simulation;
 pub struct SimView<'a> {
     sim: &'a Simulation,
     me: PeerId,
+    /// The interested neighbors the visit already collected, served by
+    /// [`SwarmView::interested_neighbors`] instead of a second filter.
+    interested: Option<&'a [PeerId]>,
 }
 
 impl<'a> SimView<'a> {
     pub(crate) fn new(sim: &'a Simulation, me: PeerId) -> Self {
-        SimView { sim, me }
+        SimView {
+            sim,
+            me,
+            interested: None,
+        }
+    }
+
+    /// A view that serves `interested`, which must be `me`'s candidate
+    /// row filtered by interest in row order (what
+    /// `Simulation::collect_interested` builds).
+    pub(crate) fn serving(sim: &'a Simulation, me: PeerId, interested: &'a [PeerId]) -> Self {
+        SimView {
+            sim,
+            me,
+            interested: Some(interested),
+        }
     }
 
     fn my_state(&self) -> &crate::peer::PeerState {
@@ -38,6 +56,21 @@ impl SwarmView for SimView<'_> {
 
     fn peer_needs_from_me(&self, peer: PeerId) -> bool {
         self.sim.needs(peer, self.me)
+    }
+
+    fn interested_neighbors<'s>(&'s self, buf: &'s mut Vec<PeerId>) -> &'s [PeerId] {
+        match self.interested {
+            Some(list) => {
+                debug_assert_eq!(
+                    list,
+                    collect_interested(self, &mut Vec::new()),
+                    "served interested list of peer {} diverged from its candidate row",
+                    self.me.index()
+                );
+                list
+            }
+            None => collect_interested(self, buf),
+        }
     }
 
     fn i_need_from(&self, peer: PeerId) -> bool {
