@@ -79,9 +79,9 @@ impl Mechanism for FairTorrent {
         // transfers). `levels[i]` shadows the deficit of `candidates[i]`:
         // read from the ledger once, on the first pick, then raised by a
         // piece per pick, so pieces granted earlier in the same call shift
-        // later choices. The tie list holds candidate positions in
-        // candidate order, so the draw picks from a list of the same
-        // length as a list of peers would be.
+        // later choices. The tie list holds the tied candidates'
+        // positions in candidate order, so the draw over it picks the
+        // same peer a draw over the tied peers would.
         let ledger = view.ledger();
         let piece = view.piece_size();
         let (levels, lowest) = (&mut scratch.levels, &mut scratch.lowest);

@@ -1023,12 +1023,17 @@ fn run_history(name: &str, seed: u64, steps: usize, scratch: &mut AllocScratch) 
             rng_old.next_u64(),
             "{name} step {step}: RNG state diverged"
         );
-        // Land part of the granted bytes, then run the round-end, epoch
-        // and chain-outcome hooks the round loop would.
+        // Land part of the granted bytes, let a neighbor depart (its
+        // ledger row is forgotten before the round ends), then run the
+        // round-end, epoch and chain-outcome hooks the round loop would.
         for grant in &out[1..] {
             if g.gen_bool(0.5) {
                 view.ledger.record_sent(grant.to, grant.bytes);
             }
+        }
+        if !view.neighbors.is_empty() && g.gen_bool(0.2) {
+            let gone = view.neighbors.remove(g.gen_range(0..view.neighbors.len()));
+            view.ledger.forget(gone);
         }
         if g.gen_bool(0.3) {
             let receiver = PeerId::new(g.gen_range(1..=SWARM));
