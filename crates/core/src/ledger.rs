@@ -166,6 +166,16 @@ impl ContributionLedger {
         self.row(from).map_or(0, |r| r.received)
     }
 
+    /// Every counterpart with the total bytes received from it, ascending
+    /// by peer: the rows [`Self::received_from`] reads, for a merge walk
+    /// beside another ascending list. A forgotten counterpart reads 0.
+    pub fn received_rows(&self) -> impl Iterator<Item = (PeerId, u64)> + '_ {
+        self.peers
+            .iter()
+            .copied()
+            .zip(self.rows.iter().map(|r| r.received))
+    }
+
     /// Bytes received from `from` in the previous round (tit-for-tat
     /// ranking input).
     pub fn received_last_round(&self, from: PeerId) -> u64 {

@@ -119,11 +119,51 @@ impl RewardPool {
             return;
         }
         let acc = self.acc;
-        let entry = self.entry_mut(peer);
+        Self::accrue_entry(self.entry_mut(peer), bytes, acc);
+        self.total_shares += bytes;
+    }
+
+    /// Adds `bytes` shares to `entry` under the counter `acc`.
+    fn accrue_entry(entry: &mut PoolEntry, bytes: u64, acc: u128) {
         entry.realized_fp = entry.earned_fp(acc);
         entry.shares += bytes;
         entry.debt = entry.shares as u128 * acc;
-        self.total_shares += bytes;
+    }
+
+    /// Raises the shares of each of `peers` to its cumulative
+    /// contribution, the `(peer, bytes)` rows of `contributed` (a peer
+    /// without a row contributed nothing), exactly as [`Self::accrue`] of
+    /// each increase in `peers` order would. Both lists must ascend: the
+    /// walk advances one cursor through `contributed` and one through the
+    /// pool's rows instead of searching both for every peer.
+    fn catch_up(&mut self, peers: &[PeerId], contributed: impl Iterator<Item = (PeerId, u64)>) {
+        debug_assert!(
+            peers.windows(2).all(|w| w[0] < w[1]),
+            "neighbor rows must be strictly ascending"
+        );
+        let mut contributed = contributed.peekable();
+        let mut at = 0usize;
+        for &p in peers {
+            while contributed.next_if(|&(q, _)| q < p).is_some() {}
+            let Some(&(q, bytes)) = contributed.peek() else {
+                break;
+            };
+            if q != p {
+                continue;
+            }
+            while self.rows.get(at).is_some_and(|&(r, _)| r < p) {
+                at += 1;
+            }
+            let present = self.rows.get(at).is_some_and(|&(r, _)| r == p);
+            let held = if present { self.rows[at].1.shares } else { 0 };
+            if bytes > held {
+                if !present {
+                    self.rows.insert(at, (p, PoolEntry::default()));
+                }
+                Self::accrue_entry(&mut self.rows[at].1, bytes - held, self.acc);
+                self.total_shares += bytes - held;
+            }
+        }
     }
 
     /// Closes an epoch: distributes `pool_bytes` across all current
@@ -239,16 +279,12 @@ impl EpochSettlement {
     /// grew since the last sync. The ledger is the source of truth; the
     /// pool only ever catches up to it, so sync order is irrelevant and
     /// a departed contributor (whose ledger row was forgotten) simply
-    /// stops accruing while keeping its earned shares.
+    /// stops accruing while keeping its earned shares. The neighbor row,
+    /// the ledger's rows and the pool's rows all ascend, so one merge
+    /// walk serves every neighbor.
     fn sync_shares(&mut self, view: &dyn SwarmView) {
-        let ledger = view.ledger();
-        for &p in view.neighbors() {
-            let contributed = ledger.received_from(p);
-            let held = self.pool.shares(p);
-            if contributed > held {
-                self.pool.accrue(p, contributed - held);
-            }
-        }
+        self.pool
+            .catch_up(view.neighbors(), view.ledger().received_rows());
     }
 }
 

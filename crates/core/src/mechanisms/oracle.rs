@@ -904,12 +904,15 @@ fn reroll_interest(view: &mut FakeView, g: &mut SmallRng) {
 }
 
 /// A random subset of the swarm, ascending like a simulator candidate
-/// row or shuffled.
-fn reroll_neighbors(view: &mut FakeView, g: &mut SmallRng) {
+/// row or (unless `ascending`) shuffled. `SwarmView::neighbors` promises
+/// ascending rows, and EpochSettlement's share sync relies on it; the
+/// other kernels also see shuffled rows, which shows their grants do not
+/// depend on the order.
+fn reroll_neighbors(view: &mut FakeView, g: &mut SmallRng, ascending: bool) {
     let mut ids: Vec<PeerId> = (1..=SWARM).map(PeerId::new).collect();
     ids.shuffle(g);
     ids.truncate(g.gen_range(0..=SWARM as usize));
-    if g.gen_bool(0.7) {
+    if g.gen_bool(0.7) || ascending {
         ids.sort_unstable();
     }
     view.neighbors = ids;
@@ -966,9 +969,10 @@ fn run_history(name: &str, seed: u64, steps: usize, scratch: &mut AllocScratch) 
         ..MechanismParams::default()
     };
     let (mut new, mut old) = pair(name, params);
+    let ascending = name == "epoch";
     let mut view = FakeView::mutual(&[]);
     view.piece_size = [1000, 1500, 4096][g.gen_range(0..3usize)];
-    reroll_neighbors(&mut view, &mut g);
+    reroll_neighbors(&mut view, &mut g, ascending);
     reroll_interest(&mut view, &mut g);
     reroll_reputations(&mut view, &mut g);
     reroll_obligations(&mut view, &mut g);
@@ -978,7 +982,7 @@ fn run_history(name: &str, seed: u64, steps: usize, scratch: &mut AllocScratch) 
         view.round = step as u64;
         trade(&mut view, &mut g);
         match g.gen_range(0..8) {
-            0 => reroll_neighbors(&mut view, &mut g),
+            0 => reroll_neighbors(&mut view, &mut g, ascending),
             1 => reroll_interest(&mut view, &mut g),
             2 => reroll_reputations(&mut view, &mut g),
             3 => reroll_obligations(&mut view, &mut g),

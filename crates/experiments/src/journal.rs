@@ -10,8 +10,13 @@
 //!
 //! Unlike whole-file artifacts (which go through
 //! [`coop_telemetry::write_atomic`]), the journal is an *append-only*
-//! stream: each record is one `write` followed by an fsync, so a crash at
-//! any instant leaves a valid prefix plus at most one torn trailing line.
+//! stream: each record, newline included, is one `write_all` under the
+//! journal's lock, so a crash at any instant leaves a valid prefix plus
+//! at most one torn trailing line, and concurrent appends never
+//! interleave. The fsync runs after the lock is released, on a second
+//! handle to the same file, so one batch worker's fsync does not hold up
+//! another's append; each append still returns only once its own record
+//! is durable.
 //! [`JournalReplay::load`] tolerates exactly that — unparseable lines are
 //! dropped (the affected job simply re-runs) and never poison the rest of
 //! the ledger.
@@ -103,7 +108,11 @@ pub struct JobRecord {
 #[derive(Debug)]
 pub struct RunJournal {
     path: PathBuf,
+    /// The append handle; the lock makes each record one uninterleaved
+    /// write.
     file: Mutex<File>,
+    /// A clone of the append handle, fsynced outside the lock.
+    sync: File,
 }
 
 impl RunJournal {
@@ -122,10 +131,7 @@ impl RunJournal {
         std::fs::create_dir_all(dir)?;
         let path = Self::path_in(dir);
         let file = File::create(&path)?;
-        let journal = RunJournal {
-            path,
-            file: Mutex::new(file),
-        };
+        let journal = Self::with_file(path, file)?;
         let mut o = ObjWriter::new();
         o.str("type", "run")
             .uint("version", JOURNAL_VERSION)
@@ -147,8 +153,13 @@ impl RunJournal {
     pub fn open_append(dir: &Path) -> io::Result<RunJournal> {
         let path = Self::path_in(dir);
         let file = OpenOptions::new().append(true).open(&path)?;
+        Self::with_file(path, file)
+    }
+
+    fn with_file(path: PathBuf, file: File) -> io::Result<RunJournal> {
         Ok(RunJournal {
             path,
+            sync: file.try_clone()?,
             file: Mutex::new(file),
         })
     }
@@ -222,11 +233,16 @@ impl RunJournal {
     }
 
     fn append_line(&self, line: &str) -> io::Result<()> {
-        let mut file = self.file.lock().expect("journal lock poisoned");
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
-        file.sync_data()
+        let mut record = String::with_capacity(line.len() + 1);
+        record.push_str(line);
+        record.push('\n');
+        self.file
+            .lock()
+            .expect("journal lock poisoned")
+            .write_all(record.as_bytes())?;
+        // Syncing any handle of the file makes every write that returned
+        // before it durable, this record's included.
+        self.sync.sync_data()
     }
 }
 
@@ -646,6 +662,46 @@ mod tests {
         );
         assert_eq!(replay.completed(7), None, "failed jobs are not completed");
         assert_eq!(replay.prior_attempts(7), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_appends_replay_as_whole_records() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 25;
+        let dir = tmp_dir("concurrent");
+        let journal = RunJournal::create(&dir, &header()).unwrap();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (journal, start) = (&journal, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in 0..PER_THREAD {
+                        let fp = t * PER_THREAD + k;
+                        journal
+                            .record_job(&JobRecord {
+                                fingerprint: fp,
+                                slot: fp,
+                                label: format!("worker {t}"),
+                                seed: fp,
+                                outcome: JobOutcome::Ok,
+                                attempts: 1,
+                                result: Some(sample_result(fp)),
+                                error: None,
+                            })
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let replay = JournalReplay::load(&dir).unwrap();
+        assert_eq!(replay.header, Some(header()));
+        assert_eq!(replay.dropped_lines, 0, "a record was torn or interleaved");
+        assert_eq!(replay.completed_count() as u64, THREADS * PER_THREAD);
+        for fp in 0..THREADS * PER_THREAD {
+            assert_eq!(replay.completed(fp), Some(&sample_result(fp)));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
